@@ -143,9 +143,6 @@ ScalePoint RunScalePoint(size_t nodes, lt::LiteTransport mode) {
   // The scaling story under test: the responder NIC's QPC pressure. On for
   // both modes so RC pays per-peer entries and DC pays one DCT entry.
   p.rnic_model_responder_qpc = true;
-  // Lazy control rings: the O(n^2) eager bootstrap is exactly what a
-  // 1000-node cluster cannot afford (and the sweep never needs most pairs).
-  p.lite_eager_control_rings = false;
   p.node_phys_mem_bytes = 8ull << 20;
   p.lite_rpc_ring_bytes = 4096;
   p.lite_reply_slots = 16;

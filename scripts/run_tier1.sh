@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification: full build + test suite, the perf and trace gates, the
-# repo benchmark's smoke run, then the chaos soak under
-# ThreadSanitizer (the failure-recovery paths are the most thread-hostile
-# code in the tree, so they get the extra scrutiny).
+# repo benchmark's smoke run, then the chaos soak and the atomics/RPC-bind
+# races under ThreadSanitizer (the failure-recovery paths are the most
+# thread-hostile code in the tree, so they get the extra scrutiny).
 #
 # Usage: scripts/run_tier1.sh [jobs]
 set -euo pipefail
@@ -45,8 +45,11 @@ python3 benchmark/run.py --smoke
 
 echo "== tier-1: chaos soak under ThreadSanitizer =="
 cmake -B build-tsan -S . -DLT_SANITIZE=thread >/dev/null
-cmake --build build-tsan -j"${JOBS}" --target faults_chaos_test faults_test lite_async_test lite_ring_test transport_test
+cmake --build build-tsan -j"${JOBS}" --target faults_chaos_test faults_test lite_async_test lite_ring_test transport_test lite_sync_test lite_rpc_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/faults_test
+# Local vs remote atomics on one word, and two threads racing a first RPC bind.
+TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/lite_sync_test
+TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/lite_rpc_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/lite_async_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/lite_ring_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/transport_test

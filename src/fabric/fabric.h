@@ -8,9 +8,7 @@
 // QoS interference effects (Figs. 15, 16).
 //
 // The fabric also hosts the fault-injection engine (src/faults): per-link
-// drop/duplicate/delay rules, partitions, and node crash windows. The legacy
-// SetDropProbability / SetExtraDelayNs knobs remain as thin wrappers over the
-// engine's default link rule.
+// drop/duplicate/delay rules, partitions, and node crash windows.
 #ifndef SRC_FABRIC_FABRIC_H_
 #define SRC_FABRIC_FABRIC_H_
 
@@ -68,15 +66,7 @@ class FabricPort {
 
 class Fabric {
  public:
-  explicit Fabric(const SimParams& params) : params_(params) {
-    // SimParams-level fault knobs become the engine's boot-time default rule.
-    if (params.fabric_drop_probability > 0.0 || params.fabric_extra_delay_ns != 0) {
-      LinkFaultRule rule;
-      rule.drop_p = params.fabric_drop_probability;
-      rule.extra_delay_ns = params.fabric_extra_delay_ns;
-      faults_.SetDefaultRule(rule);
-    }
-  }
+  explicit Fabric(const SimParams& params) : params_(params) {}
 
   // Attaches a port for `node`; node ids must be attached in order 0..N-1.
   FabricPort* Attach(NodeId node);
@@ -102,19 +92,6 @@ class Fabric {
 
   // The fault-injection engine: per-link rules, partitions, crash windows.
   FaultEngine& faults() { return faults_; }
-
-  // Legacy failure-injection knobs (tests): wrappers over the engine's
-  // default link rule, preserved for existing callers.
-  void SetDropProbability(double p) {
-    LinkFaultRule rule = faults_.default_rule();
-    rule.drop_p = p;
-    faults_.SetDefaultRule(rule);
-  }
-  void SetExtraDelayNs(uint64_t ns) {
-    LinkFaultRule rule = faults_.default_rule();
-    rule.extra_delay_ns = ns;
-    faults_.SetDefaultRule(rule);
-  }
 
   static constexpr uint64_t kDropped = ~0ull;
 

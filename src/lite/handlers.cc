@@ -322,16 +322,11 @@ void LiteInstance::RegisterInternalHandlers() {
     }
 
     // Copy the data across via one-sided ops through a bounce buffer.
-    auto old_pieces = SliceChunks(meta.chunks, 0, meta.size);
-    auto new_pieces = SliceChunks(new_chunks, 0, meta.size);
     std::vector<uint8_t> bounce(meta.size);
-    for (const ChunkPiece& p : old_pieces) {
-      (void)self->engine_.OneSidedRead(p.node, p.addr, bounce.data() + p.user_off, p.len, pri);
-    }
-    for (const ChunkPiece& p : new_pieces) {
-      (void)self->engine_.OneSidedWrite(p.node, p.addr, bounce.data() + p.user_off, p.len, pri,
-                                        /*signaled=*/true);
-    }
+    (void)self->engine_.SubmitPieces(SliceDescs(meta.chunks, 0, meta.size, bounce.data()),
+                                     /*is_read=*/true, pri);
+    (void)self->engine_.SubmitPieces(SliceDescs(new_chunks, 0, meta.size, bounce.data()),
+                                     /*is_read=*/false, pri);
 
     // Install the new chunks, free the old, fan out updates.
     std::set<NodeId> mapped = self->lmrs_.InstallChunks(name, new_chunks);
@@ -441,9 +436,9 @@ void LiteInstance::RegisterInternalHandlers() {
           self->migration().CloseAccess(&dst_gate, /*success=*/true);
         } else {
           // The remote destination is gated by the op engine at post time.
-          Status st = self->engine_.OneSidedWrite(dst_node, dst_addr,
-                                                  self->node()->mem().Data(src_addr, len), len,
-                                                  pri, /*signaled=*/true);
+          Status st = self->engine_.SubmitPieces(
+              {{dst_node, dst_addr, self->node()->mem().Data(src_addr, len), len}},
+              /*is_read=*/false, pri);
           if (!st.ok()) {
             self->migration().CloseAccess(&src_gate, /*success=*/false);
             ReplyStatus(self, inc.token, st.code());
@@ -621,9 +616,12 @@ void LiteInstance::RegisterInternalHandlers() {
       ReplyStatus(self, inc.token, lt::StatusCode::kResourceExhausted);
       return;
     }
+    // The ring keeps the mirror of the first setup it handled; a client
+    // thread that raced another to the first bind adopts that one. (The
+    // ring's size travels in the chunk.)
     WireWriter payload;
     payload.Put<LmrChunk>(ring->ring);
-    payload.Put<uint64_t>(ring->ring_size);
+    payload.Put<PhysAddr>(ring->client_head_mirror);
     ReplyOkPayload(self, inc.token, payload);
   };
 

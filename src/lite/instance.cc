@@ -147,9 +147,9 @@ void LiteInstance::CreateQueuePairs() {
 }
 
 void LiteInstance::BootstrapControlChannel(LiteInstance* server) {
-  // Idempotent: lazy bootstrap (GetChannel on a control-ring miss) may race
-  // the eager setup loop or a concurrent first caller. Check before paying
-  // for a mirror word, and keep the winner on an emplace race.
+  // Idempotent: two first callers (GetChannel on a control-ring miss) may
+  // race. Check before paying for a mirror word, adopt the mirror the server
+  // ring recorded, and keep the winner on an emplace race.
   {
     std::lock_guard<std::mutex> lock(channels_mu_);
     if (channels_.count({server->node_id(), kControlRingId}) > 0) {
@@ -166,7 +166,7 @@ void LiteInstance::BootstrapControlChannel(LiteInstance* server) {
   channel->func = kControlRingId;
   channel->ring = {LmrChunk{server->node_id(), ring->ring.addr, ring->ring.size}};
   channel->ring_size = ring->ring_size;
-  channel->head_mirror = *mirror;
+  channel->head_mirror = ring->client_head_mirror;
   std::lock_guard<std::mutex> lock(channels_mu_);
   channels_.emplace(std::make_pair(server->node_id(), kControlRingId), std::move(channel));
 }
@@ -255,6 +255,16 @@ std::vector<LiteInstance::ChunkPiece> LiteInstance::SliceChunks(
     }
   }
   return pieces;
+}
+
+std::vector<OpEngine::OpDesc> LiteInstance::SliceDescs(const std::vector<LmrChunk>& chunks,
+                                                       uint64_t offset, uint64_t len, void* buf) {
+  std::vector<OpEngine::OpDesc> descs;
+  for (const ChunkPiece& p : SliceChunks(chunks, offset, len)) {
+    descs.push_back(
+        OpEngine::OpDesc{p.node, p.addr, static_cast<uint8_t*>(buf) + p.user_off, p.len});
+  }
+  return descs;
 }
 
 StatusOr<std::vector<LmrChunk>> LiteInstance::AllocLocalChunks(uint64_t size) {

@@ -16,6 +16,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <functional>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -281,6 +282,10 @@ class LiteInstance {
   };
   static std::vector<ChunkPiece> SliceChunks(const std::vector<LmrChunk>& chunks, uint64_t offset,
                                              uint64_t len);
+  // The same slicing as engine pieces, each paired with its cursor into
+  // `buf` (the user buffer that covers [offset, offset+len)).
+  static std::vector<OpEngine::OpDesc> SliceDescs(const std::vector<LmrChunk>& chunks,
+                                                  uint64_t offset, uint64_t len, void* buf);
 
   // ---- Introspection (tests / benches) ----
   size_t qp_pool_size() const { return transport_->TotalQps(); }
@@ -316,6 +321,26 @@ class LiteInstance {
 
   // One-sided posting has no forwarders: every call site posts through
   // engine_ directly (op_engine.h owns QP selection, recovery, retry).
+
+  // The blocking LT_read/LT_write body: op record, lh check, then SubmitLh.
+  Status BlockingMemop(Lh lh, uint64_t offset, void* buf, uint64_t len, Priority pri,
+                       bool is_read);
+  // Submits [offset, offset+len) of `*entry` as one SubmitPieces call,
+  // redirected through RedirectStale.
+  Status SubmitLh(Lh lh, LhEntry* entry, uint64_t offset, void* buf, uint64_t len, bool is_read,
+                  Priority pri);
+  // The FetchAdd/TestSet body: one 8-byte atomic on an lh word.
+  StatusOr<uint64_t> LhAtomic(Lh lh, uint64_t offset, bool is_cas, uint64_t compare_add,
+                              uint64_t swap);
+  // The stale-home redirect every lh-addressed memop shares: runs `submit`
+  // against the current mappings and, while it fails with kStaleHome (the
+  // LMR migrated mid-op), refreshes every mapping in `lhs` and re-runs it,
+  // at most kMaxStaleRedirects times. Re-issuing in full is exactly-once
+  // for the caller: writes and memsets are idempotent re-copies, and a
+  // NACKed access (atomics included) was never applied. Defined in
+  // memops.cc, its only user.
+  template <typename Submit>
+  Status RedirectStale(std::initializer_list<std::pair<Lh, LhEntry*>> lhs, Submit&& submit);
 
   // Local fast path for chunks that live on this node.
   void LocalCopyIn(PhysAddr dst, const void* src, uint64_t len);

@@ -38,20 +38,11 @@ LiteCluster::LiteCluster(size_t node_count, const lt::SimParams& params)
       }
     }
   }
-  // Control rings (every ordered pair, including self for loopback RPCs).
-  // At large scale this O(n²) bootstrap dominates setup; with
-  // lite_eager_control_rings=false a channel is built lazily on first RPC.
-  if (params.lite_eager_control_rings) {
-    for (auto& client : instances_) {
-      for (auto& server : instances_) {
-        client->BootstrapControlChannel(server.get());
-      }
-    }
-  } else {
-    for (auto& client : instances_) {
-      // Self-loopback is always wired (internal services assume it).
-      client->BootstrapControlChannel(client.get());
-    }
+  // Control rings: only the self-loopback ring is wired here (internal
+  // services assume it); a channel to a peer is built on its first RPC, so
+  // bring-up stays O(n) rather than all-pairs.
+  for (auto& inst : instances_) {
+    inst->BootstrapControlChannel(inst.get());
   }
   for (auto& inst : instances_) {
     inst->Start();

@@ -21,6 +21,22 @@ std::string LockName(const std::string& name) { return "__lock_" + name; }
 
 }  // namespace
 
+template <typename Submit>
+Status LiteInstance::RedirectStale(std::initializer_list<std::pair<Lh, LhEntry*>> lhs,
+                                   Submit&& submit) {
+  Status st = submit();
+  for (int redirect = 0; redirect < kMaxStaleRedirects && st.code() == lt::StatusCode::kStaleHome;
+       ++redirect) {
+    const uint64_t redo_t0 = lt::NowNs();
+    for (const auto& [lh, entry] : lhs) {
+      LT_RETURN_IF_ERROR(RefreshStaleLh(lh, entry));
+    }
+    AttrAdd(LatStage::kLatDetour, lt::NowNs() - redo_t0);
+    st = submit();
+  }
+  return st;
+}
+
 // -------------------------------------------------------------- LT_malloc
 
 StatusOr<Lh> LiteInstance::Malloc(uint64_t size, const std::string& name,
@@ -296,89 +312,40 @@ Status LiteInstance::Unmap(Lh lh) {
 // ------------------------------------------------------ LT_read / LT_write
 
 Status LiteInstance::Read(Lh lh, uint64_t offset, void* buf, uint64_t len, Priority pri) {
+  return BlockingMemop(lh, offset, buf, len, pri, /*is_read=*/true);
+}
+
+Status LiteInstance::Write(Lh lh, uint64_t offset, const void* buf, uint64_t len, Priority pri) {
+  return BlockingMemop(lh, offset, const_cast<void*>(buf), len, pri, /*is_read=*/false);
+}
+
+Status LiteInstance::BlockingMemop(Lh lh, uint64_t offset, void* buf, uint64_t len, Priority pri,
+                                   bool is_read) {
   if (len == 0) {
     return Status::Ok();
   }
   // Outermost claim only: when LiteClient already holds the record this is
   // inert and the stamps below flow into the client-level op.
-  ScopedOpAttr attr(&node_->telemetry().latency(), "read", len, static_cast<int>(pri));
+  ScopedOpAttr attr(&node_->telemetry().latency(), is_read ? "read" : "write", len,
+                    static_cast<int>(pri));
   const uint64_t submit_t0 = lt::NowNs();
   SpinFor(params().lite_map_check_ns);
   auto entry = GetLh(lh);
   if (!entry.ok()) {
     return entry.status();
   }
-  LT_RETURN_IF_ERROR(CheckAccess(*entry, offset, len, kPermRead));
+  LT_RETURN_IF_ERROR(CheckAccess(*entry, offset, len, is_read ? kPermRead : kPermWrite));
   AttrAdd(LatStage::kLatSubmit, lt::NowNs() - submit_t0);
-  Status st = Status::Ok();
-  for (int attempt = 0; attempt <= kMaxStaleRedirects; ++attempt) {
-    auto pieces = SliceChunks(entry->chunks, offset, len);
-    if (pieces.size() == 1) {
-      // Single-piece fast path: one WR, posted and waited inline.
-      const ChunkPiece& piece = pieces[0];
-      st = engine_.OneSidedRead(piece.node, piece.addr,
-                                static_cast<uint8_t*>(buf) + piece.user_off, piece.len, pri);
-    } else {
-      // Multi-piece: issue every piece back-to-back (doorbell-batched per QP),
-      // then wait for them all — pieces on different chunks/nodes overlap.
-      std::vector<OpEngine::OpDesc> descs;
-      descs.reserve(pieces.size());
-      for (const ChunkPiece& piece : pieces) {
-        descs.push_back(OpEngine::OpDesc{piece.node, piece.addr,
-                                         static_cast<uint8_t*>(buf) + piece.user_off, piece.len});
-      }
-      st = engine_.SubmitPieces(descs, /*is_read=*/true, pri);
-    }
-    if (st.code() != lt::StatusCode::kStaleHome) {
-      return st;
-    }
-    // The LMR migrated mid-op: refresh the mapping and re-issue in full.
-    const uint64_t redo_t0 = lt::NowNs();
-    LT_RETURN_IF_ERROR(RefreshStaleLh(lh, &*entry));
-    AttrAdd(LatStage::kLatDetour, lt::NowNs() - redo_t0);
-  }
-  return st;
+  return SubmitLh(lh, &*entry, offset, buf, len, is_read, pri);
 }
 
-Status LiteInstance::Write(Lh lh, uint64_t offset, const void* buf, uint64_t len, Priority pri) {
-  if (len == 0) {
-    return Status::Ok();
-  }
-  ScopedOpAttr attr(&node_->telemetry().latency(), "write", len, static_cast<int>(pri));
-  const uint64_t submit_t0 = lt::NowNs();
-  SpinFor(params().lite_map_check_ns);
-  auto entry = GetLh(lh);
-  if (!entry.ok()) {
-    return entry.status();
-  }
-  LT_RETURN_IF_ERROR(CheckAccess(*entry, offset, len, kPermWrite));
-  AttrAdd(LatStage::kLatSubmit, lt::NowNs() - submit_t0);
-  Status st = Status::Ok();
-  for (int attempt = 0; attempt <= kMaxStaleRedirects; ++attempt) {
-    auto pieces = SliceChunks(entry->chunks, offset, len);
-    if (pieces.size() == 1) {
-      const ChunkPiece& piece = pieces[0];
-      st = engine_.OneSidedWrite(piece.node, piece.addr,
-                                 static_cast<const uint8_t*>(buf) + piece.user_off, piece.len,
-                                 pri, /*signaled=*/true);
-    } else {
-      std::vector<OpEngine::OpDesc> descs;
-      descs.reserve(pieces.size());
-      for (const ChunkPiece& piece : pieces) {
-        descs.push_back(OpEngine::OpDesc{
-            piece.node, piece.addr,
-            const_cast<uint8_t*>(static_cast<const uint8_t*>(buf) + piece.user_off), piece.len});
-      }
-      st = engine_.SubmitPieces(descs, /*is_read=*/false, pri);
-    }
-    if (st.code() != lt::StatusCode::kStaleHome) {
-      return st;
-    }
-    const uint64_t redo_t0 = lt::NowNs();
-    LT_RETURN_IF_ERROR(RefreshStaleLh(lh, &*entry));
-    AttrAdd(LatStage::kLatDetour, lt::NowNs() - redo_t0);
-  }
-  return st;
+Status LiteInstance::SubmitLh(Lh lh, LhEntry* entry, uint64_t offset, void* buf, uint64_t len,
+                              bool is_read, Priority pri) {
+  // One SubmitPieces call per attempt; after a stale-home redirect the op is
+  // re-sliced against the refreshed mapping and re-issued in full.
+  return RedirectStale({{lh, entry}}, [&] {
+    return engine_.SubmitPieces(SliceDescs(entry->chunks, offset, len, buf), is_read, pri);
+  });
 }
 
 // ------------------------------------------- LT_memset / memcpy / memmove
@@ -399,14 +366,13 @@ Status LiteInstance::Memset(Lh lh, uint64_t offset, uint8_t value, uint64_t len,
 
   // Send one command per involved node; each node memsets its own pieces
   // locally (cheaper than shipping the pattern over the wire, Sec. 7.1).
-  Status st = Status::Ok();
-  for (int attempt = 0; attempt <= kMaxStaleRedirects; ++attempt) {
-    auto pieces = SliceChunks(entry->chunks, offset, len);
+  // Re-issuing the whole memset after a redirect is idempotent: the pattern
+  // write repeats on nodes that already applied it.
+  return RedirectStale({{lh, &*entry}}, [&]() -> Status {
     std::map<NodeId, std::vector<ChunkPiece>> by_node;
-    for (const ChunkPiece& p : pieces) {
+    for (const ChunkPiece& p : SliceChunks(entry->chunks, offset, len)) {
       by_node[p.node].push_back(p);
     }
-    st = Status::Ok();
     for (const auto& [target, group] : by_node) {
       WireWriter w;
       w.Put<uint8_t>(0);  // op 0 = memset
@@ -417,21 +383,10 @@ Status LiteInstance::Memset(Lh lh, uint64_t offset, uint8_t value, uint64_t len,
         w.Put<PhysAddr>(p.addr);
         w.Put<uint64_t>(p.len);
       }
-      st = InternalRpc(target, kFnMemOp, w.bytes(), nullptr, kDefaultTimeout, pri);
-      if (!st.ok()) {
-        break;
-      }
+      LT_RETURN_IF_ERROR(InternalRpc(target, kFnMemOp, w.bytes(), nullptr, kDefaultTimeout, pri));
     }
-    if (st.code() != lt::StatusCode::kStaleHome) {
-      return st;
-    }
-    // Re-issuing the whole memset after a redirect is idempotent: the pattern
-    // write repeats on nodes that already applied it.
-    const uint64_t redo_t0 = lt::NowNs();
-    LT_RETURN_IF_ERROR(RefreshStaleLh(lh, &*entry));
-    AttrAdd(LatStage::kLatDetour, lt::NowNs() - redo_t0);
-  }
-  return st;
+    return Status::Ok();
+  });
 }
 
 namespace {
@@ -493,17 +448,16 @@ Status LiteInstance::Memcpy(Lh dst, uint64_t dst_off, Lh src, uint64_t src_off, 
   LT_RETURN_IF_ERROR(CheckAccess(*dst_entry, dst_off, len, kPermWrite));
   AttrAdd(LatStage::kLatSubmit, lt::NowNs() - submit_t0);
 
-  Status st = Status::Ok();
-  for (int attempt = 0; attempt <= kMaxStaleRedirects; ++attempt) {
-    auto segments = PairPieces(SliceChunks(src_entry->chunks, src_off, len),
-                               SliceChunks(dst_entry->chunks, dst_off, len));
-    // One LT_RPC to each node storing source data; that node either memcpys
-    // locally or LT_writes to the destination node (paper Sec. 7.1).
+  // One LT_RPC to each node storing source data; that node either memcpys
+  // locally or LT_writes to the destination node (paper Sec. 7.1). Either
+  // side may have migrated, so a redirect refreshes both mappings and
+  // re-pairs the pieces.
+  return RedirectStale({{src, &*src_entry}, {dst, &*dst_entry}}, [&]() -> Status {
     std::map<NodeId, std::vector<CopySegment>> by_src;
-    for (const CopySegment& seg : segments) {
+    for (const CopySegment& seg : PairPieces(SliceChunks(src_entry->chunks, src_off, len),
+                                             SliceChunks(dst_entry->chunks, dst_off, len))) {
       by_src[seg.src_node].push_back(seg);
     }
-    st = Status::Ok();
     for (const auto& [target, group] : by_src) {
       WireWriter w;
       w.Put<uint8_t>(1);  // op 1 = memcpy
@@ -515,21 +469,10 @@ Status LiteInstance::Memcpy(Lh dst, uint64_t dst_off, Lh src, uint64_t src_off, 
         w.Put<PhysAddr>(seg.dst_addr);
         w.Put<uint64_t>(seg.len);
       }
-      st = InternalRpc(target, kFnMemOp, w.bytes(), nullptr, kDefaultTimeout, pri);
-      if (!st.ok()) {
-        break;
-      }
+      LT_RETURN_IF_ERROR(InternalRpc(target, kFnMemOp, w.bytes(), nullptr, kDefaultTimeout, pri));
     }
-    if (st.code() != lt::StatusCode::kStaleHome) {
-      return st;
-    }
-    // Either side may have migrated; refresh both mappings and re-pair.
-    const uint64_t redo_t0 = lt::NowNs();
-    LT_RETURN_IF_ERROR(RefreshStaleLh(src, &*src_entry));
-    LT_RETURN_IF_ERROR(RefreshStaleLh(dst, &*dst_entry));
-    AttrAdd(LatStage::kLatDetour, lt::NowNs() - redo_t0);
-  }
-  return st;
+    return Status::Ok();
+  });
 }
 
 Status LiteInstance::Memmove(Lh dst, uint64_t dst_off, Lh src, uint64_t src_off, uint64_t len,
@@ -582,32 +525,16 @@ Status LiteInstance::GrantMaster(const std::string& name, NodeId new_master) {
 // --------------------------------------------------------------- atomics
 
 StatusOr<uint64_t> LiteInstance::FetchAdd(Lh lh, uint64_t offset, uint64_t delta) {
-  ScopedOpAttr attr(&node_->telemetry().latency(), "atomic", 8,
-                    static_cast<int>(Priority::kHigh));
-  const uint64_t submit_t0 = lt::NowNs();
-  SpinFor(params().lite_map_check_ns);
-  auto entry = GetLh(lh);
-  if (!entry.ok()) {
-    return entry.status();
-  }
-  LT_RETURN_IF_ERROR(CheckAccess(*entry, offset, 8, kPermWrite));
-  AttrAdd(LatStage::kLatSubmit, lt::NowNs() - submit_t0);
-  for (int attempt = 0; attempt <= kMaxStaleRedirects; ++attempt) {
-    auto pieces = SliceChunks(entry->chunks, offset, 8);
-    if (pieces.size() != 1) {
-      return Status::InvalidArgument("atomic target straddles LMR chunks");
-    }
-    auto old_value = engine_.RemoteAtomic(pieces[0].node, pieces[0].addr, /*is_cas=*/false, delta, 0);
-    if (old_value.ok() || old_value.status().code() != lt::StatusCode::kStaleHome) {
-      return old_value;
-    }
-    LT_RETURN_IF_ERROR(RefreshStaleLh(lh, &*entry));
-  }
-  return Status::Unavailable("LMR home still settling after migration");
+  return LhAtomic(lh, offset, /*is_cas=*/false, delta, 0);
 }
 
 StatusOr<uint64_t> LiteInstance::TestSet(Lh lh, uint64_t offset, uint64_t expected,
                                          uint64_t desired) {
+  return LhAtomic(lh, offset, /*is_cas=*/true, expected, desired);
+}
+
+StatusOr<uint64_t> LiteInstance::LhAtomic(Lh lh, uint64_t offset, bool is_cas,
+                                          uint64_t compare_add, uint64_t swap) {
   ScopedOpAttr attr(&node_->telemetry().latency(), "atomic", 8,
                     static_cast<int>(Priority::kHigh));
   const uint64_t submit_t0 = lt::NowNs();
@@ -618,19 +545,20 @@ StatusOr<uint64_t> LiteInstance::TestSet(Lh lh, uint64_t offset, uint64_t expect
   }
   LT_RETURN_IF_ERROR(CheckAccess(*entry, offset, 8, kPermWrite));
   AttrAdd(LatStage::kLatSubmit, lt::NowNs() - submit_t0);
-  for (int attempt = 0; attempt <= kMaxStaleRedirects; ++attempt) {
+  uint64_t old_value = 0;
+  LT_RETURN_IF_ERROR(RedirectStale({{lh, &*entry}}, [&]() -> Status {
     auto pieces = SliceChunks(entry->chunks, offset, 8);
     if (pieces.size() != 1) {
       return Status::InvalidArgument("atomic target straddles LMR chunks");
     }
-    auto old_value =
-        engine_.RemoteAtomic(pieces[0].node, pieces[0].addr, /*is_cas=*/true, expected, desired);
-    if (old_value.ok() || old_value.status().code() != lt::StatusCode::kStaleHome) {
-      return old_value;
+    auto r = engine_.RemoteAtomic(pieces[0].node, pieces[0].addr, is_cas, compare_add, swap);
+    if (!r.ok()) {
+      return r.status();
     }
-    LT_RETURN_IF_ERROR(RefreshStaleLh(lh, &*entry));
-  }
-  return Status::Unavailable("LMR home still settling after migration");
+    old_value = *r;
+    return Status::Ok();
+  }));
+  return old_value;
 }
 
 // ------------------------------------------------------- distributed locks

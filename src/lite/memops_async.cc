@@ -37,14 +37,10 @@ StatusOr<MemopHandle> LiteInstance::IssueAsyncMemop(Lh lh, uint64_t offset, void
   LT_RETURN_IF_ERROR(CheckAccess(*entry, offset, len, is_read ? kPermRead : kPermWrite));
   lt::telemetry::AttrAdd(lt::telemetry::LatStage::kLatSubmit, lt::NowNs() - submit_t0);
 
-  std::vector<OpEngine::OpDesc> descs;
-  for (const ChunkPiece& piece : SliceChunks(entry->chunks, offset, len)) {
-    descs.push_back(OpEngine::OpDesc{piece.node, piece.addr,
-                                     static_cast<uint8_t*>(buf) + piece.user_off, piece.len});
-  }
   // The origin tuple lets the engine transparently re-resolve and re-issue
   // the whole memop if it retires with kStaleHome (LMR migrated mid-flight).
-  return engine_.IssueAsyncPieces(descs, is_read, pri, lh, offset, buf, len);
+  return engine_.IssueAsyncPieces(SliceDescs(entry->chunks, offset, len, buf), is_read, pri, lh,
+                                  offset, buf, len);
 }
 
 void LiteInstance::ExecuteDeferredAsync(RingDeferredOp& op, RingDrainCache* cache) {
@@ -75,14 +71,8 @@ void LiteInstance::ExecuteDeferredAsync(RingDeferredOp& op, RingDrainCache* cach
     }
     lt::telemetry::AttrAdd(lt::telemetry::LatStage::kLatSubmit, lt::NowNs() - submit_t0);
 
-    std::vector<OpEngine::OpDesc> descs;
-    for (const ChunkPiece& piece : SliceChunks(cache->entry.chunks, op.offset, op.len)) {
-      descs.push_back(OpEngine::OpDesc{piece.node, piece.addr,
-                                       static_cast<uint8_t*>(op.buf) + piece.user_off,
-                                       piece.len});
-    }
-    engine_.IssueAsyncPieces(descs, op.is_read, op.pri, op.lh, op.offset, op.buf, op.len,
-                             op.handle);
+    engine_.IssueAsyncPieces(SliceDescs(cache->entry.chunks, op.offset, op.len, op.buf),
+                             op.is_read, op.pri, op.lh, op.offset, op.buf, op.len, op.handle);
   }
   // A purely-local op completed at issue, so the engine did not take the
   // record (and the submit-side scope already detached): commit it here.

@@ -878,22 +878,7 @@ Status LiteInstance::RedoMemopAfterStale(Lh lh, uint64_t offset, void* buf, uint
   // Submit against the current mapping first: a concurrent redo (another op
   // of the same lh) may already have refreshed it, in which case a refresh
   // here would see no epoch advance and fail spuriously.
-  Status st = Status::Ok();
-  for (int i = 0; i <= kMaxStaleRedirects; ++i) {
-    auto pieces = SliceChunks(entry->chunks, offset, len);
-    std::vector<OpEngine::OpDesc> descs;
-    descs.reserve(pieces.size());
-    for (const ChunkPiece& p : pieces) {
-      descs.push_back(OpEngine::OpDesc{p.node, p.addr, static_cast<uint8_t*>(buf) + p.user_off,
-                                       p.len});
-    }
-    st = engine_.SubmitPieces(descs, is_read, pri);
-    if (st.code() != lt::StatusCode::kStaleHome) {
-      return st;
-    }
-    LT_RETURN_IF_ERROR(RefreshStaleLh(lh, &*entry));
-  }
-  return st;
+  return SubmitLh(lh, &*entry, offset, buf, len, is_read, pri);
 }
 
 // ======================================================= control handlers

@@ -1,6 +1,7 @@
-// OpEngine implementation: the blocking one-sided issue/retire path (moved
-// from instance.cc), the multi-piece "issue all, wait all" submission, and
-// the async completion-handle machinery (moved from memops_async.cc).
+// OpEngine implementation: the shared issue path (local-piece copy, gated
+// post, retransmit), the blocking "issue all, wait all" submission, the
+// fire-and-forget ring writes and atomics, and the async completion-handle
+// machinery.
 //
 // Concurrency: one mutex (async_mu_) covers the op table, the per-stream
 // signaling state, and the shared harvest map (a CQE taken on behalf of a
@@ -23,7 +24,6 @@ namespace lite {
 
 using lt::Completion;
 using lt::NowNs;
-using lt::Qp;
 using lt::SpinFor;
 using lt::SyncToBusy;
 using lt::WaitMode;
@@ -42,6 +42,13 @@ constexpr uint64_t kLongTimeoutCapNs = 3'600ull * 1'000'000'000ull;
 
 bool TransientCode(const Status& s) {
   return s.code() == lt::StatusCode::kUnavailable || s.code() == lt::StatusCode::kTimeout;
+}
+
+// A failed attempt worth re-posting: a drop or a completion timeout, a
+// migration fence that stayed busy, or a post that lost a race to a
+// concurrent QP error (Prepare recovers it on the next attempt).
+bool Retryable(const Status& s) {
+  return TransientCode(s) || s.code() == lt::StatusCode::kFailedPrecondition;
 }
 
 // Issuer-side migration gate (the simulated analogue of the responder NIC
@@ -67,20 +74,30 @@ Status GateAccess(LiteInstance* issuer, LiteInstance* target, PhysAddr addr, uin
 }
 
 // True for WRs that touch LMR data at the destination and therefore go
-// through the migration gate. Zero-length writes (async flush fences) and
-// ring/IMM traffic are exempt.
+// through the migration gate. Zero-length writes (async flush fences) are
+// exempt.
 bool GatedDataOp(const lt::WorkRequest& wr) {
   switch (wr.opcode) {
     case WrOpcode::kRead:
-      return true;
-    case WrOpcode::kWrite:
-      return wr.length > 0;
     case WrOpcode::kFetchAdd:
     case WrOpcode::kCmpSwap:
       return true;
+    case WrOpcode::kWrite:
+      return wr.length > 0;
     default:
       return false;
   }
+}
+
+// The WR of one memop piece (rkey, wr_id and batching filled at lease).
+WorkRequest PieceWr(const OpEngine::OpDesc& piece, bool is_read) {
+  WorkRequest wr;
+  wr.opcode = is_read ? WrOpcode::kRead : WrOpcode::kWrite;
+  wr.host_local = piece.local;
+  wr.length = piece.len;
+  wr.remote_addr = piece.addr;
+  wr.signaled = true;
+  return wr;
 }
 
 }  // namespace
@@ -114,166 +131,167 @@ uint64_t OpEngine::EffectiveTimeoutNs(uint64_t requested_ns) const {
   return std::min(t, kLongTimeoutCapNs);
 }
 
-// ------------------------------------------------------- one-sided engine
+// ------------------------------------------------------- shared issue path
 
-StatusOr<Completion> OpEngine::PostAndWait(NodeId dst, WorkRequest* wr, Priority pri,
-                                           const TransportHandle* pinned) {
+void OpEngine::Admit(Priority pri, uint64_t bytes) {
+  const uint64_t qos_t0 = NowNs();
+  inst_->qos_.Admit(pri, bytes);
+  AttrAdd(LatStage::kLatQosWait, NowNs() - qos_t0);
+}
+
+Status OpEngine::CopyLocalPiece(const OpDesc& piece, bool is_read) {
+  AccessGate gate;
+  LT_RETURN_IF_ERROR(GateAccess(inst_, inst_, piece.addr, piece.len, !is_read, &gate));
+  const uint64_t copy_t0 = NowNs();
+  if (is_read) {
+    inst_->LocalCopyOut(piece.local, piece.addr, piece.len);
+  } else {
+    inst_->LocalCopyIn(piece.addr, piece.local, piece.len);
+  }
+  AttrAdd(LatStage::kLatPost, NowNs() - copy_t0);
+  inst_->migration().CloseAccess(&gate, /*success=*/true);
+  return Status::Ok();
+}
+
+OpEngine::Wqe OpEngine::LeaseRemote(NodeId dst, Priority pri, bool batched,
+                                    const WorkRequest& wr) {
+  Admit(pri, wr.length);
   Transport& tr = *inst_->transport_;
-  const uint32_t max_retries = inst_->params().lite_rpc_max_retries;
+  Wqe w;
+  w.h = batched ? tr.LeaseSticky(dst, pri) : tr.Lease(dst, pri);
+  w.wr = wr;
+  w.wr.rkey = inst_->peer_global_rkey_[dst];
+  w.wr.doorbell_hint = batched;
+  w.wr.inline_data = batched && wr.opcode == WrOpcode::kWrite;  // RNIC applies rnic_inline_max.
+  w.wr.wr_id = NextWrId();
+  return w;
+}
+
+Status OpEngine::PostGated(const TransportHandle& h, WorkRequest* wr) {
+  Transport& tr = *inst_->transport_;
+  if (!tr.Valid(h)) {
+    return Status::Unavailable("no QP to destination node");
+  }
+  // Migration gate, opened per post (a retransmit must re-check the phase:
+  // the fence may have committed in between). The gate may park here —
+  // real-time wait, zero virtual charge — until the fence resolves.
+  LiteInstance* peer = GatedDataOp(*wr) ? inst_->Peer(h.dst) : nullptr;
+  AccessGate gate;
+  LT_RETURN_IF_ERROR(GateAccess(inst_, peer, wr->remote_addr, wr->length,
+                                wr->opcode != WrOpcode::kRead, &gate));
+  Status posted = Status::Ok();
+  const uint64_t post_t0 = NowNs();
+  {
+    // The QP lock covers only the post; waiting happens outside so threads
+    // sharing a pool QP overlap their in-flight ops (the whole point of
+    // the shared pool, Sec. 6.1). Prepare recovers an errored QP and, under
+    // DC, re-attaches a stolen slot to this handle's destination.
+    std::lock_guard<std::mutex> lock(tr.Mu(h));
+    tr.Prepare(h);
+    posted = inst_->rnic().PostSend(tr.Qp(h), *wr);
+  }
+  AttrAdd(LatStage::kLatPost, NowNs() - post_t0);
+  // Data movement is synchronous inside PostSend (the simulated DMA), so
+  // the gate closes right after the post: an Ok post means the bytes are
+  // at the destination (or dirty-logged harmlessly if the fabric dropped
+  // the request — the error surfaces via the CQE).
+  if (peer != nullptr) {
+    peer->migration().CloseAccess(&gate, posted.ok());
+  }
+  return posted;
+}
+
+StatusOr<Completion> OpEngine::Await(const TransportHandle& h, uint64_t wr_id) {
+  const uint64_t wait_t0 = NowNs();
+  auto c = inst_->transport_->Qp(h)->send_cq()->WaitPollFor(
+      wr_id, inst_->params().lite_rpc_timeout_ns, WaitMode::kBusyPoll);
+  const uint64_t wait_dt = NowNs() - wait_t0;
+  if (c.has_value() && c->status.ok()) {
+    AttrAddSplit(wait_dt, c->lat);
+    return *c;
+  }
+  AttrAdd(LatStage::kLatDetour, wait_dt);
+  if (!c.has_value()) {
+    return Status::Timeout("one-sided completion timeout");
+  }
+  return c->status;
+}
+
+StatusOr<Completion> OpEngine::Complete(const Wqe& w, Priority pri, bool pinned) {
+  StatusOr<Completion> c = w.post.ok() ? Await(w.h, w.wr.wr_id) : StatusOr<Completion>(w.post);
+  if (c.ok() || !Retryable(c.status())) {
+    return c;  // Done, or non-transient (stale home, permission, bounds).
+  }
+  return Retransmit(w, pri, c.status(), pinned);
+}
+
+StatusOr<Completion> OpEngine::Retransmit(const Wqe& w, Priority pri, Status last,
+                                          bool pinned) {
+  Transport& tr = *inst_->transport_;
+  const NodeId dst = w.h.dst;
   uint64_t backoff_ns = inst_->params().lite_rpc_retry_backoff_ns;
-  Status last = Status::Timeout("one-sided completion timeout");
-  for (uint32_t attempt = 0; attempt <= max_retries; ++attempt) {
-    if (attempt > 0) {
-      oneside_retries_->Inc();
-      engine_retries_->Inc();
-      lt::IdleFor(backoff_ns);
-      AttrAdd(LatStage::kLatDetour, backoff_ns);
-      if (journal_ != nullptr) {
-        journal_->Record(lt::telemetry::JournalEvent::kOnesideRetry, dst, attempt);
-      }
-      backoff_ns *= 2;
-      if (inst_->PeerDead(dst)) {
-        inst_->rpc_dead_fast_fail_->Inc();
-        return DeadPeerUnavailable();
-      }
+  for (uint32_t attempt = 1; attempt <= inst_->params().lite_rpc_max_retries; ++attempt) {
+    oneside_retries_->Inc();
+    engine_retries_->Inc();
+    lt::IdleFor(backoff_ns);
+    AttrAdd(LatStage::kLatDetour, backoff_ns);
+    if (journal_ != nullptr) {
+      journal_->Record(lt::telemetry::JournalEvent::kOnesideRetry, dst, attempt);
     }
-    TransportHandle h = pinned != nullptr ? *pinned : tr.Lease(dst, pri);
-    if (!tr.Valid(h)) {
-      return Status::Unavailable("no QP to destination node");
+    backoff_ns *= 2;
+    if (inst_->PeerDead(dst)) {
+      inst_->rpc_dead_fast_fail_->Inc();
+      return DeadPeerUnavailable();
     }
-    // Migration gate, opened per attempt (a retry must re-check the phase:
-    // the fence may have committed in between). The gate may park here —
-    // real-time wait, zero virtual charge — until the fence resolves.
-    LiteInstance* peer = inst_->Peer(dst);
-    AccessGate gate;
-    const bool gated = GatedDataOp(*wr) && peer != nullptr && peer->migration().armed();
-    if (gated) {
-      const bool is_write = wr->opcode != WrOpcode::kRead;
-      const uint64_t gate_len =
-          (wr->opcode == WrOpcode::kFetchAdd || wr->opcode == WrOpcode::kCmpSwap) ? 8
-                                                                                  : wr->length;
-      Status g = GateAccess(inst_, peer, wr->remote_addr, gate_len, is_write, &gate);
-      if (g.code() == lt::StatusCode::kStaleHome) {
-        return g;  // Non-transient: the caller must re-resolve the home.
-      }
-      if (!g.ok()) {
-        last = g;  // Fence busy: transient, retry with backoff.
-        continue;
-      }
+    const TransportHandle h = pinned ? w.h : tr.Lease(dst, pri);
+    WorkRequest wr = w.wr;
+    wr.signaled = true;
+    wr.doorbell_hint = false;
+    wr.wr_id = NextWrId();
+    Status posted = PostGated(h, &wr);
+    StatusOr<Completion> c = posted.ok() ? Await(h, wr.wr_id) : StatusOr<Completion>(posted);
+    if (c.ok() || !Retryable(c.status())) {
+      return c;
     }
-    Qp* qp = tr.Qp(h);
-    wr->wr_id = NextWrId();
-    Status posted = Status::Ok();
-    const uint64_t post_t0 = NowNs();
-    {
-      // The QP lock covers only the post; waiting happens outside so threads
-      // sharing a pool QP overlap their in-flight ops (the whole point of
-      // the shared pool, Sec. 6.1). Prepare recovers an errored QP and, under
-      // DC, re-attaches a stolen slot to this handle's destination.
-      std::lock_guard<std::mutex> lock(tr.Mu(h));
-      tr.Prepare(h);
-      posted = inst_->rnic().PostSend(qp, *wr);
-    }
-    AttrAdd(LatStage::kLatPost, NowNs() - post_t0);
-    // Data movement is synchronous inside PostSend (the simulated DMA), so
-    // the gate closes right after the post: an Ok post means the bytes are
-    // at the destination (or dirty-logged harmlessly if the fabric dropped
-    // the request — the error surfaces via the CQE below).
-    if (gated) {
-      peer->migration().CloseAccess(&gate, posted.ok());
-    }
-    if (!posted.ok()) {
-      last = posted;
-      if (posted.code() == lt::StatusCode::kFailedPrecondition) {
-        continue;  // Lost a race to a concurrent error; recover and retry.
-      }
-      return posted;
-    }
-    const uint64_t wait_t0 = NowNs();
-    auto c = qp->send_cq()->WaitPollFor(wr->wr_id, inst_->params().lite_rpc_timeout_ns,
-                                        WaitMode::kBusyPoll);
-    const uint64_t wait_dt = NowNs() - wait_t0;
-    if (!c.has_value()) {
-      AttrAdd(LatStage::kLatDetour, wait_dt);
-      last = Status::Timeout("one-sided completion timeout");
-      continue;
-    }
-    if (c->status.ok()) {
-      AttrAddSplit(wait_dt, c->lat);
-      return *c;
-    }
-    AttrAdd(LatStage::kLatDetour, wait_dt);
-    last = c->status;
-    const lt::StatusCode code = last.code();
-    if (code != lt::StatusCode::kUnavailable && code != lt::StatusCode::kTimeout) {
-      return last;  // Non-transient (permission, bounds): do not retry.
-    }
+    last = c.status();
   }
   return last;
 }
 
-Status OpEngine::OneSidedWrite(NodeId dst, PhysAddr dst_addr, const void* src, uint64_t len,
-                               Priority pri, bool signaled) {
-  BeginEngineOp();
-  Status s = OneSidedWriteImpl(dst, dst_addr, src, len, pri, signaled);
-  FinishEngineOp(s.ok());
+// ------------------------------------------------ ring writes and atomics
+
+Status OpEngine::PostRingWrite(NodeId dst, Priority pri, WorkRequest wr) {
+  Admit(pri, wr.length);
+  Transport& tr = *inst_->transport_;
+  TransportHandle h = tr.Lease(dst, pri);
+  if (!tr.Valid(h)) {
+    return Status::Unavailable("no QP to destination node");
+  }
+  wr.rkey = inst_->peer_global_rkey_[dst];
+  wr.signaled = false;
+  const uint64_t post_t0 = NowNs();
+  std::lock_guard<std::mutex> lock(tr.Mu(h));
+  if (tr.Prepare(h)) {
+    // A prior drop errored this QP; the recovery happened on behalf of a
+    // post nobody waits on, so count and journal it for the flight recorder.
+    unsignaled_recovered_->Inc();
+    if (journal_ != nullptr) {
+      journal_->Record(lt::telemetry::JournalEvent::kUnsignaledRecover, dst, tr.Qp(h)->qpn());
+    }
+  }
+  Status s = inst_->rnic().PostSend(tr.Qp(h), wr);
+  AttrAdd(LatStage::kLatPost, NowNs() - post_t0);
   return s;
 }
 
-Status OpEngine::OneSidedWriteImpl(NodeId dst, PhysAddr dst_addr, const void* src, uint64_t len,
-                                   Priority pri, bool signaled) {
-  const uint64_t qos_t0 = NowNs();
-  inst_->qos_.Admit(pri, len);
-  AttrAdd(LatStage::kLatQosWait, NowNs() - qos_t0);
-  if (dst == inst_->node_id()) {
-    AccessGate gate;
-    LT_RETURN_IF_ERROR(GateAccess(inst_, inst_, dst_addr, len, /*is_write=*/true, &gate));
-    const uint64_t copy_t0 = NowNs();
-    inst_->LocalCopyIn(dst_addr, src, len);
-    AttrAdd(LatStage::kLatPost, NowNs() - copy_t0);
-    inst_->migration().CloseAccess(&gate, /*success=*/true);
-    return Status::Ok();
-  }
-  WorkRequest wr;
-  wr.opcode = WrOpcode::kWrite;
-  wr.host_local = const_cast<void*>(src);
-  wr.length = len;
-  wr.rkey = inst_->peer_global_rkey_[dst];
-  wr.remote_addr = dst_addr;
-  wr.signaled = signaled;
-  if (!signaled) {
-    // Fire-and-forget (head-mirror publishes): errors surface on the next
-    // signaled user of the QP; recover here so one drop cannot wedge it.
-    Transport& tr = *inst_->transport_;
-    TransportHandle h = tr.Lease(dst, pri);
-    if (!tr.Valid(h)) {
-      return Status::Unavailable("no QP to destination node");
-    }
-    Qp* qp = tr.Qp(h);
-    wr.wr_id = 0;
-    const uint64_t post_t0 = NowNs();
-    std::lock_guard<std::mutex> lock(tr.Mu(h));
-    if (tr.Prepare(h)) {
-      // The recovery happened on behalf of a publish nobody waits on; count
-      // and journal it so the flight recorder shows the silent path too.
-      unsignaled_recovered_->Inc();
-      if (journal_ != nullptr) {
-        journal_->Record(lt::telemetry::JournalEvent::kUnsignaledRecover, dst, qp->qpn());
-      }
-    }
-    Status s = inst_->rnic().PostSend(qp, wr);
-    AttrAdd(LatStage::kLatPost, NowNs() - post_t0);
-    return s;
-  }
-  const uint64_t start = NowNs();
-  auto c = PostAndWait(dst, &wr, pri);
-  if (!c.ok()) {
-    return c.status();
-  }
-  if (pri == Priority::kHigh) {
-    inst_->qos_.RecordHighPriRtt(NowNs() - start);
-  }
-  return Status::Ok();
+Status OpEngine::OneSidedWrite(NodeId dst, PhysAddr dst_addr, const void* src, uint64_t len,
+                               Priority pri) {
+  BeginEngineOp();
+  const OpDesc piece{dst, dst_addr, const_cast<void*>(src), len};
+  Status s = dst == inst_->node_id() ? CopyLocalPiece(piece, /*is_read=*/false)
+                                     : PostRingWrite(dst, pri, PieceWr(piece, /*is_read=*/false));
+  FinishEngineOp(s.ok());
+  return s;
 }
 
 Status OpEngine::OneSidedWriteImm(NodeId dst, PhysAddr dst_addr, const void* src, uint64_t len,
@@ -286,9 +304,6 @@ Status OpEngine::OneSidedWriteImm(NodeId dst, PhysAddr dst_addr, const void* src
 
 Status OpEngine::OneSidedWriteImmImpl(NodeId dst, PhysAddr dst_addr, const void* src,
                                       uint64_t len, uint32_t imm, Priority pri) {
-  const uint64_t qos_t0 = NowNs();
-  inst_->qos_.Admit(pri, len);
-  AttrAdd(LatStage::kLatQosWait, NowNs() - qos_t0);
   if (dst == inst_->node_id()) {
     // Loopback: copy locally and deliver the IMM to our own receive CQ so the
     // poll thread handles it uniformly. No PostSend happens, so clear the
@@ -309,67 +324,13 @@ Status OpEngine::OneSidedWriteImmImpl(NodeId dst, PhysAddr dst_addr, const void*
     inst_->recv_cq_->Push(std::move(c));
     return Status::Ok();
   }
-  Transport& tr = *inst_->transport_;
-  TransportHandle h = tr.Lease(dst, pri);
-  if (!tr.Valid(h)) {
-    return Status::Unavailable("no QP to destination node");
-  }
-  Qp* qp = tr.Qp(h);
   WorkRequest wr;
   wr.opcode = WrOpcode::kWriteImm;
   wr.host_local = const_cast<void*>(src);
   wr.length = len;
-  wr.rkey = inst_->peer_global_rkey_[dst];
   wr.remote_addr = dst_addr;
-  wr.imm = imm;
-  wr.signaled = false;  // Failures detected by reply timeout (paper Sec. 5.1).
-  const uint64_t post_t0 = NowNs();
-  std::lock_guard<std::mutex> lock(tr.Mu(h));
-  tr.Prepare(h);  // A prior drop may have errored this QP; reconnect before posting.
-  Status s = inst_->rnic().PostSend(qp, wr);
-  AttrAdd(LatStage::kLatPost, NowNs() - post_t0);
-  return s;
-}
-
-Status OpEngine::OneSidedRead(NodeId src_node, PhysAddr src_addr, void* dst, uint64_t len,
-                              Priority pri) {
-  BeginEngineOp();
-  Status s = OneSidedReadImpl(src_node, src_addr, dst, len, pri);
-  FinishEngineOp(s.ok());
-  return s;
-}
-
-Status OpEngine::OneSidedReadImpl(NodeId src_node, PhysAddr src_addr, void* dst, uint64_t len,
-                                  Priority pri) {
-  const uint64_t qos_t0 = NowNs();
-  inst_->qos_.Admit(pri, len);
-  AttrAdd(LatStage::kLatQosWait, NowNs() - qos_t0);
-  if (src_node == inst_->node_id()) {
-    AccessGate gate;
-    LT_RETURN_IF_ERROR(GateAccess(inst_, inst_, src_addr, len, /*is_write=*/false, &gate));
-    const uint64_t copy_t0 = NowNs();
-    inst_->LocalCopyOut(dst, src_addr, len);
-    AttrAdd(LatStage::kLatPost, NowNs() - copy_t0);
-    inst_->migration().CloseAccess(&gate, /*success=*/true);
-    return Status::Ok();
-  }
-  WorkRequest wr;
-  wr.opcode = WrOpcode::kRead;
-  wr.host_local = dst;
-  wr.length = len;
-  wr.rkey = inst_->peer_global_rkey_[src_node];
-  wr.remote_addr = src_addr;
-  wr.signaled = true;
-
-  const uint64_t start = NowNs();
-  auto c = PostAndWait(src_node, &wr, pri);
-  if (!c.ok()) {
-    return c.status();
-  }
-  if (pri == Priority::kHigh) {
-    inst_->qos_.RecordHighPriRtt(NowNs() - start);
-  }
-  return Status::Ok();
+  wr.imm = imm;  // Failures are detected by reply timeout (paper Sec. 5.1).
+  return PostRingWrite(dst, pri, wr);
 }
 
 StatusOr<uint64_t> OpEngine::RemoteAtomic(NodeId dst, PhysAddr addr, bool is_cas,
@@ -385,9 +346,6 @@ StatusOr<uint64_t> OpEngine::RemoteAtomic(NodeId dst, PhysAddr addr, bool is_cas
 
 StatusOr<uint64_t> OpEngine::RemoteAtomicImpl(NodeId dst, PhysAddr addr, bool is_cas,
                                               uint64_t compare_add, uint64_t swap) {
-  const uint64_t qos_t0 = NowNs();
-  inst_->qos_.Admit(Priority::kHigh, 8);
-  AttrAdd(LatStage::kLatQosWait, NowNs() - qos_t0);
   if (dst == inst_->node_id()) {
     AccessGate gate;
     LT_RETURN_IF_ERROR(GateAccess(inst_, inst_, addr, 8, /*is_write=*/true, &gate));
@@ -395,7 +353,8 @@ StatusOr<uint64_t> OpEngine::RemoteAtomicImpl(NodeId dst, PhysAddr addr, bool is
     SpinFor(inst_->params().local_op_base_ns + inst_->params().rnic_atomic_extra_ns / 2);
     AttrAdd(LatStage::kLatRnicLocal, NowNs() - spin_t0);
     uint8_t* p = inst_->node_->mem().Data(addr, 8);
-    // Serialize against remote atomics through the same responder path.
+    // The responder (Rnic::ExecuteAtomic) applies remote atomics with the
+    // same host atomics, so local and remote updates of one word serialize.
     uint64_t old_value;
     if (is_cas) {
       uint64_t expected = compare_add;
@@ -411,7 +370,7 @@ StatusOr<uint64_t> OpEngine::RemoteAtomicImpl(NodeId dst, PhysAddr addr, bool is
   uint64_t old_value = 0;
   WorkRequest wr;
   wr.opcode = is_cas ? WrOpcode::kCmpSwap : WrOpcode::kFetchAdd;
-  wr.rkey = inst_->peer_global_rkey_[dst];
+  wr.length = 8;
   wr.remote_addr = addr;
   wr.compare_add = compare_add;
   wr.swap = swap;
@@ -419,14 +378,16 @@ StatusOr<uint64_t> OpEngine::RemoteAtomicImpl(NodeId dst, PhysAddr addr, bool is
   wr.signaled = true;
   // Retry is exactly-once here: a dropped atomic is rejected by the
   // responder before the memory operation is applied (see ExecuteAtomic).
-  auto c = PostAndWait(dst, &wr, Priority::kHigh);
+  Wqe w = LeaseRemote(dst, Priority::kHigh, /*batched=*/false, wr);
+  w.post = PostGated(w.h, &w.wr);
+  auto c = Complete(w, Priority::kHigh);
   if (!c.ok()) {
     return c.status();
   }
   return old_value;
 }
 
-// ------------------------------------------- multi-piece blocking memops
+// -------------------------------------------------------- blocking memops
 
 Status OpEngine::SubmitPieces(const std::vector<OpDesc>& pieces, bool is_read, Priority pri) {
   BeginEngineOp();
@@ -437,126 +398,38 @@ Status OpEngine::SubmitPieces(const std::vector<OpDesc>& pieces, bool is_read, P
 
 Status OpEngine::SubmitPiecesImpl(const std::vector<OpDesc>& pieces, bool is_read, Priority pri) {
   const uint64_t start = NowNs();
+  // The piece count is the one input that selects the post: a lone piece
+  // goes out plain, several share doorbells on a sticky QP per destination.
+  const bool batched = pieces.size() > 1;
 
-  // Issue phase: post every remote piece signaled before waiting on any.
-  // Consecutive posts to one destination share a QP (sticky selection) so
-  // the RNIC batches their doorbells; small writes go inline.
-  struct Posted {
-    TransportHandle h;
-    WorkRequest wr;
-    bool posted = false;
-  };
-  Transport& tr = *inst_->transport_;
+  // Issue phase: post every remote piece before waiting on any; local
+  // pieces complete inline.
   Status result = Status::Ok();
-  std::vector<Posted> remote;
+  std::vector<Wqe> remote;
   remote.reserve(pieces.size());
   for (const OpDesc& piece : pieces) {
     if (piece.node == inst_->node_id()) {
-      // Local pieces complete inline (same fast path as the 1-piece op),
-      // gated against our own migration guard.
-      AccessGate gate;
-      Status g = GateAccess(inst_, inst_, piece.addr, piece.len, !is_read, &gate);
-      if (!g.ok()) {
-        if (result.ok()) {
-          result = g;
-        }
-        continue;
+      Status s = CopyLocalPiece(piece, is_read);
+      if (!s.ok() && result.ok()) {
+        result = s;
       }
-      const uint64_t copy_t0 = NowNs();
-      if (is_read) {
-        inst_->LocalCopyOut(piece.local, piece.addr, piece.len);
-      } else {
-        inst_->LocalCopyIn(piece.addr, piece.local, piece.len);
-      }
-      AttrAdd(LatStage::kLatPost, NowNs() - copy_t0);
-      inst_->migration().CloseAccess(&gate, /*success=*/true);
       continue;
     }
-    const uint64_t qos_t0 = NowNs();
-    inst_->qos_.Admit(pri, piece.len);
-    AttrAdd(LatStage::kLatQosWait, NowNs() - qos_t0);
-    Posted p;
-    p.h = tr.LeaseSticky(piece.node, pri);
-    WorkRequest& wr = p.wr;
-    wr.opcode = is_read ? WrOpcode::kRead : WrOpcode::kWrite;
-    wr.host_local = piece.local;
-    wr.length = piece.len;
-    wr.rkey = inst_->peer_global_rkey_[piece.node];
-    wr.remote_addr = piece.addr;
-    wr.signaled = true;
-    wr.doorbell_hint = true;
-    wr.inline_data = !is_read;  // The RNIC applies its rnic_inline_max cut.
-    wr.wr_id = NextWrId();
-    if (tr.Valid(p.h)) {
-      LiteInstance* peer = inst_->Peer(p.h.dst);
-      AccessGate gate;
-      Status g = GateAccess(inst_, peer, wr.remote_addr, wr.length, !is_read, &gate);
-      if (g.ok()) {
-        Qp* qp = tr.Qp(p.h);
-        const uint64_t post_t0 = NowNs();
-        {
-          std::lock_guard<std::mutex> qlock(tr.Mu(p.h));
-          tr.Prepare(p.h);
-          p.posted = inst_->rnic().PostSend(qp, wr).ok();
-        }
-        AttrAdd(LatStage::kLatPost, NowNs() - post_t0);
-        peer->migration().CloseAccess(&gate, p.posted);
-      }
-      // Gate NACK: left unposted; the wait phase re-gates via PostAndWait,
-      // which either parks through the fence or surfaces kStaleHome.
-    }
-    // A failed (or impossible) post leaves p.posted false; the wait phase
-    // re-posts it through the retry loop.
-    remote.push_back(p);
+    Wqe w = LeaseRemote(piece.node, pri, batched, PieceWr(piece, is_read));
+    w.post = PostGated(w.h, &w.wr);
+    remote.push_back(std::move(w));
   }
   if (remote.size() > 1) {
     engine_pieces_overlapped_->Inc(remote.size());
   }
 
-  // Wait phase: harvest every piece, re-posting transient failures with the
-  // blocking retry loop. All pieces drain even after an error, so no WQE is
-  // left dangling against the caller's buffer.
-  for (Posted& p : remote) {
-    std::optional<Completion> c;
-    if (p.posted) {
-      const uint64_t wait_t0 = NowNs();
-      c = tr.Qp(p.h)->send_cq()->WaitPollFor(p.wr.wr_id, inst_->params().lite_rpc_timeout_ns,
-                                             WaitMode::kBusyPoll);
-      const uint64_t wait_dt = NowNs() - wait_t0;
-      if (c.has_value() && c->status.ok()) {
-        AttrAddSplit(wait_dt, c->lat);
-      } else {
-        AttrAdd(LatStage::kLatDetour, wait_dt);
-      }
-    }
-    if (c.has_value() && c->status.ok()) {
-      continue;  // Harvested.
-    }
-    Status s = Status::Ok();
-    if (c.has_value() && !TransientCode(c->status)) {
-      s = c->status;  // Non-transient (permission, bounds): do not retry.
-    } else if (inst_->PeerDead(p.h.dst)) {
-      inst_->rpc_dead_fast_fail_->Inc();
-      s = DeadPeerUnavailable();
-    } else {
-      if (p.posted) {
-        // The piece reached the wire and failed (or timed out): true retry.
-        oneside_retries_->Inc();
-        engine_retries_->Inc();
-        if (journal_ != nullptr) {
-          journal_->Record(lt::telemetry::JournalEvent::kOnesideRetry, p.h.dst, 0);
-        }
-      }
-      WorkRequest wr = p.wr;
-      wr.signaled = true;
-      wr.doorbell_hint = false;
-      auto rc = PostAndWait(p.h.dst, &wr, pri);
-      if (!rc.ok()) {
-        s = rc.status();
-      }
-    }
-    if (!s.ok() && result.ok()) {
-      result = s;
+  // Wait phase: harvest every piece, retransmitting transient failures.
+  // All pieces drain even after an error, so no WQE is left dangling
+  // against the caller's buffer.
+  for (const Wqe& w : remote) {
+    auto c = Complete(w, pri);
+    if (!c.ok() && result.ok()) {
+      result = c.status();
     }
   }
   if (!remote.empty() && result.ok() && pri == Priority::kHigh) {
@@ -591,77 +464,36 @@ StatusOr<MemopHandle> OpEngine::IssueAsyncPieces(const std::vector<OpDesc>& piec
   }
   AttrAdd(LatStage::kLatEngineQueue, NowNs() - bp_t0);
 
+  Transport& tr = *inst_->transport_;
   for (const OpDesc& piece : pieces) {
-    uint8_t* user = static_cast<uint8_t*>(piece.local);
     if (piece.node == inst_->node_id()) {
-      // Local pieces complete at issue time (same fast path as blocking),
-      // gated against our own migration guard. A NACK is recorded as the
+      // Local pieces complete at issue time. A gate NACK is recorded as the
       // op's issue error; retirement folds it in (and the stale-home redo
       // then re-issues the whole memop against the new home).
-      AsyncWqe wqe;
-      wqe.done = true;
-      AccessGate gate;
-      Status g = GateAccess(inst_, inst_, piece.addr, piece.len, !is_read, &gate);
-      if (!g.ok()) {
-        if (op->issue_error.ok()) {
-          op->issue_error = g;
-        }
-      } else {
-        const uint64_t copy_t0 = NowNs();
-        if (is_read) {
-          inst_->LocalCopyOut(user, piece.addr, piece.len);
-        } else {
-          inst_->LocalCopyIn(piece.addr, user, piece.len);
-        }
-        AttrAdd(LatStage::kLatPost, NowNs() - copy_t0);
-        inst_->migration().CloseAccess(&gate, /*success=*/true);
+      Status s = CopyLocalPiece(piece, is_read);
+      if (!s.ok() && op->issue_error.ok()) {
+        op->issue_error = s;
       }
-      wqe.ready_at_ns = NowNs();
-      op->wqes.push_back(wqe);
+      Wqe local;
+      local.done = true;
+      local.ready_at_ns = NowNs();
+      op->wqes.push_back(local);
       continue;
     }
-    const uint64_t qos_t0 = NowNs();
-    inst_->qos_.Admit(pri, piece.len);
-    AttrAdd(LatStage::kLatQosWait, NowNs() - qos_t0);
-    Transport& tr = *inst_->transport_;
-    AsyncWqe wqe;
-    wqe.h = tr.LeaseSticky(piece.node, pri);
-    WorkRequest& wr = wqe.wr;
-    wr.opcode = is_read ? WrOpcode::kRead : WrOpcode::kWrite;
-    wr.host_local = user;
-    wr.length = piece.len;
-    wr.rkey = inst_->peer_global_rkey_[piece.node];
-    wr.remote_addr = piece.addr;
-    wr.doorbell_hint = true;
-    wr.inline_data = !is_read;  // The RNIC applies its rnic_inline_max cut.
-    wr.wr_id = NextWrId();
+    Wqe wqe = LeaseRemote(piece.node, pri, /*batched=*/true, PieceWr(piece, is_read));
+    AsyncStream* stream = nullptr;
     if (tr.Valid(wqe.h)) {
-      AsyncStream& stream = async_streams_[{wqe.h.dst, wqe.h.slot}];
-      wqe.stream_pos = stream.next_pos++;
+      stream = &async_streams_[{wqe.h.dst, wqe.h.slot}];
+      wqe.stream_pos = stream->next_pos++;
       wqe.signaled = ((wqe.stream_pos + 1) % signal_every == 0);
-      wr.signaled = wqe.signaled;
-      LiteInstance* peer = inst_->Peer(piece.node);
-      AccessGate gate;
-      Status g = GateAccess(inst_, peer, wr.remote_addr, wr.length, !is_read, &gate);
-      if (g.ok()) {
-        Qp* qp = tr.Qp(wqe.h);
-        const uint64_t post_t0 = NowNs();
-        {
-          std::lock_guard<std::mutex> qlock(tr.Mu(wqe.h));
-          tr.Prepare(wqe.h);
-          wqe.posted = inst_->rnic().PostSend(qp, wr).ok();
-        }
-        AttrAdd(LatStage::kLatPost, NowNs() - post_t0);
-        peer->migration().CloseAccess(&gate, wqe.posted);
-      }
-      // Gate NACK: left unposted; retirement re-posts through PostAndWait,
-      // which re-gates (parking through the fence or surfacing kStaleHome).
-      if (wqe.posted && wqe.signaled) {
-        stream.signaled_pending[wqe.stream_pos] = wr.wr_id;
-      }
     }
-    // A failed (or impossible) post leaves wqe.posted false; retirement
-    // re-posts it signaled through the retry loop.
+    wqe.wr.signaled = wqe.signaled;
+    // A failed post (gate NACK, QP race, no QP) is settled at retirement:
+    // retransmitted when transient, reported otherwise.
+    wqe.post = PostGated(wqe.h, &wqe.wr);
+    if (wqe.post.ok() && wqe.signaled) {
+      stream->signaled_pending[wqe.stream_pos] = wqe.wr.wr_id;
+    }
     op->wqes.push_back(wqe);
   }
 
@@ -671,7 +503,7 @@ StatusOr<MemopHandle> OpEngine::IssueAsyncPieces(const std::vector<OpDesc>& piec
   // so retirement folds the error in and can run the stale-home redo.
   bool all_done = op->issue_error.ok();
   uint64_t ready = NowNs();
-  for (const AsyncWqe& wqe : op->wqes) {
+  for (const Wqe& wqe : op->wqes) {
     all_done = all_done && wqe.done;
     ready = std::max(ready, wqe.ready_at_ns);
   }
@@ -770,23 +602,8 @@ std::optional<Completion> OpEngine::TakeAsyncCompletionLocked(lt::Cq* cq, uint64
   return cq->TryTake(wr_id);
 }
 
-Status OpEngine::RetryAsyncWqe(AsyncOp* op, AsyncWqe* wqe) {
-  if (inst_->PeerDead(wqe->h.dst)) {
-    inst_->rpc_dead_fast_fail_->Inc();
-    return DeadPeerUnavailable();
-  }
-  if (wqe->posted) {
-    // The original WQE reached the wire and failed; this is a true retry.
-    oneside_retries_->Inc();
-    engine_retries_->Inc();
-    if (journal_ != nullptr) {
-      journal_->Record(lt::telemetry::JournalEvent::kOnesideRetry, wqe->h.dst, 0);
-    }
-  }
-  WorkRequest wr = wqe->wr;
-  wr.signaled = true;
-  wr.doorbell_hint = false;
-  auto c = PostAndWait(wqe->h.dst, &wr, op->pri);
+Status OpEngine::ResendAsyncWqe(AsyncOp* op, Wqe* wqe, Status last) {
+  auto c = Retransmit(*wqe, op->pri, std::move(last), /*pinned=*/false);
   if (!c.ok()) {
     return c.status();
   }
@@ -813,11 +630,11 @@ void OpEngine::RetireMemopLocked(std::unique_lock<std::mutex>& lock, AsyncOp* op
   uint64_t tail_ready = 0;
   Status result = op->issue_error;
   uint64_t op_ready = 0;
-  for (AsyncWqe& wqe : op->wqes) {
+  for (Wqe& wqe : op->wqes) {
     Status s = Status::Ok();
     if (!wqe.done) {
-      if (!wqe.posted) {
-        s = RetryAsyncWqe(op, &wqe);
+      if (!wqe.post.ok()) {
+        s = Retryable(wqe.post) ? ResendAsyncWqe(op, &wqe, wqe.post) : wqe.post;
       } else {
         lt::Cq* cq = inst_->transport_->Qp(wqe.h)->send_cq();
         AsyncStream& stream = async_streams_[{wqe.h.dst, wqe.h.slot}];
@@ -839,14 +656,14 @@ void OpEngine::RetireMemopLocked(std::unique_lock<std::mutex>& lock, AsyncOp* op
                 tail_lat = c->lat;
               }
             } else if (TransientCode(c->status)) {
-              s = RetryAsyncWqe(op, &wqe);
+              s = ResendAsyncWqe(op, &wqe, c->status);
             } else {
               s = c->status;
             }
           }
         } else if (c.has_value()) {
           // Unsignaled WQEs only ever leave an error CQE behind.
-          s = TransientCode(c->status) ? RetryAsyncWqe(op, &wqe) : c->status;
+          s = TransientCode(c->status) ? ResendAsyncWqe(op, &wqe, c->status) : c->status;
         } else {
           // No error CQE: the WQE succeeded. Find (or create) the signaled
           // fence that makes its completion observable, and take its time.
@@ -885,12 +702,15 @@ void OpEngine::RetireMemopLocked(std::unique_lock<std::mutex>& lock, AsyncOp* op
               // No signaled WQE past ours: fence the stream with a
               // zero-length signaled write on the same QP.
               async_flush_fences_->Inc();
-              WorkRequest fence;
-              fence.opcode = WrOpcode::kWrite;
-              fence.length = 0;
-              fence.rkey = inst_->peer_global_rkey_[wqe.h.dst];
-              fence.signaled = true;
-              auto fc = PostAndWait(wqe.h.dst, &fence, op->pri, &wqe.h);
+              Wqe fence;
+              fence.h = wqe.h;
+              fence.wr.opcode = WrOpcode::kWrite;
+              fence.wr.length = 0;
+              fence.wr.rkey = inst_->peer_global_rkey_[wqe.h.dst];
+              fence.wr.signaled = true;
+              fence.wr.wr_id = NextWrId();
+              fence.post = PostGated(fence.h, &fence.wr);
+              auto fc = Complete(fence, op->pri, /*pinned=*/true);
               if (fc.ok()) {
                 stream.covered_pos = std::max(stream.covered_pos, stream.next_pos);
                 stream.covered_ready_ns = std::max(stream.covered_ready_ns, fc->ready_at_ns);

@@ -6,16 +6,18 @@
 // QP error recovery, transient-retry with backoff, QoS admission, journal
 // and trace stamping, and the async stream/window/selective-signaling state.
 // The three submitters:
-//   * blocking memops — single-piece ops use the OneSided* entry points;
-//     multi-piece ops go through SubmitPieces ("issue all pieces, wait all"),
-//     overlapping chunk transfers across nodes with doorbell batching and
-//     inline sends;
+//   * blocking memops — every LT_read/LT_write, whatever its piece count,
+//     goes through SubmitPieces ("issue all pieces, wait all"). A one-piece
+//     op is a plain post; more pieces overlap their chunk transfers across
+//     nodes with doorbell batching and inline sends;
 //   * async memops — IssueAsyncPieces posts every piece immediately and
 //     returns a completion handle retired by Poll/Wait/WaitAll;
-//   * RPC — ring posts, replies, and head-mirror publishes are OneSidedWrite
-//     / OneSidedWriteImm calls, so the send side shares the same
-//     QP/retry/recovery spine (RPC-level retransmits count into
-//     lite.engine.retries through CountRetry()).
+//   * RPC — ring posts and replies are OneSidedWriteImm calls and
+//     head-mirror publishes are OneSidedWrite calls (both fire-and-forget),
+//     so the send side shares the same QP/recovery spine (RPC-level
+//     retransmits count into lite.engine.retries through CountRetry()).
+// Blocking and async pieces share one local-piece copy, one gated post and
+// one retransmit routine; QoS admits each remote WR once, at issue.
 #ifndef SRC_LITE_OP_ENGINE_H_
 #define SRC_LITE_OP_ENGINE_H_
 
@@ -57,30 +59,27 @@ class OpEngine {
     uint64_t len = 0;
   };
 
-  // ---- Blocking one-sided ops (single descriptor) ----
-  // Signaled ops transparently retry dropped transfers (recovering the QP
-  // from its error state first) up to lite_rpc_max_retries times with
-  // exponential backoff.
-  Status OneSidedWrite(NodeId dst, PhysAddr dst_addr, const void* src, uint64_t len, Priority pri,
-                       bool signaled);
+  // ---- Fire-and-forget ring writes and atomics ----
+  // Unsignaled ring traffic (RPC head-mirror publishes; requests and replies
+  // are write-with-IMM): no CQE to wait on, so a drop surfaces as the RPC
+  // layer's reply timeout. An errored QP is recovered before the post.
+  Status OneSidedWrite(NodeId dst, PhysAddr dst_addr, const void* src, uint64_t len, Priority pri);
   Status OneSidedWriteImm(NodeId dst, PhysAddr dst_addr, const void* src, uint64_t len,
                           uint32_t imm, Priority pri);
-  Status OneSidedRead(NodeId src_node, PhysAddr src_addr, void* dst, uint64_t len, Priority pri);
+  // Signaled fetch-add / compare-and-swap on an 8-byte word; dropped
+  // attempts are retransmitted like any blocking piece.
   StatusOr<uint64_t> RemoteAtomic(NodeId dst, PhysAddr addr, bool is_cas, uint64_t compare_add,
                                   uint64_t swap);
-  // Posts a signaled WR and waits for its completion, retrying retryable
-  // failures (drops) with backoff and QP recovery. Returns the successful
-  // completion, or the last error. `pinned` pins the transport handle (the
-  // async flush fence must land on the stream's own QP); null leases one
-  // per attempt.
-  StatusOr<lt::Completion> PostAndWait(NodeId dst, lt::WorkRequest* wr, Priority pri,
-                                       const TransportHandle* pinned = nullptr);
 
-  // ---- Blocking multi-piece submission ("issue all pieces, wait all") ----
-  // Posts every remote piece signaled (doorbell-batched; writes inline when
-  // small) before waiting on any, so pieces on different chunks/nodes overlap
-  // on the wire; local pieces complete inline. Failed pieces are re-posted
-  // with the blocking retry loop. Returns the first error, after draining
+  // ---- Blocking memops ("issue all pieces, wait all") ----
+  // Posts every remote piece signaled before waiting on any, so pieces on
+  // different chunks/nodes overlap on the wire; local pieces complete
+  // inline. The piece count alone selects the post: one piece takes a plain
+  // post (round-robin QP, no doorbell hint, no inline send — the calibrated
+  // figures' path); two or more share one sticky QP per destination with
+  // doorbell batching and inline writes. A failed piece is retransmitted
+  // after a backoff, at most lite_rpc_max_retries times (recovering the QP
+  // from its error state first). Returns the first error, after draining
   // every piece.
   Status SubmitPieces(const std::vector<OpDesc>& pieces, bool is_read, Priority pri);
 
@@ -150,14 +149,16 @@ class OpEngine {
   void RegisterTelemetry(lt::telemetry::Registry& reg, lt::telemetry::Journal* journal);
 
  private:
-  // One posted WQE of an async memop (one chunk piece).
-  struct AsyncWqe {
-    TransportHandle h;     // Leased transport slot (dst + pool slot).
-    lt::WorkRequest wr;    // Retained so a failed WQE can be re-posted.
+  // One remote WR from issue to retirement — a blocking piece, an async
+  // WQE, an atomic or a flush fence. Async local pieces ride along as
+  // entries that are done at issue.
+  struct Wqe {
+    TransportHandle h;         // Leased transport slot (dst + pool slot).
+    lt::WorkRequest wr;        // Retained so a failed WQE can be re-posted.
+    Status post = Status::Ok();  // Issue-time post outcome (gate NACK, QP race).
     bool signaled = false;
-    bool posted = false;   // False: post failed at issue; retried at retire.
     uint64_t stream_pos = 0;
-    bool done = false;     // Local pieces complete at issue time.
+    bool done = false;         // Local pieces complete at issue time.
     uint64_t ready_at_ns = 0;
   };
   enum class AsyncOpState { kInFlight, kRetiring, kDone };
@@ -166,7 +167,7 @@ class OpEngine {
     AsyncOpState state = AsyncOpState::kInFlight;
     bool is_rpc = false;
     Priority pri = Priority::kHigh;
-    std::vector<AsyncWqe> wqes;       // Memop ops.
+    std::vector<Wqe> wqes;            // Memop ops.
     uint32_t rpc_slot = 0;            // RPC ops: reply rendezvous + output.
     void* rpc_out = nullptr;
     uint32_t rpc_out_max = 0;
@@ -198,14 +199,38 @@ class OpEngine {
 
   uint64_t NextWrId() { return next_wr_id_.fetch_add(1); }
 
+  // ---- The shared issue path (blocking pieces and async WQEs alike) ----
+  // QoS admission of one remote WR; books the wait as qos_wait.
+  void Admit(Priority pri, uint64_t bytes);
+  // Copies a local piece inline, gated against this node's own migration
+  // guard (a NACK is returned, nothing copied).
+  Status CopyLocalPiece(const OpDesc& piece, bool is_read);
+  // Admits `wr` through QoS and leases its slot: sticky when `batched` (so
+  // pipelined posts share doorbells, and writes go inline), round-robin
+  // otherwise. Fills the rkey and a fresh wr_id; the caller posts it with
+  // PostGated.
+  Wqe LeaseRemote(NodeId dst, Priority pri, bool batched, const lt::WorkRequest& wr);
+  // The gated post: the destination's migration gate (data WRs only), then
+  // Prepare and PostSend under the slot mutex. kStaleHome means the LMR
+  // left the destination; no QP, a busy fence and a QP race are Retryable.
+  Status PostGated(const TransportHandle& h, lt::WorkRequest* wr);
+  // Waits for `wr_id`'s CQE; a missing CQE is a Timeout.
+  StatusOr<lt::Completion> Await(const TransportHandle& h, uint64_t wr_id);
+  // Waits for an issued WR and hands a transient failure to Retransmit.
+  // `pinned` keeps every re-post on w.h (async flush fences).
+  StatusOr<lt::Completion> Complete(const Wqe& w, Priority pri, bool pinned = false);
+  // The one retransmit routine: re-posts `w` signaled, backing off
+  // lite_rpc_retry_backoff_ns (doubling) before every attempt, at most
+  // lite_rpc_max_retries times; fails fast once the peer is marked dead.
+  // Returns the successful completion, or the last error.
+  StatusOr<lt::Completion> Retransmit(const Wqe& w, Priority pri, Status last, bool pinned);
+  // Fire-and-forget post of ring traffic (no gate, no CQE).
+  Status PostRingWrite(NodeId dst, Priority pri, lt::WorkRequest wr);
+
   // Bodies of the blocking entry points; the public wrappers add the
   // Begin/Finish engine-op accounting around them.
-  Status OneSidedWriteImpl(NodeId dst, PhysAddr dst_addr, const void* src, uint64_t len,
-                           Priority pri, bool signaled);
   Status OneSidedWriteImmImpl(NodeId dst, PhysAddr dst_addr, const void* src, uint64_t len,
                               uint32_t imm, Priority pri);
-  Status OneSidedReadImpl(NodeId src_node, PhysAddr src_addr, void* dst, uint64_t len,
-                          Priority pri);
   StatusOr<uint64_t> RemoteAtomicImpl(NodeId dst, PhysAddr addr, bool is_cas,
                                       uint64_t compare_add, uint64_t swap);
   Status SubmitPiecesImpl(const std::vector<OpDesc>& pieces, bool is_read, Priority pri);
@@ -213,15 +238,14 @@ class OpEngine {
   // Commits a retired async op's attribution record (no-op when inactive).
   void CommitAsyncAttr(AsyncOp* op);
 
-  // Re-posts a failed async WQE signaled, with the blocking path's retry
-  // semantics (dead-peer fast fail, backoff, QP recovery).
-  Status RetryAsyncWqe(AsyncOp* op, AsyncWqe* wqe);
+  // Re-posts a failed async WQE through Retransmit; marks it done on success.
+  Status ResendAsyncWqe(AsyncOp* op, Wqe* wqe, Status last);
   // Retires an RPC-kind op; drops the lock around the reply wait (the reply
   // is delivered by the poll thread, which never takes async_mu_).
   void RetireRpcUnlocked(std::unique_lock<std::mutex>& lock, AsyncOp* op);
   // Retires `op` (state must be kRetiring; async_mu_ held via `lock`):
-  // harvests or infers each WQE's completion, re-posting failed WQEs with
-  // the blocking path's retry semantics, then marks the op kDone. A
+  // harvests or infers each WQE's completion, re-posting failed WQEs
+  // through Retransmit, then marks the op kDone. A
   // kStaleHome result with a known origin drops the lock and re-issues the
   // whole memop against the LMR's new home (exactly-once for the caller).
   void RetireMemopLocked(std::unique_lock<std::mutex>& lock, AsyncOp* op);

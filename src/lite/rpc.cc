@@ -95,9 +95,8 @@ StatusOr<RpcChannel*> LiteInstance::GetChannel(NodeId server, RpcFuncId ring_id)
     }
   }
   if (ring_id == kControlRingId) {
-    // Lazy bootstrap (lite_eager_control_rings=false at large scale): build
-    // the control ring to this server on first use. BootstrapControlChannel
-    // is idempotent, so a race between two first callers is benign.
+    // Control rings are built on first use. BootstrapControlChannel is
+    // idempotent, so a race between two first callers is benign.
     LiteInstance* srv = Peer(server);
     if (srv == nullptr) {
       return Status::Internal("control channel missing (unknown peer)");
@@ -124,16 +123,18 @@ StatusOr<RpcChannel*> LiteInstance::GetChannel(NodeId server, RpcFuncId ring_id)
   LT_RETURN_IF_ERROR(InternalRpc(server, kFnRingSetup, w.bytes(), &out));
   WireReader r(out.data(), out.size());
   LmrChunk chunk;
-  uint64_t ring_size = 0;
-  if (!r.Get(&chunk) || !r.Get(&ring_size)) {
+  PhysAddr head_mirror = 0;
+  if (!r.Get(&chunk) || !r.Get(&head_mirror)) {
     return Status::Internal("malformed ring-setup reply");
   }
   auto channel = std::make_unique<RpcChannel>();
   channel->server = server;
   channel->func = ring_id;
   channel->ring = {chunk};
-  channel->ring_size = ring_size;
-  channel->head_mirror = *mirror;
+  channel->ring_size = chunk.size;
+  // The mirror the server ring publishes into. When another thread of this
+  // node won the first-bind race, that is its word, not ours.
+  channel->head_mirror = head_mirror;
 
   std::lock_guard<std::mutex> lock(channels_mu_);
   auto [it, inserted] = channels_.emplace(std::make_pair(server, ring_id), std::move(channel));
@@ -966,7 +967,7 @@ void LiteInstance::HeadWriterLoop() {
     lt::SetServiceClock(vtime);  // Publish on the triggering event's timeline.
     uint64_t head = ring->head_to_publish.load(std::memory_order_acquire);
     (void)engine_.OneSidedWrite(ring->client, ring->client_head_mirror, &head, sizeof(head),
-                                Priority::kHigh, /*signaled=*/false);
+                                Priority::kHigh);
   }
 }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
 
 #include "src/common/logging.h"
 #include "src/common/annotations.h"
@@ -827,23 +826,17 @@ Status Rnic::ExecuteAtomic(Qp* qp, const WorkRequest& wr, Rnic* remote) {
       arrive, params_.rnic_process_ns + params_.rnic_atomic_extra_ns +
                   target->cache_penalty_ns + remote_qpc_penalty);
 
+  // Host atomics, so remote atomics on a word serialize with each other and
+  // with the issuer-local atomics LITE applies to the same word directly.
+  const PhysRange& pr = target->ranges[0];
+  auto* word = reinterpret_cast<uint64_t*>(remote->mem()->Data(pr.addr, 8));
   uint64_t old_value = 0;
-  {
-    std::lock_guard<SpinLock> lock(remote->atomic_mu_);
-    const PhysRange& pr = target->ranges[0];
-    uint8_t* p = remote->mem()->Data(pr.addr, 8);
-    uint64_t current;
-    std::memcpy(&current, p, 8);
-    old_value = current;
-    uint64_t next = current;
-    if (wr.opcode == WrOpcode::kFetchAdd) {
-      next = current + wr.compare_add;
-    } else {  // kCmpSwap
-      if (current == wr.compare_add) {
-        next = wr.swap;
-      }
-    }
-    std::memcpy(p, &next, 8);
+  if (wr.opcode == WrOpcode::kFetchAdd) {
+    old_value = __atomic_fetch_add(word, wr.compare_add, __ATOMIC_SEQ_CST);
+  } else {  // kCmpSwap
+    old_value = wr.compare_add;
+    __atomic_compare_exchange_n(word, &old_value, wr.swap, false, __ATOMIC_SEQ_CST,
+                                __ATOMIC_SEQ_CST);
   }
   if (wr.atomic_result != nullptr) {
     *wr.atomic_result = old_value;

@@ -387,10 +387,6 @@ class Rnic {
   std::vector<std::unique_ptr<Qp>> qps_;
   std::unordered_map<uint32_t, Qp*> qp_index_;
   std::vector<std::unique_ptr<Cq>> cqs_;
-
-  // Atomic ops on remote memory must be serialized per target NIC (real RNICs
-  // serialize atomics in the responder).
-  SpinLock atomic_mu_;
 };
 
 }  // namespace lt

@@ -63,8 +63,9 @@ struct SimParams {
   // Responder-side QPC modeling: when on, the remote NIC also touches a QPC
   // entry per incoming request (keyed by the sender's QP), so an incast
   // server with many distinct RC peers thrashes its QPC cache while a DC
-  // target stays a single always-hot entry. Off by default so historical
-  // figure timings are byte-identical.
+  // target stays a single always-hot entry. Kept off by default because it
+  // moves paper figures: cold responder-QPC misses add 1 ns to fig06's 8 B
+  // row and to fig04's Verbs column.
   bool rnic_model_responder_qpc = false;
   // Host-memory footprint of one QP's state (QPC + driver bookkeeping);
   // only used for reporting total per-node QP state in the scale benches.
@@ -109,11 +110,6 @@ struct SimParams {
   LiteTransport lite_transport = LiteTransport::kRc;
   int lite_dc_qp_pool = 32;            // DC initiator QPs per node (bounded).
   uint64_t lite_dc_connect_ns = 900;   // DC re-target (attach) cost, host side.
-  // Eagerly bootstrap the all-pairs control rings at cluster construction.
-  // Off: control channels are established lazily on first internal RPC to a
-  // peer — required for large sparse clusters (the 1000-node scale bench)
-  // where all-pairs ring memory would dominate.
-  bool lite_eager_control_rings = true;
   // Async memop fast path (LT_read_async/LT_write_async).
   size_t lite_async_window = 64;      // Per-instance in-flight memop cap.
   uint32_t lite_async_signal_every = 8;  // Every K-th async WQE is signaled;
@@ -140,14 +136,6 @@ struct SimParams {
   // Live LMR migration (DESIGN.md "Epoch-fenced ownership & live migration").
   uint32_t lite_migrate_max_rounds = 4;  // Bounded dirty re-copy rounds before
                                          // the fence closes regardless.
-  uint64_t lite_migrate_park_poll_ns = 20'000;  // Re-check cadence (virtual)
-                                                // while an op parks on a fence.
-  // Chaos-soak liveness lease: soaks and benches that crash nodes under load
-  // share this knob instead of each picking its own constant. Long enough
-  // that a healthy node does not flap dead when host scheduling (single
-  // core, TSan) stalls its keepalive past the lease; short enough that
-  // crashes are detected well inside a test's wait budget.
-  uint64_t lite_soak_lease_timeout_ns = 60'000'000;
   double local_copy_bytes_per_ns = 12.0;  // Same-node memcpy bandwidth.
   uint64_t local_op_base_ns = 60;         // Fixed cost of a local LITE copy.
 
@@ -156,10 +144,6 @@ struct SimParams {
   uint64_t tcp_recv_stack_ns = 9000;   // rx path incl. interrupt + copy.
   double tcp_rate_bytes_per_ns = 1.7;  // ~13.6 Gb/s effective, per paper Fig. 7.
   size_t tcp_mtu_bytes = 65520;        // IPoIB connected-mode MTU.
-
-  // ---- Failure injection (tests only; zero by default) ----
-  double fabric_drop_probability = 0.0;
-  uint64_t fabric_extra_delay_ns = 0;
 
   // Convenience: wire transfer time for a payload at line rate.
   uint64_t WireBytesNs(size_t bytes) const {

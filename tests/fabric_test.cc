@@ -75,9 +75,11 @@ TEST(FabricTest, DropInjection) {
   Fabric fabric(Params());
   fabric.Attach(0);
   fabric.Attach(1);
-  fabric.SetDropProbability(1.0);
+  LinkFaultRule drop_all;
+  drop_all.drop_p = 1.0;
+  fabric.faults().SetDefaultRule(drop_all);
   EXPECT_EQ(fabric.TransferFinishNs(0, 1, 100, NowNs()), Fabric::kDropped);
-  fabric.SetDropProbability(0.0);
+  fabric.faults().SetDefaultRule({});
   EXPECT_NE(fabric.TransferFinishNs(0, 1, 100, NowNs()), Fabric::kDropped);
 }
 
@@ -87,7 +89,9 @@ TEST(FabricTest, ExtraDelayInjection) {
   fabric.Attach(1);
   uint64_t now = NowNs();
   uint64_t base = fabric.TransferFinishNs(0, 1, 100, now);
-  fabric.SetExtraDelayNs(50'000);
+  LinkFaultRule slow;
+  slow.extra_delay_ns = 50'000;
+  fabric.faults().SetDefaultRule(slow);
   uint64_t slowed = fabric.TransferFinishNs(0, 1, 100, now);
   EXPECT_GE(slowed, base + 50'000 - 100);
 }

@@ -24,6 +24,12 @@ namespace {
 
 using lt::StatusCode;
 
+// Liveness lease shared by every crash-under-load soak here: long enough
+// that a healthy node does not flap dead when host scheduling (single core,
+// TSan) stalls its keepalive past the lease, short enough that every crash
+// is detected well inside a soak's WaitFor budget.
+constexpr uint64_t kSoakLeaseTimeoutNs = 60'000'000;
+
 constexpr RpcFuncId kKvFunc = 7;
 constexpr uint64_t kGetSentinel = ~0ull;
 
@@ -171,12 +177,7 @@ TEST_P(FaultsChaosTransportTest, SoakWithCrashRestartAndManagerRebuild) {
   p.lite_rpc_timeout_ns = 25'000'000;  // 25 ms per try: crashes fail fast.
   p.lite_rpc_max_retries = 5;
   p.lite_keepalive_interval_ns = 2'000'000;  // 2 ms cadence (real time).
-  // Dead after lite_soak_lease_timeout_ns of silence (SimParams, default
-  // 60 ms): long enough that a healthy node does not flap dead when host
-  // scheduling (single core, TSan) stalls its keepalive past the lease,
-  // short enough that every crash below is detected well inside the WaitFor
-  // budget. Promoted to a SimParams knob so every soak shares one tuning.
-  p.lite_lease_timeout_ns = p.lite_soak_lease_timeout_ns;
+  p.lite_lease_timeout_ns = kSoakLeaseTimeoutNs;
   LiteCluster cluster(4, p);
   // Postmortem aid: if any assertion below fails, dump the merged
   // flight-recorder timeline so the failure is diagnosable from the log
@@ -417,7 +418,7 @@ TEST_P(FaultsChaosTransportTest, RingSoakWithDropsAndServerCrashRestart) {
   p.lite_rpc_timeout_ns = 25'000'000;
   p.lite_rpc_max_retries = 5;
   p.lite_keepalive_interval_ns = 2'000'000;
-  p.lite_lease_timeout_ns = p.lite_soak_lease_timeout_ns;
+  p.lite_lease_timeout_ns = kSoakLeaseTimeoutNs;
   LiteCluster cluster(4, p);
   struct JournalOnFailure {
     LiteCluster* cluster;
@@ -604,7 +605,7 @@ TEST_P(FaultsChaosTransportTest, MigrateUnderChaosSoak) {
   p.lite_rpc_timeout_ns = 25'000'000;
   p.lite_rpc_max_retries = 5;
   p.lite_keepalive_interval_ns = 2'000'000;
-  p.lite_lease_timeout_ns = p.lite_soak_lease_timeout_ns;
+  p.lite_lease_timeout_ns = kSoakLeaseTimeoutNs;
   LiteCluster cluster(4, p);
   struct JournalOnFailure {
     LiteCluster* cluster;

@@ -193,36 +193,6 @@ TEST(FaultsTest, ScheduledCrashWindowTriggersByVirtualTime) {
   EXPECT_EQ(eng.OnTransfer(0, 1, 6000), 0u);
 }
 
-// The fabric's legacy knobs are thin wrappers over the default rule, and the
-// engine's delays show up in TransferFinishNs.
-TEST(FaultsTest, FabricCompatKnobsMapToDefaultRule) {
-  SimParams p;
-  p.wire_latency_ns = 300;
-  p.nic_line_rate_bytes_per_ns = 4.0;
-  Fabric fabric(p);
-  fabric.Attach(0);
-  fabric.Attach(1);
-
-  EXPECT_FALSE(fabric.faults().armed());
-  fabric.SetExtraDelayNs(10'000);
-  EXPECT_TRUE(fabric.faults().armed());
-  EXPECT_EQ(fabric.faults().default_rule().extra_delay_ns, 10'000u);
-
-  uint64_t now = NowNs();
-  uint64_t base_finish = now + 300 + 2 * 16;  // wire + 64B serialization x2
-  uint64_t finish = fabric.TransferFinishNs(0, 1, 64, now);
-  EXPECT_GE(finish, base_finish + 10'000);
-
-  fabric.SetExtraDelayNs(0);
-  fabric.SetDropProbability(1.0);
-  EXPECT_DOUBLE_EQ(fabric.faults().default_rule().drop_p, 1.0);
-  EXPECT_EQ(fabric.TransferFinishNs(0, 1, 64, now), Fabric::kDropped);
-
-  fabric.SetDropProbability(0.0);
-  EXPECT_FALSE(fabric.faults().armed());
-  EXPECT_LT(fabric.TransferFinishNs(0, 1, 64, now), Fabric::kDropped);
-}
-
 TEST(FaultsTest, FabricSurfacesDuplicateDecision) {
   SimParams p;
   Fabric fabric(p);

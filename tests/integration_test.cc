@@ -127,12 +127,14 @@ TEST(IntegrationTest, DropInjectionSurfacesAsRpcTimeout) {
   // With all transfers dropped, the call fails by timeout (paper Sec. 5.1:
   // "if LITE does not receive a reply within a certain period of time, it
   // will return a timeout error to user").
-  cluster.cluster().fabric().SetDropProbability(1.0);
+  lt::LinkFaultRule drop_all;
+  drop_all.drop_p = 1.0;
+  cluster.cluster().fabric().faults().SetDefaultRule(drop_all);
   auto st = client->Rpc(1, 5, "x", 1, out, sizeof(out), &out_len);
   EXPECT_FALSE(st.ok());
 
   // Recovery once the fabric heals.
-  cluster.cluster().fabric().SetDropProbability(0.0);
+  cluster.cluster().fabric().faults().SetDefaultRule({});
   ASSERT_TRUE(client->Rpc(1, 5, "y", 1, out, sizeof(out), &out_len).ok());
   stop.store(true);
   serve.join();
@@ -146,11 +148,13 @@ TEST(IntegrationTest, WriteFailsCleanlyUnderTotalLoss) {
   MallocOptions on1;
   on1.nodes = {1};
   auto lh = *client->Malloc(4096, "lossy", on1);
-  cluster.cluster().fabric().SetDropProbability(1.0);
+  lt::LinkFaultRule drop_all;
+  drop_all.drop_p = 1.0;
+  cluster.cluster().fabric().faults().SetDefaultRule(drop_all);
   char buf[64] = {1};
   auto st = client->Write(lh, 0, buf, sizeof(buf));
   EXPECT_FALSE(st.ok());
-  cluster.cluster().fabric().SetDropProbability(0.0);
+  cluster.cluster().fabric().faults().SetDefaultRule({});
   EXPECT_TRUE(client->Write(lh, 0, buf, sizeof(buf)).ok());
 }
 
@@ -166,7 +170,9 @@ TEST(IntegrationTest, ExtraDelaySlowsButDoesNotBreak) {
   ASSERT_TRUE(client->Write(lh, 0, buf, sizeof(buf)).ok());
   uint64_t fast = lt::NowNs() - t0;
 
-  cluster.cluster().fabric().SetExtraDelayNs(100'000);
+  lt::LinkFaultRule delayed;
+  delayed.extra_delay_ns = 100'000;
+  cluster.cluster().fabric().faults().SetDefaultRule(delayed);
   t0 = lt::NowNs();
   ASSERT_TRUE(client->Write(lh, 0, buf, sizeof(buf)).ok());
   uint64_t slow = lt::NowNs() - t0;

@@ -737,5 +737,90 @@ TEST_F(MultiChunkEngineTest, AsyncMultiPieceSharesEngineWithBlockingPath) {
   EXPECT_EQ(cluster_->instance(0)->AsyncInFlight(), 0u);
 }
 
+// ---- One retry schedule for every piece.
+
+// Which op a single dropped transfer hits.
+enum class DroppedOp { kOnePiece, kThreePiece, kAsync };
+
+struct DropRun {
+  uint64_t latency_ns = 0;  // Virtual time of the op that took the drop.
+  int64_t retries = 0;      // lite.oneside.retries during that op.
+  int64_t posts = 0;        // rnic.ops_posted during that op.
+};
+
+// Runs one write that loses exactly one transfer, on a fresh calibrated
+// 2-node cluster, after an identical warm-up write.
+DropRun RunWithOneDrop(DroppedOp kind, uint64_t backoff_ns) {
+  lt::SimParams p;  // Calibrated: every stage charges its modelled cost.
+  p.lite_max_chunk_bytes = 4096;
+  p.lite_rpc_ring_bytes = 4096;  // RPC ring must fit in one chunk.
+  p.lite_rpc_retry_backoff_ns = backoff_ns;
+  LiteCluster cluster(2, p);
+  auto client = cluster.CreateClient(0, /*kernel_level=*/true);
+  MallocOptions on1;
+  on1.nodes = {1};
+  const uint64_t len = kind == DroppedOp::kThreePiece ? 3 * 4096 : 64;
+  auto lh = client->Malloc(len, "retry_schedule", on1);
+  if (!lh.ok()) {
+    ADD_FAILURE() << "malloc: " << lh.status();
+    return {};
+  }
+  const std::vector<uint8_t> data(len, 0x5a);
+  auto write = [&] {
+    if (kind != DroppedOp::kAsync) {
+      return client->Write(*lh, 0, data.data(), len);
+    }
+    auto h = client->WriteAsync(*lh, 0, data.data(), len);
+    return h.ok() ? client->Wait(*h) : h.status();
+  };
+  EXPECT_TRUE(write().ok());  // Warm-up: caches and QPs as in the measured op.
+
+  DropRun run;
+  run.retries = -client->Stat("lite.oneside.retries");
+  run.posts = -client->Stat("rnic.ops_posted");
+  cluster.faults().DropNextTransfers(0, 1, 1);
+  const uint64_t t0 = lt::NowNs();
+  EXPECT_TRUE(write().ok());
+  run.latency_ns = lt::NowNs() - t0;
+  run.retries += client->Stat("lite.oneside.retries");
+  run.posts += client->Stat("rnic.ops_posted");
+  EXPECT_EQ(cluster.faults().drops(), 1u);
+  return run;
+}
+
+class RetryScheduleTest : public ::testing::TestWithParam<DroppedOp> {};
+
+TEST_P(RetryScheduleTest, OneDropCostsOneBackoffAndOneRepost) {
+  // The same drop under two backoff settings: everything but the backoff is
+  // identical between the runs, so the latency difference is the backoff
+  // the op paid — exactly one lite_rpc_retry_backoff_ns before its one
+  // re-post, whatever its piece count or issue mode.
+  constexpr uint64_t kShortBackoffNs = 200'000;
+  constexpr uint64_t kLongBackoffNs = 1'000'000;
+  const DropRun short_run = RunWithOneDrop(GetParam(), kShortBackoffNs);
+  const DropRun long_run = RunWithOneDrop(GetParam(), kLongBackoffNs);
+  const int64_t pieces = GetParam() == DroppedOp::kThreePiece ? 3 : 1;
+  for (const DropRun& run : {short_run, long_run}) {
+    EXPECT_EQ(run.retries, 1);
+    EXPECT_EQ(run.posts, pieces + 1);
+  }
+  EXPECT_EQ(long_run.latency_ns - short_run.latency_ns, kLongBackoffNs - kShortBackoffNs);
+}
+
+INSTANTIATE_TEST_SUITE_P(Ops, RetryScheduleTest,
+                         ::testing::Values(DroppedOp::kOnePiece, DroppedOp::kThreePiece,
+                                           DroppedOp::kAsync),
+                         [](const ::testing::TestParamInfo<DroppedOp>& info) {
+                           switch (info.param) {
+                             case DroppedOp::kOnePiece:
+                               return "OnePiece";
+                             case DroppedOp::kThreePiece:
+                               return "ThreePiece";
+                             case DroppedOp::kAsync:
+                               return "Async";
+                           }
+                           return "Unknown";
+                         });
+
 }  // namespace
 }  // namespace lite

@@ -27,6 +27,8 @@ class EchoServer {
   }
 
   int served() const { return served_.load(); }
+  // Lets a test stop many servers at once before their destructors join.
+  void RequestStop() { stopping_.store(true); }
 
  private:
   void Run(bool use_reply_and_recv) {
@@ -433,6 +435,62 @@ TEST_F(LiteRpcRecoveryTest, DeadPeerFailsFastWithUnavailable) {
   cluster_->instance(0)->SetPeerDead(1, false);
   EXPECT_TRUE(c0_->Rpc(1, 33, "back", 4, out, sizeof(out), &out_len).ok());
   EXPECT_EQ(server.served(), 2);
+}
+
+TEST(LiteRpcRingTest, FirstBindRaceKeepsRingsDraining) {
+  // Two threads of one node race their first call to each function of one
+  // server, then keep calling until its 4 KB ring has wrapped several times.
+  // Both threads must end up polling the head mirror the server ring
+  // publishes into; a channel left on the race loser's own mirror never sees
+  // the head move, and the ring reads full after one ring's worth of calls.
+  lt::SimParams p = lt::SimParams::FastForTests();
+  p.lite_rpc_ring_bytes = 4096;
+  p.lite_rpc_timeout_ns = 1'000'000'000;  // A wedged ring fails within 1 s.
+  p.lite_rpc_max_retries = 0;
+  LiteCluster cluster(2, p);
+  constexpr int kFuncs = 40;
+  constexpr RpcFuncId kFirstFunc = 100;
+  constexpr int kCallsPerThread = 24;  // 48 calls of >= 256 B per 4 KB ring.
+  std::vector<std::unique_ptr<EchoServer>> servers;
+  for (int f = 0; f < kFuncs; ++f) {
+    servers.push_back(std::make_unique<EchoServer>(&cluster, 0, kFirstFunc + f));
+  }
+  std::atomic<int> arrived{0};
+  std::atomic<int> failures{0};
+  auto caller = [&](uint8_t tag) {
+    auto client = cluster.CreateClient(1, /*kernel_level=*/true);
+    const std::vector<uint8_t> payload(200, tag);
+    char out[256];
+    uint32_t out_len = 0;
+    for (int f = 0; f < kFuncs; ++f) {
+      // Line both threads up so their first bind to this function races.
+      arrived.fetch_add(1);
+      while (arrived.load() < 2 * (f + 1) && failures.load() == 0) {
+        std::this_thread::yield();
+      }
+      for (int i = 0; i < kCallsPerThread && failures.load() == 0; ++i) {
+        Status st = client->Rpc(0, kFirstFunc + f, payload.data(),
+                                static_cast<uint32_t>(payload.size()), out, sizeof(out), &out_len);
+        if (!st.ok() || out_len != payload.size() + 1) {
+          ADD_FAILURE() << "func " << kFirstFunc + f << " call " << i << ": " << st.ToString();
+          failures.fetch_add(1);
+        }
+      }
+    }
+  };
+  std::thread a(caller, 0xa1);
+  std::thread b(caller, 0xb2);
+  a.join();
+  b.join();
+  for (auto& server : servers) {
+    server->RequestStop();
+  }
+  EXPECT_EQ(failures.load(), 0);
+  int served = 0;
+  for (auto& server : servers) {
+    served += server->served();
+  }
+  EXPECT_EQ(served, kFuncs * 2 * kCallsPerThread);
 }
 
 TEST(LiteRpcZombieTest, TimedOutSlotsAreReclaimed) {

@@ -41,15 +41,18 @@ TEST_F(LiteSyncTest, FetchAddLocalAndRemote) {
 }
 
 TEST_F(LiteSyncTest, FetchAddIsAtomicUnderContention) {
+  // Two threads on the word's home node (issuer-local atomics) race two on
+  // other nodes (responder-side atomics): neither side may lose an update.
+  constexpr int kPerThread = 5000;
   auto lh = c0_->Malloc(64, "fa_race");
   uint64_t zero = 0;
   ASSERT_TRUE(c0_->Write(*lh, 0, &zero, 8).ok());
   std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&, t] {
-      auto client = cluster_->CreateClient(static_cast<lt::NodeId>(t % 3));
+  for (lt::NodeId node : {0, 0, 1, 2}) {
+    threads.emplace_back([&, node] {
+      auto client = cluster_->CreateClient(node);
       auto mapped = client->Map("fa_race");
-      for (int i = 0; i < 100; ++i) {
+      for (int i = 0; i < kPerThread; ++i) {
         ASSERT_TRUE(client->FetchAdd(*mapped, 0, 1).ok());
       }
     });
@@ -59,7 +62,7 @@ TEST_F(LiteSyncTest, FetchAddIsAtomicUnderContention) {
   }
   uint64_t value = 0;
   ASSERT_TRUE(c0_->Read(*lh, 0, &value, 8).ok());
-  EXPECT_EQ(value, 400u);
+  EXPECT_EQ(value, 4u * kPerThread);
 }
 
 TEST_F(LiteSyncTest, TestSetSemantics) {

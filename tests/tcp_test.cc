@@ -89,10 +89,12 @@ TEST_F(TcpTest, MessageModeLatencyFarAboveRdma) {
 }
 
 TEST_F(TcpTest, DropInjectionSurfacesError) {
-  cluster_->fabric().SetDropProbability(1.0);
+  LinkFaultRule drop_all;
+  drop_all.drop_p = 1.0;
+  cluster_->fabric().faults().SetDefaultRule(drop_all);
   char c = 1;
   EXPECT_EQ(a_->Send(&c, 1).code(), StatusCode::kUnavailable);
-  cluster_->fabric().SetDropProbability(0.0);
+  cluster_->fabric().faults().SetDefaultRule({});
 }
 
 TEST_F(TcpTest, RateCapBoundsThroughput) {
