@@ -2,7 +2,8 @@
 # Tier-1 verification: full build + test suite, the perf and trace gates, the
 # repo benchmark's smoke run, then the chaos soak and the atomics/RPC-bind
 # races under ThreadSanitizer (the failure-recovery paths are the most
-# thread-hostile code in the tree, so they get the extra scrutiny).
+# thread-hostile code in the tree, so they get the extra scrutiny). Each
+# stage's wall time and the total are printed as they finish.
 #
 # Usage: scripts/run_tier1.sh [jobs]
 set -euo pipefail
@@ -10,12 +11,29 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 JOBS="${1:-$(nproc)}"
 
-echo "== tier-1: build + ctest =="
+now_ms() { echo $(( $(date +%s%N) / 1000000 )); }
+fmt_s() { printf '%d.%d s' $(( $1 / 1000 )) $(( $1 % 1000 / 100 )); }
+TIER1_T0=$(now_ms)
+STAGE=""
+STAGE_T0=${TIER1_T0}
+# Ends the running stage (printing its wall time) and starts stage "$1".
+stage() {
+  local t
+  t=$(now_ms)
+  if [[ -n "${STAGE}" ]]; then
+    echo "   ${STAGE}: $(fmt_s $(( t - STAGE_T0 )))"
+  fi
+  STAGE="$1"
+  STAGE_T0=${t}
+  echo "== tier-1: ${STAGE} =="
+}
+
+stage "build + ctest"
 cmake -B build -S . >/dev/null
 cmake --build build -j"${JOBS}"
 (cd build && ctest --output-on-failure -j"${JOBS}")
 
-echo "== tier-1: perf-regression gate (check_bench) =="
+stage "perf-regression gate (check_bench)"
 # Re-run the anchored benches into a scratch dir and diff their telemetry
 # sidecars against the committed BENCH_*.json anchors (tolerances in
 # scripts/check_bench.py). bench_micro's sweeps always run and always write
@@ -31,19 +49,19 @@ mkdir -p build/bench-out
     --telemetry BENCH_transport_scale.json >/dev/null)
 python3 scripts/check_bench.py
 
-echo "== tier-1: chrome-trace export sanity =="
+stage "chrome-trace export sanity"
 TRACE_OUT="$(mktemp /tmp/lite_trace.XXXXXX.json)"
 trap 'rm -f "${TRACE_OUT}"' EXIT
 ./build/bench/fig10_rpc_latency --trace-out "${TRACE_OUT}" >/dev/null
 python3 scripts/check_trace.py --require-flow "${TRACE_OUT}"
 
-echo "== tier-1: repo benchmark smoke =="
+stage "repo benchmark smoke"
 # Every benchmark/ workload at 1/50 of its op count, with all of its
 # correctness checks (shadow-copied reads, RPC reply contents, exactly-once
 # fetch-add, the health watchdog); exits 1 on any mismatch or failed op.
 python3 benchmark/run.py --smoke
 
-echo "== tier-1: chaos soak under ThreadSanitizer =="
+stage "chaos soak under ThreadSanitizer"
 cmake -B build-tsan -S . -DLT_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j"${JOBS}" --target faults_chaos_test faults_test lite_async_test lite_ring_test transport_test lite_sync_test lite_rpc_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/faults_test
@@ -55,10 +73,13 @@ TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/lite_ring_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/transport_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/faults_chaos_test
 
-echo "== tier-1: memory + async suites under ASan+UBSan =="
+stage "memory, async and RPC suites under ASan+UBSan"
 cmake -B build-asan -S . -DLT_SANITIZE=address >/dev/null
-cmake --build build-asan -j"${JOBS}" --target lite_memory_test lite_async_test
+cmake --build build-asan -j"${JOBS}" --target lite_memory_test lite_async_test lite_rpc_test
 ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" ./build-asan/tests/lite_memory_test
 ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" ./build-asan/tests/lite_async_test
+# Reply-slot and server-ring lifetimes (zombie reclaim, failed ring setup).
+ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" ./build-asan/tests/lite_rpc_test
 
-echo "== tier-1: PASS =="
+stage "PASS"
+echo "   total: $(fmt_s $(( STAGE_T0 - TIER1_T0 )))"

@@ -1,7 +1,8 @@
 // Internal control functions served by each LITE instance's worker threads:
 // the name service (on the manager node), remote chunk allocation, LMR
 // map/unmap/free/move/permissions, remote memory commands, and the lock /
-// barrier services. Every handler replies [u32 status code | payload].
+// barrier services. Every handler returns its outcome, which the worker
+// sends back as [u32 status code | payload] (see InternalWorkerLoop).
 #include <cstring>
 
 #include "src/common/logging.h"
@@ -11,20 +12,6 @@
 
 namespace lite {
 namespace {
-
-void ReplyStatus(LiteInstance* self, const ReplyToken& token, lt::StatusCode code) {
-  uint32_t wire_code = static_cast<uint32_t>(code);
-  (void)self->ReplyRpc(token, &wire_code, sizeof(wire_code));
-}
-
-void ReplyOkPayload(LiteInstance* self, const ReplyToken& token, const WireWriter& payload) {
-  const auto& bytes = payload.bytes();
-  std::vector<uint8_t> out(sizeof(uint32_t) + bytes.size());
-  uint32_t code = static_cast<uint32_t>(lt::StatusCode::kOk);
-  std::memcpy(out.data(), &code, sizeof(code));
-  std::memcpy(out.data() + sizeof(code), bytes.data(), bytes.size());
-  (void)self->ReplyRpc(token, out.data(), static_cast<uint32_t>(out.size()));
-}
 
 // Gates one local phys range against the node's migration guard. kOk means
 // proceed (close `gate` after the op lands); anything else is the NACK code
@@ -49,85 +36,77 @@ lt::StatusCode GateLocalRange(LiteInstance* self, PhysAddr addr, uint64_t len, b
 
 void LiteInstance::RegisterInternalHandlers() {
   // ------------------------------------------------ name service (manager)
-  internal_handlers_[kFnRegisterName] = [](LiteInstance* self, const RpcIncoming& inc) {
+  internal_handlers_[kFnRegisterName] = [](LiteInstance* self, const RpcIncoming& inc) -> Reply {
     WireReader r(inc.data.data(), inc.data.size());
     std::string name;
     NodeId master = kInvalidNode;
     if (!r.GetString(&name) || !r.Get(&master)) {
-      ReplyStatus(self, inc.token, lt::StatusCode::kInvalidArgument);
-      return;
+      return lt::StatusCode::kInvalidArgument;
     }
     if (!self->lmrs_.RegisterName(name, master)) {
-      ReplyStatus(self, inc.token, lt::StatusCode::kAlreadyExists);
-      return;
+      return lt::StatusCode::kAlreadyExists;
     }
-    ReplyStatus(self, inc.token, lt::StatusCode::kOk);
+    return lt::StatusCode::kOk;
   };
 
-  internal_handlers_[kFnLookupName] = [](LiteInstance* self, const RpcIncoming& inc) {
+  internal_handlers_[kFnLookupName] = [](LiteInstance* self, const RpcIncoming& inc) -> Reply {
     WireReader r(inc.data.data(), inc.data.size());
     std::string name;
     if (!r.GetString(&name)) {
-      ReplyStatus(self, inc.token, lt::StatusCode::kInvalidArgument);
-      return;
+      return lt::StatusCode::kInvalidArgument;
     }
     auto master = self->lmrs_.LookupName(name);
     if (!master.ok()) {
-      ReplyStatus(self, inc.token, lt::StatusCode::kNotFound);
-      return;
+      return lt::StatusCode::kNotFound;
     }
     WireWriter payload;
     payload.Put<NodeId>(*master);
-    ReplyOkPayload(self, inc.token, payload);
+    return payload.bytes();
   };
 
-  internal_handlers_[kFnUnregisterName] = [](LiteInstance* self, const RpcIncoming& inc) {
+  internal_handlers_[kFnUnregisterName] = [](LiteInstance* self, const RpcIncoming& inc) -> Reply {
     WireReader r(inc.data.data(), inc.data.size());
     std::string name;
     if (r.GetString(&name)) {
       self->lmrs_.UnregisterName(name);
     }
-    ReplyStatus(self, inc.token, lt::StatusCode::kOk);
+    return lt::StatusCode::kOk;
   };
 
   // ------------------------------------------------- remote chunk service
-  internal_handlers_[kFnAllocChunks] = [](LiteInstance* self, const RpcIncoming& inc) {
+  internal_handlers_[kFnAllocChunks] = [](LiteInstance* self, const RpcIncoming& inc) -> Reply {
     WireReader r(inc.data.data(), inc.data.size());
     uint64_t size = 0;
     if (!r.Get(&size)) {
-      ReplyStatus(self, inc.token, lt::StatusCode::kInvalidArgument);
-      return;
+      return lt::StatusCode::kInvalidArgument;
     }
     auto chunks = self->AllocLocalChunks(size);
     if (!chunks.ok()) {
-      ReplyStatus(self, inc.token, chunks.status().code());
-      return;
+      return chunks.status().code();
     }
     WireWriter payload;
     payload.PutChunks(*chunks);
-    ReplyOkPayload(self, inc.token, payload);
+    return payload.bytes();
   };
 
-  internal_handlers_[kFnFreeChunks] = [](LiteInstance* self, const RpcIncoming& inc) {
+  internal_handlers_[kFnFreeChunks] = [](LiteInstance* self, const RpcIncoming& inc) -> Reply {
     WireReader r(inc.data.data(), inc.data.size());
     std::vector<LmrChunk> chunks;
     if (!r.GetChunks(&chunks)) {
-      ReplyStatus(self, inc.token, lt::StatusCode::kInvalidArgument);
-      return;
+      return lt::StatusCode::kInvalidArgument;
     }
     self->FreeLocalChunks(chunks);
-    ReplyStatus(self, inc.token, lt::StatusCode::kOk);
+    return lt::StatusCode::kOk;
   };
 
   // ----------------------------------------------------- LMR map / unmap
-  internal_handlers_[kFnMapLmr] = [](LiteInstance* self, const RpcIncoming& inc) {
+  internal_handlers_[kFnMapLmr] = [](LiteInstance* self, const RpcIncoming& inc) -> Reply {
     WireReader r(inc.data.data(), inc.data.size());
     std::string name;
     uint32_t want = 0;
     NodeId requester = kInvalidNode;
     if (!r.GetString(&name) || !r.Get(&want) || !r.Get(&requester)) {
-      ReplyStatus(self, inc.token, lt::StatusCode::kInvalidArgument);
-      return;
+      return lt::StatusCode::kInvalidArgument;
     }
     WireWriter payload;
     lt::StatusCode code = self->lmrs_.WithMeta(name, [&](LmrMeta& meta) {
@@ -151,13 +130,12 @@ void LiteInstance::RegisterInternalHandlers() {
       code = lt::StatusCode::kStaleHome;
     }
     if (code != lt::StatusCode::kOk) {
-      ReplyStatus(self, inc.token, code);
-      return;
+      return code;
     }
-    ReplyOkPayload(self, inc.token, payload);
+    return payload.bytes();
   };
 
-  internal_handlers_[kFnUnmapLmr] = [](LiteInstance* self, const RpcIncoming& inc) {
+  internal_handlers_[kFnUnmapLmr] = [](LiteInstance* self, const RpcIncoming& inc) -> Reply {
     WireReader r(inc.data.data(), inc.data.size());
     std::string name;
     NodeId requester = kInvalidNode;
@@ -167,22 +145,20 @@ void LiteInstance::RegisterInternalHandlers() {
         return lt::StatusCode::kOk;
       });
     }
-    ReplyStatus(self, inc.token, lt::StatusCode::kOk);  // No-reply in practice.
+    return lt::StatusCode::kOk;  // No-reply in practice.
   };
 
   // -------------------------------------- LMR free / invalidate / update
-  internal_handlers_[kFnMasterFree] = [](LiteInstance* self, const RpcIncoming& inc) {
+  internal_handlers_[kFnMasterFree] = [](LiteInstance* self, const RpcIncoming& inc) -> Reply {
     WireReader r(inc.data.data(), inc.data.size());
     std::string name;
     NodeId requester = kInvalidNode;
     if (!r.GetString(&name) || !r.Get(&requester)) {
-      ReplyStatus(self, inc.token, lt::StatusCode::kInvalidArgument);
-      return;
+      return lt::StatusCode::kInvalidArgument;
     }
     auto taken = self->lmrs_.TakeMetaIfMaster(name, requester);
     if (!taken.ok()) {
-      ReplyStatus(self, inc.token, taken.status().code());
-      return;
+      return taken.status().code();
     }
     LmrMeta meta = std::move(*taken);
     // Invalidate every node that mapped the LMR (paper Sec. 4.1: "when the
@@ -197,75 +173,63 @@ void LiteInstance::RegisterInternalHandlers() {
                                    static_cast<uint32_t>(inval.bytes().size()));
       }
     }
-    // Free the storage.
-    std::map<NodeId, std::vector<LmrChunk>> by_node;
-    for (const LmrChunk& c : meta.chunks) {
-      by_node[c.node].push_back(c);
-    }
-    for (const auto& [target, chunks] : by_node) {
-      if (target == self->node_id()) {
-        self->FreeLocalChunks(chunks);
-      } else {
-        WireWriter w;
-        w.PutChunks(chunks);
-        (void)self->InternalRpc(target, kFnFreeChunks, w.bytes(), nullptr);
-      }
-    }
+    self->FreeChunks(meta.chunks);
     // Release the name.
     WireWriter unreg;
     unreg.PutString(name);
     (void)self->InternalRpc(self->manager_node_, kFnUnregisterName, unreg.bytes(), nullptr);
-    ReplyStatus(self, inc.token, lt::StatusCode::kOk);
+    return lt::StatusCode::kOk;
   };
 
-  internal_handlers_[kFnLmrInvalidate] = [](LiteInstance* self, const RpcIncoming& inc) {
+  internal_handlers_[kFnLmrInvalidate] = [](LiteInstance* self, const RpcIncoming& inc) -> Reply {
     WireReader r(inc.data.data(), inc.data.size());
     std::string name;
-    if (r.GetString(&name)) {
-      self->lmrs_.EraseByName(name);
+    if (!r.GetString(&name)) {
+      return lt::StatusCode::kInvalidArgument;
     }
+    self->lmrs_.EraseByName(name);
+    return lt::StatusCode::kOk;
   };
 
-  internal_handlers_[kFnLmrUpdate] = [](LiteInstance* self, const RpcIncoming& inc) {
+  internal_handlers_[kFnLmrUpdate] = [](LiteInstance* self, const RpcIncoming& inc) -> Reply {
     WireReader r(inc.data.data(), inc.data.size());
     std::string name;
     std::vector<LmrChunk> chunks;
-    if (r.GetString(&name) && r.GetChunks(&chunks)) {
-      self->lmrs_.UpdateChunksByName(name, chunks);
+    if (!r.GetString(&name) || !r.GetChunks(&chunks)) {
+      return lt::StatusCode::kInvalidArgument;
     }
+    self->lmrs_.UpdateChunksByName(name, chunks);
+    return lt::StatusCode::kOk;
   };
 
   // ------------------------------------------------ master-role services
-  internal_handlers_[kFnSetPermission] = [](LiteInstance* self, const RpcIncoming& inc) {
+  internal_handlers_[kFnSetPermission] = [](LiteInstance* self, const RpcIncoming& inc) -> Reply {
     WireReader r(inc.data.data(), inc.data.size());
     std::string name;
     NodeId grantee = kInvalidNode;
     uint32_t perm = 0;
     NodeId requester = kInvalidNode;
     if (!r.GetString(&name) || !r.Get(&grantee) || !r.Get(&perm) || !r.Get(&requester)) {
-      ReplyStatus(self, inc.token, lt::StatusCode::kInvalidArgument);
-      return;
+      return lt::StatusCode::kInvalidArgument;
     }
-    lt::StatusCode code = self->lmrs_.WithMeta(name, [&](LmrMeta& meta) {
+    return self->lmrs_.WithMeta(name, [&](LmrMeta& meta) {
       if (meta.masters.count(requester) == 0) {
         return lt::StatusCode::kPermissionDenied;
       }
       meta.node_perm[grantee] = perm;
       return lt::StatusCode::kOk;
     });
-    ReplyStatus(self, inc.token, code);
   };
 
-  internal_handlers_[kFnMasterGrant] = [](LiteInstance* self, const RpcIncoming& inc) {
+  internal_handlers_[kFnMasterGrant] = [](LiteInstance* self, const RpcIncoming& inc) -> Reply {
     WireReader r(inc.data.data(), inc.data.size());
     std::string name;
     NodeId new_master = kInvalidNode;
     NodeId requester = kInvalidNode;
     if (!r.GetString(&name) || !r.Get(&new_master) || !r.Get(&requester)) {
-      ReplyStatus(self, inc.token, lt::StatusCode::kInvalidArgument);
-      return;
+      return lt::StatusCode::kInvalidArgument;
     }
-    lt::StatusCode code = self->lmrs_.WithMeta(name, [&](LmrMeta& meta) {
+    return self->lmrs_.WithMeta(name, [&](LmrMeta& meta) {
       if (meta.masters.count(requester) == 0) {
         return lt::StatusCode::kPermissionDenied;
       }
@@ -273,53 +237,30 @@ void LiteInstance::RegisterInternalHandlers() {
       meta.node_perm[new_master] = kPermRead | kPermWrite | kPermMaster;
       return lt::StatusCode::kOk;
     });
-    ReplyStatus(self, inc.token, code);
   };
 
-  internal_handlers_[kFnMasterMove] = [](LiteInstance* self, const RpcIncoming& inc) {
+  internal_handlers_[kFnMasterMove] = [](LiteInstance* self, const RpcIncoming& inc) -> Reply {
     WireReader r(inc.data.data(), inc.data.size());
     std::string name;
     NodeId new_node = kInvalidNode;
     NodeId requester = kInvalidNode;
     uint8_t pri_raw = static_cast<uint8_t>(Priority::kHigh);
     if (!r.GetString(&name) || !r.Get(&new_node) || !r.Get(&requester) || !r.Get(&pri_raw)) {
-      ReplyStatus(self, inc.token, lt::StatusCode::kInvalidArgument);
-      return;
+      return lt::StatusCode::kInvalidArgument;
     }
     const Priority pri =
         pri_raw == static_cast<uint8_t>(Priority::kLow) ? Priority::kLow : Priority::kHigh;
     auto copied = self->lmrs_.CopyMetaIfMaster(name, requester);
     if (!copied.ok()) {
-      ReplyStatus(self, inc.token, copied.status().code());
-      return;
+      return copied.status().code();
     }
     LmrMeta meta = std::move(*copied);
 
-    // Allocate the new placement.
-    std::vector<LmrChunk> new_chunks;
-    if (new_node == self->node_id()) {
-      auto local = self->AllocLocalChunks(meta.size);
-      if (!local.ok()) {
-        ReplyStatus(self, inc.token, local.status().code());
-        return;
-      }
-      new_chunks = *local;
-    } else {
-      WireWriter w;
-      w.Put<uint64_t>(meta.size);
-      std::vector<uint8_t> out;
-      Status st = self->InternalRpc(new_node, kFnAllocChunks, w.bytes(), &out,
-                                    kDefaultTimeout, pri);
-      if (!st.ok()) {
-        ReplyStatus(self, inc.token, st.code());
-        return;
-      }
-      WireReader rr(out.data(), out.size());
-      if (!rr.GetChunks(&new_chunks)) {
-        ReplyStatus(self, inc.token, lt::StatusCode::kInternal);
-        return;
-      }
+    auto placed = self->AllocChunksOn(new_node, meta.size, pri);
+    if (!placed.ok()) {
+      return placed.status().code();
     }
+    const std::vector<LmrChunk>& new_chunks = *placed;
 
     // Copy the data across via one-sided ops through a bounce buffer.
     std::vector<uint8_t> bounce(meta.size);
@@ -341,30 +282,17 @@ void LiteInstance::RegisterInternalHandlers() {
                                    static_cast<uint32_t>(update.bytes().size()));
       }
     }
-    std::map<NodeId, std::vector<LmrChunk>> by_node;
-    for (const LmrChunk& c : meta.chunks) {
-      by_node[c.node].push_back(c);
-    }
-    for (const auto& [target, chunks] : by_node) {
-      if (target == self->node_id()) {
-        self->FreeLocalChunks(chunks);
-      } else {
-        WireWriter w;
-        w.PutChunks(chunks);
-        (void)self->InternalRpc(target, kFnFreeChunks, w.bytes(), nullptr);
-      }
-    }
-    ReplyStatus(self, inc.token, lt::StatusCode::kOk);
+    self->FreeChunks(meta.chunks);
+    return lt::StatusCode::kOk;
   };
 
   // ------------------------------------------------- remote memory ops
-  internal_handlers_[kFnMemOp] = [](LiteInstance* self, const RpcIncoming& inc) {
+  internal_handlers_[kFnMemOp] = [](LiteInstance* self, const RpcIncoming& inc) -> Reply {
     WireReader r(inc.data.data(), inc.data.size());
     uint8_t op = 0;
     uint8_t pri_raw = static_cast<uint8_t>(Priority::kHigh);
     if (!r.Get(&op) || !r.Get(&pri_raw)) {
-      ReplyStatus(self, inc.token, lt::StatusCode::kInvalidArgument);
-      return;
+      return lt::StatusCode::kInvalidArgument;
     }
     const Priority pri =
         pri_raw == static_cast<uint8_t>(Priority::kLow) ? Priority::kLow : Priority::kHigh;
@@ -373,36 +301,31 @@ void LiteInstance::RegisterInternalHandlers() {
       uint8_t value = 0;
       uint32_t count = 0;
       if (!r.Get(&value) || !r.Get(&count)) {
-        ReplyStatus(self, inc.token, lt::StatusCode::kInvalidArgument);
-        return;
+        return lt::StatusCode::kInvalidArgument;
       }
       for (uint32_t i = 0; i < count; ++i) {
         PhysAddr addr = 0;
         uint64_t len = 0;
         if (!r.Get(&addr) || !r.Get(&len)) {
-          ReplyStatus(self, inc.token, lt::StatusCode::kInvalidArgument);
-          return;
+          return lt::StatusCode::kInvalidArgument;
         }
         AccessGate gate;
         lt::StatusCode gated = GateLocalRange(self, addr, len, /*is_write=*/true,
                                               inc.token.client_node, &gate);
         if (gated != lt::StatusCode::kOk) {
-          ReplyStatus(self, inc.token, gated);
-          return;
+          return gated;
         }
         lt::SpinFor(p.local_op_base_ns + static_cast<uint64_t>(static_cast<double>(len) /
                                                                p.local_copy_bytes_per_ns));
         std::memset(self->node()->mem().Data(addr, len), value, len);
         self->migration().CloseAccess(&gate, /*success=*/true);
       }
-      ReplyStatus(self, inc.token, lt::StatusCode::kOk);
-      return;
+      return lt::StatusCode::kOk;
     }
     if (op == 1) {  // memcpy: local source -> local or remote destination
       uint32_t count = 0;
       if (!r.Get(&count)) {
-        ReplyStatus(self, inc.token, lt::StatusCode::kInvalidArgument);
-        return;
+        return lt::StatusCode::kInvalidArgument;
       }
       for (uint32_t i = 0; i < count; ++i) {
         PhysAddr src_addr = 0;
@@ -410,15 +333,13 @@ void LiteInstance::RegisterInternalHandlers() {
         PhysAddr dst_addr = 0;
         uint64_t len = 0;
         if (!r.Get(&src_addr) || !r.Get(&dst_node) || !r.Get(&dst_addr) || !r.Get(&len)) {
-          ReplyStatus(self, inc.token, lt::StatusCode::kInvalidArgument);
-          return;
+          return lt::StatusCode::kInvalidArgument;
         }
         AccessGate src_gate;
         lt::StatusCode gated = GateLocalRange(self, src_addr, len, /*is_write=*/false,
                                               inc.token.client_node, &src_gate);
         if (gated != lt::StatusCode::kOk) {
-          ReplyStatus(self, inc.token, gated);
-          return;
+          return gated;
         }
         if (dst_node == self->node_id()) {
           AccessGate dst_gate;
@@ -426,8 +347,7 @@ void LiteInstance::RegisterInternalHandlers() {
                                  &dst_gate);
           if (gated != lt::StatusCode::kOk) {
             self->migration().CloseAccess(&src_gate, /*success=*/false);
-            ReplyStatus(self, inc.token, gated);
-            return;
+            return gated;
           }
           lt::SpinFor(p.local_op_base_ns + static_cast<uint64_t>(static_cast<double>(len) /
                                                                  p.local_copy_bytes_per_ns));
@@ -441,25 +361,22 @@ void LiteInstance::RegisterInternalHandlers() {
               /*is_read=*/false, pri);
           if (!st.ok()) {
             self->migration().CloseAccess(&src_gate, /*success=*/false);
-            ReplyStatus(self, inc.token, st.code());
-            return;
+            return st.code();
           }
         }
         self->migration().CloseAccess(&src_gate, /*success=*/true);
       }
-      ReplyStatus(self, inc.token, lt::StatusCode::kOk);
-      return;
+      return lt::StatusCode::kOk;
     }
-    ReplyStatus(self, inc.token, lt::StatusCode::kInvalidArgument);
+    return lt::StatusCode::kInvalidArgument;
   };
 
   // --------------------------------------------------- lock FIFO service
-  internal_handlers_[kFnLockWait] = [](LiteInstance* self, const RpcIncoming& inc) {
+  internal_handlers_[kFnLockWait] = [](LiteInstance* self, const RpcIncoming& inc) -> Reply {
     WireReader r(inc.data.data(), inc.data.size());
     PhysAddr addr = 0;
     if (!r.Get(&addr)) {
-      ReplyStatus(self, inc.token, lt::StatusCode::kInvalidArgument);
-      return;
+      return lt::StatusCode::kInvalidArgument;
     }
     bool grant_now = false;
     {
@@ -472,16 +389,15 @@ void LiteInstance::RegisterInternalHandlers() {
         q.waiters.push_back(inc.token);
       }
     }
-    if (grant_now) {
-      ReplyStatus(self, inc.token, lt::StatusCode::kOk);
-    }
+    // A queued waiter's reply is its grant, sent by a later kFnLockGrant.
+    return grant_now ? Reply(lt::StatusCode::kOk) : Reply::Deferred();
   };
 
-  internal_handlers_[kFnLockGrant] = [](LiteInstance* self, const RpcIncoming& inc) {
+  internal_handlers_[kFnLockGrant] = [](LiteInstance* self, const RpcIncoming& inc) -> Reply {
     WireReader r(inc.data.data(), inc.data.size());
     PhysAddr addr = 0;
     if (!r.Get(&addr)) {
-      return;
+      return lt::StatusCode::kInvalidArgument;
     }
     ReplyToken waiter;
     bool have_waiter = false;
@@ -499,18 +415,18 @@ void LiteInstance::RegisterInternalHandlers() {
     if (have_waiter) {
       // Grant no earlier than either the waiter's request or this release.
       lt::SyncClockTo(waiter.arrival_vtime_ns);
-      ReplyStatus(self, waiter, lt::StatusCode::kOk);  // The reply IS the grant.
+      self->ReplyControl(waiter, lt::StatusCode::kOk);  // The reply IS the grant.
     }
+    return lt::StatusCode::kOk;
   };
 
   // -------------------------------------------------------- barrier
-  internal_handlers_[kFnBarrier] = [](LiteInstance* self, const RpcIncoming& inc) {
+  internal_handlers_[kFnBarrier] = [](LiteInstance* self, const RpcIncoming& inc) -> Reply {
     WireReader r(inc.data.data(), inc.data.size());
     std::string name;
     uint32_t expected = 0;
     if (!r.GetString(&name) || !r.Get(&expected) || expected == 0) {
-      ReplyStatus(self, inc.token, lt::StatusCode::kInvalidArgument);
-      return;
+      return lt::StatusCode::kInvalidArgument;
     }
     std::vector<ReplyToken> to_release;
     {
@@ -531,12 +447,13 @@ void LiteInstance::RegisterInternalHandlers() {
     }
     lt::SyncClockTo(release_vtime);
     for (const ReplyToken& token : to_release) {
-      ReplyStatus(self, token, lt::StatusCode::kOk);
+      self->ReplyControl(token, lt::StatusCode::kOk);
     }
+    return Reply::Deferred();  // Parked until the last arrival releases all.
   };
 
   // ---------------------------------------- manager recovery (Sec. 3.3)
-  internal_handlers_[kFnListNames] = [](LiteInstance* self, const RpcIncoming& inc) {
+  internal_handlers_[kFnListNames] = [](LiteInstance* self, const RpcIncoming& inc) -> Reply {
     WireWriter payload;
     auto names = self->lmrs_.ListNames();
     payload.Put<uint32_t>(static_cast<uint32_t>(names.size()));
@@ -544,16 +461,15 @@ void LiteInstance::RegisterInternalHandlers() {
       payload.PutString(name);
       payload.Put<uint64_t>(epoch);
     }
-    ReplyOkPayload(self, inc.token, payload);
+    return payload.bytes();
   };
 
   // ----------------------------------------- liveness (keepalive / lease)
-  internal_handlers_[kFnKeepalive] = [](LiteInstance* self, const RpcIncoming& inc) {
+  internal_handlers_[kFnKeepalive] = [](LiteInstance* self, const RpcIncoming& inc) -> Reply {
     WireReader r(inc.data.data(), inc.data.size());
     NodeId sender = kInvalidNode;
     if (!r.Get(&sender)) {
-      ReplyStatus(self, inc.token, lt::StatusCode::kInvalidArgument);
-      return;
+      return lt::StatusCode::kInvalidArgument;
     }
     const auto& p = self->params();
     const uint64_t lease_ns = p.lite_lease_timeout_ns > 0
@@ -593,28 +509,26 @@ void LiteInstance::RegisterInternalHandlers() {
     for (NodeId node : dead) {
       payload.Put<NodeId>(node);
     }
-    ReplyOkPayload(self, inc.token, payload);
+    return payload.bytes();
   };
 
   // -------------------------------------------------------- echo (tests)
-  internal_handlers_[kFnEcho] = [](LiteInstance* self, const RpcIncoming& inc) {
+  internal_handlers_[kFnEcho] = [](LiteInstance* self, const RpcIncoming& inc) -> Reply {
     WireWriter payload;
     payload.PutBytes(inc.data.data(), inc.data.size());
-    ReplyOkPayload(self, inc.token, payload);
+    return payload.bytes();
   };
 
-  internal_handlers_[kFnRingSetup] = [](LiteInstance* self, const RpcIncoming& inc) {
+  internal_handlers_[kFnRingSetup] = [](LiteInstance* self, const RpcIncoming& inc) -> Reply {
     WireReader r(inc.data.data(), inc.data.size());
     RpcFuncId ring_id = 0;
     PhysAddr mirror = 0;
     if (!r.Get(&ring_id) || !r.Get(&mirror)) {
-      ReplyStatus(self, inc.token, lt::StatusCode::kInvalidArgument);
-      return;
+      return lt::StatusCode::kInvalidArgument;
     }
     ServerRing* ring = self->SetupServerRing(inc.token.client_node, ring_id, mirror);
     if (ring == nullptr) {
-      ReplyStatus(self, inc.token, lt::StatusCode::kResourceExhausted);
-      return;
+      return lt::StatusCode::kResourceExhausted;
     }
     // The ring keeps the mirror of the first setup it handled; a client
     // thread that raced another to the first bind adopts that one. (The
@@ -622,7 +536,7 @@ void LiteInstance::RegisterInternalHandlers() {
     WireWriter payload;
     payload.Put<LmrChunk>(ring->ring);
     payload.Put<PhysAddr>(ring->client_head_mirror);
-    ReplyOkPayload(self, inc.token, payload);
+    return payload.bytes();
   };
 
   // Live-migration control plane (migration.cc).

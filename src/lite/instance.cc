@@ -146,20 +146,24 @@ void LiteInstance::CreateQueuePairs() {
   });
 }
 
-void LiteInstance::BootstrapControlChannel(LiteInstance* server) {
+Status LiteInstance::BootstrapControlChannel(LiteInstance* server) {
   // Idempotent: two first callers (GetChannel on a control-ring miss) may
   // race. Check before paying for a mirror word, adopt the mirror the server
   // ring recorded, and keep the winner on an emplace race.
   {
     std::lock_guard<std::mutex> lock(channels_mu_);
     if (channels_.count({server->node_id(), kControlRingId}) > 0) {
-      return;
+      return Status::Ok();
     }
   }
   auto mirror = AllocMirror();
-  assert(mirror.ok());
+  if (!mirror.ok()) {
+    return mirror.status();
+  }
   ServerRing* ring = server->SetupServerRing(node_id(), kControlRingId, *mirror);
-  assert(ring != nullptr);
+  if (ring == nullptr) {
+    return Status::ResourceExhausted("server cannot allocate a control ring");
+  }
 
   auto channel = std::make_unique<RpcChannel>();
   channel->server = server->node_id();
@@ -169,12 +173,12 @@ void LiteInstance::BootstrapControlChannel(LiteInstance* server) {
   channel->head_mirror = ring->client_head_mirror;
   std::lock_guard<std::mutex> lock(channels_mu_);
   channels_.emplace(std::make_pair(server->node_id(), kControlRingId), std::move(channel));
+  return Status::Ok();
 }
 
 void LiteInstance::Start() {
   stopping_.store(false);
   threads_.emplace_back([this] { PollLoop(); });
-  threads_.emplace_back([this] { HeadWriterLoop(); });
   threads_.emplace_back([this] { InternalWorkerLoop(); });
   threads_.emplace_back([this] { InternalWorkerLoop(); });
   if (params().lite_keepalive_interval_ns > 0 && node_id() != manager_node_) {
@@ -195,11 +199,9 @@ void LiteInstance::Stop() {
     recv_cq_->Shutdown();
   }
   internal_queue_.Close();
-  head_updates_.Close();
-  msg_queue_.Close();
   {
     std::lock_guard<std::mutex> lock(funcs_mu_);
-    for (auto& [func, queue] : app_queues_) {
+    for (auto& [func, queue] : func_queues_) {
       queue->Close();
     }
   }
@@ -293,6 +295,39 @@ void LiteInstance::FreeLocalChunks(const std::vector<LmrChunk>& chunks) {
   for (const LmrChunk& c : chunks) {
     if (c.node == node_id()) {
       (void)node_->mem().Free(c.addr);
+    }
+  }
+}
+
+StatusOr<std::vector<LmrChunk>> LiteInstance::AllocChunksOn(NodeId node, uint64_t size,
+                                                            Priority pri) {
+  if (node == node_id()) {
+    return AllocLocalChunks(size);
+  }
+  WireWriter w;
+  w.Put<uint64_t>(size);
+  std::vector<uint8_t> out;
+  LT_RETURN_IF_ERROR(InternalRpc(node, kFnAllocChunks, w.bytes(), &out, {}, pri));
+  WireReader r(out.data(), out.size());
+  std::vector<LmrChunk> chunks;
+  if (!r.GetChunks(&chunks)) {
+    return Status::Internal("malformed alloc-chunks reply");
+  }
+  return chunks;
+}
+
+void LiteInstance::FreeChunks(const std::vector<LmrChunk>& chunks) {
+  std::map<NodeId, std::vector<LmrChunk>> by_node;
+  for (const LmrChunk& c : chunks) {
+    by_node[c.node].push_back(c);
+  }
+  for (const auto& [node, group] : by_node) {
+    if (node == node_id()) {
+      FreeLocalChunks(group);
+    } else {
+      WireWriter w;
+      w.PutChunks(group);
+      (void)InternalRpc(node, kFnFreeChunks, w.bytes(), nullptr);
     }
   }
 }

@@ -5,11 +5,10 @@
 // and OpEngine (the single op-submission engine all three data paths post
 // through), plus the parts it still owns directly: the global physical MR
 // (one MPT entry, zero MTT pressure — Sec. 4.1), the shared receive-CQ
-// polling thread (Sec. 5.1), the RPC stack (server rings, reply slots,
-// head-writer thread — see rpc_state.h), the lock/barrier services, and the
-// QoS manager. Kernel-level applications call LiteInstance directly;
-// user-level ones go through LiteClient, which adds the user/kernel
-// crossing costs (Sec. 5.2).
+// polling thread (Sec. 5.1), the RPC stack (server rings and reply slots —
+// see rpc_state.h), the lock/barrier services, and the QoS manager.
+// Kernel-level applications call LiteInstance directly; user-level ones go
+// through LiteClient, which adds the user/kernel crossing costs (Sec. 5.2).
 #ifndef SRC_LITE_INSTANCE_H_
 #define SRC_LITE_INSTANCE_H_
 
@@ -100,7 +99,8 @@ class LiteInstance {
   // DC-only: this node's target QPN (remote initiators attach to it).
   uint32_t DctQpn() const { return transport_->TargetQpn(); }
   // Control-ring setup to `server` (bootstrap; no simulated cost).
-  void BootstrapControlChannel(LiteInstance* server);
+  // ResourceExhausted when no mirror word or server ring can be allocated.
+  Status BootstrapControlChannel(LiteInstance* server);
   void Start();  // Launches service threads.
   void Stop();
 
@@ -229,6 +229,9 @@ class LiteInstance {
   // per-channel sequence numbers and the server dedups + replays cached
   // replies, so a handler never double-executes.
   //
+  // Application function ids are 0..kMaxAppFuncId; the calls below reject
+  // any other id with InvalidArgument (LITE's own functions live above).
+  //
   // LT_regRPC: registers an RPC function id served on this node.
   Status RegisterRpc(RpcFuncId func);
   // LT_RPC: calls (server_node, func); blocks for the reply.
@@ -239,9 +242,6 @@ class LiteInstance {
   StatusOr<MemopHandle> RpcAsync(NodeId server_node, RpcFuncId func, const void* in,
                                  uint32_t in_len, void* out, uint32_t out_max, uint32_t* out_len,
                                  Priority pri = Priority::kHigh);
-  // Fire-and-forget call (no reply slot, no wait).
-  Status RpcSendNoReply(NodeId server_node, RpcFuncId func, const void* in, uint32_t in_len,
-                        Priority pri = Priority::kHigh);
   // LT_multicastRPC (extension, paper Sec. 8.4): same call to many servers.
   Status MulticastRpc(const std::vector<NodeId>& servers, RpcFuncId func, const void* in,
                       uint32_t in_len, std::vector<std::vector<uint8_t>>* replies);
@@ -312,8 +312,23 @@ class LiteInstance {
   // RPC-stack state structures (RpcChannel, ServerRing, ReplySlot,
   // RpcReqHeader, LockQueue, BarrierState) live in rpc_state.h.
 
-  using InternalHandler =
-      std::function<void(LiteInstance*, const RpcIncoming&)>;
+  // A control handler's outcome, which InternalWorkerLoop sends back as the
+  // [u32 status code | payload] reply. The lock and barrier services park
+  // the caller's token instead (Deferred) and answer it later through
+  // ReplyControl.
+  struct Reply {
+    Reply(lt::StatusCode c = lt::StatusCode::kOk) : code(c) {}  // NOLINT(implicit)
+    Reply(WireWriterBytes p) : payload(std::move(p)) {}          // NOLINT(implicit)
+    static Reply Deferred() {
+      Reply r;
+      r.deferred = true;
+      return r;
+    }
+    lt::StatusCode code = lt::StatusCode::kOk;
+    WireWriterBytes payload;
+    bool deferred = false;
+  };
+  using InternalHandler = std::function<Reply(LiteInstance*, const RpcIncoming&)>;
 
   // ---------------- internals ----------------
   lt::Rnic& rnic() const { return node_->rnic(); }
@@ -356,6 +371,12 @@ class LiteInstance {
   // Chunk allocation (local service for kFnAllocChunks and local mallocs).
   StatusOr<std::vector<LmrChunk>> AllocLocalChunks(uint64_t size);
   void FreeLocalChunks(const std::vector<LmrChunk>& chunks);
+  // `size` bytes of chunks on `node`: local, or one kFnAllocChunks call.
+  StatusOr<std::vector<LmrChunk>> AllocChunksOn(NodeId node, uint64_t size,
+                                                Priority pri = Priority::kHigh);
+  // Frees chunks wherever they live: local ones here, remote ones with one
+  // kFnFreeChunks call per node (best effort).
+  void FreeChunks(const std::vector<LmrChunk>& chunks);
 
   // RPC plumbing. Channels/rings are keyed by ring id: app functions get
   // their own ring; internal functions share one control ring per client.
@@ -377,12 +398,6 @@ class LiteInstance {
 
   // The full client call (dead check, send, reply wait, retry loop);
   // Rpc()/InternalRpc()/keepalives all funnel through here.
-  struct RpcCallOpts {
-    uint64_t timeout_ns = kDefaultTimeout;  // Per attempt.
-    uint32_t max_retries = kUseParamRetries;
-    bool fail_fast_dead = true;
-  };
-  static constexpr uint32_t kUseParamRetries = ~0u;
   Status RpcCall(NodeId server_node, RpcFuncId func, const void* in, uint32_t in_len, void* out,
                  uint32_t out_max, uint32_t* out_len, Priority pri, const RpcCallOpts& opts);
 
@@ -392,11 +407,22 @@ class LiteInstance {
   void RecordReplay(const ReplyToken& token, const void* data, uint32_t len);
   void ReplayReply(ServerRing* ring, const RpcReqHeader& hdr);
 
-  // Single-attempt RPC split retired through the async handle machinery.
+  // The one reply wait, for every RpcCall attempt and for async RPC
+  // retirement: waits up to `timeout_ns` (real time) for the reply in
+  // `slot`. A reply is synced to (its wait split against the request's
+  // transport `post_lat`), copied out, and its slot freed; it returns Ok, or
+  // OutOfRange when truncated. No reply returns Timeout and, with `settle`,
+  // leaves the slot a zombie for a late reply or the quarantine sweep.
+  Status AwaitReply(uint32_t slot, uint64_t timeout_ns, bool settle,
+                    const lt::telemetry::WqeLatBreakdown& post_lat, void* out, uint32_t out_max,
+                    uint32_t* out_len);
+  // Single-attempt send of an async RPC (retired through AwaitReply).
   StatusOr<uint32_t> RpcSend(NodeId server_node, RpcFuncId func, const void* in, uint32_t in_len,
                              uint32_t out_max, Priority pri = Priority::kHigh);
-  Status RpcWait(uint32_t slot, void* out, uint32_t out_max, uint32_t* out_len,
-                 uint64_t timeout_ns = kDefaultTimeout);
+  // Fire-and-forget call (no reply slot, no wait): LT_send and LITE's own
+  // notifications.
+  Status RpcSendNoReply(NodeId server_node, RpcFuncId func, const void* in, uint32_t in_len,
+                        Priority pri = Priority::kHigh);
 
   // Shared body of ReadAsync/WriteAsync: lh/permission prologue, then hands
   // the sliced pieces to the engine.
@@ -408,22 +434,32 @@ class LiteInstance {
   // the engine under its reserved handle.
   void ExecuteDeferredAsync(RingDeferredOp& op, RingDrainCache* cache);
 
-  BlockingQueue<RpcIncoming>* EnsureAppQueue(RpcFuncId func);
+  static Status CheckAppFunc(RpcFuncId func);
+  // The receive queue of an application function or of kMsgFuncId.
+  BlockingQueue<RpcIncoming>* FuncQueue(RpcFuncId func);
+  // The pop RecvRpc and RecvMsg share: waits for the next arrival, then
+  // serves it on this thread's timeline (`service_ns` of serial capacity).
+  StatusOr<RpcIncoming> PopIncoming(RpcFuncId func, uint64_t timeout_ns, uint64_t service_ns);
   void PollLoop();
-  void HeadWriterLoop();
   void InternalWorkerLoop();
   void KeepaliveLoop();
-  void HandleRequestImm(NodeId src, uint32_t imm, uint64_t vtime);
+  // Serves one request IMM: hands a fresh request to its queue (a duplicate
+  // replays its cached reply) and publishes the freed ring space. Returns
+  // the CPU of that head publish, which lite.poll.cpu_ns leaves out.
+  uint64_t HandleRequestImm(NodeId src, uint32_t imm);
   void HandleReplyImm(uint32_t imm, uint32_t byte_len, uint64_t vtime);
 
   // Internal control-function implementations.
   void RegisterInternalHandlers();
+  // A blocking control call: RpcCall, then decodes the [u32 code | payload]
+  // reply into a Status and, on success, `out`.
   Status InternalRpc(NodeId server, RpcFuncId func, const WireWriterBytes& in,
-                     std::vector<uint8_t>* out, uint64_t timeout_ns = kDefaultTimeout,
+                     std::vector<uint8_t>* out, const RpcCallOpts& opts = {},
                      Priority pri = Priority::kHigh);
-  Status InternalRpcOpts(NodeId server, RpcFuncId func, const WireWriterBytes& in,
-                         std::vector<uint8_t>* out, const RpcCallOpts& opts,
-                         Priority pri = Priority::kHigh);
+  // Sends a control reply later than the handler's return (lock grants,
+  // barrier releases).
+  void ReplyControl(const ReplyToken& token, lt::StatusCode code,
+                    const WireWriterBytes& payload = {});
 
   // Name service (lives at manager_node_).
   StatusOr<NodeId> LookupMasterNode(const std::string& name);
@@ -493,20 +529,13 @@ class LiteInstance {
   uint64_t mirror_next_ = 0;
   uint64_t mirror_cap_ = 0;
 
-  // Registered application RPC functions.
+  // Receive queues of application functions and of LT_send messages.
   std::mutex funcs_mu_;
-  std::unordered_map<RpcFuncId, std::unique_ptr<BlockingQueue<RpcIncoming>>> app_queues_;
+  std::unordered_map<RpcFuncId, std::unique_ptr<BlockingQueue<RpcIncoming>>> func_queues_;
 
   // Internal control functions.
   std::unordered_map<RpcFuncId, InternalHandler> internal_handlers_;
   BlockingQueue<std::pair<RpcFuncId, RpcIncoming>> internal_queue_;
-
-  // Messaging.
-  BlockingQueue<MsgIncoming> msg_queue_;
-
-  // Head updates published by the background thread (paper Fig. 9, step f);
-  // items carry the triggering dispatch's virtual time.
-  BlockingQueue<std::pair<ServerRing*, uint64_t>> head_updates_;
 
   // Lock + barrier services.
   std::mutex locks_mu_;

@@ -38,11 +38,11 @@ LiteCluster::LiteCluster(size_t node_count, const lt::SimParams& params)
       }
     }
   }
-  // Control rings: only the self-loopback ring is wired here (internal
-  // services assume it); a channel to a peer is built on its first RPC, so
-  // bring-up stays O(n) rather than all-pairs.
+  // Control rings: only the self-loopback ring is wired here; a channel to
+  // a peer is built on its first RPC, so bring-up stays O(n) rather than
+  // all-pairs. A loopback ring that does not fit is retried on first use.
   for (auto& inst : instances_) {
-    inst->BootstrapControlChannel(inst.get());
+    (void)inst->BootstrapControlChannel(inst.get());
   }
   for (auto& inst : instances_) {
     inst->Start();

@@ -57,56 +57,16 @@ StatusOr<Lh> LiteInstance::Malloc(uint64_t size, const std::string& name,
   std::vector<LmrChunk> chunks;
   uint64_t remaining = size;
   size_t piece = 0;
-  Status failure = Status::Ok();
   while (remaining > 0) {
     uint64_t want = std::min<uint64_t>(remaining, params().lite_max_chunk_bytes);
-    NodeId target = nodes[piece % nodes.size()];
-    if (target == node_id()) {
-      auto local = AllocLocalChunks(want);
-      if (!local.ok()) {
-        failure = local.status();
-        break;
-      }
-      for (const LmrChunk& c : *local) {
-        chunks.push_back(c);
-      }
-    } else {
-      WireWriter w;
-      w.Put<uint64_t>(want);
-      std::vector<uint8_t> out;
-      Status st = InternalRpc(target, kFnAllocChunks, w.bytes(), &out);
-      if (!st.ok()) {
-        failure = st;
-        break;
-      }
-      WireReader r(out.data(), out.size());
-      std::vector<LmrChunk> got;
-      if (!r.GetChunks(&got)) {
-        failure = Status::Internal("malformed alloc-chunks reply");
-        break;
-      }
-      for (const LmrChunk& c : got) {
-        chunks.push_back(c);
-      }
+    auto got = AllocChunksOn(nodes[piece % nodes.size()], want);
+    if (!got.ok()) {
+      FreeChunks(chunks);
+      return got.status();
     }
+    chunks.insert(chunks.end(), got->begin(), got->end());
     remaining -= want;
     ++piece;
-  }
-
-  auto rollback = [&] {
-    for (const LmrChunk& c : chunks) {
-      if (c.node == node_id()) {
-        FreeLocalChunks({c});
-      } else {
-        WireWriter w;
-        w.PutChunks({c});
-        (void)InternalRpc(c.node, kFnFreeChunks, w.bytes(), nullptr);
-      }
-    }
-  };
-  if (!failure.ok()) {
-    rollback();
-    return failure;
   }
 
   // Register the name with the cluster manager.
@@ -116,7 +76,7 @@ StatusOr<Lh> LiteInstance::Malloc(uint64_t size, const std::string& name,
     w.Put<NodeId>(node_id());
     Status st = InternalRpc(manager_node_, kFnRegisterName, w.bytes(), nullptr);
     if (!st.ok()) {
-      rollback();
+      FreeChunks(chunks);
       return st;
     }
   }
@@ -383,7 +343,7 @@ Status LiteInstance::Memset(Lh lh, uint64_t offset, uint8_t value, uint64_t len,
         w.Put<PhysAddr>(p.addr);
         w.Put<uint64_t>(p.len);
       }
-      LT_RETURN_IF_ERROR(InternalRpc(target, kFnMemOp, w.bytes(), nullptr, kDefaultTimeout, pri));
+      LT_RETURN_IF_ERROR(InternalRpc(target, kFnMemOp, w.bytes(), nullptr, {}, pri));
     }
     return Status::Ok();
   });
@@ -469,7 +429,7 @@ Status LiteInstance::Memcpy(Lh dst, uint64_t dst_off, Lh src, uint64_t src_off, 
         w.Put<PhysAddr>(seg.dst_addr);
         w.Put<uint64_t>(seg.len);
       }
-      LT_RETURN_IF_ERROR(InternalRpc(target, kFnMemOp, w.bytes(), nullptr, kDefaultTimeout, pri));
+      LT_RETURN_IF_ERROR(InternalRpc(target, kFnMemOp, w.bytes(), nullptr, {}, pri));
     }
     return Status::Ok();
   });
@@ -507,7 +467,7 @@ Status LiteInstance::MoveLmr(const std::string& name, NodeId new_node, Priority 
   w.Put<NodeId>(node_id());
   w.Put<uint8_t>(static_cast<uint8_t>(pri));
   return InternalRpc(*master, kFnMasterMove, w.bytes(), nullptr,
-                     /*timeout_ns=*/30'000'000'000ull, pri);
+                     {.timeout_ns = 30'000'000'000ull}, pri);
 }
 
 Status LiteInstance::GrantMaster(const std::string& name, NodeId new_master) {
@@ -606,7 +566,7 @@ Status LiteInstance::Lock(const LockId& lock) {
   WireWriter w;
   w.Put<PhysAddr>(lock.addr);
   return InternalRpc(lock.owner, kFnLockWait, w.bytes(), nullptr,
-                     /*timeout_ns=*/60'000'000'000ull);
+                     {.timeout_ns = 60'000'000'000ull});
 }
 
 Status LiteInstance::Unlock(const LockId& lock) {
@@ -637,7 +597,7 @@ Status LiteInstance::Barrier(const std::string& name, uint32_t expected) {
   w.PutString(name);
   w.Put<uint32_t>(expected);
   return InternalRpc(manager_node_, kFnBarrier, w.bytes(), nullptr,
-                     /*timeout_ns=*/120'000'000'000ull);
+                     {.timeout_ns = 120'000'000'000ull});
 }
 
 }  // namespace lite

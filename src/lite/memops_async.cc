@@ -85,6 +85,7 @@ void LiteInstance::ExecuteDeferredAsync(RingDeferredOp& op, RingDrainCache* cach
 StatusOr<MemopHandle> LiteInstance::RpcAsync(NodeId server_node, RpcFuncId func, const void* in,
                                              uint32_t in_len, void* out, uint32_t out_max,
                                              uint32_t* out_len, Priority pri) {
+  LT_RETURN_IF_ERROR(CheckAppFunc(func));
   lt::telemetry::ScopedOpAttr attr(&node_->telemetry().latency(), "arpc", in_len,
                                    static_cast<int>(pri));
   auto slot = RpcSend(server_node, func, in, in_len, out_max, pri);

@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 
 #include "src/common/logging.h"
 #include "src/common/timing.h"
@@ -449,9 +448,7 @@ void LiteInstance::AbortMigration(const std::shared_ptr<MigrationRecord>& rec,
   if (!PeerDead(dst)) {
     WireWriter w;
     w.PutString(name);
-    RpcCallOpts opts;
-    opts.max_retries = 0;
-    (void)InternalRpcOpts(dst, kFnMigrateAbort, w.bytes(), nullptr, opts);
+    (void)InternalRpc(dst, kFnMigrateAbort, w.bytes(), nullptr, {.max_retries = 0});
   }
   // Best-effort re-pin at the manager under the fenced epoch.
   if (fenced_epoch != 0) {
@@ -462,9 +459,7 @@ void LiteInstance::AbortMigration(const std::shared_ptr<MigrationRecord>& rec,
       w.PutString(name);
       w.Put<NodeId>(node_id());
       w.Put<uint64_t>(fenced_epoch);
-      RpcCallOpts opts;
-      opts.max_retries = 0;
-      (void)InternalRpcOpts(manager_node_, kFnUpdateName, w.bytes(), nullptr, opts);
+      (void)InternalRpc(manager_node_, kFnUpdateName, w.bytes(), nullptr, {.max_retries = 0});
     }
   }
 }
@@ -674,9 +669,7 @@ Status LiteInstance::MigrateHosted(const std::string& name, NodeId dst, NodeId r
     w.PutString(name);
     w.Put<NodeId>(dst);
     w.Put<uint64_t>(new_epoch);
-    RpcCallOpts opts;
-    opts.max_retries = 0;
-    (void)InternalRpcOpts(manager_node_, kFnUpdateName, w.bytes(), nullptr, opts);
+    (void)InternalRpc(manager_node_, kFnUpdateName, w.bytes(), nullptr, {.max_retries = 0});
   }
   {
     WireWriter w;
@@ -717,7 +710,7 @@ Status LiteInstance::Migrate(const std::string& name, NodeId new_home, MigrateSt
   w.Put<NodeId>(node_id());
   // Generous timeout: the coordinator mirrors the whole LMR inside the call.
   return InternalRpc(*home, kFnMigrateLmr, w.bytes(), nullptr,
-                     /*timeout_ns=*/120'000'000'000ull);
+                     {.timeout_ns = 120'000'000'000ull});
 }
 
 Status LiteInstance::DrainNode(NodeId victim, uint64_t* moved) {
@@ -779,7 +772,7 @@ Status LiteInstance::DrainNode(NodeId victim, uint64_t* moved) {
       w.Put<NodeId>(dst);
       w.Put<NodeId>(node_id());
       st = InternalRpc(victim, kFnMigrateLmr, w.bytes(), nullptr,
-                       /*timeout_ns=*/120'000'000'000ull);
+                       {.timeout_ns = 120'000'000'000ull});
     }
     if (st.ok()) {
       if (migration_.drained_lmrs_ != nullptr) {
@@ -883,28 +876,10 @@ Status LiteInstance::RedoMemopAfterStale(Lh lh, uint64_t offset, void* buf, uint
 
 // ======================================================= control handlers
 
-namespace {
-
-void ReplyStatus(LiteInstance* self, const ReplyToken& token, lt::StatusCode code) {
-  uint32_t wire_code = static_cast<uint32_t>(code);
-  (void)self->ReplyRpc(token, &wire_code, sizeof(wire_code));
-}
-
-void ReplyOkPayload(LiteInstance* self, const ReplyToken& token, const WireWriter& payload) {
-  const auto& bytes = payload.bytes();
-  std::vector<uint8_t> out(sizeof(uint32_t) + bytes.size());
-  uint32_t code = static_cast<uint32_t>(lt::StatusCode::kOk);
-  std::memcpy(out.data(), &code, sizeof(code));
-  std::memcpy(out.data() + sizeof(code), bytes.data(), bytes.size());
-  (void)self->ReplyRpc(token, out.data(), static_cast<uint32_t>(out.size()));
-}
-
-}  // namespace
-
 void LiteInstance::RegisterMigrationHandlers() {
   // Destination: allocate + stage the new placement. Transparent RPC retries
   // are deduped by the server ring, so this executes at most once per call.
-  internal_handlers_[kFnMigrateInstall] = [](LiteInstance* self, const RpcIncoming& inc) {
+  internal_handlers_[kFnMigrateInstall] = [](LiteInstance* self, const RpcIncoming& inc) -> Reply {
     WireReader r(inc.data.data(), inc.data.size());
     std::string name;
     NodeId src = kInvalidNode;
@@ -912,20 +887,17 @@ void LiteInstance::RegisterMigrationHandlers() {
     uint64_t new_epoch = 0;
     if (!r.GetString(&name) || !r.Get(&src) || !r.Get(&size) || !r.Get(&new_epoch) ||
         size == 0) {
-      ReplyStatus(self, inc.token, lt::StatusCode::kInvalidArgument);
-      return;
+      return lt::StatusCode::kInvalidArgument;
     }
     const bool hosted =
         self->lmrs_.WithMeta(name, [](LmrMeta&) { return lt::StatusCode::kOk; }) ==
         lt::StatusCode::kOk;
     if (hosted) {
-      ReplyStatus(self, inc.token, lt::StatusCode::kAlreadyExists);
-      return;
+      return lt::StatusCode::kAlreadyExists;
     }
     auto chunks = self->AllocLocalChunks(size);
     if (!chunks.ok()) {
-      ReplyStatus(self, inc.token, chunks.status().code());
-      return;
+      return chunks.status().code();
     }
     StagedInstall staged;
     staged.src = src;
@@ -934,17 +906,16 @@ void LiteInstance::RegisterMigrationHandlers() {
     staged.chunks = *chunks;
     if (!self->migration_.Stage(name, std::move(staged))) {
       self->FreeLocalChunks(*chunks);
-      ReplyStatus(self, inc.token, lt::StatusCode::kAlreadyExists);
-      return;
+      return lt::StatusCode::kAlreadyExists;
     }
     WireWriter payload;
     payload.PutChunks(*chunks);
-    ReplyOkPayload(self, inc.token, payload);
+    return payload.bytes();
   };
 
   // Destination: the commit point. Promotes the staged chunks to a hosted
   // LMR at the new epoch.
-  internal_handlers_[kFnMigrateActivate] = [](LiteInstance* self, const RpcIncoming& inc) {
+  internal_handlers_[kFnMigrateActivate] = [](LiteInstance* self, const RpcIncoming& inc) -> Reply {
     WireReader r(inc.data.data(), inc.data.size());
     std::string name;
     uint64_t new_epoch = 0;
@@ -952,16 +923,14 @@ void LiteInstance::RegisterMigrationHandlers() {
     uint32_t perm_count = 0;
     if (!r.GetString(&name) || !r.Get(&new_epoch) || !r.Get(&default_perm) ||
         !r.Get(&perm_count)) {
-      ReplyStatus(self, inc.token, lt::StatusCode::kInvalidArgument);
-      return;
+      return lt::StatusCode::kInvalidArgument;
     }
     std::map<NodeId, uint32_t> node_perm;
     for (uint32_t i = 0; i < perm_count; ++i) {
       NodeId node = kInvalidNode;
       uint32_t perm = 0;
       if (!r.Get(&node) || !r.Get(&perm)) {
-        ReplyStatus(self, inc.token, lt::StatusCode::kInvalidArgument);
-        return;
+        return lt::StatusCode::kInvalidArgument;
       }
       node_perm[node] = perm;
     }
@@ -982,13 +951,11 @@ void LiteInstance::RegisterMigrationHandlers() {
     std::set<NodeId> masters;
     std::set<NodeId> mapped;
     if (!read_nodes(&masters) || !read_nodes(&mapped)) {
-      ReplyStatus(self, inc.token, lt::StatusCode::kInvalidArgument);
-      return;
+      return lt::StatusCode::kInvalidArgument;
     }
     auto staged = self->migration_.TakeStaged(name);
     if (!staged.ok()) {
-      ReplyStatus(self, inc.token, lt::StatusCode::kNotFound);
-      return;
+      return lt::StatusCode::kNotFound;
     }
     LmrMeta meta;
     meta.name = name;
@@ -1008,13 +975,13 @@ void LiteInstance::RegisterMigrationHandlers() {
     // is obsolete now that we are home again — retire it so a later
     // migration from here can begin.
     self->migration_.Supersede(name, new_epoch);
-    ReplyStatus(self, inc.token, lt::StatusCode::kOk);
+    return lt::StatusCode::kOk;
   };
 
   // Destination: clean abort — drop the staged allocation. If activation
   // already happened this is a stale abort from a split outcome; the meta
   // stays and epoch arbitration at the source decides (DESIGN.md).
-  internal_handlers_[kFnMigrateAbort] = [](LiteInstance* self, const RpcIncoming& inc) {
+  internal_handlers_[kFnMigrateAbort] = [](LiteInstance* self, const RpcIncoming& inc) -> Reply {
     WireReader r(inc.data.data(), inc.data.size());
     std::string name;
     if (r.GetString(&name)) {
@@ -1023,57 +990,55 @@ void LiteInstance::RegisterMigrationHandlers() {
         self->FreeLocalChunks(staged->chunks);
       }
     }
-    ReplyStatus(self, inc.token, lt::StatusCode::kOk);
+    return lt::StatusCode::kOk;
   };
 
   // Manager: epoch-guarded name-service repoint.
-  internal_handlers_[kFnUpdateName] = [](LiteInstance* self, const RpcIncoming& inc) {
+  internal_handlers_[kFnUpdateName] = [](LiteInstance* self, const RpcIncoming& inc) -> Reply {
     WireReader r(inc.data.data(), inc.data.size());
     std::string name;
     NodeId new_home = kInvalidNode;
     uint64_t epoch = 0;
     if (!r.GetString(&name) || !r.Get(&new_home) || !r.Get(&epoch)) {
-      ReplyStatus(self, inc.token, lt::StatusCode::kInvalidArgument);
-      return;
+      return lt::StatusCode::kInvalidArgument;
     }
     self->lmrs_.UpdateName(name, new_home, epoch);
-    ReplyStatus(self, inc.token, lt::StatusCode::kOk);
+    return lt::StatusCode::kOk;
   };
 
   // Home: coordinator entry point (LT_migrate routed from another node).
-  internal_handlers_[kFnMigrateLmr] = [](LiteInstance* self, const RpcIncoming& inc) {
+  internal_handlers_[kFnMigrateLmr] = [](LiteInstance* self, const RpcIncoming& inc) -> Reply {
     WireReader r(inc.data.data(), inc.data.size());
     std::string name;
     NodeId dst = kInvalidNode;
     NodeId requester = kInvalidNode;
     if (!r.GetString(&name) || !r.Get(&dst) || !r.Get(&requester)) {
-      ReplyStatus(self, inc.token, lt::StatusCode::kInvalidArgument);
-      return;
+      return lt::StatusCode::kInvalidArgument;
     }
-    Status st = self->MigrateHosted(name, dst, requester, nullptr);
-    ReplyStatus(self, inc.token, st.code());
+    return self->MigrateHosted(name, dst, requester, nullptr).code();
   };
 
   // Mapped nodes: post-commit rehome fan-out (fire-and-forget).
-  internal_handlers_[kFnLmrRehome] = [](LiteInstance* self, const RpcIncoming& inc) {
+  internal_handlers_[kFnLmrRehome] = [](LiteInstance* self, const RpcIncoming& inc) -> Reply {
     WireReader r(inc.data.data(), inc.data.size());
     std::string name;
     NodeId new_home = kInvalidNode;
     uint64_t epoch = 0;
     std::vector<LmrChunk> chunks;
-    if (r.GetString(&name) && r.Get(&new_home) && r.Get(&epoch) && r.GetChunks(&chunks)) {
-      self->lmrs_.UpdateHomeByName(name, new_home, chunks, epoch);
+    if (!r.GetString(&name) || !r.Get(&new_home) || !r.Get(&epoch) || !r.GetChunks(&chunks)) {
+      return lt::StatusCode::kInvalidArgument;
     }
+    self->lmrs_.UpdateHomeByName(name, new_home, chunks, epoch);
+    return lt::StatusCode::kOk;
   };
 
   // Old home (or any node): where does `name` live now? Serves the
   // migration tombstone, or the live local metadata when this node is home.
-  internal_handlers_[kFnStaleHome] = [](LiteInstance* self, const RpcIncoming& inc) {
+  internal_handlers_[kFnStaleHome] = [](LiteInstance* self, const RpcIncoming& inc) -> Reply {
     WireReader r(inc.data.data(), inc.data.size());
     std::string name;
     if (!r.GetString(&name)) {
-      ReplyStatus(self, inc.token, lt::StatusCode::kInvalidArgument);
-      return;
+      return lt::StatusCode::kInvalidArgument;
     }
     // Live local metadata wins over any tombstone: if the LMR migrated back
     // here, this node IS home and the old tombstone must not redirect
@@ -1090,8 +1055,7 @@ void LiteInstance::RegisterMigrationHandlers() {
     if (!have) {
       auto tomb = self->migration_.LookupTombstone(name);
       if (!tomb.ok()) {
-        ReplyStatus(self, inc.token, lt::StatusCode::kNotFound);
-        return;
+        return lt::StatusCode::kNotFound;
       }
       redir = *tomb;
     }
@@ -1099,7 +1063,7 @@ void LiteInstance::RegisterMigrationHandlers() {
     payload.Put<NodeId>(redir.new_home);
     payload.Put<uint64_t>(redir.epoch);
     payload.PutChunks(redir.chunks);
-    ReplyOkPayload(self, inc.token, payload);
+    return payload.bytes();
   };
 }
 

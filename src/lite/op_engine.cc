@@ -765,11 +765,15 @@ void OpEngine::RetireMemopLocked(std::unique_lock<std::mutex>& lock, AsyncOp* op
 }
 
 void OpEngine::RetireRpcUnlocked(std::unique_lock<std::mutex>& lock, AsyncOp* op) {
-  // Direct the reply-wait stamps (RpcWait runs on this thread) at the op's
+  // Direct the reply-wait stamps (the wait runs on this thread) at the op's
   // own detached record rather than the retiring thread's current op.
   lt::telemetry::AttrAdoptScope adopt(&op->attr);
   lock.unlock();
-  Status s = inst_->RpcWait(op->rpc_slot, op->rpc_out, op->rpc_out_max, op->rpc_out_len);
+  // The request was posted at issue time, possibly on another thread, so no
+  // transport breakdown is at hand: the whole wait books as remote service.
+  Status s = inst_->AwaitReply(op->rpc_slot, EffectiveTimeoutNs(kDefaultTimeout), /*settle=*/true,
+                               lt::telemetry::WqeLatBreakdown{}, op->rpc_out, op->rpc_out_max,
+                               op->rpc_out_len);
   lock.lock();
   op->result = s;
   op->ready_at_ns = NowNs();
@@ -825,7 +829,8 @@ StatusOr<bool> OpEngine::Poll(MemopHandle h) {
   if (op->state == AsyncOpState::kInFlight) {
     if (op->is_rpc) {
       // Don't block: in flight until the poll thread delivers the reply.
-      if (inst_->reply_slots_[op->rpc_slot]->state.load(std::memory_order_acquire) < 2) {
+      if (inst_->reply_slots_[op->rpc_slot]->state.load(std::memory_order_acquire) !=
+          SlotState::kReady) {
         return false;
       }
       op->state = AsyncOpState::kRetiring;

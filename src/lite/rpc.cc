@@ -4,11 +4,12 @@
 // at the server, writes [header | input] there with one RDMA write-imm whose
 // 32-bit immediate encodes (function id, ring offset), and waits on a reply
 // slot. The server's single shared polling thread decodes the IMM, moves the
-// payload out of the ring, hands it to the registered function's queue, and
-// a background thread pushes the advanced ring head back to the client's
-// head mirror with a one-sided write (paper Fig. 9). The reply is a second
+// payload out of the ring, hands it to the function's queue, and then pushes
+// the advanced ring head back to the client's head mirror with a one-sided
+// write on the background timeline (paper Fig. 9). The reply is a second
 // write-imm into the client's reply slot. Request writes are unsignaled:
-// failures surface as reply timeouts (paper Sec. 5.1).
+// failures surface as reply timeouts (paper Sec. 5.1). LT_send messages and
+// LITE's own control functions travel the same path.
 #include <algorithm>
 #include <cstring>
 #include <set>
@@ -70,15 +71,18 @@ ServerRing* LiteInstance::SetupServerRing(NodeId client, RpcFuncId ring_id,
   if (it != rings_.end()) {
     return it->second.get();
   }
-  auto chunks = AllocLocalChunks(params().lite_rpc_ring_bytes);
-  if (!chunks.ok() || chunks->size() != 1) {
+  // A ring is one physically-consecutive chunk: the IMM addresses it by a
+  // single offset.
+  const uint64_t ring_bytes = params().lite_rpc_ring_bytes;
+  auto addr = node_->mem().AllocContiguous(ring_bytes);
+  if (!addr.ok()) {
     LT_LOG_ERROR << "node " << node_id() << ": cannot allocate RPC ring";
     return nullptr;
   }
   auto ring = std::make_unique<ServerRing>();
   ring->client = client;
   ring->func = ring_id;
-  ring->ring = (*chunks)[0];
+  ring->ring = LmrChunk{node_id(), *addr, ring_bytes};
   ring->ring_size = ring->ring.size;
   ring->client_head_mirror = client_head_mirror;
   ServerRing* out = ring.get();
@@ -101,13 +105,9 @@ StatusOr<RpcChannel*> LiteInstance::GetChannel(NodeId server, RpcFuncId ring_id)
     if (srv == nullptr) {
       return Status::Internal("control channel missing (unknown peer)");
     }
-    BootstrapControlChannel(srv);
+    LT_RETURN_IF_ERROR(BootstrapControlChannel(srv));
     std::lock_guard<std::mutex> lock(channels_mu_);
-    auto it = channels_.find({server, ring_id});
-    if (it == channels_.end()) {
-      return Status::Internal("control channel missing (bootstrap failed)");
-    }
-    return it->second.get();
+    return channels_.at({server, ring_id}).get();
   }
   // First bind to this (server, function): ask the server to allocate the
   // ring (paper Sec. 5.1, "LITE allocates a new internal LMR at the RPC
@@ -156,10 +156,10 @@ StatusOr<uint32_t> LiteInstance::AcquireReplySlot(uint32_t out_max) {
     const uint64_t now_real = lt::RealNowNs();
     for (uint32_t i = 0; i < reply_slots_.size(); ++i) {
       ReplySlot& z = *reply_slots_[i];
-      if (z.state.load(std::memory_order_acquire) == 4 &&
+      if (z.state.load(std::memory_order_acquire) == SlotState::kZombie &&
           now_real - z.zombie_since_real_ns.load(std::memory_order_relaxed) >
               params().lite_rpc_timeout_ns) {
-        z.state.store(0, std::memory_order_release);
+        z.state.store(SlotState::kFree, std::memory_order_release);
         free_slots_.push_back(i);
         rpc_zombie_reclaimed_->Inc();
       }
@@ -173,14 +173,14 @@ StatusOr<uint32_t> LiteInstance::AcquireReplySlot(uint32_t out_max) {
   // New generation: late replies addressed to the previous tenant of this
   // slot no longer match and are discarded by HandleReplyImm.
   reply_slots_[slot]->gen.fetch_add(1, std::memory_order_relaxed);
-  reply_slots_[slot]->state.store(1, std::memory_order_release);
+  reply_slots_[slot]->state.store(SlotState::kWaiting, std::memory_order_release);
   return slot;
 }
 
 void LiteInstance::ReleaseReplySlot(uint32_t slot) {
   {
     std::lock_guard<std::mutex> lock(slot_mu_);
-    reply_slots_[slot]->state.store(0, std::memory_order_release);
+    reply_slots_[slot]->state.store(SlotState::kFree, std::memory_order_release);
     free_slots_.push_back(slot);
   }
   slot_cv_.notify_one();
@@ -205,8 +205,8 @@ Status LiteInstance::PostRpcRequest(RpcChannel* channel, RpcFuncId func, const v
   const uint64_t real_deadline = lt::RealNowNs() + params().lite_rpc_timeout_ns;
   uint64_t off;
   while (true) {
-    // The head mirror is DMA-written by the server's head-writer thread; the
-    // racy read is the paper's design (stale heads only delay reuse).
+    // The head mirror is DMA-written by the server's poll thread; the racy
+    // read is the paper's design (stale heads only delay reuse).
     uint64_t head = lt::SimDmaRead64(node_->mem().Data(channel->head_mirror, 8));
     off = channel->tail % channel->ring_size;
     uint64_t pad = (off + entry_len > channel->ring_size) ? (channel->ring_size - off) : 0;
@@ -294,38 +294,37 @@ Status LiteInstance::RpcSendNoReply(NodeId server_node, RpcFuncId func, const vo
                         kNoReplySlot, pri, &seq);
 }
 
-Status LiteInstance::RpcWait(uint32_t slot, void* out, uint32_t out_max, uint32_t* out_len,
-                             uint64_t timeout_ns) {
-  timeout_ns = engine_.EffectiveTimeoutNs(timeout_ns);
+Status LiteInstance::AwaitReply(uint32_t slot, uint64_t timeout_ns, bool settle,
+                                const lt::telemetry::WqeLatBreakdown& post_lat, void* out,
+                                uint32_t out_max, uint32_t* out_len) {
   ReplySlot& s = *reply_slots_[slot];
-  uint32_t len;
-  uint64_t ready_vtime;
+  uint32_t len = 0;
+  uint64_t ready_vtime = 0;
   {
     std::unique_lock<std::mutex> lock(s.mu);
-    if (!s.cv.wait_for(lock, std::chrono::nanoseconds(timeout_ns),
-                       [&s] { return s.state.load(std::memory_order_acquire) >= 2; })) {
-      // Timed out: leave the slot as a zombie; a late reply frees it (or the
-      // quarantine sweep reclaims it if the peer died and none ever comes).
-      s.zombie_since_real_ns.store(lt::RealNowNs(), std::memory_order_relaxed);
-      s.state.store(4, std::memory_order_release);
-      lt::IdleFor(timeout_ns);
+    if (!s.cv.wait_for(lock, std::chrono::nanoseconds(timeout_ns), [&s] {
+          return s.state.load(std::memory_order_acquire) == SlotState::kReady;
+        })) {
+      lt::IdleFor(timeout_ns);  // The wait really elapsed.
       AttrAdd(LatStage::kLatDetour, timeout_ns);
+      if (settle) {
+        // A late reply frees the zombie, or the quarantine sweep does if the
+        // peer died and none ever comes.
+        s.zombie_since_real_ns.store(lt::RealNowNs(), std::memory_order_relaxed);
+        s.state.store(SlotState::kZombie, std::memory_order_release);
+      }
       return Status::Timeout("no RPC reply before timeout");
     }
     len = s.reply_len;
     ready_vtime = s.ready_vtime_ns;
   }
   // The LITE library's adaptive wait: busy-check the shared state briefly,
-  // then sleep (paper Sec. 5.2). The wait spans request transport, remote
-  // handler service, and reply transport; with no per-post breakdown at hand
-  // (the post happened at RpcSend time, possibly on another thread) the whole
-  // delta books as remote service.
+  // then sleep (paper Sec. 5.2).
   const uint64_t wait_t0 = NowNs();
   SyncAdaptiveWithWakeup(ready_vtime, params());
-  AttrAddRpcWait(NowNs() - wait_t0, lt::telemetry::WqeLatBreakdown{});
-
+  AttrAddRpcWait(NowNs() - wait_t0, post_lat);
   const uint64_t ret_t0 = NowNs();
-  uint32_t copy_len = std::min(len, out_max);
+  const uint32_t copy_len = std::min(len, out_max);
   if (copy_len > 0 && out != nullptr) {
     LocalCopyOut(out, s.buf_phys, copy_len);
   }
@@ -342,6 +341,7 @@ Status LiteInstance::RpcWait(uint32_t slot, void* out, uint32_t out_max, uint32_
 
 Status LiteInstance::Rpc(NodeId server_node, RpcFuncId func, const void* in, uint32_t in_len,
                          void* out, uint32_t out_max, uint32_t* out_len, Priority pri) {
+  LT_RETURN_IF_ERROR(CheckAppFunc(func));
   lt::telemetry::ScopedOpAttr attr(&node_->telemetry().latency(), "rpc", in_len,
                                    static_cast<int>(pri));
   return RpcCall(server_node, func, in, in_len, out, out_max, out_len, pri, RpcCallOpts{});
@@ -372,6 +372,7 @@ Status LiteInstance::RpcCall(NodeId server_node, RpcFuncId func, const void* in,
                                    : opts.max_retries;
   uint64_t backoff_ns = params().lite_rpc_retry_backoff_ns;
   uint32_t seq = 0;  // Assigned by the first successful post; reused after.
+  lt::telemetry::WqeLatBreakdown post_lat;
   Status last = Status::Timeout("no RPC reply before timeout");
   for (uint32_t attempt = 0; attempt <= max_retries; ++attempt) {
     if (attempt > 0) {
@@ -392,8 +393,8 @@ Status LiteInstance::RpcCall(NodeId server_node, RpcFuncId func, const void* in,
     Status posted = PostRpcRequest(*channel, func, in, in_len, s.buf_phys, s.buf_max, packed,
                                    pri, &seq, opts.fail_fast_dead);
     // The request's transport breakdown (RNIC, port queue, wire) from the
-    // write-imm just posted; the reply wait below is split against it.
-    const lt::telemetry::WqeLatBreakdown post_lat = lt::Rnic::LastPostBreakdown();
+    // write-imm just posted; the reply wait is split against it.
+    post_lat = lt::Rnic::LastPostBreakdown();
     if (!posted.ok()) {
       last = posted;
       const lt::StatusCode c = posted.code();
@@ -403,55 +404,19 @@ Status LiteInstance::RpcCall(NodeId server_node, RpcFuncId func, const void* in,
       }
       break;
     }
-    uint32_t len;
-    uint64_t ready_vtime;
-    {
-      std::unique_lock<std::mutex> lock(s.mu);
-      if (!s.cv.wait_for(lock, std::chrono::nanoseconds(per_try_ns),
-                         [&s] { return s.state.load(std::memory_order_acquire) >= 2; })) {
-        lt::IdleFor(per_try_ns);  // The attempt's wait really elapsed.
-        AttrAdd(LatStage::kLatDetour, per_try_ns);
-        last = Status::Timeout("no RPC reply before timeout");
-        continue;
-      }
-      len = s.reply_len;
-      ready_vtime = s.ready_vtime_ns;
+    last = AwaitReply(*slot, per_try_ns, /*settle=*/false, post_lat, out, out_max, out_len);
+    if (last.code() != lt::StatusCode::kTimeout) {
+      return last;  // Replied: Ok, or OutOfRange when truncated.
     }
-    const uint64_t wait_t0 = NowNs();
-    SyncAdaptiveWithWakeup(ready_vtime, params());
-    AttrAddRpcWait(NowNs() - wait_t0, post_lat);
-    const uint64_t ret_t0 = NowNs();
-    const uint32_t copy_len = std::min(len, out_max);
-    if (copy_len > 0 && out != nullptr) {
-      LocalCopyOut(out, s.buf_phys, copy_len);
-    }
-    AttrAdd(LatStage::kLatRetire, NowNs() - ret_t0);
-    if (out_len != nullptr) {
-      *out_len = len;
-    }
-    ReleaseReplySlot(*slot);
-    if (len > out_max) {
-      return Status::OutOfRange("reply truncated: larger than caller buffer");
-    }
-    return Status::Ok();
   }
-  // Every attempt failed. If nothing was ever posted the slot is clean;
-  // otherwise a late reply may still land — quarantine it as a zombie.
   if (seq == 0) {
-    ReleaseReplySlot(*slot);
+    ReleaseReplySlot(*slot);  // Nothing was ever posted: the slot is clean.
   } else {
-    bool became_ready = false;
-    {
-      std::lock_guard<std::mutex> lock(s.mu);
-      if (s.state.load(std::memory_order_acquire) == 2) {
-        became_ready = true;  // Reply raced in after the final timeout.
-      } else {
-        s.zombie_since_real_ns.store(lt::RealNowNs(), std::memory_order_relaxed);
-        s.state.store(4, std::memory_order_release);
-      }
-    }
-    if (became_ready) {
-      ReleaseReplySlot(*slot);
+    // A late reply may still land: take one that already has, else leave the
+    // slot quarantined.
+    Status late = AwaitReply(*slot, 0, /*settle=*/true, post_lat, out, out_max, out_len);
+    if (late.code() != lt::StatusCode::kTimeout) {
+      return late;
     }
   }
   if (opts.fail_fast_dead && last.code() == lt::StatusCode::kTimeout && PeerDead(server_node)) {
@@ -506,15 +471,8 @@ Status LiteInstance::MulticastRpc(const std::vector<NodeId>& servers, RpcFuncId 
 }
 
 Status LiteInstance::InternalRpc(NodeId server, RpcFuncId func, const WireWriterBytes& in,
-                                 std::vector<uint8_t>* out, uint64_t timeout_ns, Priority pri) {
-  RpcCallOpts opts;
-  opts.timeout_ns = timeout_ns;
-  return InternalRpcOpts(server, func, in, out, opts, pri);
-}
-
-Status LiteInstance::InternalRpcOpts(NodeId server, RpcFuncId func, const WireWriterBytes& in,
-                                     std::vector<uint8_t>* out, const RpcCallOpts& opts,
-                                     Priority pri) {
+                                 std::vector<uint8_t>* out, const RpcCallOpts& opts,
+                                 Priority pri) {
   std::vector<uint8_t> raw(params().lite_reply_slot_bytes);
   uint32_t raw_len = 0;
   LT_RETURN_IF_ERROR(RpcCall(server, func, in.data(), static_cast<uint32_t>(in.size()),
@@ -535,25 +493,31 @@ Status LiteInstance::InternalRpcOpts(NodeId server, RpcFuncId func, const WireWr
 
 // ------------------------------------------------------------ server path
 
-Status LiteInstance::RegisterRpc(RpcFuncId func) {
+Status LiteInstance::CheckAppFunc(RpcFuncId func) {
   if (func > kMaxAppFuncId) {
     return Status::InvalidArgument("application RPC ids must be <= 999");
   }
-  EnsureAppQueue(func);
   return Status::Ok();
 }
 
-BlockingQueue<RpcIncoming>* LiteInstance::EnsureAppQueue(RpcFuncId func) {
+Status LiteInstance::RegisterRpc(RpcFuncId func) {
+  LT_RETURN_IF_ERROR(CheckAppFunc(func));
+  FuncQueue(func);
+  return Status::Ok();
+}
+
+BlockingQueue<RpcIncoming>* LiteInstance::FuncQueue(RpcFuncId func) {
   std::lock_guard<std::mutex> lock(funcs_mu_);
-  auto it = app_queues_.find(func);
-  if (it == app_queues_.end()) {
-    it = app_queues_.emplace(func, std::make_unique<BlockingQueue<RpcIncoming>>()).first;
+  auto it = func_queues_.find(func);
+  if (it == func_queues_.end()) {
+    it = func_queues_.emplace(func, std::make_unique<BlockingQueue<RpcIncoming>>()).first;
   }
   return it->second.get();
 }
 
-StatusOr<RpcIncoming> LiteInstance::RecvRpc(RpcFuncId func, uint64_t timeout_ns) {
-  BlockingQueue<RpcIncoming>* queue = EnsureAppQueue(func);
+StatusOr<RpcIncoming> LiteInstance::PopIncoming(RpcFuncId func, uint64_t timeout_ns,
+                                                uint64_t service_ns) {
+  BlockingQueue<RpcIncoming>* queue = FuncQueue(func);
   std::optional<RpcIncoming> inc;
   if (timeout_ns == kInfiniteTimeout) {
     inc = queue->Pop();
@@ -564,13 +528,18 @@ StatusOr<RpcIncoming> LiteInstance::RecvRpc(RpcFuncId func, uint64_t timeout_ns)
     if (stopping_.load()) {
       return Status::Unavailable("LITE instance stopping");
     }
-    return Status::Timeout("no RPC request before timeout");
+    return Status::Timeout("nothing received before timeout");
   }
-  // Serve this request on its own timeline (adaptive spin-then-sleep wait).
-  lt::ServiceTimeline::ForThisThread().BeginService(inc->arrival_vtime_ns, 1000,
+  // Serve it on its own timeline (adaptive spin-then-sleep wait).
+  lt::ServiceTimeline::ForThisThread().BeginService(inc->arrival_vtime_ns, service_ns,
                                                     params().lite_adaptive_spin_ns,
                                                     params().thread_wakeup_ns);
-  return *inc;
+  return std::move(*inc);
+}
+
+StatusOr<RpcIncoming> LiteInstance::RecvRpc(RpcFuncId func, uint64_t timeout_ns) {
+  LT_RETURN_IF_ERROR(CheckAppFunc(func));
+  return PopIncoming(func, timeout_ns, /*service_ns=*/1000);
 }
 
 Status LiteInstance::ReplyRpc(const ReplyToken& token, const void* data, uint32_t len) {
@@ -616,32 +585,19 @@ StatusOr<RpcIncoming> LiteInstance::ReplyAndRecv(const ReplyToken& token, const 
 // -------------------------------------------------------------- messaging
 
 Status LiteInstance::SendMsg(NodeId dst, const void* data, uint32_t len, Priority pri) {
-  auto channel = GetChannel(dst, kControlRingId);
-  if (!channel.ok()) {
-    return channel.status();
-  }
-  uint32_t seq = 0;
-  return PostRpcRequest(*channel, kMsgFuncId, data, len, /*reply_phys=*/0, /*reply_max=*/0,
-                        kNoReplySlot, pri, &seq);
+  return RpcSendNoReply(dst, kMsgFuncId, data, len, pri);
 }
 
 StatusOr<MsgIncoming> LiteInstance::RecvMsg(uint64_t timeout_ns) {
-  std::optional<MsgIncoming> msg;
-  if (timeout_ns == kInfiniteTimeout) {
-    msg = msg_queue_.Pop();
-  } else {
-    msg = msg_queue_.PopFor(std::chrono::nanoseconds(engine_.EffectiveTimeoutNs(timeout_ns)));
+  auto inc = PopIncoming(kMsgFuncId, timeout_ns, /*service_ns=*/500);
+  if (!inc.ok()) {
+    return inc.status();
   }
-  if (!msg.has_value()) {
-    if (stopping_.load()) {
-      return Status::Unavailable("LITE instance stopping");
-    }
-    return Status::Timeout("no message before timeout");
-  }
-  lt::ServiceTimeline::ForThisThread().BeginService(msg->arrival_vtime_ns, 500,
-                                                    params().lite_adaptive_spin_ns,
-                                                    params().thread_wakeup_ns);
-  return *msg;
+  MsgIncoming msg;
+  msg.data = std::move(inc->data);
+  msg.src = inc->token.client_node;
+  msg.arrival_vtime_ns = inc->arrival_vtime_ns;
+  return msg;
 }
 
 // ----------------------------------------------------------- service loops
@@ -660,6 +616,7 @@ void LiteInstance::PollLoop() {
     if (!c.has_value()) {
       poll_idle_wakeups_->Inc();
     }
+    uint64_t head_cpu = 0;
     if (c.has_value() && c->opcode == WcOpcode::kRecvImm && c->has_imm) {
       // Batch size at this wake: the completion in hand plus whatever else is
       // already queued behind it (paper Sec. 5.1's shared-poller batching).
@@ -669,10 +626,10 @@ void LiteInstance::PollLoop() {
       if (ImmFunc(c->imm) == kReplyFuncId) {
         HandleReplyImm(c->imm, c->byte_len, lt::NowNs());
       } else {
-        HandleRequestImm(c->src_node, c->imm, lt::NowNs());
+        head_cpu = HandleRequestImm(c->src_node, c->imm);
       }
     }
-    poll_cpu_.Add(lt::ThreadCpuNs() - cpu0);
+    poll_cpu_.Add(lt::ThreadCpuNs() - cpu0 - head_cpu);
   }
 }
 
@@ -695,12 +652,12 @@ void LiteInstance::HandleReplyImm(uint32_t imm, uint32_t byte_len, uint64_t vtim
       return;
     }
     switch (s.state.load(std::memory_order_acquire)) {
-      case 1:  // Caller waiting: deliver.
+      case SlotState::kWaiting:  // Deliver.
         s.reply_len = byte_len;
         s.ready_vtime_ns = vtime;
-        s.state.store(2, std::memory_order_release);
+        s.state.store(SlotState::kReady, std::memory_order_release);
         break;
-      case 4:  // Caller gave up: the late reply frees the slot.
+      case SlotState::kZombie:  // Caller gave up: the late reply frees the slot.
         was_zombie = true;
         break;
       default:  // Free or already delivered: duplicate reply, drop it.
@@ -714,8 +671,9 @@ void LiteInstance::HandleReplyImm(uint32_t imm, uint32_t byte_len, uint64_t vtim
     bool freed = false;
     {
       std::lock_guard<std::mutex> lock(slot_mu_);
-      int expected = 4;
-      if (s.state.compare_exchange_strong(expected, 0, std::memory_order_acq_rel)) {
+      SlotState expected = SlotState::kZombie;
+      if (s.state.compare_exchange_strong(expected, SlotState::kFree,
+                                          std::memory_order_acq_rel)) {
         free_slots_.push_back(slot);
         freed = true;
       }
@@ -728,7 +686,7 @@ void LiteInstance::HandleReplyImm(uint32_t imm, uint32_t byte_len, uint64_t vtim
   }
 }
 
-void LiteInstance::HandleRequestImm(NodeId src, uint32_t imm, uint64_t vtime) {
+uint64_t LiteInstance::HandleRequestImm(NodeId src, uint32_t imm) {
   const RpcFuncId func = ImmFunc(imm);
   const uint64_t offset = static_cast<uint64_t>(ImmPayload(imm)) * kRingOffsetUnit;
 
@@ -743,7 +701,7 @@ void LiteInstance::HandleRequestImm(NodeId src, uint32_t imm, uint64_t vtime) {
   if (ring == nullptr) {
     LT_LOG_WARNING << "node " << node_id() << ": request IMM for unknown ring (src=" << src
                    << " func=" << func << ")";
-    return;
+    return 0;
   }
   rpc_requests_->Inc();
   LT_VLOG << "node " << node_id() << ": RPC request from " << src << " func " << func;
@@ -756,53 +714,53 @@ void LiteInstance::HandleRequestImm(NodeId src, uint32_t imm, uint64_t vtime) {
   lt::SimDmaCopy(&hdr, node_->mem().Data(ring->ring.addr + offset, sizeof(hdr)), sizeof(hdr));
   if (hdr.magic != kRpcMagic || hdr.input_len > ring->ring_size) {
     LT_LOG_WARNING << "node " << node_id() << ": corrupt RPC header in ring";
-    return;
+    return 0;
   }
 
-  if (hdr.seq != 0 && !SeqFresh(ring, hdr.seq)) {
-    // Duplicate of an already-executed request (client retry or fabric
-    // duplication): release its ring space, then replay the cached reply
-    // instead of re-running the handler — at-most-once execution.
-    rpc_dup_requests_->Inc();
-    ring->head = std::max(ring->head, hdr.tail_after);
-    ring->head_to_publish.store(ring->head, std::memory_order_release);
-    head_updates_.Push({ring, NowNs()});
-    ReplayReply(ring, hdr);
-    return;
+  // A duplicate of an already-executed request (client retry or fabric
+  // duplication) is not run again: its cached reply is replayed instead —
+  // at-most-once execution.
+  const bool fresh = hdr.seq == 0 || SeqFresh(ring, hdr.seq);
+  if (fresh) {
+    // The single data move of the receive path (paper Sec. 5.2): ring -> user.
+    RpcIncoming inc;
+    inc.data.resize(hdr.input_len);
+    if (hdr.input_len > 0) {
+      LocalCopyOut(inc.data.data(), ring->ring.addr + offset + sizeof(hdr), hdr.input_len);
+    }
+    inc.token.client_node = hdr.client_node;
+    inc.token.reply_phys = hdr.reply_phys;
+    inc.token.reply_max = hdr.reply_max;
+    inc.token.reply_slot = hdr.reply_slot;
+    inc.token.ring_func = ring->func;
+    inc.token.seq = hdr.seq;
+    inc.token.parent_trace_id = hdr.trace_id;
+    inc.arrival_vtime_ns = NowNs();
+    inc.token.arrival_vtime_ns = inc.arrival_vtime_ns;
+    if (func <= kMaxAppFuncId || func == kMsgFuncId) {
+      FuncQueue(func)->Push(std::move(inc));
+    } else {
+      internal_queue_.Push({func, std::move(inc)});
+    }
   }
 
-  // The single data move of the receive path (paper Sec. 5.2): ring -> user.
-  RpcIncoming inc;
-  inc.data.resize(hdr.input_len);
-  if (hdr.input_len > 0) {
-    LocalCopyOut(inc.data.data(), ring->ring.addr + offset + sizeof(hdr), hdr.input_len);
-  }
-  inc.token.client_node = hdr.client_node;
-  inc.token.reply_phys = hdr.reply_phys;
-  inc.token.reply_max = hdr.reply_max;
-  inc.token.reply_slot = hdr.reply_slot;
-  inc.token.ring_func = ring->func;
-  inc.token.seq = hdr.seq;
-  inc.token.parent_trace_id = hdr.trace_id;
-  inc.arrival_vtime_ns = NowNs();
-  inc.token.arrival_vtime_ns = inc.arrival_vtime_ns;
-
-  // Release the ring space and let the background thread tell the client.
+  // Release the ring space: publish the new head to the client's mirror
+  // (paper Fig. 9, step f) after the hand-off, so the handler's wakeup is
+  // not queued behind the head write. The write runs on the background
+  // timeline: posted at this virtual time, then the clock is put back.
   ring->head = std::max(ring->head, hdr.tail_after);
-  ring->head_to_publish.store(ring->head, std::memory_order_release);
-  head_updates_.Push({ring, NowNs()});
-
-  if (func <= kMaxAppFuncId) {
-    EnsureAppQueue(func)->Push(std::move(inc));
-  } else if (func == kMsgFuncId) {
-    MsgIncoming msg;
-    msg.data = std::move(inc.data);
-    msg.src = src;
-    msg.arrival_vtime_ns = inc.arrival_vtime_ns;
-    msg_queue_.Push(std::move(msg));
-  } else {
-    internal_queue_.Push({func, std::move(inc)});
+  const uint64_t resume_ns = NowNs();
+  const uint64_t cpu0 = lt::ThreadCpuNs();
+  uint64_t head = ring->head;
+  (void)engine_.OneSidedWrite(ring->client, ring->client_head_mirror, &head, sizeof(head),
+                              Priority::kHigh);
+  lt::SetServiceClock(resume_ns);
+  const uint64_t head_cpu = lt::ThreadCpuNs() - cpu0;
+  if (!fresh) {
+    rpc_dup_requests_->Inc();
+    ReplayReply(ring, hdr);
   }
+  return head_cpu;
 }
 
 // ------------------------------------------------- idempotence bookkeeping
@@ -916,7 +874,7 @@ void LiteInstance::KeepaliveLoop() {
     opts.timeout_ns = std::max<uint64_t>(2 * interval_ns, 1'000'000);
     opts.max_retries = 0;
     opts.fail_fast_dead = false;
-    Status st = InternalRpcOpts(manager_node_, kFnKeepalive, w.bytes(), &out, opts);
+    Status st = InternalRpc(manager_node_, kFnKeepalive, w.bytes(), &out, opts);
     liveness_keepalives_->Inc();
     if (!st.ok()) {
       if (++consecutive_failures >= 3) {
@@ -957,20 +915,6 @@ void LiteInstance::KeepaliveLoop() {
   }
 }
 
-void LiteInstance::HeadWriterLoop() {
-  while (true) {
-    auto item = head_updates_.Pop();
-    if (!item.has_value()) {
-      return;  // Queue closed.
-    }
-    auto [ring, vtime] = *item;
-    lt::SetServiceClock(vtime);  // Publish on the triggering event's timeline.
-    uint64_t head = ring->head_to_publish.load(std::memory_order_acquire);
-    (void)engine_.OneSidedWrite(ring->client, ring->client_head_mirror, &head, sizeof(head),
-                                Priority::kHigh);
-  }
-}
-
 void LiteInstance::InternalWorkerLoop() {
   lt::ServiceTimeline timeline;
   while (true) {
@@ -981,13 +925,28 @@ void LiteInstance::InternalWorkerLoop() {
     auto& [func, inc] = *item;
     timeline.BeginService(inc.arrival_vtime_ns, 1500, params().lite_adaptive_spin_ns,
                           params().thread_wakeup_ns);
+    Reply reply = lt::StatusCode::kInvalidArgument;
     auto it = internal_handlers_.find(func);
-    if (it == internal_handlers_.end()) {
+    if (it != internal_handlers_.end()) {
+      reply = it->second(this, inc);
+    } else {
       LT_LOG_WARNING << "node " << node_id() << ": no handler for internal func " << func;
-      continue;
     }
-    it->second(this, inc);
+    if (!reply.deferred) {
+      ReplyControl(inc.token, reply.code, reply.payload);
+    }
   }
+}
+
+void LiteInstance::ReplyControl(const ReplyToken& token, lt::StatusCode code,
+                                const WireWriterBytes& payload) {
+  std::vector<uint8_t> out(sizeof(uint32_t) + payload.size());
+  const uint32_t wire_code = static_cast<uint32_t>(code);
+  std::memcpy(out.data(), &wire_code, sizeof(wire_code));
+  if (!payload.empty()) {
+    std::memcpy(out.data() + sizeof(wire_code), payload.data(), payload.size());
+  }
+  (void)ReplyRpc(token, out.data(), static_cast<uint32_t>(out.size()));
 }
 
 }  // namespace lite

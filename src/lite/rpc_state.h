@@ -59,7 +59,7 @@ struct MsgIncoming {
 };
 
 // Client side of one RPC channel: ring placement at the server plus the
-// local tail and the head mirror the server's background thread updates.
+// local tail and the head mirror the server's poll thread updates.
 struct RpcChannel {
   NodeId server = kInvalidNode;
   RpcFuncId func = 0;
@@ -79,7 +79,6 @@ struct ServerRing {
   uint64_t ring_size = 0;
   uint64_t head = 0;           // Absolute byte offset (monotonic).
   PhysAddr client_head_mirror = 0;
-  std::atomic<uint64_t> head_to_publish{0};
 
   // At-most-once execution state (poll thread only): every executed
   // sequence is <= seq_low or in seq_above (kept sparse — consecutive
@@ -100,13 +99,26 @@ struct ServerRing {
 // Replay cache entries kept per server ring.
 inline constexpr size_t kReplayCacheEntries = 32;
 
+// Options of one blocking client call (LiteInstance::RpcCall).
+inline constexpr uint32_t kUseParamRetries = ~0u;  // lite_rpc_max_retries.
+struct RpcCallOpts {
+  uint64_t timeout_ns = kDefaultTimeout;  // Per attempt.
+  uint32_t max_retries = kUseParamRetries;
+  // false lets liveness probes through to a peer currently believed dead.
+  bool fail_fast_dead = true;
+};
+
+// Life of a reply slot: acquired kWaiting, made kReady by the poll thread
+// when the reply lands, freed by the caller after copy-out. A caller that
+// gives up leaves it kZombie until the late reply or the quarantine sweep
+// in AcquireReplySlot frees it.
+enum class SlotState { kFree, kWaiting, kReady, kZombie };
+
 // Client-side reply rendezvous.
 struct ReplySlot {
   std::mutex mu;
   std::condition_variable cv;
-  std::atomic<int> state{0};  // 0 free, 1 waiting, 2 ready, 3 error,
-                              // 4 zombie (timed out; awaiting late reply
-                              //   or quarantine reclaim)
+  std::atomic<SlotState> state{SlotState::kFree};
   // Reuse generation, bumped on acquire and carried in the packed reply-
   // slot field; late/duplicate replies with a stale generation are
   // discarded (see PackReplySlot in types.h).

@@ -120,7 +120,7 @@ inline uint32_t ImmPayload(uint32_t imm) { return imm & kImmPayloadMask; }
 constexpr uint32_t kRingOffsetUnit = 64;
 
 // ---- Timeout sentinel convention (applies to every timeout_ns parameter in
-// the LITE API: Rpc / RpcWait / RecvRpc / RecvMsg / SendRpc variants) ----
+// the LITE API: RecvRpc / RecvMsg and the internal control calls) ----
 //   kDefaultTimeout (0)  -> use SimParams::lite_rpc_timeout_ns
 //   kInfiniteTimeout(~0) -> wait "forever" (client paths cap at one hour of
 //                           real time as a hang backstop; server-side recv

@@ -2,10 +2,12 @@
 
 #include <atomic>
 #include <cstring>
+#include <string>
 #include <thread>
 
 #include "src/common/timing.h"
 #include "src/lite/lite_cluster.h"
+#include "src/lite/wire.h"
 
 namespace lite {
 namespace {
@@ -178,6 +180,30 @@ TEST_F(LiteRpcTest, MulticastCollectsAllReplies) {
 TEST_F(LiteRpcTest, AppFuncIdRangeEnforced) {
   EXPECT_FALSE(c0_->RegisterRpc(1000).ok());
   EXPECT_TRUE(c0_->RegisterRpc(999).ok());
+
+  // Ids above kMaxAppFuncId are LITE's control plane: no application call
+  // reaches it. A well-formed kFnUnregisterName to the manager (node 0)
+  // must not drop another node's name.
+  auto owner = cluster_->CreateClient(1);
+  ASSERT_TRUE(owner->Malloc(4096, "victim").ok());
+  WireWriter w;
+  w.PutString("victim");
+  const auto& in = w.bytes();
+  const auto in_len = static_cast<uint32_t>(in.size());
+  char out[16];
+  uint32_t out_len = 0;
+  EXPECT_EQ(c0_->Rpc(0, kFnUnregisterName, in.data(), in_len, out, sizeof(out), &out_len).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(cluster_->instance(0)
+                ->RpcAsync(0, kFnUnregisterName, in.data(), in_len, out, sizeof(out), &out_len)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(c0_->MulticastRpc({0}, kFnUnregisterName, in.data(), in_len, nullptr).code(),
+            StatusCode::kInvalidArgument);
+  // Nor can an application receive on a reserved id (kMsgFuncId is LT_send's).
+  EXPECT_EQ(c0_->RecvRpc(kMsgFuncId, 1'000'000).status().code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(cluster_->CreateClient(2)->Map("victim").ok());
 }
 
 TEST_F(LiteRpcTest, OversizedInputRejected) {
@@ -496,28 +522,82 @@ TEST(LiteRpcRingTest, FirstBindRaceKeepsRingsDraining) {
 TEST(LiteRpcZombieTest, TimedOutSlotsAreReclaimed) {
   // Exhaust a tiny reply-slot pool with calls that time out (unserved
   // function, no retries), then verify the quarantine sweep recycles the
-  // zombie slots so later calls still find capacity.
-  lt::SimParams p = lt::SimParams::FastForTests();
-  p.lite_rpc_timeout_ns = 10'000'000;  // 10 ms
-  p.lite_rpc_max_retries = 0;
-  p.lite_reply_slots = 4;
-  LiteCluster cluster(2, p);
-  auto c0 = cluster.CreateClient(0);
-  EchoServer server(&cluster, 1, 40);
+  // zombie slots so later calls still find capacity. Blocking calls and
+  // async calls retired by Wait share one reply wait; both are checked.
+  for (const bool async : {false, true}) {
+    SCOPED_TRACE(async ? "RpcAsync + Wait" : "Rpc");
+    lt::SimParams p = lt::SimParams::FastForTests();
+    p.lite_rpc_timeout_ns = 10'000'000;  // 10 ms
+    p.lite_rpc_max_retries = 0;
+    p.lite_reply_slots = 4;
+    LiteCluster cluster(2, p);
+    auto c0 = cluster.CreateClient(0);
+    EchoServer server(&cluster, 1, 40);
 
-  char out[64];
+    char out[64];
+    uint32_t out_len = 0;
+    auto call = [&](RpcFuncId func, const char* in) -> Status {
+      const auto in_len = static_cast<uint32_t>(std::strlen(in));
+      if (!async) {
+        return c0->Rpc(1, func, in, in_len, out, sizeof(out), &out_len);
+      }
+      LiteInstance* inst = cluster.instance(0);
+      auto h = inst->RpcAsync(1, func, in, in_len, out, sizeof(out), &out_len);
+      return h.ok() ? inst->Wait(*h) : h.status();
+    };
+    for (int i = 0; i < 4; ++i) {
+      EXPECT_EQ(call(999, "void").code(), StatusCode::kTimeout);
+    }
+    // All four slots are zombies now; they become reclaimable once they are
+    // older than the RPC timeout (real time).
+    std::this_thread::sleep_for(std::chrono::milliseconds(25));
+    for (int i = 0; i < 4; ++i) {
+      ASSERT_TRUE(call(40, "recycled").ok()) << i;
+    }
+    EXPECT_GT(cluster.instance(0)->Stat("lite.rpc.zombie_reclaimed"), 0);
+  }
+}
+
+TEST(LiteRpcRingTest, FailedRingSetupLeaksNothing) {
+  // A server ring is one physically-consecutive chunk. On a node whose free
+  // memory is only holes smaller than a ring, a first bind and a first
+  // control call must fail with an error and leave its memory untouched.
+  lt::SimParams p = lt::SimParams::FastForTests();
+  p.lite_rpc_ring_bytes = 1 << 20;
+  LiteCluster cluster(3, p);
+  LiteInstance* n0 = cluster.instance(0);
+  // Fill node 1 with 256 KB LMRs, then free every other one. Node 0 holds
+  // them, so its control channel to node 1 exists before the fragmentation.
+  MallocOptions on_node1;
+  on_node1.nodes = {1};
+  std::vector<Lh> lmrs;
+  while (true) {
+    auto lh = n0->Malloc(256 << 10, "frag" + std::to_string(lmrs.size()), on_node1);
+    if (!lh.ok()) {
+      break;
+    }
+    lmrs.push_back(*lh);
+  }
+  ASSERT_GT(lmrs.size(), 16u);
+  for (size_t i = 0; i < lmrs.size(); i += 2) {
+    ASSERT_TRUE(n0->Free(lmrs[i]).ok());
+  }
+  const lt::PhysMem& mem1 = cluster.node(1)->mem();
+  const uint64_t free_before = mem1.free_bytes();
+  ASSERT_GT(free_before, 3 * p.lite_rpc_ring_bytes);
+
+  char out[8];
   uint32_t out_len = 0;
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(c0->Rpc(1, 999, "void", 4, out, sizeof(out), &out_len).code(),
-              StatusCode::kTimeout);
+  for (int bind = 0; bind < 3; ++bind) {
+    EXPECT_EQ(n0->Rpc(1, 60, "x", 1, out, sizeof(out), &out_len).code(),
+              StatusCode::kResourceExhausted)
+        << bind;
+    EXPECT_EQ(mem1.free_bytes(), free_before) << bind;
   }
-  // All four slots are zombies now; they become reclaimable once they are
-  // older than the RPC timeout (real time).
-  std::this_thread::sleep_for(std::chrono::milliseconds(25));
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(c0->Rpc(1, 40, "recycled", 8, out, sizeof(out), &out_len).ok()) << i;
-  }
-  EXPECT_GT(cluster.instance(0)->Stat("lite.rpc.zombie_reclaimed"), 0);
+  // Node 2 has no control channel to node 1 yet, and none fits there.
+  EXPECT_EQ(cluster.instance(2)->Rpc(1, 60, "x", 1, out, sizeof(out), &out_len).code(),
+            StatusCode::kResourceExhausted);
+  EXPECT_EQ(mem1.free_bytes(), free_before);
 }
 
 }  // namespace
