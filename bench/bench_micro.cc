@@ -284,7 +284,7 @@ void RunRingBatchSweep(benchlib::TelemetrySink* sink) {
           busy_ns += lt::NowNs() - t0;
           // Park past the hot window and flush deadline: the next group pays
           // a fresh doorbell, so the crossings amortize over exactly K ops.
-          lt::IdleFor(p.lite_ring_spin_ns + p.lite_ring_flush_ns + 1'000);
+          lt::IdleFor(p.lite_adaptive_spin_ns + p.lite_ring_flush_ns + 1'000);
         }
         auto* inst = cluster.instance(0);
         const double ops = static_cast<double>(kGroups) * batch;

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 verification: full build + test suite, the perf and trace gates, the
-# repo benchmark's smoke run, then the chaos soak and the atomics/RPC-bind
-# races under ThreadSanitizer (the failure-recovery paths are the most
-# thread-hostile code in the tree, so they get the extra scrutiny). Each
-# stage's wall time and the total are printed as they finish.
+# repo benchmark's smoke run, then the chaos soak, the atomics/RPC-bind races
+# and the live-migration suite under ThreadSanitizer (the failure-recovery
+# and migration-gate paths are the most thread-hostile code in the tree, so
+# they get the extra scrutiny). Each stage's wall time and the total are
+# printed as they finish.
 #
 # Usage: scripts/run_tier1.sh [jobs]
 set -euo pipefail
@@ -39,7 +40,7 @@ stage "perf-regression gate (check_bench)"
 # scripts/check_bench.py). bench_micro's sweeps always run and always write
 # their sidecars; the filter just skips the google-benchmark timing loops.
 mkdir -p build/bench-out
-(cd build/bench-out && ../bench/bench_micro --benchmark_filter=__none__ >/dev/null) || true
+(cd build/bench-out && ../bench/bench_micro --benchmark_filter=__none__ >/dev/null)
 (cd build/bench-out && ../bench/bench_migrate >/dev/null)
 (cd build/bench-out && ../bench/bench_latency_breakdown >/dev/null)
 # Transport scale smoke: the 8/100-node prefix of the fig14 RC-vs-DC sweep
@@ -61,9 +62,9 @@ stage "repo benchmark smoke"
 # fetch-add, the health watchdog); exits 1 on any mismatch or failed op.
 python3 benchmark/run.py --smoke
 
-stage "chaos soak under ThreadSanitizer"
+stage "chaos soak and migration under ThreadSanitizer"
 cmake -B build-tsan -S . -DLT_SANITIZE=thread >/dev/null
-cmake --build build-tsan -j"${JOBS}" --target faults_chaos_test faults_test lite_async_test lite_ring_test transport_test lite_sync_test lite_rpc_test
+cmake --build build-tsan -j"${JOBS}" --target faults_chaos_test faults_test lite_async_test lite_ring_test transport_test lite_sync_test lite_rpc_test lite_memory_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/faults_test
 # Local vs remote atomics on one word, and two threads racing a first RPC bind.
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/lite_sync_test
@@ -71,6 +72,10 @@ TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/lite_rpc_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/lite_async_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/lite_ring_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/transport_test
+# The migration gate and home resolver: live migration, stale-handle
+# redirects of every op kind, drain, and the LMR move.
+TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/lite_memory_test \
+    --gtest_filter='MigrationTest.*:Ops/MigrationStaleTest.*:LiteMemoryTest.MoveLmrPreservesContentAndRemapsHandles'
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/faults_chaos_test
 
 stage "memory, async and RPC suites under ASan+UBSan"

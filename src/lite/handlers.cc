@@ -1,6 +1,6 @@
 // Internal control functions served by each LITE instance's worker threads:
 // the name service (on the manager node), remote chunk allocation, LMR
-// map/unmap/free/move/permissions, remote memory commands, and the lock /
+// map/unmap/free/permissions, remote memory commands, and the lock /
 // barrier services. Every handler returns its outcome, which the worker
 // sends back as [u32 status code | payload] (see InternalWorkerLoop).
 #include <cstring>
@@ -11,29 +11,6 @@
 #include "src/lite/wire.h"
 
 namespace lite {
-namespace {
-
-// Gates one local phys range against the node's migration guard. kOk means
-// proceed (close `gate` after the op lands); anything else is the NACK code
-// to reply with.
-lt::StatusCode GateLocalRange(LiteInstance* self, PhysAddr addr, uint64_t len, bool is_write,
-                              NodeId requester, AccessGate* gate) {
-  if (!self->migration().armed()) {
-    return lt::StatusCode::kOk;
-  }
-  switch (self->migration().OpenAccess(addr, len, is_write, requester, 0, gate)) {
-    case MigrationState::Gate::kStale:
-      return lt::StatusCode::kStaleHome;
-    case MigrationState::Gate::kBusy:
-      return lt::StatusCode::kUnavailable;
-    case MigrationState::Gate::kClear:
-      break;
-  }
-  return lt::StatusCode::kOk;
-}
-
-}  // namespace
-
 void LiteInstance::RegisterInternalHandlers() {
   // ------------------------------------------------ name service (manager)
   internal_handlers_[kFnRegisterName] = [](LiteInstance* self, const RpcIncoming& inc) -> Reply {
@@ -148,7 +125,7 @@ void LiteInstance::RegisterInternalHandlers() {
     return lt::StatusCode::kOk;  // No-reply in practice.
   };
 
-  // -------------------------------------- LMR free / invalidate / update
+  // ----------------------------------------------- LMR free / invalidate
   internal_handlers_[kFnMasterFree] = [](LiteInstance* self, const RpcIncoming& inc) -> Reply {
     WireReader r(inc.data.data(), inc.data.size());
     std::string name;
@@ -191,17 +168,6 @@ void LiteInstance::RegisterInternalHandlers() {
     return lt::StatusCode::kOk;
   };
 
-  internal_handlers_[kFnLmrUpdate] = [](LiteInstance* self, const RpcIncoming& inc) -> Reply {
-    WireReader r(inc.data.data(), inc.data.size());
-    std::string name;
-    std::vector<LmrChunk> chunks;
-    if (!r.GetString(&name) || !r.GetChunks(&chunks)) {
-      return lt::StatusCode::kInvalidArgument;
-    }
-    self->lmrs_.UpdateChunksByName(name, chunks);
-    return lt::StatusCode::kOk;
-  };
-
   // ------------------------------------------------ master-role services
   internal_handlers_[kFnSetPermission] = [](LiteInstance* self, const RpcIncoming& inc) -> Reply {
     WireReader r(inc.data.data(), inc.data.size());
@@ -239,53 +205,6 @@ void LiteInstance::RegisterInternalHandlers() {
     });
   };
 
-  internal_handlers_[kFnMasterMove] = [](LiteInstance* self, const RpcIncoming& inc) -> Reply {
-    WireReader r(inc.data.data(), inc.data.size());
-    std::string name;
-    NodeId new_node = kInvalidNode;
-    NodeId requester = kInvalidNode;
-    uint8_t pri_raw = static_cast<uint8_t>(Priority::kHigh);
-    if (!r.GetString(&name) || !r.Get(&new_node) || !r.Get(&requester) || !r.Get(&pri_raw)) {
-      return lt::StatusCode::kInvalidArgument;
-    }
-    const Priority pri =
-        pri_raw == static_cast<uint8_t>(Priority::kLow) ? Priority::kLow : Priority::kHigh;
-    auto copied = self->lmrs_.CopyMetaIfMaster(name, requester);
-    if (!copied.ok()) {
-      return copied.status().code();
-    }
-    LmrMeta meta = std::move(*copied);
-
-    auto placed = self->AllocChunksOn(new_node, meta.size, pri);
-    if (!placed.ok()) {
-      return placed.status().code();
-    }
-    const std::vector<LmrChunk>& new_chunks = *placed;
-
-    // Copy the data across via one-sided ops through a bounce buffer.
-    std::vector<uint8_t> bounce(meta.size);
-    (void)self->engine_.SubmitPieces(SliceDescs(meta.chunks, 0, meta.size, bounce.data()),
-                                     /*is_read=*/true, pri);
-    (void)self->engine_.SubmitPieces(SliceDescs(new_chunks, 0, meta.size, bounce.data()),
-                                     /*is_read=*/false, pri);
-
-    // Install the new chunks, free the old, fan out updates.
-    std::set<NodeId> mapped = self->lmrs_.InstallChunks(name, new_chunks);
-    WireWriter update;
-    update.PutString(name);
-    update.PutChunks(new_chunks);
-    for (NodeId node : mapped) {
-      if (node == self->node_id()) {
-        self->lmrs_.UpdateChunksByName(name, new_chunks);
-      } else {
-        (void)self->RpcSendNoReply(node, kFnLmrUpdate, update.bytes().data(),
-                                   static_cast<uint32_t>(update.bytes().size()));
-      }
-    }
-    self->FreeChunks(meta.chunks);
-    return lt::StatusCode::kOk;
-  };
-
   // ------------------------------------------------- remote memory ops
   internal_handlers_[kFnMemOp] = [](LiteInstance* self, const RpcIncoming& inc) -> Reply {
     WireReader r(inc.data.data(), inc.data.size());
@@ -310,10 +229,10 @@ void LiteInstance::RegisterInternalHandlers() {
           return lt::StatusCode::kInvalidArgument;
         }
         AccessGate gate;
-        lt::StatusCode gated = GateLocalRange(self, addr, len, /*is_write=*/true,
-                                              inc.token.client_node, &gate);
-        if (gated != lt::StatusCode::kOk) {
-          return gated;
+        Status gated =
+            self->migration().Open(addr, len, /*is_write=*/true, inc.token.client_node, &gate);
+        if (!gated.ok()) {
+          return gated.code();
         }
         lt::SpinFor(p.local_op_base_ns + static_cast<uint64_t>(static_cast<double>(len) /
                                                                p.local_copy_bytes_per_ns));
@@ -336,18 +255,18 @@ void LiteInstance::RegisterInternalHandlers() {
           return lt::StatusCode::kInvalidArgument;
         }
         AccessGate src_gate;
-        lt::StatusCode gated = GateLocalRange(self, src_addr, len, /*is_write=*/false,
+        Status gated = self->migration().Open(src_addr, len, /*is_write=*/false,
                                               inc.token.client_node, &src_gate);
-        if (gated != lt::StatusCode::kOk) {
-          return gated;
+        if (!gated.ok()) {
+          return gated.code();
         }
         if (dst_node == self->node_id()) {
           AccessGate dst_gate;
-          gated = GateLocalRange(self, dst_addr, len, /*is_write=*/true, inc.token.client_node,
-                                 &dst_gate);
-          if (gated != lt::StatusCode::kOk) {
+          gated = self->migration().Open(dst_addr, len, /*is_write=*/true, inc.token.client_node,
+                                         &dst_gate);
+          if (!gated.ok()) {
             self->migration().CloseAccess(&src_gate, /*success=*/false);
-            return gated;
+            return gated.code();
           }
           lt::SpinFor(p.local_op_base_ns + static_cast<uint64_t>(static_cast<double>(len) /
                                                                  p.local_copy_bytes_per_ns));
@@ -452,7 +371,7 @@ void LiteInstance::RegisterInternalHandlers() {
     return Reply::Deferred();  // Parked until the last arrival releases all.
   };
 
-  // ---------------------------------------- manager recovery (Sec. 3.3)
+  // ------------- name listing: manager recovery (Sec. 3.3) and node drain
   internal_handlers_[kFnListNames] = [](LiteInstance* self, const RpcIncoming& inc) -> Reply {
     WireWriter payload;
     auto names = self->lmrs_.ListNames();

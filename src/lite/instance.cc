@@ -299,15 +299,14 @@ void LiteInstance::FreeLocalChunks(const std::vector<LmrChunk>& chunks) {
   }
 }
 
-StatusOr<std::vector<LmrChunk>> LiteInstance::AllocChunksOn(NodeId node, uint64_t size,
-                                                            Priority pri) {
+StatusOr<std::vector<LmrChunk>> LiteInstance::AllocChunksOn(NodeId node, uint64_t size) {
   if (node == node_id()) {
     return AllocLocalChunks(size);
   }
   WireWriter w;
   w.Put<uint64_t>(size);
   std::vector<uint8_t> out;
-  LT_RETURN_IF_ERROR(InternalRpc(node, kFnAllocChunks, w.bytes(), &out, {}, pri));
+  LT_RETURN_IF_ERROR(InternalRpc(node, kFnAllocChunks, w.bytes(), &out));
   WireReader r(out.data(), out.size());
   std::vector<LmrChunk> chunks;
   if (!r.GetChunks(&chunks)) {

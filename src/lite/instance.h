@@ -172,7 +172,6 @@ class LiteInstance {
 
   // ---- Master-role management (paper Sec. 4.1) ----
   Status SetPermission(const std::string& name, NodeId grantee, uint32_t perm);
-  Status MoveLmr(const std::string& name, NodeId new_node, Priority pri = Priority::kHigh);
   Status GrantMaster(const std::string& name, NodeId new_master);
 
   // ---- Live LMR migration (DESIGN.md "Epoch-fenced ownership") ----
@@ -291,7 +290,6 @@ class LiteInstance {
   size_t qp_pool_size() const { return transport_->TotalQps(); }
   Transport& transport() { return *transport_; }
   uint64_t poll_thread_cpu_ns() const { return poll_cpu_.TotalCpuNs(); }
-  lt::CpuMeter& service_cpu_meter() { return poll_cpu_; }
   size_t lh_count() const { return lmrs_.lh_count(); }
   uint64_t rpc_ring_bytes_in_use() const;
 
@@ -350,10 +348,10 @@ class LiteInstance {
   // The stale-home redirect every lh-addressed memop shares: runs `submit`
   // against the current mappings and, while it fails with kStaleHome (the
   // LMR migrated mid-op), refreshes every mapping in `lhs` and re-runs it,
-  // at most kMaxStaleRedirects times. Re-issuing in full is exactly-once
-  // for the caller: writes and memsets are idempotent re-copies, and a
-  // NACKed access (atomics included) was never applied. Defined in
-  // memops.cc, its only user.
+  // at most kMaxStaleRedirects times; a refresh that moves none of them is
+  // Unavailable. Re-issuing in full is exactly-once for the caller: writes
+  // and memsets are idempotent re-copies, and a NACKed access (atomics
+  // included) was never applied. Defined in memops.cc, its only user.
   template <typename Submit>
   Status RedirectStale(std::initializer_list<std::pair<Lh, LhEntry*>> lhs, Submit&& submit);
 
@@ -372,8 +370,7 @@ class LiteInstance {
   StatusOr<std::vector<LmrChunk>> AllocLocalChunks(uint64_t size);
   void FreeLocalChunks(const std::vector<LmrChunk>& chunks);
   // `size` bytes of chunks on `node`: local, or one kFnAllocChunks call.
-  StatusOr<std::vector<LmrChunk>> AllocChunksOn(NodeId node, uint64_t size,
-                                                Priority pri = Priority::kHigh);
+  StatusOr<std::vector<LmrChunk>> AllocChunksOn(NodeId node, uint64_t size);
   // Frees chunks wherever they live: local ones here, remote ones with one
   // kFnFreeChunks call per node (best effort).
   void FreeChunks(const std::vector<LmrChunk>& chunks);
@@ -463,25 +460,41 @@ class LiteInstance {
 
   // Name service (lives at manager_node_).
   StatusOr<NodeId> LookupMasterNode(const std::string& name);
+  // The names `node` hosts, with their epochs: this node's registry, or
+  // `node`'s over kFnListNames (drain and name-service rebuild).
+  StatusOr<NameList> ListNamesAt(NodeId node);
 
   // ---- Migration internals (migration.cc) ----
   // The coordinator state machine, run at the LMR's home node:
   // mirror -> converge -> fence -> activate -> commit, clean abort otherwise.
   Status MigrateHosted(const std::string& name, NodeId dst, NodeId requester,
                        MigrateStats* stats);
+  // The one route to the coordinator: runs it here when `home` is this
+  // node, else at `home` through kFnMigrateLmr (LT_migrate and drain).
+  Status MigrateAt(NodeId home, const std::string& name, NodeId dst, MigrateStats* stats);
   // Abort path: epoch-fences the source (epoch += 2 leapfrogs a possibly
   // activated destination), uninstalls the staged copy, unparks waiters.
-  void AbortMigration(const std::shared_ptr<MigrationRecord>& rec, const std::string& name,
-                      NodeId dst, MigrationPhase phase_reached);
-  // Copies `intervals` (LMR-offset space; empty map = the whole LMR) from
-  // the old placement to the new one with multi-piece engine ops.
+  void AbortMigration(const std::shared_ptr<MigrationRecord>& rec, MigrationPhase phase_reached);
+  // Best-effort re-point of the manager's name record (commit and abort; the
+  // tombstone and epoch arbitration cover a lost update).
+  void RepointName(const std::string& name, NodeId home, uint64_t epoch);
+  // Copies `dirty` (LMR-offset intervals; null = the whole LMR) from the old
+  // placement to the new one with multi-piece engine ops, and books the bytes
+  // into lite.migrate.bytes_copied (a dirty re-copy also into
+  // lite.migrate.dirty_bytes) and `stats`.
   Status CopyLmrIntervals(const std::vector<LmrChunk>& old_chunks,
                           const std::vector<LmrChunk>& new_chunks, uint64_t lmr_size,
-                          const std::map<uint64_t, uint64_t>* intervals, uint64_t* bytes_out);
-  // kStaleHome recovery: re-resolves `entry`'s home through the old home's
-  // tombstone (falling back to the manager when the old home is dead) and
-  // refreshes every local lh mapped to the name. Reloads *entry.
-  Status RefreshStaleLh(Lh lh, LhEntry* entry);
+                          const std::map<uint64_t, uint64_t>* dirty, MigrateStats* stats);
+  // Where `name` lives now. `hint` answers — this node from its live
+  // metadata, else its migration tombstone; another node over kFnStaleHome —
+  // and, if it cannot, the home the manager names is asked the same way
+  // (unless `ask_manager` is false: the kFnStaleHome handler).
+  StatusOr<StaleRedirect> ResolveHome(const std::string& name, NodeId hint,
+                                      bool ask_manager = true);
+  // kStaleHome recovery: re-resolves `entry`'s home (ResolveHome, hinted at
+  // the old home), refreshes every local lh mapped to the name and reloads
+  // *entry. True if the mapping moved to a newer epoch.
+  StatusOr<bool> RefreshStaleLh(Lh lh, LhEntry* entry);
   // Registers the kFnMigrate* / kFnStaleHome control handlers.
   void RegisterMigrationHandlers();
   // Blocking re-issue of an async memop that retired with kStaleHome

@@ -38,15 +38,6 @@ void LmrTable::EraseByName(const std::string& name) {
   }
 }
 
-void LmrTable::UpdateChunksByName(const std::string& name, const std::vector<LmrChunk>& chunks) {
-  std::lock_guard<std::mutex> lock(lh_mu_);
-  for (auto& [lh, entry] : lh_table_) {
-    if (entry.name == name) {
-      entry.chunks = chunks;
-    }
-  }
-}
-
 void LmrTable::UpdateHomeByName(const std::string& name, NodeId new_home,
                                 const std::vector<LmrChunk>& chunks, uint64_t epoch) {
   std::lock_guard<std::mutex> lock(lh_mu_);
@@ -91,18 +82,6 @@ lt::StatusCode LmrTable::WithMeta(const std::string& name,
   return fn(it->second);
 }
 
-StatusOr<LmrMeta> LmrTable::CopyMetaIfMaster(const std::string& name, NodeId requester) const {
-  std::lock_guard<std::mutex> lock(meta_mu_);
-  auto it = metas_.find(name);
-  if (it == metas_.end()) {
-    return Status::NotFound("unknown LMR name");
-  }
-  if (it->second.masters.count(requester) == 0) {
-    return Status::PermissionDenied("caller is not a master of this LMR");
-  }
-  return it->second;
-}
-
 StatusOr<LmrMeta> LmrTable::TakeMetaIfMaster(const std::string& name, NodeId requester) {
   std::lock_guard<std::mutex> lock(meta_mu_);
   auto it = metas_.find(name);
@@ -128,20 +107,9 @@ StatusOr<LmrMeta> LmrTable::TakeMeta(const std::string& name) {
   return meta;
 }
 
-std::set<NodeId> LmrTable::InstallChunks(const std::string& name,
-                                         const std::vector<LmrChunk>& chunks) {
+NameList LmrTable::ListNames() const {
   std::lock_guard<std::mutex> lock(meta_mu_);
-  auto it = metas_.find(name);
-  if (it == metas_.end()) {
-    return {};
-  }
-  it->second.chunks = chunks;
-  return it->second.mapped_nodes;
-}
-
-std::vector<std::pair<std::string, uint64_t>> LmrTable::ListNames() const {
-  std::lock_guard<std::mutex> lock(meta_mu_);
-  std::vector<std::pair<std::string, uint64_t>> names;
+  NameList names;
   names.reserve(metas_.size());
   for (const auto& [name, meta] : metas_) {
     names.emplace_back(name, meta.epoch);

@@ -12,6 +12,7 @@
 #include <set>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/common/status.h"
@@ -47,6 +48,9 @@ struct LhEntry {
   uint64_t epoch = 1;  // Home epoch this mapping was resolved against.
 };
 
+// (name, epoch) pairs of the LMRs one node hosts.
+using NameList = std::vector<std::pair<std::string, uint64_t>>;
+
 class LmrTable {
  public:
   explicit LmrTable(NodeId self) : next_lh_((static_cast<uint64_t>(self) << 32) + 1) {}
@@ -60,8 +64,6 @@ class LmrTable {
   void Erase(Lh lh);
   // Invalidates every lh pointing at `name` (LT_free / master invalidation).
   void EraseByName(const std::string& name);
-  // Rewrites the chunk placement of every lh pointing at `name` (LMR move).
-  void UpdateChunksByName(const std::string& name, const std::vector<LmrChunk>& chunks);
   // Re-homes every lh pointing at `name` (migration rehome fan-out): new
   // master node, new chunk placement, new epoch. Entries already at a newer
   // epoch are left alone (a late rehome must not roll a mapping back).
@@ -78,20 +80,14 @@ class LmrTable {
   // map/unmap/permission updates without leaking the lock).
   lt::StatusCode WithMeta(const std::string& name,
                           const std::function<lt::StatusCode(LmrMeta&)>& fn);
-  // Snapshot for a master-only read (kPermissionDenied if `requester` is not
-  // a master of the LMR).
-  StatusOr<LmrMeta> CopyMetaIfMaster(const std::string& name, NodeId requester) const;
   // Removes and returns the meta (LT_free at the master).
   StatusOr<LmrMeta> TakeMetaIfMaster(const std::string& name, NodeId requester);
   // Unconditionally removes and returns the meta (migration commit at the
   // source: home ownership transfers as one atomic take).
   StatusOr<LmrMeta> TakeMeta(const std::string& name);
-  // Swaps in a moved LMR's new placement; returns the mapped-node set the
-  // caller must fan the update out to.
-  std::set<NodeId> InstallChunks(const std::string& name, const std::vector<LmrChunk>& chunks);
   // Names mastered here with their current epochs (manager rebuild payload;
   // the manager keeps the highest epoch when two nodes list the same name).
-  std::vector<std::pair<std::string, uint64_t>> ListNames() const;
+  NameList ListNames() const;
 
   // ---- Name service (manager node only) ----
   // Returns false if the name is already registered.

@@ -1,6 +1,7 @@
 // LITE memory API: LT_malloc/free/map/unmap, LT_read/write, and the
 // memory-like extended operations LT_memset/memcpy/memmove (paper Secs. 4, 7.1),
-// plus the master-role management operations (paper Sec. 4.1).
+// plus the master-role management operations (paper Sec. 4.1) and the name
+// service client (lookup, listing, rebuild).
 #include <cstring>
 
 #include "src/common/logging.h"
@@ -28,10 +29,20 @@ Status LiteInstance::RedirectStale(std::initializer_list<std::pair<Lh, LhEntry*>
   for (int redirect = 0; redirect < kMaxStaleRedirects && st.code() == lt::StatusCode::kStaleHome;
        ++redirect) {
     const uint64_t redo_t0 = lt::NowNs();
+    // The NACK does not say which mapping is stale: refresh them all; only
+    // a re-resolution that moved none of them is an error.
+    bool advanced = false;
     for (const auto& [lh, entry] : lhs) {
-      LT_RETURN_IF_ERROR(RefreshStaleLh(lh, entry));
+      auto moved = RefreshStaleLh(lh, entry);
+      if (!moved.ok()) {
+        return moved.status();
+      }
+      advanced = advanced || *moved;
     }
     AttrAdd(LatStage::kLatDetour, lt::NowNs() - redo_t0);
+    if (!advanced) {
+      return Status::Unavailable("home re-resolution did not advance the LMR epoch");
+    }
     st = submit();
   }
   return st;
@@ -138,20 +149,11 @@ Status LiteInstance::RebuildNameService() {
       // follows their restart (the metadata registry survives with them).
       continue;
     }
-    std::vector<uint8_t> out;
-    WireWriter empty;
-    LT_RETURN_IF_ERROR(InternalRpc(peer, kFnListNames, empty.bytes(), &out));
-    WireReader r(out.data(), out.size());
-    uint32_t count = 0;
-    if (!r.Get(&count)) {
-      return Status::Internal("malformed name-list reply");
+    auto names = ListNamesAt(peer);
+    if (!names.ok()) {
+      return names.status();
     }
-    for (uint32_t i = 0; i < count; ++i) {
-      std::string name;
-      uint64_t epoch = 0;
-      if (!r.GetString(&name) || !r.Get(&epoch)) {
-        return Status::Internal("malformed name-list entry");
-      }
+    for (const auto& [name, epoch] : *names) {
       // Two nodes can both claim a name when a crash split a migration
       // commit; the higher ownership epoch wins the arbitration.
       auto it = rebuilt.find(name);
@@ -162,6 +164,30 @@ Status LiteInstance::RebuildNameService() {
   }
   lmrs_.ReplaceNames(std::move(rebuilt));
   return Status::Ok();
+}
+
+StatusOr<NameList> LiteInstance::ListNamesAt(NodeId node) {
+  if (node == node_id()) {
+    return lmrs_.ListNames();
+  }
+  WireWriter empty;
+  std::vector<uint8_t> out;
+  LT_RETURN_IF_ERROR(InternalRpc(node, kFnListNames, empty.bytes(), &out));
+  WireReader r(out.data(), out.size());
+  uint32_t count = 0;
+  if (!r.Get(&count)) {
+    return Status::Internal("malformed name-list reply");
+  }
+  NameList names;
+  for (uint32_t i = 0; i < count; ++i) {
+    std::string name;
+    uint64_t epoch = 0;
+    if (!r.GetString(&name) || !r.Get(&epoch)) {
+      return Status::Internal("malformed name-list entry");
+    }
+    names.emplace_back(std::move(name), epoch);
+  }
+  return names;
 }
 
 StatusOr<NodeId> LiteInstance::LookupMasterNode(const std::string& name) {
@@ -193,30 +219,15 @@ StatusOr<Lh> LiteInstance::Map(const std::string& name, uint32_t want_perm) {
     std::vector<uint8_t> out;
     st = InternalRpc(home, kFnMapLmr, w.bytes(), &out);
     if (st.code() == lt::StatusCode::kStaleHome) {
-      // The LMR migrated away; the old home's tombstone (or, if it died, a
-      // fresh manager lookup) names the new one. Chase it and retry.
-      WireWriter q;
-      q.PutString(name);
-      std::vector<uint8_t> fwd;
-      Status qs = InternalRpc(home, kFnStaleHome, q.bytes(), &fwd);
-      if (qs.ok()) {
-        WireReader fr(fwd.data(), fwd.size());
-        NodeId next = kInvalidNode;
-        uint64_t epoch = 0;
-        std::vector<LmrChunk> fwd_chunks;
-        if (fr.Get(&next) && fr.Get(&epoch) && fr.GetChunks(&fwd_chunks) && next != home) {
-          home = next;
-          continue;
-        }
+      // The LMR migrated away: chase where it lives now and retry there.
+      auto redir = ResolveHome(name, home);
+      if (!redir.ok()) {
+        return redir.status();
       }
-      auto again = LookupMasterNode(name);
-      if (!again.ok()) {
-        return again.status();
-      }
-      if (*again == home) {
+      if (redir->new_home == home) {
         return Status::Unavailable("LMR home still settling after migration");
       }
-      home = *again;
+      home = redir->new_home;
       continue;
     }
     LT_RETURN_IF_ERROR(st);
@@ -454,20 +465,6 @@ Status LiteInstance::SetPermission(const std::string& name, NodeId grantee, uint
   w.Put<uint32_t>(perm);
   w.Put<NodeId>(node_id());
   return InternalRpc(*master, kFnSetPermission, w.bytes(), nullptr);
-}
-
-Status LiteInstance::MoveLmr(const std::string& name, NodeId new_node, Priority pri) {
-  auto master = LookupMasterNode(name);
-  if (!master.ok()) {
-    return master.status();
-  }
-  WireWriter w;
-  w.PutString(name);
-  w.Put<NodeId>(new_node);
-  w.Put<NodeId>(node_id());
-  w.Put<uint8_t>(static_cast<uint8_t>(pri));
-  return InternalRpc(*master, kFnMasterMove, w.bytes(), nullptr,
-                     {.timeout_ns = 30'000'000'000ull}, pri);
 }
 
 Status LiteInstance::GrantMaster(const std::string& name, NodeId new_master) {

@@ -24,8 +24,11 @@ namespace {
 // Real-time bound on one fence park. The fence spans one token drain, one
 // bounded re-copy, and one activate RPC — milliseconds of real time — so a
 // park that outlives this cap means the coordinator is wedged; the op then
-// surfaces kBusy and rides the issuer's transient-retry loop back here.
+// surfaces Unavailable and rides the issuer's transient-retry loop back here.
 constexpr uint64_t kParkCapRealNs = 2'000'000'000ull;
+
+// Converge re-copy rounds before the fence closes regardless.
+constexpr uint32_t kMigrateMaxRounds = 4;
 
 // Merges [begin, end) into an interval map keyed by range start.
 void InsertInterval(std::map<uint64_t, uint64_t>* m, uint64_t begin, uint64_t end) {
@@ -96,16 +99,14 @@ void MigrationState::AddDirtyLocked(MigrationRecord* rec, PhysAddr addr, uint64_
   }
 }
 
-MigrationState::Gate MigrationState::OpenAccess(PhysAddr addr, uint64_t len, bool is_write,
-                                                NodeId requester, uint64_t park_cap_real_ns,
-                                                AccessGate* gate) {
+Status MigrationState::OpenAccess(PhysAddr addr, uint64_t len, bool is_write, NodeId requester,
+                                  AccessGate* gate) {
   std::shared_ptr<MigrationRecord> rec = FindRange(addr, len);
   if (rec == nullptr) {
-    return Gate::kClear;
+    return Status::Ok();
   }
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::nanoseconds(park_cap_real_ns == 0 ? kParkCapRealNs
-                                                                       : park_cap_real_ns);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::nanoseconds(kParkCapRealNs);
   std::unique_lock<std::mutex> lock(rec->mu);
   bool parked = false;
   while (true) {
@@ -124,7 +125,7 @@ MigrationState::Gate MigrationState::OpenAccess(PhysAddr addr, uint64_t len, boo
         if (journal_ != nullptr) {
           journal_->Record(JournalEvent::kStaleHomeNack, requester, epoch);
         }
-        return Gate::kStale;
+        return Status::StaleHome("target LMR migrated away; re-resolve its home");
       }
       case MigrationPhase::kAborted: {
         // The record is inert; this node stays home. No token needed.
@@ -133,7 +134,7 @@ MigrationState::Gate MigrationState::OpenAccess(PhysAddr addr, uint64_t len, boo
         if (parked) {
           lt::SyncClockTo(unpark);
         }
-        return Gate::kClear;
+        return Status::Ok();
       }
       case MigrationPhase::kMirror:
       case MigrationPhase::kConverge:
@@ -144,7 +145,7 @@ MigrationState::Gate MigrationState::OpenAccess(PhysAddr addr, uint64_t len, boo
         gate->addr = addr;
         gate->len = len;
         gate->is_write = is_write;
-        return Gate::kClear;
+        return Status::Ok();
       case MigrationPhase::kIdle:
       case MigrationPhase::kFence: {
         // Park: a real-time condvar wait charging zero virtual time. On
@@ -159,7 +160,7 @@ MigrationState::Gate MigrationState::OpenAccess(PhysAddr addr, uint64_t len, boo
         }
         if (rec->cv.wait_until(lock, deadline) == std::cv_status::timeout &&
             (rec->phase == MigrationPhase::kFence || rec->phase == MigrationPhase::kIdle)) {
-          return Gate::kBusy;
+          return Status::Unavailable("migration fence busy");
         }
         break;
       }
@@ -374,16 +375,12 @@ StatusOr<StagedInstall> MigrationState::TakeStaged(const std::string& name) {
 
 Status LiteInstance::CopyLmrIntervals(const std::vector<LmrChunk>& old_chunks,
                                       const std::vector<LmrChunk>& new_chunks, uint64_t lmr_size,
-                                      const std::map<uint64_t, uint64_t>* intervals,
-                                      uint64_t* bytes_out) {
-  std::map<uint64_t, uint64_t> whole;
-  if (intervals == nullptr) {
-    whole[0] = lmr_size;
-    intervals = &whole;
-  }
+                                      const std::map<uint64_t, uint64_t>* dirty,
+                                      MigrateStats* stats) {
+  const std::map<uint64_t, uint64_t> whole{{0, lmr_size}};
   std::vector<OpEngine::OpDesc> descs;
   uint64_t total = 0;
-  for (const auto& [begin, end] : *intervals) {
+  for (const auto& [begin, end] : dirty != nullptr ? *dirty : whole) {
     if (begin >= lmr_size) {
       continue;
     }
@@ -412,8 +409,12 @@ Status LiteInstance::CopyLmrIntervals(const std::vector<LmrChunk>& old_chunks,
       }
     }
   }
-  if (bytes_out != nullptr) {
-    *bytes_out = total;
+  const uint64_t dirty_total = dirty != nullptr ? total : 0;
+  migration_.bytes_copied_->Inc(total);
+  migration_.dirty_bytes_->Inc(dirty_total);
+  if (stats != nullptr) {
+    stats->bytes_copied += total;
+    stats->dirty_bytes += dirty_total;
   }
   if (descs.empty()) {
     return Status::Ok();
@@ -421,8 +422,19 @@ Status LiteInstance::CopyLmrIntervals(const std::vector<LmrChunk>& old_chunks,
   return engine_.SubmitPieces(descs, /*is_read=*/false, Priority::kHigh);
 }
 
+void LiteInstance::RepointName(const std::string& name, NodeId home, uint64_t epoch) {
+  if (manager_node_ == node_id()) {
+    lmrs_.UpdateName(name, home, epoch);
+  } else if (!PeerDead(manager_node_)) {
+    WireWriter w;
+    w.PutString(name);
+    w.Put<NodeId>(home);
+    w.Put<uint64_t>(epoch);
+    (void)InternalRpc(manager_node_, kFnUpdateName, w.bytes(), nullptr, {.max_retries = 0});
+  }
+}
+
 void LiteInstance::AbortMigration(const std::shared_ptr<MigrationRecord>& rec,
-                                  const std::string& name, NodeId dst,
                                   MigrationPhase phase_reached) {
   // Epoch fencing: bump the source's epoch by 2 so it leapfrogs a
   // destination that may have activated at old_epoch + 1 without us learning
@@ -430,37 +442,27 @@ void LiteInstance::AbortMigration(const std::shared_ptr<MigrationRecord>& rec,
   // the rebuild path both keep the highest epoch — then resolves any
   // split-brain back to the source.
   uint64_t fenced_epoch = 0;
-  (void)lmrs_.WithMeta(name, [&](LmrMeta& m) {
+  (void)lmrs_.WithMeta(rec->name, [&](LmrMeta& m) {
     m.epoch += 2;
     fenced_epoch = m.epoch;
     return lt::StatusCode::kOk;
   });
   migration_.Abort(rec, NowNs());
-  if (migration_.aborted_ != nullptr) {
-    migration_.aborted_->Inc();
-  }
+  migration_.aborted_->Inc();
   if (journal_ != nullptr) {
-    journal_->Record(JournalEvent::kMigrateAbort, PackName8(name.c_str()),
+    journal_->Record(JournalEvent::kMigrateAbort, PackName8(rec->name.c_str()),
                      static_cast<uint64_t>(phase_reached));
   }
   // Best-effort uninstall of the staged copy at the destination (leaks until
   // the destination restarts if it is unreachable — documented).
-  if (!PeerDead(dst)) {
+  if (!PeerDead(rec->dst)) {
     WireWriter w;
-    w.PutString(name);
-    (void)InternalRpc(dst, kFnMigrateAbort, w.bytes(), nullptr, {.max_retries = 0});
+    w.PutString(rec->name);
+    (void)InternalRpc(rec->dst, kFnMigrateAbort, w.bytes(), nullptr, {.max_retries = 0});
   }
-  // Best-effort re-pin at the manager under the fenced epoch.
+  // Re-pin the name at the source under the fenced epoch.
   if (fenced_epoch != 0) {
-    if (manager_node_ == node_id()) {
-      lmrs_.UpdateName(name, node_id(), fenced_epoch);
-    } else if (!PeerDead(manager_node_)) {
-      WireWriter w;
-      w.PutString(name);
-      w.Put<NodeId>(node_id());
-      w.Put<uint64_t>(fenced_epoch);
-      (void)InternalRpc(manager_node_, kFnUpdateName, w.bytes(), nullptr, {.max_retries = 0});
-    }
+    RepointName(rec->name, node_id(), fenced_epoch);
   }
 }
 
@@ -502,9 +504,7 @@ Status LiteInstance::MigrateHosted(const std::string& name, NodeId dst, NodeId r
     return begun.status();
   }
   std::shared_ptr<MigrationRecord> rec = *begun;
-  if (migration_.started_ != nullptr) {
-    migration_.started_->Inc();
-  }
+  migration_.started_->Inc();
   if (journal_ != nullptr) {
     journal_->Record(JournalEvent::kMigrateStart, PackName8(name.c_str()),
                      PackLink(node_id(), dst));
@@ -528,54 +528,29 @@ Status LiteInstance::MigrateHosted(const std::string& name, NodeId dst, NodeId r
         st = Status::Internal("malformed migrate-install reply");
       }
     }
-    if (!st.ok()) {
-      AbortMigration(rec, name, dst, MigrationPhase::kMirror);
-      return st;
-    }
-  }
-  {
-    uint64_t copied = 0;
-    Status st = CopyLmrIntervals(meta.chunks, new_chunks, meta.size, nullptr, &copied);
-    if (migration_.bytes_copied_ != nullptr) {
-      migration_.bytes_copied_->Inc(copied);
-    }
-    if (stats != nullptr) {
-      stats->bytes_copied += copied;
+    if (st.ok()) {
+      st = CopyLmrIntervals(meta.chunks, new_chunks, meta.size, nullptr, stats);
     }
     if (!st.ok()) {
-      AbortMigration(rec, name, dst, MigrationPhase::kMirror);
+      AbortMigration(rec, MigrationPhase::kMirror);
       return st;
     }
   }
 
   // ---- Phase 2, kConverge: bounded re-copy of concurrently dirtied data. --
   migration_.SetPhase(rec, MigrationPhase::kConverge);
-  const uint32_t max_rounds = std::max<uint32_t>(1, params().lite_migrate_max_rounds);
-  for (uint32_t round = 0; round < max_rounds; ++round) {
+  for (uint32_t round = 0; round < kMigrateMaxRounds; ++round) {
     auto dirty = migration_.TakeDirty(rec);
     if (dirty.empty()) {
       break;
     }
-    if (migration_.rounds_ != nullptr) {
-      migration_.rounds_->Inc();
-    }
+    migration_.rounds_->Inc();
     if (stats != nullptr) {
       ++stats->rounds;
     }
-    uint64_t copied = 0;
-    Status st = CopyLmrIntervals(meta.chunks, new_chunks, meta.size, &dirty, &copied);
-    if (migration_.bytes_copied_ != nullptr) {
-      migration_.bytes_copied_->Inc(copied);
-    }
-    if (migration_.dirty_bytes_ != nullptr) {
-      migration_.dirty_bytes_->Inc(copied);
-    }
-    if (stats != nullptr) {
-      stats->bytes_copied += copied;
-      stats->dirty_bytes += copied;
-    }
+    Status st = CopyLmrIntervals(meta.chunks, new_chunks, meta.size, &dirty, stats);
     if (!st.ok()) {
-      AbortMigration(rec, name, dst, MigrationPhase::kConverge);
+      AbortMigration(rec, MigrationPhase::kConverge);
       return st;
     }
   }
@@ -586,28 +561,15 @@ Status LiteInstance::MigrateHosted(const std::string& name, NodeId dst, NodeId r
   }
   migration_.SetPhase(rec, MigrationPhase::kFence);
   if (!migration_.DrainTokens(rec, kParkCapRealNs)) {
-    AbortMigration(rec, name, dst, MigrationPhase::kFence);
+    AbortMigration(rec, MigrationPhase::kFence);
     return Status::Timeout("migration fence could not drain in-flight ops");
   }
   {
     auto final_dirty = migration_.TakeDirty(rec);
-    if (!final_dirty.empty()) {
-      uint64_t copied = 0;
-      Status st = CopyLmrIntervals(meta.chunks, new_chunks, meta.size, &final_dirty, &copied);
-      if (migration_.bytes_copied_ != nullptr) {
-        migration_.bytes_copied_->Inc(copied);
-      }
-      if (migration_.dirty_bytes_ != nullptr) {
-        migration_.dirty_bytes_->Inc(copied);
-      }
-      if (stats != nullptr) {
-        stats->bytes_copied += copied;
-        stats->dirty_bytes += copied;
-      }
-      if (!st.ok()) {
-        AbortMigration(rec, name, dst, MigrationPhase::kFence);
-        return st;
-      }
+    Status st = CopyLmrIntervals(meta.chunks, new_chunks, meta.size, &final_dirty, stats);
+    if (!st.ok()) {
+      AbortMigration(rec, MigrationPhase::kFence);
+      return st;
     }
   }
 
@@ -634,7 +596,7 @@ Status LiteInstance::MigrateHosted(const std::string& name, NodeId dst, NodeId r
     }
     Status st = InternalRpc(dst, kFnMigrateActivate, w.bytes(), nullptr);
     if (!st.ok()) {
-      AbortMigration(rec, name, dst, MigrationPhase::kFence);
+      AbortMigration(rec, MigrationPhase::kFence);
       return st;
     }
   }
@@ -644,9 +606,7 @@ Status LiteInstance::MigrateHosted(const std::string& name, NodeId dst, NodeId r
   const uint64_t commit_vtime = NowNs();
   migration_.Commit(rec, dst, new_epoch, new_chunks, commit_vtime);
   (void)lmrs_.TakeMeta(name);
-  if (migration_.committed_ != nullptr) {
-    migration_.committed_->Inc();
-  }
+  migration_.committed_->Inc();
   if (journal_ != nullptr) {
     journal_->Record(JournalEvent::kMigrateCommit, PackName8(name.c_str()), new_epoch);
     journal_->Record(JournalEvent::kMigratePhase, PackName8(name.c_str()),
@@ -662,15 +622,7 @@ Status LiteInstance::MigrateHosted(const std::string& name, NodeId dst, NodeId r
   // Post-commit, off the blocked-op critical path: re-point the name
   // service (best-effort — the tombstone covers the window) and fan the new
   // placement out to every node that mapped the LMR.
-  if (manager_node_ == node_id()) {
-    lmrs_.UpdateName(name, dst, new_epoch);
-  } else if (!PeerDead(manager_node_)) {
-    WireWriter w;
-    w.PutString(name);
-    w.Put<NodeId>(dst);
-    w.Put<uint64_t>(new_epoch);
-    (void)InternalRpc(manager_node_, kFnUpdateName, w.bytes(), nullptr, {.max_retries = 0});
-  }
+  RepointName(name, dst, new_epoch);
   {
     WireWriter w;
     w.PutString(name);
@@ -691,26 +643,31 @@ Status LiteInstance::MigrateHosted(const std::string& name, NodeId dst, NodeId r
   return Status::Ok();
 }
 
-Status LiteInstance::Migrate(const std::string& name, NodeId new_home, MigrateStats* stats) {
-  const bool hosted_here =
-      lmrs_.WithMeta(name, [](LmrMeta&) { return lt::StatusCode::kOk; }) == lt::StatusCode::kOk;
-  if (hosted_here) {
-    return MigrateHosted(name, new_home, node_id(), stats);
-  }
-  auto home = LookupMasterNode(name);
-  if (!home.ok()) {
-    return home.status();
-  }
-  if (*home == node_id()) {
-    return Status::NotFound("name service points here but no local metadata for LMR");
+Status LiteInstance::MigrateAt(NodeId home, const std::string& name, NodeId dst,
+                               MigrateStats* stats) {
+  if (home == node_id()) {
+    return MigrateHosted(name, dst, node_id(), stats);
   }
   WireWriter w;
   w.PutString(name);
-  w.Put<NodeId>(new_home);
+  w.Put<NodeId>(dst);
   w.Put<NodeId>(node_id());
   // Generous timeout: the coordinator mirrors the whole LMR inside the call.
-  return InternalRpc(*home, kFnMigrateLmr, w.bytes(), nullptr,
+  return InternalRpc(home, kFnMigrateLmr, w.bytes(), nullptr,
                      {.timeout_ns = 120'000'000'000ull});
+}
+
+Status LiteInstance::Migrate(const std::string& name, NodeId new_home, MigrateStats* stats) {
+  NodeId home = node_id();
+  if (lmrs_.WithMeta(name, [](LmrMeta&) { return lt::StatusCode::kOk; }) !=
+      lt::StatusCode::kOk) {
+    auto named = LookupMasterNode(name);
+    if (!named.ok()) {
+      return named.status();
+    }
+    home = *named;
+  }
+  return MigrateAt(home, name, new_home, stats);
 }
 
 Status LiteInstance::DrainNode(NodeId victim, uint64_t* moved) {
@@ -723,28 +680,9 @@ Status LiteInstance::DrainNode(NodeId victim, uint64_t* moved) {
   if (PeerDead(victim)) {
     return DeadPeerUnavailable();
   }
-
-  // Names hosted at the victim.
-  std::vector<std::pair<std::string, uint64_t>> names;
-  if (victim == node_id()) {
-    names = lmrs_.ListNames();
-  } else {
-    WireWriter empty;
-    std::vector<uint8_t> out;
-    LT_RETURN_IF_ERROR(InternalRpc(victim, kFnListNames, empty.bytes(), &out));
-    WireReader r(out.data(), out.size());
-    uint32_t count = 0;
-    if (!r.Get(&count)) {
-      return Status::Internal("malformed name-list reply");
-    }
-    for (uint32_t i = 0; i < count; ++i) {
-      std::string name;
-      uint64_t epoch = 0;
-      if (!r.GetString(&name) || !r.Get(&epoch)) {
-        return Status::Internal("malformed name-list entry");
-      }
-      names.emplace_back(std::move(name), epoch);
-    }
+  auto names = ListNamesAt(victim);
+  if (!names.ok()) {
+    return names.status();
   }
 
   // Destinations: every alive peer except the victim, round-robin.
@@ -760,24 +698,11 @@ Status LiteInstance::DrainNode(NodeId victim, uint64_t* moved) {
 
   Status first = Status::Ok();
   size_t next = 0;
-  for (const auto& [name, epoch] : names) {
+  for (const auto& [name, epoch] : *names) {
     (void)epoch;
-    const NodeId dst = targets[next++ % targets.size()];
-    Status st;
-    if (victim == node_id()) {
-      st = MigrateHosted(name, dst, node_id(), nullptr);
-    } else {
-      WireWriter w;
-      w.PutString(name);
-      w.Put<NodeId>(dst);
-      w.Put<NodeId>(node_id());
-      st = InternalRpc(victim, kFnMigrateLmr, w.bytes(), nullptr,
-                       {.timeout_ns = 120'000'000'000ull});
-    }
+    Status st = MigrateAt(victim, name, targets[next++ % targets.size()], nullptr);
     if (st.ok()) {
-      if (migration_.drained_lmrs_ != nullptr) {
-        migration_.drained_lmrs_->Inc();
-      }
+      migration_.drained_lmrs_->Inc();
       if (moved != nullptr) {
         ++*moved;
       }
@@ -790,76 +715,65 @@ Status LiteInstance::DrainNode(NodeId victim, uint64_t* moved) {
 
 // ================================================== stale-home redirection
 
-Status LiteInstance::RefreshStaleLh(Lh lh, LhEntry* entry) {
-  if (migration_.redirects_ != nullptr) {
-    migration_.redirects_->Inc();
-  }
-  const std::string name = entry->name;
-  const NodeId old_home = entry->master_node;
-
-  auto query = [&](NodeId target, StaleRedirect* redir) -> Status {
-    WireWriter w;
-    w.PutString(name);
-    std::vector<uint8_t> out;
-    LT_RETURN_IF_ERROR(InternalRpc(target, kFnStaleHome, w.bytes(), &out));
-    WireReader r(out.data(), out.size());
-    if (!r.Get(&redir->new_home) || !r.Get(&redir->epoch) || !r.GetChunks(&redir->chunks)) {
-      return Status::Internal("malformed stale-home reply");
+StatusOr<StaleRedirect> LiteInstance::ResolveHome(const std::string& name, NodeId hint,
+                                                  bool ask_manager) {
+  auto ask = [&](NodeId at) -> StatusOr<StaleRedirect> {
+    StaleRedirect redir;
+    if (at != node_id()) {
+      WireWriter w;
+      w.PutString(name);
+      std::vector<uint8_t> out;
+      LT_RETURN_IF_ERROR(InternalRpc(at, kFnStaleHome, w.bytes(), &out));
+      WireReader r(out.data(), out.size());
+      if (!r.Get(&redir.new_home) || !r.Get(&redir.epoch) || !r.GetChunks(&redir.chunks)) {
+        return Status::Internal("malformed stale-home reply");
+      }
+      return redir;
     }
-    return Status::Ok();
-  };
-
-  StaleRedirect redir;
-  Status st = Status::Unavailable("old home unreachable");
-  if (old_home == node_id()) {
-    // Live local metadata first (the LMR may have migrated back here), then
-    // the tombstone.
-    bool have = false;
-    (void)lmrs_.WithMeta(name, [&](LmrMeta& meta) {
-      redir.new_home = node_id();
-      redir.epoch = meta.epoch;
-      redir.chunks = meta.chunks;
-      have = true;
+    // Live local metadata wins over any tombstone: if the LMR migrated back
+    // here, this node IS home and the old tombstone must not redirect
+    // callers away from it.
+    const lt::StatusCode hosted = lmrs_.WithMeta(name, [&](LmrMeta& meta) {
+      redir = StaleRedirect{node_id(), meta.epoch, meta.chunks};
       return lt::StatusCode::kOk;
     });
-    if (have) {
-      st = Status::Ok();
-    } else {
-      auto tomb = migration_.LookupTombstone(name);
-      if (tomb.ok()) {
-        redir = *tomb;
-        st = Status::Ok();
-      }
+    if (hosted == lt::StatusCode::kOk) {
+      return redir;
     }
-  } else if (!PeerDead(old_home)) {
-    st = query(old_home, &redir);
+    return migration_.LookupTombstone(name);
+  };
+  auto redir = ask(hint);
+  if (redir.ok() || !ask_manager) {
+    return redir;
   }
-  if (!st.ok()) {
-    // The old home is dead or lost its record: fall back to the manager's
-    // name service, then confirm placement with the resolved home itself.
-    auto home = LookupMasterNode(name);
-    if (!home.ok()) {
-      return home.status();
-    }
-    LT_RETURN_IF_ERROR(query(*home, &redir));
+  // The hinted home is dead or lost its record: ask the home the manager's
+  // name service points at.
+  auto home = LookupMasterNode(name);
+  if (!home.ok()) {
+    return home.status();
   }
-  if (redir.epoch <= entry->epoch) {
-    // A racing refresh may have advanced the local mapping between our NACK
-    // and this resolution; if so the entry is already usable as-is.
-    auto fresh = lmrs_.Get(lh);
-    if (fresh.ok() && fresh->epoch > entry->epoch) {
-      *entry = *fresh;
-      return Status::Ok();
-    }
-    return Status::Unavailable("home re-resolution did not advance the LMR epoch");
+  if (*home == hint) {
+    return Status::Unavailable("LMR home still settling after migration");
   }
-  lmrs_.UpdateHomeByName(name, redir.new_home, redir.chunks, redir.epoch);
+  return ask(*home);
+}
+
+StatusOr<bool> LiteInstance::RefreshStaleLh(Lh lh, LhEntry* entry) {
+  migration_.redirects_->Inc();
+  auto redir = ResolveHome(entry->name, entry->master_node);
+  if (!redir.ok()) {
+    return redir.status();
+  }
+  lmrs_.UpdateHomeByName(entry->name, redir->new_home, redir->chunks, redir->epoch);
+  // Reload: this resolution, a racing refresh or the rehome fan-out may have
+  // advanced the mapping since the NACK.
   auto fresh = lmrs_.Get(lh);
   if (!fresh.ok()) {
     return fresh.status();
   }
+  const bool advanced = fresh->epoch > entry->epoch;
   *entry = *fresh;
-  return Status::Ok();
+  return advanced;
 }
 
 Status LiteInstance::RedoMemopAfterStale(Lh lh, uint64_t offset, void* buf, uint64_t len,
@@ -1032,37 +946,22 @@ void LiteInstance::RegisterMigrationHandlers() {
     return lt::StatusCode::kOk;
   };
 
-  // Old home (or any node): where does `name` live now? Serves the
-  // migration tombstone, or the live local metadata when this node is home.
+  // Old home (or any node): where does `name` live now, as this node knows
+  // it (its live metadata, else its tombstone)?
   internal_handlers_[kFnStaleHome] = [](LiteInstance* self, const RpcIncoming& inc) -> Reply {
     WireReader r(inc.data.data(), inc.data.size());
     std::string name;
     if (!r.GetString(&name)) {
       return lt::StatusCode::kInvalidArgument;
     }
-    // Live local metadata wins over any tombstone: if the LMR migrated back
-    // here, this node IS home and the old tombstone must not redirect
-    // callers away from it.
-    StaleRedirect redir;
-    bool have = false;
-    (void)self->lmrs_.WithMeta(name, [&](LmrMeta& meta) {
-      redir.new_home = self->node_id();
-      redir.epoch = meta.epoch;
-      redir.chunks = meta.chunks;
-      have = true;
-      return lt::StatusCode::kOk;
-    });
-    if (!have) {
-      auto tomb = self->migration_.LookupTombstone(name);
-      if (!tomb.ok()) {
-        return lt::StatusCode::kNotFound;
-      }
-      redir = *tomb;
+    auto redir = self->ResolveHome(name, self->node_id(), /*ask_manager=*/false);
+    if (!redir.ok()) {
+      return redir.status().code();
     }
     WireWriter payload;
-    payload.Put<NodeId>(redir.new_home);
-    payload.Put<uint64_t>(redir.epoch);
-    payload.PutChunks(redir.chunks);
+    payload.Put<NodeId>(redir->new_home);
+    payload.Put<uint64_t>(redir->epoch);
+    payload.PutChunks(redir->chunks);
     return payload.bytes();
   };
 }

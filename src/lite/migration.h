@@ -101,7 +101,7 @@ struct StagedInstall {
 };
 
 // Issuer-side handle for one gated access; pass back to CloseAccess exactly
-// once for every OpenAccess that returned kClear.
+// once for every Open that returned Ok.
 struct AccessGate {
   std::shared_ptr<MigrationRecord> rec;  // Non-null iff a token is held.
   PhysAddr addr = 0;
@@ -111,12 +111,6 @@ struct AccessGate {
 
 class MigrationState {
  public:
-  enum class Gate {
-    kClear,  // Proceed; caller must CloseAccess when the post is done.
-    kStale,  // Target range belongs to a committed migration: kStaleHome.
-    kBusy,   // Fence wait exceeded its cap; surface as transient Unavailable.
-  };
-
   MigrationState() = default;
   MigrationState(const MigrationState&) = delete;
   MigrationState& operator=(const MigrationState&) = delete;
@@ -129,11 +123,14 @@ class MigrationState {
   // node. Single relaxed load: the idle-path cost of the whole subsystem.
   bool armed() const { return armed_.load(std::memory_order_relaxed) != 0; }
 
-  // Gate around one one-sided access to this node's memory. `park_poll_ns`
-  // bounds each fence re-check (virtual charge); `park_cap_real_ns` bounds
-  // the total real-time fence wait before giving up with kBusy.
-  Gate OpenAccess(PhysAddr addr, uint64_t len, bool is_write, NodeId requester,
-                  uint64_t park_cap_real_ns, AccessGate* gate);
+  // The gate around one access to this node's memory, by any issuer: Ok
+  // (proceed, then CloseAccess once the post is done), kStaleHome (the range
+  // belongs to a committed migration: re-resolve the home), or Unavailable
+  // (a fence park outlived its real-time cap). A node no migration has
+  // touched answers with the one inline load.
+  Status Open(PhysAddr addr, uint64_t len, bool is_write, NodeId requester, AccessGate* gate) {
+    return armed() ? OpenAccess(addr, len, is_write, requester, gate) : Status::Ok();
+  }
   // Releases the token (and heals the arming race: a write that opened
   // before the record armed but completed after it is dirty-logged here).
   void CloseAccess(AccessGate* gate, bool success);
@@ -193,6 +190,10 @@ class MigrationState {
     std::shared_ptr<MigrationRecord> rec;
   };
 
+  // Open's armed path: looks the range up and, inside a migration, takes a
+  // token or parks through the fence.
+  Status OpenAccess(PhysAddr addr, uint64_t len, bool is_write, NodeId requester,
+                    AccessGate* gate);
   // Logs [addr, addr+len) as dirty in LMR-offset space. rec->mu held.
   static void AddDirtyLocked(MigrationRecord* rec, PhysAddr addr, uint64_t len);
 

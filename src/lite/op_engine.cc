@@ -40,6 +40,10 @@ namespace {
 // finite, so a lost wakeup cannot hang a run forever.
 constexpr uint64_t kLongTimeoutCapNs = 3'600ull * 1'000'000'000ull;
 
+// Selective signaling of async WQEs: every K-th WQE of a (destination, QP)
+// stream is signaled; the unsignaled prefix is inferred complete from its CQE.
+constexpr uint64_t kAsyncSignalEvery = 8;
+
 bool TransientCode(const Status& s) {
   return s.code() == lt::StatusCode::kUnavailable || s.code() == lt::StatusCode::kTimeout;
 }
@@ -49,28 +53,6 @@ bool TransientCode(const Status& s) {
 // concurrent QP error (Prepare recovers it on the next attempt).
 bool Retryable(const Status& s) {
   return TransientCode(s) || s.code() == lt::StatusCode::kFailedPrecondition;
-}
-
-// Issuer-side migration gate (the simulated analogue of the responder NIC
-// checking its protection tables): consults `target`'s migration guard before
-// a data access to its memory. kOk means proceed — the caller must
-// CloseAccess(gate, landed) once the post's outcome is known. Costs one
-// relaxed load when the target has never migrated anything.
-Status GateAccess(LiteInstance* issuer, LiteInstance* target, PhysAddr addr, uint64_t len,
-                  bool is_write, AccessGate* gate) {
-  if (target == nullptr || !target->migration().armed()) {
-    return Status::Ok();
-  }
-  switch (target->migration().OpenAccess(addr, len, is_write, issuer->node_id(),
-                                         /*park_cap_real_ns=*/0, gate)) {
-    case MigrationState::Gate::kStale:
-      return Status::StaleHome("target LMR migrated away; re-resolve its home");
-    case MigrationState::Gate::kBusy:
-      return Status::Unavailable("migration fence busy");
-    case MigrationState::Gate::kClear:
-      break;
-  }
-  return Status::Ok();
 }
 
 // True for WRs that touch LMR data at the destination and therefore go
@@ -141,7 +123,8 @@ void OpEngine::Admit(Priority pri, uint64_t bytes) {
 
 Status OpEngine::CopyLocalPiece(const OpDesc& piece, bool is_read) {
   AccessGate gate;
-  LT_RETURN_IF_ERROR(GateAccess(inst_, inst_, piece.addr, piece.len, !is_read, &gate));
+  LT_RETURN_IF_ERROR(
+      inst_->migration().Open(piece.addr, piece.len, !is_read, inst_->node_id(), &gate));
   const uint64_t copy_t0 = NowNs();
   if (is_read) {
     inst_->LocalCopyOut(piece.local, piece.addr, piece.len);
@@ -172,13 +155,18 @@ Status OpEngine::PostGated(const TransportHandle& h, WorkRequest* wr) {
   if (!tr.Valid(h)) {
     return Status::Unavailable("no QP to destination node");
   }
-  // Migration gate, opened per post (a retransmit must re-check the phase:
-  // the fence may have committed in between). The gate may park here —
-  // real-time wait, zero virtual charge — until the fence resolves.
+  // Migration gate of the target node (the simulated analogue of the
+  // responder NIC checking its protection tables), opened per post: a
+  // retransmit must re-check the phase, as the fence may have committed in
+  // between. The gate may park here — real-time wait, zero virtual charge —
+  // until the fence resolves.
   LiteInstance* peer = GatedDataOp(*wr) ? inst_->Peer(h.dst) : nullptr;
   AccessGate gate;
-  LT_RETURN_IF_ERROR(GateAccess(inst_, peer, wr->remote_addr, wr->length,
-                                wr->opcode != WrOpcode::kRead, &gate));
+  if (peer != nullptr) {
+    LT_RETURN_IF_ERROR(peer->migration().Open(wr->remote_addr, wr->length,
+                                              wr->opcode != WrOpcode::kRead, inst_->node_id(),
+                                              &gate));
+  }
   Status posted = Status::Ok();
   const uint64_t post_t0 = NowNs();
   {
@@ -348,7 +336,8 @@ StatusOr<uint64_t> OpEngine::RemoteAtomicImpl(NodeId dst, PhysAddr addr, bool is
                                               uint64_t compare_add, uint64_t swap) {
   if (dst == inst_->node_id()) {
     AccessGate gate;
-    LT_RETURN_IF_ERROR(GateAccess(inst_, inst_, addr, 8, /*is_write=*/true, &gate));
+    LT_RETURN_IF_ERROR(
+        inst_->migration().Open(addr, 8, /*is_write=*/true, inst_->node_id(), &gate));
     const uint64_t spin_t0 = NowNs();
     SpinFor(inst_->params().local_op_base_ns + inst_->params().rnic_atomic_extra_ns / 2);
     AttrAdd(LatStage::kLatRnicLocal, NowNs() - spin_t0);
@@ -454,7 +443,6 @@ StatusOr<MemopHandle> OpEngine::IssueAsyncPieces(const std::vector<OpDesc>& piec
   op->origin_buf = origin_buf;
   op->origin_len = origin_len;
   op->origin_is_read = is_read;
-  const uint32_t signal_every = std::max<uint32_t>(1, inst_->params().lite_async_signal_every);
 
   std::unique_lock<std::mutex> lock(async_mu_);
   const size_t window = std::max<size_t>(1, inst_->params().lite_async_window);
@@ -485,7 +473,7 @@ StatusOr<MemopHandle> OpEngine::IssueAsyncPieces(const std::vector<OpDesc>& piec
     if (tr.Valid(wqe.h)) {
       stream = &async_streams_[{wqe.h.dst, wqe.h.slot}];
       wqe.stream_pos = stream->next_pos++;
-      wqe.signaled = ((wqe.stream_pos + 1) % signal_every == 0);
+      wqe.signaled = ((wqe.stream_pos + 1) % kAsyncSignalEvery == 0);
     }
     wqe.wr.signaled = wqe.signaled;
     // A failed post (gate NACK, QP race, no QP) is settled at retirement:

@@ -15,7 +15,7 @@ using lt::telemetry::LatStage;
 
 SubmissionRings::SubmissionRings(LiteInstance* inst)
     : inst_(inst),
-      spin_ns_(inst->params().lite_ring_spin_ns),
+      spin_ns_(inst->params().lite_adaptive_spin_ns),
       flush_ns_(inst->params().lite_ring_flush_ns),
       batch_(std::max<uint32_t>(1, inst->params().lite_ring_doorbell_batch)),
       entries_(std::max<uint32_t>(1, inst->params().lite_ring_entries)) {

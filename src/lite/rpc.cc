@@ -37,6 +37,7 @@ using lt::telemetry::LatStage;
 namespace {
 
 constexpr uint64_t kServiceWaitNs = 50'000'000;   // Poll-loop wakeup cadence.
+constexpr uint64_t kRingFullRetryNs = 2'000;      // Virtual charge per ring-full poll.
 
 uint64_t Align64(uint64_t v) { return (v + 63) & ~63ull; }
 
@@ -219,8 +220,8 @@ Status LiteInstance::PostRpcRequest(RpcChannel* channel, RpcFuncId func, const v
     if (lt::RealNowNs() > real_deadline) {
       return Status::ResourceExhausted("RPC ring full (server not draining)");
     }
-    lt::IdleFor(params().lite_ring_full_retry_ns);
-    AttrAdd(LatStage::kLatEngineQueue, params().lite_ring_full_retry_ns);
+    lt::IdleFor(kRingFullRetryNs);
+    AttrAdd(LatStage::kLatEngineQueue, kRingFullRetryNs);
     std::this_thread::sleep_for(std::chrono::microseconds(2));
   }
 
@@ -608,7 +609,7 @@ void LiteInstance::PollLoop() {
   lt::ServiceTimeline timeline;
   while (!stopping_.load()) {
     uint64_t cpu0 = lt::ThreadCpuNs();
-    auto c = recv_cq_->WaitPoll(kServiceWaitNs, WaitMode::kSleep, 0);
+    auto c = recv_cq_->WaitPoll(kServiceWaitNs, WaitMode::kSleep);
     if (stopping_.load()) {
       break;
     }

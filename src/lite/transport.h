@@ -39,6 +39,10 @@
 
 namespace lite {
 
+// Modeled host-memory footprint of one QP's state (QPC + driver
+// bookkeeping); only used to report per-node QP state in the scale benches.
+constexpr uint64_t kQpStateBytes = 1024;
+
 // Opaque lease on one transport-owned QP for one destination. `slot` is an
 // index whose meaning is private to the implementation (RC: pool index for
 // dst; DC: index into the node-wide shared pool). The pair is also the
@@ -90,9 +94,7 @@ class Transport {
   // ---- Introspection ----
   virtual size_t TotalQps() const = 0;
   // Host-memory footprint of this node's QP state (scale-bench reporting).
-  uint64_t QpStateBytes() const {
-    return static_cast<uint64_t>(TotalQps()) * node_->params().rnic_qp_state_bytes;
-  }
+  uint64_t QpStateBytes() const { return static_cast<uint64_t>(TotalQps()) * kQpStateBytes; }
 
   // RC-only: direct pool access for cluster pairing / tests. Null elsewhere.
   virtual lt::Qp* PoolQp(NodeId dst, int k) const {

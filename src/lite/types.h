@@ -30,7 +30,7 @@ using MemopHandle = uint64_t;
 constexpr MemopHandle kInvalidMemopHandle = 0;
 
 // Permissions a master can grant on an LMR (paper Sec. 4.1). Master implies
-// the right to move/free the LMR and to grant permissions.
+// the right to migrate/free the LMR and to grant permissions.
 enum LmrPerm : uint32_t {
   kPermRead = 1u << 0,
   kPermWrite = 1u << 1,
@@ -72,13 +72,11 @@ constexpr RpcFuncId kFnMemOp = 1008;
 constexpr RpcFuncId kFnLockWait = 1009;
 constexpr RpcFuncId kFnLockGrant = 1010;
 constexpr RpcFuncId kFnBarrier = 1011;
-constexpr RpcFuncId kFnLmrUpdate = 1012;
 constexpr RpcFuncId kFnSetPermission = 1013;
 constexpr RpcFuncId kFnRingSetup = 1014;
 constexpr RpcFuncId kFnMasterFree = 1015;
-constexpr RpcFuncId kFnMasterMove = 1016;
 constexpr RpcFuncId kFnMasterGrant = 1017;
-constexpr RpcFuncId kFnListNames = 1018;  // Manager recovery (Sec. 3.3).
+constexpr RpcFuncId kFnListNames = 1018;  // Manager recovery (Sec. 3.3) and drain.
 constexpr RpcFuncId kFnEcho = 1019;  // Internal liveness check / tests.
 constexpr RpcFuncId kFnKeepalive = 1022;  // Lease renewal to the cluster manager.
 

@@ -13,6 +13,7 @@ namespace {
 
 constexpr uint64_t kRnrTimeoutNs = 2'000'000'000;  // Receiver-not-ready give-up.
 constexpr uint64_t kOneSidedHeaderBytes = 30;      // Request header on the wire.
+constexpr uint64_t kUdGrhBytes = 40;               // UD global routing header.
 
 uint64_t MttKey(uint32_t lkey, uint64_t vpage) {
   return (static_cast<uint64_t>(lkey) << 36) ^ vpage;
@@ -58,25 +59,21 @@ Rnic* RnicDirectory::Lookup(NodeId node) const {
 
 // ----------------------------------------------------------------------- cq
 
-std::optional<Completion> Cq::TryPoll() {
-  const uint64_t now = NowNs();
-  std::lock_guard<std::mutex> lock(mu_);
-  auto best = entries_.end();
-  for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-    if (it->ready_at_ns <= now && (best == entries_.end() || it->ready_at_ns < best->ready_at_ns)) {
-      best = it;
-    }
+namespace {
+
+// Advances the waiter's clock to the completion's ready time, charging the
+// gap as CPU (busy poll) or not (sleep).
+void SyncToCompletion(const Completion& c, WaitMode mode) {
+  if (mode == WaitMode::kBusyPoll) {
+    SyncToBusy(c.ready_at_ns);
+  } else {
+    SyncToIdle(c.ready_at_ns);
   }
-  if (best == entries_.end()) {
-    return std::nullopt;
-  }
-  Completion c = *best;
-  entries_.erase(best);
-  return c;
 }
 
-std::optional<Completion> Cq::WaitPoll(uint64_t timeout_ns, WaitMode mode,
-                                       uint64_t adaptive_budget_ns) {
+}  // namespace
+
+std::optional<Completion> Cq::WaitPoll(uint64_t timeout_ns, WaitMode mode) {
   Completion c;
   {
     std::unique_lock<std::mutex> lock(mu_);
@@ -98,22 +95,11 @@ std::optional<Completion> Cq::WaitPoll(uint64_t timeout_ns, WaitMode mode,
     c = *best;
     entries_.erase(best);
   }
-  switch (mode) {
-    case WaitMode::kBusyPoll:
-      SyncToBusy(c.ready_at_ns);
-      break;
-    case WaitMode::kSleep:
-      SyncToIdle(c.ready_at_ns);
-      break;
-    case WaitMode::kAdaptive:
-      SyncToAdaptive(c.ready_at_ns, adaptive_budget_ns);
-      break;
-  }
+  SyncToCompletion(c, mode);
   return c;
 }
 
-std::optional<Completion> Cq::WaitPollFor(uint64_t wr_id, uint64_t timeout_ns, WaitMode mode,
-                                          uint64_t adaptive_budget_ns) {
+std::optional<Completion> Cq::WaitPollFor(uint64_t wr_id, uint64_t timeout_ns, WaitMode mode) {
   const uint64_t real_deadline = RealNowNs() + timeout_ns;
   Completion c;
   {
@@ -140,17 +126,7 @@ std::optional<Completion> Cq::WaitPollFor(uint64_t wr_id, uint64_t timeout_ns, W
       cv_.wait_for(lock, std::chrono::nanoseconds(real_deadline - now));
     }
   }
-  switch (mode) {
-    case WaitMode::kBusyPoll:
-      SyncToBusy(c.ready_at_ns);
-      break;
-    case WaitMode::kSleep:
-      SyncToIdle(c.ready_at_ns);
-      break;
-    case WaitMode::kAdaptive:
-      SyncToAdaptive(c.ready_at_ns, adaptive_budget_ns);
-      break;
-  }
+  SyncToCompletion(c, mode);
   return c;
 }
 
@@ -217,11 +193,6 @@ std::optional<Rqe> Qp::TakeRecvWait(uint64_t real_timeout_ns) {
   Rqe rqe = rq_.front();
   rq_.pop_front();
   return rqe;
-}
-
-size_t Qp::RecvDepth() const {
-  std::lock_guard<std::mutex> lock(rq_mu_);
-  return rq_.size();
 }
 
 // --------------------------------------------------------------------- rnic
@@ -309,7 +280,7 @@ size_t Rnic::MrCount() const {
 
 Cq* Rnic::CreateCq() {
   std::lock_guard<SpinLock> lock(qp_mu_);
-  cqs_.push_back(std::make_unique<Cq>(params_));
+  cqs_.push_back(std::make_unique<Cq>());
   return cqs_.back().get();
 }
 
@@ -676,7 +647,7 @@ Status Rnic::ExecuteSend(Qp* qp, const WorkRequest& wr, Rnic* remote, uint32_t d
     return Status::Ok();
   }
 
-  uint64_t wire_bytes = wr.length + (qp->type() == QpType::kUd ? params_.ud_grh_bytes : 0);
+  uint64_t wire_bytes = wr.length + (qp->type() == QpType::kUd ? kUdGrhBytes : 0);
   uint64_t local_done =
       ReserveEngine(now, params_.rnic_process_ns + qpc_penalty + local->cache_penalty_ns);
   uint64_t queue_ns = 0;

@@ -102,29 +102,21 @@ struct Completion {
 
 // How a waiting thread "spends" the virtual-time gap until an event arrives;
 // determines its modeled CPU utilization (paper Fig. 13).
-enum class WaitMode { kBusyPoll, kSleep, kAdaptive };
+enum class WaitMode { kBusyPoll, kSleep };
 
 // Completion queue; may be shared by any number of QPs (this is how LITE uses
 // one global receive CQ per node).
 class Cq {
  public:
-  explicit Cq(const SimParams& params) : params_(params) {}
-
-  // Non-blocking: returns the earliest entry whose virtual ready time has
-  // already arrived on the caller's clock (pipelined callers).
-  std::optional<Completion> TryPoll();
-
   // Blocks (really, on a condvar) until an entry exists, then advances the
   // caller's virtual clock to the entry's ready time, charging CPU according
   // to `mode`. Returns nullopt on timeout or shutdown.
-  std::optional<Completion> WaitPoll(uint64_t timeout_ns, WaitMode mode,
-                                     uint64_t adaptive_budget_ns = 0);
+  std::optional<Completion> WaitPoll(uint64_t timeout_ns, WaitMode mode);
 
   // Like WaitPoll but only consumes the completion whose wr_id matches;
   // lets many threads await their own completions on one shared CQ without
   // stealing each other's entries.
-  std::optional<Completion> WaitPollFor(uint64_t wr_id, uint64_t timeout_ns, WaitMode mode,
-                                        uint64_t adaptive_budget_ns = 0);
+  std::optional<Completion> WaitPollFor(uint64_t wr_id, uint64_t timeout_ns, WaitMode mode);
 
   // Removes and returns the completion whose wr_id matches, regardless of its
   // ready time, without touching the caller's clock. Used by the async memop
@@ -137,7 +129,6 @@ class Cq {
   void Shutdown();
 
  private:
-  const SimParams& params_;
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::deque<Completion> entries_;
@@ -183,7 +174,6 @@ class Qp {
   std::optional<Rqe> TakeRecv();
   // Blocks (real time) until an RQE is posted; models RC RNR retransmission.
   std::optional<Rqe> TakeRecvWait(uint64_t real_timeout_ns);
-  size_t RecvDepth() const;
 
   // ---- Error state (RC reliability model) ----
   // A dropped/partitioned transfer moves an RC QP to the error state, like

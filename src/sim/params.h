@@ -39,7 +39,6 @@ struct SimParams {
   uint64_t rnic_completion_ns = 120; // CQE generation + host poll cost.
   uint64_t rnic_ack_ns = 250;        // RC ACK turn-around at the responder NIC.
   uint64_t rnic_atomic_extra_ns = 300;  // PCIe read-modify-write for atomics.
-  size_t ud_grh_bytes = 40;          // Global routing header overhead for UD.
   // Doorbell batching: a post that lands on the same QP within
   // rnic_doorbell_window_ns of the previous one (and opted in via
   // WorkRequest::doorbell_hint) rides the same doorbell and pays only the
@@ -67,9 +66,6 @@ struct SimParams {
   // moves paper figures: cold responder-QPC misses add 1 ns to fig06's 8 B
   // row and to fig04's Verbs column.
   bool rnic_model_responder_qpc = false;
-  // Host-memory footprint of one QP's state (QPC + driver bookkeeping);
-  // only used for reporting total per-node QP state in the scale benches.
-  size_t rnic_qp_state_bytes = 1024;
 
   // ---- OS / kernel costs ----
   uint64_t user_kernel_cross_ns = 85;   // One crossing; optimized RPC pays two.
@@ -89,12 +85,13 @@ struct SimParams {
                                              // (paper used 16 MB; scaled to the
                                              // smaller simulated memory pools).
   uint64_t lite_rpc_timeout_ns = 2'000'000'000;  // RPC failure-detection timeout.
-  uint64_t lite_adaptive_spin_ns = 6'000;  // Busy-check budget before sleeping.
+  // Spin-then-sleep budget of LITE's kernel threads (paper Sec. 5.2): the RPC
+  // service threads and the ring drainer/reaper stay hot this long.
+  uint64_t lite_adaptive_spin_ns = 6'000;
   // Failure recovery (see DESIGN.md "Failure model & recovery").
   uint32_t lite_rpc_max_retries = 3;        // Transparent retransmits per call.
   uint64_t lite_rpc_retry_backoff_ns = 200'000;  // First retry backoff; doubles.
   uint64_t lite_qp_reconnect_ns = 25'000;   // modify_qp ERR->RESET->...->RTS.
-  uint64_t lite_ring_full_retry_ns = 2'000;  // Virtual charge per ring-full poll.
   // Liveness: keepalive cadence (real time; 0 disables the service) and the
   // manager-side lease (0 means 5x the keepalive interval).
   uint64_t lite_keepalive_interval_ns = 0;
@@ -112,9 +109,6 @@ struct SimParams {
   uint64_t lite_dc_connect_ns = 900;   // DC re-target (attach) cost, host side.
   // Async memop fast path (LT_read_async/LT_write_async).
   size_t lite_async_window = 64;      // Per-instance in-flight memop cap.
-  uint32_t lite_async_signal_every = 8;  // Every K-th async WQE is signaled;
-                                         // the unsignaled prefix is inferred
-                                         // complete from the K-th CQE.
   size_t lite_reply_slots = 256;      // Concurrent outstanding RPCs per node.
   size_t lite_reply_slot_bytes = 16384;  // Max RPC reply size per slot.
   // Per-CPU submission/completion rings (DESIGN.md §9). With rings on, a
@@ -122,7 +116,7 @@ struct SimParams {
   // ring (the enqueue is a cache-line write — below this model's ns
   // granularity, so it charges nothing) and pays the user->kernel crossing
   // only as a doorbell when the kernel-half drainer has gone cold. The
-  // drainer is considered hot for lite_ring_spin_ns after its last activity
+  // drainer is considered hot for lite_adaptive_spin_ns after its last activity
   // (it adaptively spins that long before sleeping); deferred async
   // submissions flush at lite_ring_doorbell_batch entries, at
   // lite_ring_flush_ns age, at lite_ring_entries occupancy (overflow
@@ -132,10 +126,6 @@ struct SimParams {
   uint32_t lite_ring_entries = 256;    // Ring capacity (overflow backpressure).
   uint32_t lite_ring_doorbell_batch = 16;  // Deferred entries per flush.
   uint64_t lite_ring_flush_ns = 2'000;     // Max deferred age before flush.
-  uint64_t lite_ring_spin_ns = 6'000;  // Drainer hot window / reap spin budget.
-  // Live LMR migration (DESIGN.md "Epoch-fenced ownership & live migration").
-  uint32_t lite_migrate_max_rounds = 4;  // Bounded dirty re-copy rounds before
-                                         // the fence closes regardless.
   double local_copy_bytes_per_ns = 12.0;  // Same-node memcpy bandwidth.
   uint64_t local_op_base_ns = 60;         // Fixed cost of a local LITE copy.
 

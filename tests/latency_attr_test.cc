@@ -315,10 +315,12 @@ TEST(AttrConservationTest, HoldsAcrossStaleHomeRedirects) {
   auto stale = user->Map("attr_stale");
   ASSERT_TRUE(stale.ok());
 
-  // Suppress the rehome fan-out to node 2 so its mapping stays stale and the
-  // ops below take the kStaleHome NACK + redirect path.
-  cluster.faults().DropNextTransfers(1, 2, 6);
+  // Node 1 holds node 2 dead across the migration, so the commit's rehome
+  // fan-out skips it: node 2's mapping stays stale and the ops below take
+  // the kStaleHome NACK + redirect path.
+  cluster.instance(1)->SetPeerDead(2, true);
   ASSERT_TRUE(owner->Migrate("attr_stale", 0).ok());
+  cluster.instance(1)->SetPeerDead(2, false);
 
   std::vector<uint8_t> out(kSize);
   ASSERT_TRUE(user->Read(*stale, 0, out.data(), out.size()).ok());

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstring>
+#include <ostream>
 #include <thread>
 
 #include "src/common/timing.h"
@@ -248,7 +250,7 @@ TEST_F(LiteMemoryTest, MoveLmrPreservesContentAndRemapsHandles) {
   auto mapped = c1_->Map("movable");
   ASSERT_TRUE(mapped.ok());
 
-  ASSERT_TRUE(c0_->instance()->MoveLmr("movable", 2).ok());
+  ASSERT_TRUE(c0_->instance()->Migrate("movable", 2).ok());
   auto chunks = c0_->instance()->LmrChunks(*lh);
   ASSERT_TRUE(chunks.ok());
   for (const auto& chunk : *chunks) {
@@ -585,26 +587,90 @@ TEST_F(MigrationTest, MigrateRoutesThroughNameServiceFromAnyNode) {
   }
 }
 
-TEST_F(MigrationTest, StaleHandleRedirectsTransparently) {
+// An lh-addressed op sent through a handle that still maps the LMR's old
+// home: each reaches the old home's migration gate on a different path.
+enum class StaleOp {
+  kRead,      // One-sided read: the op engine's gated post.
+  kMemset,    // kFnMemOp memset at the node holding the pieces.
+  kMemcpy,    // kFnMemOp memcpy at the node holding the source (the stale LMR).
+  kFetchAdd,  // One-sided atomic: the op engine's gated post.
+};
+
+const char* StaleOpName(StaleOp op) {
+  switch (op) {
+    case StaleOp::kRead:
+      return "Read";
+    case StaleOp::kMemset:
+      return "Memset";
+    case StaleOp::kMemcpy:
+      return "Memcpy";
+    case StaleOp::kFetchAdd:
+      return "FetchAdd";
+  }
+  return "Unknown";
+}
+
+// Test listings print the op by name.
+void PrintTo(StaleOp op, std::ostream* os) { *os << StaleOpName(op); }
+
+class MigrationStaleTest : public MigrationTest, public ::testing::WithParamInterface<StaleOp> {};
+
+TEST_P(MigrationStaleTest, StaleHandleRedirectsTransparently) {
   constexpr uint64_t kSize = 32 * 1024;
   HostedOnNode1("mig_stale", kSize, 0x55);
   auto stale = c2_->Map("mig_stale");
   ASSERT_TRUE(stale.ok());
 
-  // Drop the commit's fire-and-forget rehome notification to node 2, so its
-  // mapping stays stale and the read below must take the NACK-redirect path
-  // (without the drop the proactive fan-out usually wins the race).
-  cluster_->faults().DropNextTransfers(1, 2, 6);
+  // Node 1 holds node 2 dead across the migration, so the commit's rehome
+  // fan-out skips it: node 2's mapping stays stale and the op below must
+  // take the NACK-redirect path.
+  cluster_->instance(1)->SetPeerDead(2, true);
   ASSERT_TRUE(c1_->Migrate("mig_stale", 0).ok());
+  cluster_->instance(1)->SetPeerDead(2, false);
 
   // The pre-migration handle still points at node 1; the old home NACKs with
-  // kStaleHome and the op engine re-resolves + re-issues — the app never
-  // sees an error.
-  std::vector<uint8_t> out(kSize);
-  ASSERT_TRUE(c2_->Read(*stale, 0, out.data(), out.size()).ok());
-  EXPECT_EQ(out, Pattern(kSize, 0x55));
+  // kStaleHome and the issuer re-resolves + re-issues — the app never sees
+  // an error.
+  std::vector<uint8_t> want = Pattern(kSize, 0x55);
+  switch (GetParam()) {
+    case StaleOp::kRead: {
+      std::vector<uint8_t> out(kSize);
+      ASSERT_TRUE(c2_->Read(*stale, 0, out.data(), out.size()).ok());
+      EXPECT_EQ(out, want);
+      break;
+    }
+    case StaleOp::kMemset:
+      ASSERT_TRUE(c2_->Memset(*stale, 0, 0x7e, kSize).ok());
+      std::fill(want.begin(), want.end(), 0x7e);
+      break;
+    case StaleOp::kMemcpy: {
+      auto copy = c2_->Malloc(kSize, "mig_stale_copy");
+      ASSERT_TRUE(copy.ok());
+      ASSERT_TRUE(c2_->Memcpy(*copy, 0, *stale, 0, kSize).ok());
+      std::vector<uint8_t> out(kSize);
+      ASSERT_TRUE(c2_->Read(*copy, 0, out.data(), out.size()).ok());
+      EXPECT_EQ(out, want);
+      break;
+    }
+    case StaleOp::kFetchAdd: {
+      uint64_t word = 0;
+      std::memcpy(&word, want.data(), sizeof(word));
+      auto old_value = c2_->FetchAdd(*stale, 0, 5);
+      ASSERT_TRUE(old_value.ok());
+      EXPECT_EQ(*old_value, word);
+      word += 5;
+      std::memcpy(want.data(), &word, sizeof(word));
+      break;
+    }
+  }
   EXPECT_GE(cluster_->instance(2)->Stat("lite.migrate.redirects"), 1);
   EXPECT_GE(cluster_->instance(1)->Stat("lite.migrate.stale_nacks"), 1);
+  // The new home holds exactly what the op left, applied once.
+  auto fresh = c0_->Map("mig_stale");
+  ASSERT_TRUE(fresh.ok());
+  std::vector<uint8_t> out(kSize);
+  ASSERT_TRUE(c0_->Read(*fresh, 0, out.data(), out.size()).ok());
+  EXPECT_EQ(out, want);
 
   // The refreshed mapping serves follow-up ops with no further redirects.
   const int64_t redirects = cluster_->instance(2)->Stat("lite.migrate.redirects");
@@ -616,6 +682,13 @@ TEST_F(MigrationTest, StaleHandleRedirectsTransparently) {
   EXPECT_EQ(cluster_->instance(2)->Stat("lite.migrate.redirects"), redirects);
 }
 
+INSTANTIATE_TEST_SUITE_P(Ops, MigrationStaleTest,
+                         ::testing::Values(StaleOp::kRead, StaleOp::kMemset, StaleOp::kMemcpy,
+                                           StaleOp::kFetchAdd),
+                         [](const ::testing::TestParamInfo<StaleOp>& info) {
+                           return StaleOpName(info.param);
+                         });
+
 TEST_F(MigrationTest, AsyncOpAcrossMigrationRetiresExactlyOnce) {
   constexpr uint64_t kSize = 16 * 1024;
   HostedOnNode1("mig_async", kSize, 0x66);
@@ -623,8 +696,9 @@ TEST_F(MigrationTest, AsyncOpAcrossMigrationRetiresExactlyOnce) {
   ASSERT_TRUE(stale.ok());
   // Keep node 2's mapping stale (see StaleHandleRedirectsTransparently) so
   // the async retirement must run the transparent redo.
-  cluster_->faults().DropNextTransfers(1, 2, 6);
+  cluster_->instance(1)->SetPeerDead(2, true);
   ASSERT_TRUE(c1_->Migrate("mig_async", 0).ok());
+  cluster_->instance(1)->SetPeerDead(2, false);
 
   // Async writes issued against the stale placement: the engine redirects at
   // retirement and LT_wait_all reports per-handle success.

@@ -272,8 +272,8 @@ TEST(TransportParityTest, DcHoldsQpStateAtPoolScale) {
   // RC: K QPs per peer pair, O(n^2) cluster-wide. DC: pool + DCT per node.
   EXPECT_EQ(rc_bytes, n * (n - 1) *
                           static_cast<uint64_t>(rc_p.lite_qp_sharing_factor) *
-                          rc_p.rnic_qp_state_bytes);
-  EXPECT_EQ(dc_bytes, n * (dc_p.lite_dc_qp_pool + 1) * dc_p.rnic_qp_state_bytes);
+                          kQpStateBytes);
+  EXPECT_EQ(dc_bytes, n * (dc_p.lite_dc_qp_pool + 1) * kQpStateBytes);
   EXPECT_GT(rc_bytes, 2 * dc_bytes);
 }
 
