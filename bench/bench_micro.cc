@@ -1,14 +1,10 @@
-// google-benchmark microbenchmarks of LITE's core primitives. All simulated
-// costs live on the virtual clock, so every benchmark uses manual timing and
-// reports virtual-time per operation. Before the registered benchmarks run,
-// main() sweeps the async-memop window depth (1 -> 64) and writes the
-// BENCH_async_depth.json telemetry sidecar as a perf-regression anchor.
-#include <benchmark/benchmark.h>
-
+// LITE microbenchmark sweeps, all on the virtual clock. Each sweep prints a
+// figure table and writes a telemetry sidecar that scripts/check_bench.py
+// holds as a perf-regression anchor: the async-memop window depth (1 -> 64,
+// BENCH_async_depth.json), multi-chunk read overlap (BENCH_multichunk.json)
+// and ops per ring doorbell (BENCH_ring_batch.json).
 #include <algorithm>
-#include <atomic>
 #include <deque>
-#include <thread>
 
 #include "bench/benchlib.h"
 #include "src/common/rng.h"
@@ -17,167 +13,11 @@
 
 namespace {
 
-struct MicroEnv {
-  MicroEnv() : cluster(2, Params()) {
-    client = cluster.CreateClient(0, /*kernel_level=*/true);
-    lite::MallocOptions on1;
-    on1.nodes = {1};
-    lh = *client->Malloc(1 << 20, "micro_target", on1);
-    lock = *client->CreateLock("micro_lock");
-  }
-  static lt::SimParams Params() {
-    lt::SimParams p;
-    p.node_phys_mem_bytes = 64ull << 20;
-    return p;
-  }
-  lite::LiteCluster cluster;
-  std::unique_ptr<lite::LiteClient> client;
-  lite::Lh lh;
-  lite::LockId lock;
-};
-
-MicroEnv* Env() {
-  static MicroEnv* env = new MicroEnv();
-  return env;
+lt::SimParams MicroParams() {
+  lt::SimParams p;
+  p.node_phys_mem_bytes = 64ull << 20;
+  return p;
 }
-
-void BM_LiteWrite(benchmark::State& state) {
-  auto* env = Env();
-  std::vector<uint8_t> buf(state.range(0), 0x2e);
-  for (auto _ : state) {
-    uint64_t t0 = lt::NowNs();
-    benchmark::DoNotOptimize(
-        env->client->Write(env->lh, 0, buf.data(), buf.size()));
-    state.SetIterationTime(static_cast<double>(lt::NowNs() - t0) / 1e9);
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * state.range(0));
-}
-BENCHMARK(BM_LiteWrite)->Arg(64)->Arg(4096)->Arg(65536)->UseManualTime();
-
-void BM_LiteRead(benchmark::State& state) {
-  auto* env = Env();
-  std::vector<uint8_t> buf(state.range(0));
-  for (auto _ : state) {
-    uint64_t t0 = lt::NowNs();
-    benchmark::DoNotOptimize(env->client->Read(env->lh, 0, buf.data(), buf.size()));
-    state.SetIterationTime(static_cast<double>(lt::NowNs() - t0) / 1e9);
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * state.range(0));
-}
-BENCHMARK(BM_LiteRead)->Arg(64)->Arg(4096)->Arg(65536)->UseManualTime();
-
-void BM_LiteFetchAdd(benchmark::State& state) {
-  auto* env = Env();
-  for (auto _ : state) {
-    uint64_t t0 = lt::NowNs();
-    benchmark::DoNotOptimize(env->client->FetchAdd(env->lh, 0, 1));
-    state.SetIterationTime(static_cast<double>(lt::NowNs() - t0) / 1e9);
-  }
-}
-BENCHMARK(BM_LiteFetchAdd)->UseManualTime();
-
-void BM_LiteLockUnlock(benchmark::State& state) {
-  auto* env = Env();
-  for (auto _ : state) {
-    uint64_t t0 = lt::NowNs();
-    (void)env->client->Lock(env->lock);
-    (void)env->client->Unlock(env->lock);
-    state.SetIterationTime(static_cast<double>(lt::NowNs() - t0) / 1e9);
-  }
-}
-BENCHMARK(BM_LiteLockUnlock)->UseManualTime();
-
-void BM_LiteMapUnmap(benchmark::State& state) {
-  auto* env = Env();
-  for (auto _ : state) {
-    uint64_t t0 = lt::NowNs();
-    auto lh = env->client->Map("micro_target");
-    (void)env->client->Unmap(*lh);
-    state.SetIterationTime(static_cast<double>(lt::NowNs() - t0) / 1e9);
-  }
-}
-BENCHMARK(BM_LiteMapUnmap)->UseManualTime();
-
-
-void BM_LiteRpc(benchmark::State& state) {
-  static lite::LiteCluster* cluster = new lite::LiteCluster(2, MicroEnv::Params());
-  static auto* server_client = cluster->CreateClient(1, true).release();
-  static std::atomic<bool>* stop = new std::atomic<bool>(false);
-  static std::thread* server = new std::thread([] {
-    (void)server_client->RegisterRpc(60);
-    while (!stop->load()) {
-      auto inc = server_client->RecvRpc(60, 50'000'000);
-      if (inc.ok()) {
-        (void)server_client->ReplyRpc(inc->token, inc->data.data(),
-                                      static_cast<uint32_t>(inc->data.size()));
-      }
-    }
-  });
-  (void)server;
-  static auto* client = cluster->CreateClient(0, true).release();
-  std::vector<uint8_t> in(state.range(0), 0x3c);
-  std::vector<uint8_t> out(state.range(0) + 64);
-  uint32_t out_len;
-  for (auto _ : state) {
-    uint64_t t0 = lt::NowNs();
-    benchmark::DoNotOptimize(client->Rpc(1, 60, in.data(), static_cast<uint32_t>(in.size()),
-                                         out.data(), static_cast<uint32_t>(out.size()),
-                                         &out_len));
-    state.SetIterationTime(static_cast<double>(lt::NowNs() - t0) / 1e9);
-  }
-}
-BENCHMARK(BM_LiteRpc)->Arg(8)->Arg(512)->Arg(4096)->UseManualTime();
-
-void BM_LiteBarrierPair(benchmark::State& state) {
-  auto* env = Env();
-  static std::atomic<uint64_t> round{0};
-  // Partner thread mirrors our barrier arrivals.
-  std::atomic<bool> stop{false};
-  std::thread partner([&] {
-    auto client = env->cluster.CreateClient(1, true);
-    uint64_t r = 0;
-    while (!stop.load()) {
-      if (round.load() > r) {
-        (void)client->Barrier("micro_b" + std::to_string(r), 2);
-        ++r;
-      } else {
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
-      }
-    }
-  });
-  for (auto _ : state) {
-    uint64_t r = round.fetch_add(1);
-    uint64_t t0 = lt::NowNs();
-    (void)env->client->Barrier("micro_b" + std::to_string(r), 2);
-    state.SetIterationTime(static_cast<double>(lt::NowNs() - t0) / 1e9);
-  }
-  stop.store(true);
-  partner.join();
-}
-BENCHMARK(BM_LiteBarrierPair)->UseManualTime()->Iterations(200);
-
-void BM_LiteWriteAsync(benchmark::State& state) {
-  auto* env = Env();
-  const int depth = static_cast<int>(state.range(0));
-  std::vector<uint8_t> buf(64, 0x2e);
-  std::deque<lite::MemopHandle> window;
-  for (auto _ : state) {
-    uint64_t t0 = lt::NowNs();
-    auto h = env->client->WriteAsync(env->lh, 0, buf.data(), buf.size());
-    if (h.ok()) {
-      window.push_back(*h);
-      if (window.size() >= static_cast<size_t>(depth)) {
-        (void)env->client->Wait(window.front());
-        window.pop_front();
-      }
-    }
-    state.SetIterationTime(static_cast<double>(lt::NowNs() - t0) / 1e9);
-  }
-  (void)env->client->WaitAll();
-  window.clear();
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * 64);
-}
-BENCHMARK(BM_LiteWriteAsync)->Arg(1)->Arg(8)->Arg(64)->UseManualTime();
 
 // Async-depth sweep: 64 B LT_write_async throughput vs window depth, each
 // point on a fresh 2-node cluster. Emits one figure table plus a telemetry
@@ -197,7 +37,7 @@ void RunAsyncDepthSweep(benchlib::TelemetrySink* sink) {
   for (int depth : depths) {
     xs.push_back(std::to_string(depth));
     for (bool rings : {false, true}) {
-      lt::SimParams p = MicroEnv::Params();
+      lt::SimParams p = MicroParams();
       p.lite_ring_enable = rings;
       lite::LiteCluster cluster(2, p);
       auto client = cluster.CreateClient(0, /*kernel_level=*/!rings);
@@ -257,7 +97,7 @@ void RunRingBatchSweep(benchlib::TelemetrySink* sink) {
       benchlib::Series opc{"ops/crossing", {}};
       std::vector<std::string> xs;
       for (int batch : kBatches) {
-        lt::SimParams p = MicroEnv::Params();
+        lt::SimParams p = MicroParams();
         p.lite_ring_enable = true;
         if (async_mode) {
           p.lite_ring_doorbell_batch = static_cast<uint32_t>(batch);
@@ -284,7 +124,7 @@ void RunRingBatchSweep(benchlib::TelemetrySink* sink) {
           busy_ns += lt::NowNs() - t0;
           // Park past the hot window and flush deadline: the next group pays
           // a fresh doorbell, so the crossings amortize over exactly K ops.
-          lt::IdleFor(p.lite_adaptive_spin_ns + p.lite_ring_flush_ns + 1'000);
+          lt::IdleFor(lite::kAdaptiveSpinNs + p.lite_ring_flush_ns + 1'000);
         }
         auto* inst = cluster.instance(0);
         const double ops = static_cast<double>(kGroups) * batch;
@@ -318,7 +158,7 @@ void RunMultiChunkSweep(benchlib::TelemetrySink* sink) {
   constexpr uint64_t kChunkBytes = 1ull << 20;
   constexpr uint64_t kOpBytes = 4ull << 20;  // 4 pieces, one per source node
   constexpr uint64_t kRegionBytes = 16ull << 20;
-  lt::SimParams p = MicroEnv::Params();
+  lt::SimParams p = MicroParams();
   p.lite_max_chunk_bytes = kChunkBytes;
   lite::LiteCluster cluster(5, p);
   auto client = cluster.CreateClient(0, /*kernel_level=*/true);
@@ -369,8 +209,5 @@ int main(int argc, char** argv) {
   benchlib::TelemetrySink ring_sink = benchlib::TelemetrySink::FromArgs(
       1, argv, "bench_micro_ring_batch", "BENCH_ring_batch.json");
   RunRingBatchSweep(&ring_sink);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   return 0;
 }

@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # Tier-1 verification: full build + test suite, the perf and trace gates, the
-# repo benchmark's smoke run, then the chaos soak, the atomics/RPC-bind races
-# and the live-migration suite under ThreadSanitizer (the failure-recovery
-# and migration-gate paths are the most thread-hostile code in the tree, so
-# they get the extra scrutiny). Each stage's wall time and the total are
-# printed as they finish.
+# repo benchmark's smoke run, then the chaos soak, the atomics/RPC-bind races,
+# the live-migration suite and the simulated RNIC with its Verbs and baseline
+# users under ThreadSanitizer (the failure-recovery and migration-gate paths
+# are the most thread-hostile code in the tree, so they get the extra
+# scrutiny), and the memory, async, RPC, RNIC and baseline suites under
+# ASan+UBSan. Each stage's wall time and the total are printed as they
+# finish.
 #
 # Usage: scripts/run_tier1.sh [jobs]
 set -euo pipefail
@@ -37,10 +39,10 @@ cmake --build build -j"${JOBS}"
 stage "perf-regression gate (check_bench)"
 # Re-run the anchored benches into a scratch dir and diff their telemetry
 # sidecars against the committed BENCH_*.json anchors (tolerances in
-# scripts/check_bench.py). bench_micro's sweeps always run and always write
-# their sidecars; the filter just skips the google-benchmark timing loops.
+# scripts/check_bench.py). bench_micro runs its three sweeps and writes their
+# sidecars.
 mkdir -p build/bench-out
-(cd build/bench-out && ../bench/bench_micro --benchmark_filter=__none__ >/dev/null)
+(cd build/bench-out && ../bench/bench_micro >/dev/null)
 (cd build/bench-out && ../bench/bench_migrate >/dev/null)
 (cd build/bench-out && ../bench/bench_latency_breakdown >/dev/null)
 # Transport scale smoke: the 8/100-node prefix of the fig14 RC-vs-DC sweep
@@ -62,10 +64,15 @@ stage "repo benchmark smoke"
 # fetch-add, the health watchdog); exits 1 on any mismatch or failed op.
 python3 benchmark/run.py --smoke
 
-stage "chaos soak and migration under ThreadSanitizer"
+stage "chaos soak, migration and the RNIC under ThreadSanitizer"
 cmake -B build-tsan -S . -DLT_SANITIZE=thread >/dev/null
-cmake --build build-tsan -j"${JOBS}" --target faults_chaos_test faults_test lite_async_test lite_ring_test transport_test lite_sync_test lite_rpc_test lite_memory_test
+cmake --build build-tsan -j"${JOBS}" --target faults_chaos_test faults_test lite_async_test lite_ring_test transport_test lite_sync_test lite_rpc_test lite_memory_test rnic_test baselines_test verbs_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/faults_test
+# The WQE pipeline: SEND/RNR waits, shared CQs, and the baselines' server
+# threads polling the same RNIC the clients post to.
+TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/rnic_test
+TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/baselines_test
+TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/verbs_test
 # Local vs remote atomics on one word, and two threads racing a first RPC bind.
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/lite_sync_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/lite_rpc_test
@@ -78,13 +85,16 @@ TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/lite_memory_test \
     --gtest_filter='MigrationTest.*:Ops/MigrationStaleTest.*:LiteMemoryTest.MoveLmrPreservesContentAndRemapsHandles'
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/faults_chaos_test
 
-stage "memory, async and RPC suites under ASan+UBSan"
+stage "memory, async, RPC, RNIC and baseline suites under ASan+UBSan"
 cmake -B build-asan -S . -DLT_SANITIZE=address >/dev/null
-cmake --build build-asan -j"${JOBS}" --target lite_memory_test lite_async_test lite_rpc_test
+cmake --build build-asan -j"${JOBS}" --target lite_memory_test lite_async_test lite_rpc_test rnic_test baselines_test
 ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" ./build-asan/tests/lite_memory_test
 ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" ./build-asan/tests/lite_async_test
 # Reply-slot and server-ring lifetimes (zombie reclaim, failed ring setup).
 ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" ./build-asan/tests/lite_rpc_test
+# The SEND/RNR path and CopyResolved's scatter/gather pointer arithmetic.
+ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" ./build-asan/tests/rnic_test
+ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" ./build-asan/tests/baselines_test
 
 stage "PASS"
 echo "   total: $(fmt_s $(( STAGE_T0 - TIER1_T0 )))"

@@ -8,9 +8,7 @@ namespace {
 // The baseline systems copy payloads between application and network buffers
 // (LITE's zero-copy design avoids exactly this); charge the memcpy.
 void ChargeCopy(Process* proc, uint64_t len) {
-  const lt::SimParams& p = proc->node()->params();
-  lt::SpinFor(p.local_op_base_ns +
-              static_cast<uint64_t>(static_cast<double>(len) / p.local_copy_bytes_per_ns));
+  lt::SpinFor(proc->node()->params().LocalCopyNs(len));
 }
 
 }  // namespace

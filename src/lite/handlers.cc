@@ -234,8 +234,7 @@ void LiteInstance::RegisterInternalHandlers() {
         if (!gated.ok()) {
           return gated.code();
         }
-        lt::SpinFor(p.local_op_base_ns + static_cast<uint64_t>(static_cast<double>(len) /
-                                                               p.local_copy_bytes_per_ns));
+        lt::SpinFor(p.LocalCopyNs(len));
         std::memset(self->node()->mem().Data(addr, len), value, len);
         self->migration().CloseAccess(&gate, /*success=*/true);
       }
@@ -268,8 +267,7 @@ void LiteInstance::RegisterInternalHandlers() {
             self->migration().CloseAccess(&src_gate, /*success=*/false);
             return gated.code();
           }
-          lt::SpinFor(p.local_op_base_ns + static_cast<uint64_t>(static_cast<double>(len) /
-                                                                 p.local_copy_bytes_per_ns));
+          lt::SpinFor(p.LocalCopyNs(len));
           std::memmove(self->node()->mem().Data(dst_addr, len),
                        self->node()->mem().Data(src_addr, len), len);
           self->migration().CloseAccess(&dst_gate, /*success=*/true);

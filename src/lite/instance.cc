@@ -223,16 +223,12 @@ LiteInstance* LiteInstance::Peer(NodeId node) const {
 // ---------------------------------------------------------- local fast path
 
 void LiteInstance::LocalCopyIn(PhysAddr dst, const void* src, uint64_t len) {
-  const auto& p = params();
-  SpinFor(p.local_op_base_ns +
-          static_cast<uint64_t>(static_cast<double>(len) / p.local_copy_bytes_per_ns));
+  SpinFor(params().LocalCopyNs(len));
   lt::SimDmaCopy(node_->mem().Data(dst, len), src, len);
 }
 
 void LiteInstance::LocalCopyOut(void* dst, PhysAddr src, uint64_t len) {
-  const auto& p = params();
-  SpinFor(p.local_op_base_ns +
-          static_cast<uint64_t>(static_cast<double>(len) / p.local_copy_bytes_per_ns));
+  SpinFor(params().LocalCopyNs(len));
   lt::SimDmaCopy(dst, node_->mem().Data(src, len), len);
 }
 
@@ -277,7 +273,7 @@ StatusOr<std::vector<LmrChunk>> LiteInstance::AllocLocalChunks(uint64_t size) {
     auto addr = node_->mem().AllocContiguous(want);
     // Under fragmentation, fall back to smaller physically-consecutive
     // pieces (the flexibility the LMR indirection buys, paper Sec. 4.1).
-    while (!addr.ok() && want > params().page_size) {
+    while (!addr.ok() && want > node_->mem().page_size()) {
       want /= 2;
       addr = node_->mem().AllocContiguous(want);
     }

@@ -145,7 +145,7 @@ OpEngine::Wqe OpEngine::LeaseRemote(NodeId dst, Priority pri, bool batched,
   w.wr = wr;
   w.wr.rkey = inst_->peer_global_rkey_[dst];
   w.wr.doorbell_hint = batched;
-  w.wr.inline_data = batched && wr.opcode == WrOpcode::kWrite;  // RNIC applies rnic_inline_max.
+  w.wr.inline_data = batched && wr.opcode == WrOpcode::kWrite;  // RNIC applies kRnicInlineMax.
   w.wr.wr_id = NextWrId();
   return w;
 }
@@ -342,7 +342,7 @@ StatusOr<uint64_t> OpEngine::RemoteAtomicImpl(NodeId dst, PhysAddr addr, bool is
     SpinFor(inst_->params().local_op_base_ns + inst_->params().rnic_atomic_extra_ns / 2);
     AttrAdd(LatStage::kLatRnicLocal, NowNs() - spin_t0);
     uint8_t* p = inst_->node_->mem().Data(addr, 8);
-    // The responder (Rnic::ExecuteAtomic) applies remote atomics with the
+    // The responder (Rnic::Execute) applies remote atomics with the
     // same host atomics, so local and remote updates of one word serialize.
     uint64_t old_value;
     if (is_cas) {
@@ -366,7 +366,7 @@ StatusOr<uint64_t> OpEngine::RemoteAtomicImpl(NodeId dst, PhysAddr addr, bool is
   wr.atomic_result = &old_value;
   wr.signaled = true;
   // Retry is exactly-once here: a dropped atomic is rejected by the
-  // responder before the memory operation is applied (see ExecuteAtomic).
+  // responder before the memory operation is applied (see Rnic::Execute).
   Wqe w = LeaseRemote(dst, Priority::kHigh, /*batched=*/false, wr);
   w.post = PostGated(w.h, &w.wr);
   auto c = Complete(w, Priority::kHigh);

@@ -15,7 +15,6 @@ using lt::telemetry::LatStage;
 
 SubmissionRings::SubmissionRings(LiteInstance* inst)
     : inst_(inst),
-      spin_ns_(inst->params().lite_adaptive_spin_ns),
       flush_ns_(inst->params().lite_ring_flush_ns),
       batch_(std::max<uint32_t>(1, inst->params().lite_ring_doorbell_batch)),
       entries_(std::max<uint32_t>(1, inst->params().lite_ring_entries)) {
@@ -61,13 +60,13 @@ void SubmissionRings::MaybeDoorbellLocked(CpuRing& r) {
   AttrAdd(LatStage::kLatCross, NowNs() - t0);
   r.epoch_open = true;
   r.epoch_ops = 0;
-  r.hot_until_ns = NowNs() + spin_ns_;
+  r.hot_until_ns = NowNs() + kAdaptiveSpinNs;
 }
 
 void SubmissionRings::BookOpsLocked(CpuRing& r, uint64_t ops) {
   r.epoch_ops += ops;
   ops_->Inc(ops);
-  r.hot_until_ns = std::max(r.hot_until_ns, NowNs() + spin_ns_);
+  r.hot_until_ns = std::max(r.hot_until_ns, NowNs() + kAdaptiveSpinNs);
 }
 
 void SubmissionRings::SyncEnter() {
@@ -189,7 +188,7 @@ void SubmissionRings::FlushAll() {
 }
 
 void SubmissionRings::AccountReap(uint64_t waited_ns) {
-  if (waited_ns <= spin_ns_) {
+  if (waited_ns <= kAdaptiveSpinNs) {
     // The completion ring was hot: the reap never left user space.
     spin_hits_->Inc();
   } else {
@@ -205,7 +204,7 @@ void SubmissionRings::AccountReap(uint64_t waited_ns) {
   CpuRing& r = RingForThisThread();
   std::lock_guard<std::mutex> lock(r.mu);
   if (r.epoch_open) {
-    r.hot_until_ns = std::max(r.hot_until_ns, NowNs() + spin_ns_);
+    r.hot_until_ns = std::max(r.hot_until_ns, NowNs() + kAdaptiveSpinNs);
   }
 }
 

@@ -6,7 +6,7 @@
 // model's nanosecond granularity, so the enqueue itself charges nothing)
 // and rings a doorbell — one CrossUserKernelBatched() — only when the
 // kernel-half drainer has gone cold. The drainer adaptively spins for
-// lite_adaptive_spin_ns after its last activity before sleeping, so back-to-back
+// kAdaptiveSpinNs after its last activity before sleeping, so back-to-back
 // ops ride one crossing: the doorbell opens an *epoch*, every op drained
 // until the ring next goes cold amortizes that single crossing, and the
 // epoch's op count is booked into the ops-per-crossing histogram when the
@@ -22,7 +22,7 @@
 // handle registered).
 //
 // Completions are published to a completion ring the user half reaps with
-// adaptive spin-then-sleep: a reap that returns within lite_adaptive_spin_ns is
+// adaptive spin-then-sleep: a reap that returns within kAdaptiveSpinNs is
 // crossing-free (spin hit); a longer one slept and pays one crossing + one
 // thread wakeup for the whole sleep cycle.
 //
@@ -140,7 +140,6 @@ class SubmissionRings {
   void BookOpsLocked(CpuRing& r, uint64_t ops);
 
   LiteInstance* const inst_;
-  const uint64_t spin_ns_;
   const uint64_t flush_ns_;
   const uint32_t batch_;
   const uint32_t entries_;

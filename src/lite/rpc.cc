@@ -48,8 +48,8 @@ uint64_t Align64(uint64_t v) { return (v + 63) & ~63ull; }
 // gone to sleep, so it additionally pays a wakeup.
 void SyncAdaptiveWithWakeup(uint64_t event_vtime, const lt::SimParams& p) {
   const uint64_t gap = event_vtime > lt::NowNs() ? event_vtime - lt::NowNs() : 0;
-  lt::SyncToAdaptive(event_vtime, p.lite_adaptive_spin_ns);
-  if (gap > p.lite_adaptive_spin_ns) {
+  lt::SyncToAdaptive(event_vtime, kAdaptiveSpinNs);
+  if (gap > kAdaptiveSpinNs) {
     lt::SpinFor(p.thread_wakeup_ns);
   }
 }
@@ -533,7 +533,7 @@ StatusOr<RpcIncoming> LiteInstance::PopIncoming(RpcFuncId func, uint64_t timeout
   }
   // Serve it on its own timeline (adaptive spin-then-sleep wait).
   lt::ServiceTimeline::ForThisThread().BeginService(inc->arrival_vtime_ns, service_ns,
-                                                    params().lite_adaptive_spin_ns,
+                                                    kAdaptiveSpinNs,
                                                     params().thread_wakeup_ns);
   return std::move(*inc);
 }
@@ -623,7 +623,7 @@ void LiteInstance::PollLoop() {
       // already queued behind it (paper Sec. 5.1's shared-poller batching).
       poll_batch_hist_->Record(1 + recv_cq_->Depth());
       timeline.BeginService(c->ready_at_ns, params().lite_rpc_dispatch_ns,
-                            params().lite_adaptive_spin_ns, params().thread_wakeup_ns);
+                            kAdaptiveSpinNs, params().thread_wakeup_ns);
       if (ImmFunc(c->imm) == kReplyFuncId) {
         HandleReplyImm(c->imm, c->byte_len, lt::NowNs());
       } else {
@@ -924,8 +924,7 @@ void LiteInstance::InternalWorkerLoop() {
       return;  // Queue closed.
     }
     auto& [func, inc] = *item;
-    timeline.BeginService(inc.arrival_vtime_ns, 1500, params().lite_adaptive_spin_ns,
-                          params().thread_wakeup_ns);
+    timeline.BeginService(inc.arrival_vtime_ns, 1500, kAdaptiveSpinNs, params().thread_wakeup_ns);
     Reply reply = lt::StatusCode::kInvalidArgument;
     auto it = internal_handlers_.find(func);
     if (it != internal_handlers_.end()) {

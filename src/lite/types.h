@@ -53,6 +53,10 @@ struct LmrChunk {
   uint64_t size = 0;
 };
 
+// Spin-then-sleep budget of LITE's kernel threads (paper Sec. 5.2): the RPC
+// service threads and the ring drainer/reaper stay hot this long.
+constexpr uint64_t kAdaptiveSpinNs = 6'000;
+
 // RPC function identifier. Application functions use ids 0..999; LITE
 // reserves 1000+ for its internal control functions.
 using RpcFuncId = uint32_t;

@@ -5,6 +5,11 @@
 #include "src/telemetry/chrome_trace.h"
 
 namespace lt {
+namespace {
+
+constexpr size_t kPageSize = 4096;  // Page size of every node's memory pool.
+
+}  // namespace
 
 Process::Process(Node* node)
     : node_(node),
@@ -14,7 +19,7 @@ Process::Process(Node* node)
 Node::Node(NodeId id, const SimParams& params, Fabric* fabric, RnicDirectory* directory)
     : id_(id),
       params_(params),
-      mem_(params.node_phys_mem_bytes, params.page_size),
+      mem_(params.node_phys_mem_bytes, kPageSize),
       os_(params),
       port_(fabric->Attach(id)),
       rnic_(id, params_, &mem_, port_, directory),

@@ -14,13 +14,14 @@ namespace {
 constexpr uint64_t kRnrTimeoutNs = 2'000'000'000;  // Receiver-not-ready give-up.
 constexpr uint64_t kOneSidedHeaderBytes = 30;      // Request header on the wire.
 constexpr uint64_t kUdGrhBytes = 40;               // UD global routing header.
+constexpr size_t kQpcCacheEntries = 256;           // QP contexts cached on-NIC.
 
 uint64_t MttKey(uint32_t lkey, uint64_t vpage) {
   return (static_cast<uint64_t>(lkey) << 36) ^ vpage;
 }
 
 // Per-thread doorbell batch tracker: consecutive hinted posts to the same QP
-// within rnic_doorbell_window_ns share one doorbell. The rnic/qpn fields are
+// within kRnicDoorbellWindowNs share one doorbell. The rnic/qpn fields are
 // used for identity comparison only and are never dereferenced (the tracked
 // RNIC may outlive a test cluster).
 struct DoorbellBatch {
@@ -32,8 +33,8 @@ struct DoorbellBatch {
 thread_local DoorbellBatch tl_doorbell;
 
 // Transport breakdown of this thread's most recent PostSend (latency
-// attribution). Execute* fill it from the same absolute timestamps they
-// compute the completion's ready time from; PushSendCompletion copies it
+// attribution). Execute fills it from the same absolute timestamps it
+// computes the completion's ready time from; PushSendCompletion copies it
 // onto the CQE, and unsignaled posters read it via LastPostBreakdown().
 thread_local telemetry::WqeLatBreakdown tl_last_lat;
 
@@ -174,16 +175,6 @@ Status Qp::PostRecv(const Rqe& rqe) {
   return Status::Ok();
 }
 
-std::optional<Rqe> Qp::TakeRecv() {
-  std::lock_guard<std::mutex> lock(rq_mu_);
-  if (rq_.empty()) {
-    return std::nullopt;
-  }
-  Rqe rqe = rq_.front();
-  rq_.pop_front();
-  return rqe;
-}
-
 std::optional<Rqe> Qp::TakeRecvWait(uint64_t real_timeout_ns) {
   std::unique_lock<std::mutex> lock(rq_mu_);
   if (!rq_cv_.wait_for(lock, std::chrono::nanoseconds(real_timeout_ns),
@@ -206,7 +197,7 @@ Rnic::Rnic(NodeId node, const SimParams& params, PhysMem* mem, FabricPort* port,
       directory_(directory),
       mpt_cache_(params.mpt_cache_entries),
       mtt_cache_(params.mtt_cache_pages),
-      qpc_cache_(params.qpc_cache_entries) {
+      qpc_cache_(kQpcCacheEntries) {
   directory_->Register(node, this);
 }
 
@@ -385,7 +376,7 @@ void Rnic::ChargePostCost(Qp* qp, const WorkRequest& wr) {
   const uint64_t now = NowNs();
   const bool batches = wr.doorbell_hint && b.rnic == this && b.qpn == qp->qpn() &&
                        b.len > 0 && now >= b.last_post_ns &&
-                       now - b.last_post_ns <= params_.rnic_doorbell_window_ns;
+                       now - b.last_post_ns <= kRnicDoorbellWindowNs;
   if (batches) {
     // Rides the previous doorbell: only the per-extra-WQE build cost.
     SpinFor(params_.rnic_post_wqe_ns);
@@ -442,264 +433,202 @@ Status Rnic::PostSend(Qp* qp, const WorkRequest& wr) {
   if (remote == nullptr) {
     return Status::Unavailable("destination node unknown");
   }
+  return Execute(qp, wr, remote, dst_qpn);
+}
 
+Status Rnic::Execute(Qp* qp, const WorkRequest& wr, Rnic* remote, uint32_t dst_qpn) {
+  const uint64_t now = NowNs();
+  const bool is_read = wr.opcode == WrOpcode::kRead;
+  const bool is_send = wr.opcode == WrOpcode::kSend;
+  const bool is_atomic = wr.opcode == WrOpcode::kFetchAdd || wr.opcode == WrOpcode::kCmpSwap;
+  // UD has no ACK: the sender completes once its NIC has sent the message.
+  const bool ud = qp->type() == QpType::kUd;
+
+  // What the opcode changes about the trip: the request's wire bytes, the
+  // responder engine's extra cost, its ACK turn-around, and the payload the
+  // return leg carries (reads only; every other acked op gets a bare ACK).
+  uint64_t request_bytes = kOneSidedHeaderBytes + wr.length;
+  uint64_t remote_extra_ns = 0;
+  uint64_t ack_ns = params_.rnic_ack_ns;
+  uint64_t response_bytes = 0;
   switch (wr.opcode) {
     case WrOpcode::kWrite:
     case WrOpcode::kWriteImm:
+      break;
     case WrOpcode::kRead:
-      return ExecuteOneSided(qp, wr, remote);
+      request_bytes = kOneSidedHeaderBytes;
+      response_bytes = wr.length + kOneSidedHeaderBytes / 2;
+      break;
     case WrOpcode::kSend:
-      return ExecuteSend(qp, wr, remote, dst_qpn);
+      request_bytes = wr.length + (ud ? kUdGrhBytes : 0) + kOneSidedHeaderBytes / 2;
+      break;
     case WrOpcode::kFetchAdd:
     case WrOpcode::kCmpSwap:
-      return ExecuteAtomic(qp, wr, remote);
+      // The atomic response is ack-sized; it rides the credit path rather
+      // than reserving payload bandwidth, with no separate ACK turn-around.
+      request_bytes = kOneSidedHeaderBytes + 16;
+      remote_extra_ns = params_.rnic_atomic_extra_ns;
+      ack_ns = 0;
+      break;
   }
-  return Status::InvalidArgument("unknown opcode");
-}
-
-Status Rnic::ExecuteOneSided(Qp* qp, const WorkRequest& wr, Rnic* remote) {
-  const bool is_read = wr.opcode == WrOpcode::kRead;
   // Inline send: the payload was copied into the WQE at post time, so the
   // local engine skips the DMA read of the source buffer (reads can never be
   // inline — the payload arrives later).
-  const bool inline_send =
-      !is_read && wr.inline_data && wr.length <= params_.rnic_inline_max;
-  const uint64_t now = NowNs();
-
-  uint64_t qpc_penalty = qpc_cache_.Touch(qp->qpn()) ? 0 : params_.qpc_miss_ns;
-  // Responder-side QPC (gated): the remote NIC looks up the context serving
-  // this sender — per-peer for RC, the one shared DCT entry for DC targets.
-  uint64_t remote_qpc_penalty =
-      params_.rnic_model_responder_qpc && remote != this
-          ? (remote->qpc_cache_.Touch(qp->remote_qpn()) ? 0 : params_.qpc_miss_ns)
-          : 0;
-
-  StatusOr<Resolved> local = [&]() -> StatusOr<Resolved> {
-    if (wr.length == 0) {
-      return Resolved{};
-    }
-    if (wr.host_local != nullptr) {
-      Resolved r;
-      r.host = static_cast<uint8_t*>(wr.host_local);
-      return r;
-    }
-    return ResolveOnNic(wr.lkey, wr.local_addr, wr.length, is_read ? kMrWrite : kMrRead);
-  }();
-  if (!local.ok()) {
-    PushSendCompletion(qp, wr, local.status(), now);
+  const bool inline_send = (wr.opcode == WrOpcode::kWrite || wr.opcode == WrOpcode::kWriteImm) &&
+                           wr.inline_data && wr.length <= kRnicInlineMax;
+  auto fail = [&](Status status) {
+    PushSendCompletion(qp, wr, std::move(status), NowNs());
     return Status::Ok();
-  }
-  StatusOr<Resolved> remote_res =
-      wr.length == 0 ? StatusOr<Resolved>(Resolved{})
-                     : remote->ResolveOnNic(wr.rkey, wr.remote_addr, wr.length,
-                                            is_read ? kMrRead : kMrWrite);
-  if (!remote_res.ok()) {
-    PushSendCompletion(qp, wr, remote_res.status(), now);
-    return Status::Ok();
-  }
-
-  // Engine occupancy at both NICs (processing + SRAM miss stalls).
-  if (inline_send) {
-    inline_sends_.fetch_add(1, std::memory_order_relaxed);
-  }
-  uint64_t local_done = ReserveEngine(
-      now, (inline_send ? params_.rnic_inline_process_ns : params_.rnic_process_ns) +
-               qpc_penalty + local->cache_penalty_ns);
-
-  // Fabric: writes carry the payload on the request; reads carry it on the
-  // response.
-  uint64_t request_bytes = kOneSidedHeaderBytes + (is_read ? 0 : wr.length);
-  uint64_t response_bytes = is_read ? wr.length : 0;
-
-  TransferFaults request_faults;
-  uint64_t queue_ns = 0;
-  uint64_t request_arrive =
-      FinishOrDrop(remote, request_bytes, local_done, &request_faults, &queue_ns);
-  if (request_arrive == Fabric::kDropped) {
-    // Retransmit budget exhausted: the QP transitions to the error state
-    // (hardware semantics); the owner must reset it before reusing.
-    qp->SetError();
-    PushSendCompletion(qp, wr, Status::Unavailable("message dropped"), now + kRnrTimeoutNs / 64);
-    return Status::Ok();
-  }
-  uint64_t remote_done = remote->ReserveEngine(
-      request_arrive,
-      params_.rnic_process_ns + remote_res->cache_penalty_ns + remote_qpc_penalty);
-
-  // Perform the data movement (the issuing thread is the DMA engine).
-  if (wr.length > 0) {
-    if (is_read) {
-      CopyResolved(*remote_res, *local, wr.length);
-    } else {
-      CopyResolved(*local, *remote_res, wr.length);
-    }
-  }
-
-  // Writes complete with a piggybacked RC ACK (no payload bandwidth); reads
-  // carry the data on the response path, which reserves remote->local fabric
-  // bandwidth.
-  uint64_t ready_at;
-  uint64_t wire_ns = request_arrive - local_done - queue_ns;
-  if (is_read) {
-    uint64_t resp_queue_ns = 0;
-    ready_at = FinishOrDropFrom(remote, response_bytes + kOneSidedHeaderBytes / 2,
-                                remote_done + params_.rnic_ack_ns, &resp_queue_ns);
-    if (ready_at == Fabric::kDropped) {
+  };
+  // A dropped leg exhausts the retransmit budget: a connected QP moves to the
+  // error state (hardware semantics) and its owner must reset it.
+  auto drop = [&](const char* what) {
+    if (!ud) {
       qp->SetError();
-      PushSendCompletion(qp, wr, Status::Unavailable("response dropped"),
-                         now + kRnrTimeoutNs / 64);
-      return Status::Ok();
     }
-    wire_ns += ready_at - (remote_done + params_.rnic_ack_ns) - resp_queue_ns;
-    queue_ns += resp_queue_ns;
-  } else {
-    ready_at = remote_done + params_.rnic_ack_ns + params_.wire_latency_ns;
-    wire_ns += params_.wire_latency_ns;
-  }
+    PushSendCompletion(qp, wr, Status::Unavailable(what), now + kRnrTimeoutNs / 64);
+    return Status::Ok();
+  };
 
-  // Attribution breakdown from the same absolute timestamps the completion
-  // is built from (pure arithmetic; no clock movement).
-  tl_last_lat.rnic_local_ns = local_done - now;
-  tl_last_lat.port_queue_ns = queue_ns;
-  tl_last_lat.wire_ns = wire_ns;
-  tl_last_lat.rnic_remote_ns = (remote_done - request_arrive) + params_.rnic_ack_ns;
-  tl_last_lat.compl_ns = params_.rnic_completion_ns;
-
-  if (wr.opcode == WrOpcode::kWriteImm) {
-    Qp* remote_qp = remote->LookupQp(qp->remote_qpn());
-    if (remote_qp != nullptr && remote_qp->recv_cq() != nullptr) {
-      Completion rc;
-      rc.wr_id = 0;
-      rc.opcode = WcOpcode::kRecvImm;
-      rc.byte_len = static_cast<uint32_t>(wr.length);
-      rc.imm = wr.imm;
-      rc.has_imm = true;
-      rc.src_node = node_;
-      rc.src_qpn = qp->qpn();
-      rc.ready_at_ns = remote_done + params_.rnic_completion_ns;
-      if (request_faults.duplicate) {
-        // Fault injection duplicated the request on the wire: the receiver
-        // sees the imm event twice (upper layers must dedup by sequence).
-        Completion dup = rc;
-        dup.ready_at_ns += params_.wire_latency_ns + request_faults.dup_extra_delay_ns;
-        remote_qp->recv_cq()->Push(std::move(dup));
-      }
-      remote_qp->recv_cq()->Push(std::move(rc));
-    }
-  }
-
-  PushSendCompletion(qp, wr, Status::Ok(), ready_at);
-  return Status::Ok();
-}
-
-Status Rnic::ExecuteSend(Qp* qp, const WorkRequest& wr, Rnic* remote, uint32_t dst_qpn) {
-  const uint64_t now = NowNs();
-  uint64_t qpc_penalty = qpc_cache_.Touch(qp->qpn()) ? 0 : params_.qpc_miss_ns;
-  uint64_t remote_qpc_penalty =
+  // 1. Resolve both buffers. QPC lookups first: this NIC's context for the
+  // sender, then (gated) the responder's context serving it — per-peer for
+  // RC, the one shared DCT entry for DC targets.
+  const uint64_t qpc_penalty = qpc_cache_.Touch(qp->qpn()) ? 0 : params_.qpc_miss_ns;
+  const uint64_t remote_qpc_penalty =
       params_.rnic_model_responder_qpc && remote != this
           ? (remote->qpc_cache_.Touch(dst_qpn) ? 0 : params_.qpc_miss_ns)
           : 0;
-
-  StatusOr<Resolved> local = [&]() -> StatusOr<Resolved> {
-    if (wr.length == 0) {
-      return Resolved{};
-    }
-    if (wr.host_local != nullptr) {
-      Resolved r;
-      r.host = static_cast<uint8_t*>(wr.host_local);
-      return r;
-    }
-    return ResolveOnNic(wr.lkey, wr.local_addr, wr.length, kMrRead);
-  }();
+  // The local buffer: host memory the kernel addresses physically, or a
+  // local MR. An atomic has none; its old value lands in wr.atomic_result.
+  StatusOr<Resolved> local = Resolved{};
+  if (wr.host_local != nullptr) {
+    local->host = static_cast<uint8_t*>(wr.host_local);
+  } else if (wr.length > 0 && !is_atomic) {
+    local = ResolveOnNic(wr.lkey, wr.local_addr, wr.length, is_read ? kMrWrite : kMrRead);
+  }
   if (!local.ok()) {
-    PushSendCompletion(qp, wr, local.status(), now);
-    return Status::Ok();
+    return fail(local.status());
   }
-
-  Qp* remote_qp = remote->LookupQp(dst_qpn);
-  if (remote_qp == nullptr) {
-    PushSendCompletion(qp, wr, Status::Unavailable("no such destination QP"), now);
-    return Status::Ok();
-  }
-
-  // Receiver-not-ready: block until an RQE is posted (RC retransmit model).
-  std::optional<Rqe> rqe = remote_qp->TakeRecv();
-  if (!rqe.has_value()) {
+  // The remote buffer: the target MR range, the RQE a SEND consumes, or the
+  // 8-byte atomic word. SENDs and write-imms also raise a receive CQE.
+  Qp* remote_qp = wr.opcode == WrOpcode::kWriteImm || is_send ? remote->LookupQp(dst_qpn) : nullptr;
+  std::optional<Rqe> rqe;
+  StatusOr<Resolved> target = Resolved{};
+  if (is_send) {
+    if (remote_qp == nullptr) {
+      return fail(Status::Unavailable("no such destination QP"));
+    }
+    // Receiver-not-ready: block until an RQE is posted (RC retransmit model).
     rqe = remote_qp->TakeRecvWait(kRnrTimeoutNs);
     if (!rqe.has_value()) {
       IdleFor(kRnrTimeoutNs);
-      PushSendCompletion(qp, wr, Status::Timeout("receiver not ready"), NowNs());
-      return Status::Ok();
+      return fail(Status::Timeout("receiver not ready"));
     }
+    if (rqe->length < wr.length) {
+      target = Status::InvalidArgument("receive buffer too small");
+    } else if (wr.length > 0) {
+      target = remote->ResolveOnNic(rqe->lkey, rqe->addr, wr.length, kMrWrite);
+    }
+  } else if (is_atomic) {
+    target = wr.remote_addr % 8 != 0
+                 ? StatusOr<Resolved>(Status::InvalidArgument("atomic target not 8B-aligned"))
+                 : remote->ResolveOnNic(wr.rkey, wr.remote_addr, 8, kMrAtomic);
+  } else if (wr.length > 0) {
+    target = remote->ResolveOnNic(wr.rkey, wr.remote_addr, wr.length, is_read ? kMrRead : kMrWrite);
+  }
+  if (!target.ok()) {
+    return fail(target.status());
   }
 
-  if (rqe->length < wr.length) {
-    PushSendCompletion(qp, wr, Status::InvalidArgument("receive buffer too small"), NowNs());
-    return Status::Ok();
+  // 2. Book the trip: local engine, request transfer, remote engine (each
+  // engine's occupancy is processing plus SRAM-miss stalls), return leg.
+  if (inline_send) {
+    inline_sends_.fetch_add(1, std::memory_order_relaxed);
   }
-
-  StatusOr<Resolved> sink =
-      wr.length == 0
-          ? StatusOr<Resolved>(Resolved{})
-          : remote->ResolveOnNic(rqe->lkey, rqe->addr, wr.length, kMrWrite);
-  if (!sink.ok()) {
-    PushSendCompletion(qp, wr, sink.status(), NowNs());
-    return Status::Ok();
-  }
-
-  uint64_t wire_bytes = wr.length + (qp->type() == QpType::kUd ? kUdGrhBytes : 0);
-  uint64_t local_done =
-      ReserveEngine(now, params_.rnic_process_ns + qpc_penalty + local->cache_penalty_ns);
+  const uint64_t local_done = ReserveEngine(
+      now, (inline_send ? params_.rnic_inline_process_ns : params_.rnic_process_ns) +
+               qpc_penalty + local->cache_penalty_ns);
+  Fabric* fabric = port_->fabric();
+  TransferFaults request_faults;
   uint64_t queue_ns = 0;
-  uint64_t arrive =
-      FinishOrDrop(remote, wire_bytes + kOneSidedHeaderBytes / 2, local_done, nullptr, &queue_ns);
+  const uint64_t arrive = fabric->TransferFinishNs(node_, remote->node(), request_bytes,
+                                                   local_done, &request_faults, &queue_ns);
   if (arrive == Fabric::kDropped) {
-    if (qp->type() == QpType::kRc) {
-      qp->SetError();
+    return drop("message dropped");
+  }
+  const uint64_t remote_done = remote->ReserveEngine(
+      arrive, params_.rnic_process_ns + remote_extra_ns + target->cache_penalty_ns +
+                  remote_qpc_penalty);
+  uint64_t ready_at = local_done;
+  if (!ud) {
+    const uint64_t turn_ns = remote_done + ack_ns;
+    ready_at = is_read ? fabric->TransferFinishNs(remote->node(), node_, response_bytes, turn_ns,
+                                                  nullptr, &queue_ns)
+                       : turn_ns + params_.wire_latency_ns;
+    if (ready_at == Fabric::kDropped) {
+      return drop("response dropped");
     }
-    PushSendCompletion(qp, wr, Status::Unavailable("message dropped"), now + kRnrTimeoutNs / 64);
-    return Status::Ok();
-  }
-  uint64_t remote_done = remote->ReserveEngine(
-      arrive, params_.rnic_process_ns + sink->cache_penalty_ns + remote_qpc_penalty);
-
-  if (wr.length > 0) {
-    CopyResolved(*local, *sink, wr.length);
   }
 
-  Completion rc;
-  rc.wr_id = rqe->wr_id;
-  rc.opcode = WcOpcode::kRecv;
-  rc.byte_len = static_cast<uint32_t>(wr.length);
-  rc.imm = wr.imm;
-  rc.src_node = node_;
-  rc.src_qpn = qp->qpn();
-  rc.ready_at_ns = remote_done + params_.rnic_completion_ns;
-  remote_qp->recv_cq()->Push(std::move(rc));
+  // 3. Move the data (the issuing thread is the DMA engine), only now that
+  // every leg has been booked.
+  if (is_atomic) {
+    // Host atomics, so remote atomics on a word serialize with each other and
+    // with the issuer-local atomics LITE applies to the same word directly.
+    assert(target->ranges.size() == 1);
+    auto* word = reinterpret_cast<uint64_t*>(remote->mem()->Data(target->ranges[0].addr, 8));
+    uint64_t old_value = wr.compare_add;
+    if (wr.opcode == WrOpcode::kFetchAdd) {
+      old_value = __atomic_fetch_add(word, wr.compare_add, __ATOMIC_SEQ_CST);
+    } else {
+      __atomic_compare_exchange_n(word, &old_value, wr.swap, false, __ATOMIC_SEQ_CST,
+                                  __ATOMIC_SEQ_CST);
+    }
+    if (wr.atomic_result != nullptr) {
+      *wr.atomic_result = old_value;
+    }
+  } else if (wr.length > 0) {
+    if (is_read) {
+      CopyResolved(*target, *local, wr.length);
+    } else {
+      CopyResolved(*local, *target, wr.length);
+    }
+  }
 
-  // UD has no ACK; RC acks back.
-  const bool ud = qp->type() == QpType::kUd;
-  uint64_t ready_at =
-      ud ? local_done : remote_done + params_.rnic_ack_ns + params_.wire_latency_ns;
+  // 4. The receiver's CQE, then the breakdown, from the same absolute
+  // timestamps as the completion (pure arithmetic; no clock movement).
+  if (remote_qp != nullptr && remote_qp->recv_cq() != nullptr) {
+    Completion rc;
+    rc.wr_id = is_send ? rqe->wr_id : 0;
+    rc.opcode = is_send ? WcOpcode::kRecv : WcOpcode::kRecvImm;
+    rc.byte_len = static_cast<uint32_t>(wr.length);
+    rc.imm = wr.imm;
+    rc.has_imm = !is_send;
+    rc.src_node = node_;
+    rc.src_qpn = qp->qpn();
+    rc.ready_at_ns = remote_done + params_.rnic_completion_ns;
+    if (!is_send && request_faults.duplicate) {
+      // Fault injection duplicated the request on the wire: the receiver
+      // sees the imm event twice (upper layers must dedup by sequence). A
+      // duplicated SEND would need a second RQE and is not modeled.
+      Completion dup = rc;
+      dup.ready_at_ns += params_.wire_latency_ns + request_faults.dup_extra_delay_ns;
+      remote_qp->recv_cq()->Push(std::move(dup));
+    }
+    remote_qp->recv_cq()->Push(std::move(rc));
+  }
+  // An unacked WQE books only its local engine and completion: the sender
+  // never waits for the wire or the responder.
   tl_last_lat.rnic_local_ns = local_done - now;
-  tl_last_lat.port_queue_ns = queue_ns;
-  tl_last_lat.wire_ns = (arrive - local_done - queue_ns) + (ud ? 0 : params_.wire_latency_ns);
-  tl_last_lat.rnic_remote_ns = (remote_done - arrive) + (ud ? 0 : params_.rnic_ack_ns);
+  if (!ud) {
+    tl_last_lat.port_queue_ns = queue_ns;
+    tl_last_lat.rnic_remote_ns = (remote_done - arrive) + ack_ns;
+    // The rest of the trip: serialization, propagation and injected delay.
+    tl_last_lat.wire_ns = ready_at - local_done - queue_ns - tl_last_lat.rnic_remote_ns;
+  }
   tl_last_lat.compl_ns = params_.rnic_completion_ns;
   PushSendCompletion(qp, wr, Status::Ok(), ready_at);
   return Status::Ok();
-}
-
-uint64_t Rnic::FinishOrDrop(Rnic* remote, uint64_t bytes, uint64_t earliest_ns,
-                            TransferFaults* faults_out, uint64_t* queue_ns_out) {
-  return port_->fabric()->TransferFinishNs(node_, remote->node(), bytes, earliest_ns, faults_out,
-                                           queue_ns_out);
-}
-
-uint64_t Rnic::FinishOrDropFrom(Rnic* remote, uint64_t bytes, uint64_t earliest_ns,
-                                uint64_t* queue_ns_out) {
-  return port_->fabric()->TransferFinishNs(remote->node(), node_, bytes, earliest_ns, nullptr,
-                                           queue_ns_out);
 }
 
 void Rnic::CopyResolved(const Resolved& src, const Resolved& dst, uint64_t len) {
@@ -764,64 +693,6 @@ void Rnic::CopyResolved(const Resolved& src, const Resolved& dst, uint64_t len) 
     }
   }
   assert(remaining == 0 && "scatter/gather list shorter than op length");
-}
-
-Status Rnic::ExecuteAtomic(Qp* qp, const WorkRequest& wr, Rnic* remote) {
-  const uint64_t now = NowNs();
-  if (wr.remote_addr % 8 != 0) {
-    PushSendCompletion(qp, wr, Status::InvalidArgument("atomic target not 8B-aligned"), now);
-    return Status::Ok();
-  }
-  uint64_t qpc_penalty = qpc_cache_.Touch(qp->qpn()) ? 0 : params_.qpc_miss_ns;
-  uint64_t remote_qpc_penalty =
-      params_.rnic_model_responder_qpc && remote != this
-          ? (remote->qpc_cache_.Touch(qp->remote_qpn()) ? 0 : params_.qpc_miss_ns)
-          : 0;
-  auto target = remote->ResolveOnNic(wr.rkey, wr.remote_addr, 8, kMrAtomic);
-  if (!target.ok()) {
-    PushSendCompletion(qp, wr, target.status(), now);
-    return Status::Ok();
-  }
-  assert(target->ranges.size() == 1);
-
-  uint64_t local_done = ReserveEngine(now, params_.rnic_process_ns + qpc_penalty);
-  uint64_t queue_ns = 0;
-  uint64_t arrive =
-      FinishOrDrop(remote, kOneSidedHeaderBytes + 16, local_done, nullptr, &queue_ns);
-  if (arrive == Fabric::kDropped) {
-    qp->SetError();
-    PushSendCompletion(qp, wr, Status::Unavailable("atomic dropped"), now + kRnrTimeoutNs / 64);
-    return Status::Ok();
-  }
-  uint64_t remote_done = remote->ReserveEngine(
-      arrive, params_.rnic_process_ns + params_.rnic_atomic_extra_ns +
-                  target->cache_penalty_ns + remote_qpc_penalty);
-
-  // Host atomics, so remote atomics on a word serialize with each other and
-  // with the issuer-local atomics LITE applies to the same word directly.
-  const PhysRange& pr = target->ranges[0];
-  auto* word = reinterpret_cast<uint64_t*>(remote->mem()->Data(pr.addr, 8));
-  uint64_t old_value = 0;
-  if (wr.opcode == WrOpcode::kFetchAdd) {
-    old_value = __atomic_fetch_add(word, wr.compare_add, __ATOMIC_SEQ_CST);
-  } else {  // kCmpSwap
-    old_value = wr.compare_add;
-    __atomic_compare_exchange_n(word, &old_value, wr.swap, false, __ATOMIC_SEQ_CST,
-                                __ATOMIC_SEQ_CST);
-  }
-  if (wr.atomic_result != nullptr) {
-    *wr.atomic_result = old_value;
-  }
-
-  // The atomic response is ack-sized; it rides the credit path rather than
-  // reserving payload bandwidth.
-  tl_last_lat.rnic_local_ns = local_done - now;
-  tl_last_lat.port_queue_ns = queue_ns;
-  tl_last_lat.wire_ns = (arrive - local_done - queue_ns) + params_.wire_latency_ns;
-  tl_last_lat.rnic_remote_ns = remote_done - arrive;
-  tl_last_lat.compl_ns = params_.rnic_completion_ns;
-  PushSendCompletion(qp, wr, Status::Ok(), remote_done + params_.wire_latency_ns);
-  return Status::Ok();
 }
 
 }  // namespace lt

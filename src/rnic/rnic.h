@@ -7,9 +7,16 @@
 // WRITE-WITH-IMM, two-sided SEND/RECV (RC and UD), and masked 64-bit atomics
 // (FETCH_ADD, CMP_SWAP).
 //
-// Performance model (all values from SimParams):
+// Performance model (costs from SimParams, plus the fixed constants below):
 //   * The issuing thread pays the doorbell cost (rnic_post_ns) synchronously.
-//   * Each WQE then occupies the NIC processing engine for
+//   * Every opcode then runs one WQE pipeline (Rnic::Execute): resolve the
+//     local and remote buffers; book the local engine, the request transfer,
+//     the remote engine and the return leg; move the data; post the
+//     receiver's CQE and fill the latency breakdown. The opcode picks only
+//     which buffers are resolved and four numbers: request bytes, the remote
+//     engine's extra cost, the ACK turn-around, and what comes back (a read's
+//     payload, a bare ACK, or nothing for UD).
+//   * Each engine booking occupies that NIC's processing engine for
 //     rnic_process_ns + (MPT/MTT/QPC miss penalties); engine occupancy is a
 //     virtual reservation (like a fabric port), so pipelined ops through one
 //     NIC share its processing rate — on-NIC SRAM misses therefore reduce
@@ -53,6 +60,13 @@ class FixedHistogram;
 }  // namespace telemetry
 
 class Rnic;
+
+// Doorbell batching: a hinted post that lands on the same QP within this gap
+// of the previous one rides its doorbell (WorkRequest::doorbell_hint).
+inline constexpr uint64_t kRnicDoorbellWindowNs = 1000;
+// Inline sends: the largest write payload that can ride in the WQE itself
+// (WorkRequest::inline_data).
+inline constexpr uint64_t kRnicInlineMax = 256;
 
 // Resolves node ids to their RNICs; owned by the cluster.
 class RnicDirectory {
@@ -171,8 +185,8 @@ class Qp {
   bool connected() const { return remote_node_ != kInvalidNode; }
 
   Status PostRecv(const Rqe& rqe);
-  std::optional<Rqe> TakeRecv();
-  // Blocks (real time) until an RQE is posted; models RC RNR retransmission.
+  // Takes the oldest RQE, blocking (real time) until one is posted; models
+  // RC RNR retransmission. Returns at once when an RQE is already posted.
   std::optional<Rqe> TakeRecvWait(uint64_t real_timeout_ns);
 
   // ---- Error state (RC reliability model) ----
@@ -242,9 +256,9 @@ struct WorkRequest {
   // Opt-in fast-path hints (both default off so existing blocking paths are
   // byte-identical with the flags idle):
   //   doorbell_hint — this post may share a doorbell with an immediately
-  //     preceding post to the same QP (within rnic_doorbell_window_ns),
+  //     preceding post to the same QP (within kRnicDoorbellWindowNs),
   //     paying rnic_post_wqe_ns instead of the full rnic_post_ns.
-  //   inline_data — for writes with length <= rnic_inline_max, the payload is
+  //   inline_data — for writes with length <= kRnicInlineMax, the payload is
   //     copied into the WQE at post time, skipping the local DMA-read stage
   //     (local engine occupancy drops to rnic_inline_process_ns).
   bool doorbell_hint = false;
@@ -324,24 +338,15 @@ class Rnic {
   // Reserves NIC engine occupancy; returns the engine finish time (ns).
   uint64_t ReserveEngine(uint64_t earliest_ns, uint64_t occupancy_ns);
 
-  // Absolute finish time of a one-way transfer to `remote` starting no
-  // earlier than `earliest_ns`, or Fabric::kDropped under failure injection.
-  // `queue_ns_out` accumulates the transfer's port-queueing share.
-  uint64_t FinishOrDrop(Rnic* remote, uint64_t bytes, uint64_t earliest_ns,
-                        TransferFaults* faults_out = nullptr, uint64_t* queue_ns_out = nullptr);
-  // Same, for the reverse direction (remote -> this node): read responses.
-  uint64_t FinishOrDropFrom(Rnic* remote, uint64_t bytes, uint64_t earliest_ns,
-                            uint64_t* queue_ns_out = nullptr);
-
   // Copies `len` bytes between resolved buffers (physical fragments on any
   // node, or host memory); this is the DMA engine.
   void CopyResolved(const Resolved& src, const Resolved& dst, uint64_t len);
 
   void PushSendCompletion(Qp* qp, const WorkRequest& wr, Status status, uint64_t ready_at);
 
-  Status ExecuteOneSided(Qp* qp, const WorkRequest& wr, Rnic* remote);
-  Status ExecuteSend(Qp* qp, const WorkRequest& wr, Rnic* remote, uint32_t dst_qpn);
-  Status ExecuteAtomic(Qp* qp, const WorkRequest& wr, Rnic* remote);
+  // The one WQE pipeline every opcode runs (see the file comment). Failures
+  // past the doorbell surface as error completions on the send CQ.
+  Status Execute(Qp* qp, const WorkRequest& wr, Rnic* remote, uint32_t dst_qpn);
 
   const NodeId node_;
   const SimParams& params_;

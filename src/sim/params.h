@@ -1,4 +1,7 @@
-// SimParams: every calibrated cost in the simulated substrate, in one place.
+// SimParams: the calibrated costs of the simulated substrate, in one place.
+// Calibration values nothing varies are named constants beside their users
+// instead (kRnicInlineMax in src/rnic/rnic.h, kTcpRateBytesPerNs in
+// src/tcpip/tcp_stack.h, lite::kAdaptiveSpinNs in src/lite/types.h, ...).
 //
 // The defaults are calibrated so the microbenchmark *shapes and magnitudes*
 // match the paper's testbed (40 Gbps ConnectX-3, Xeon E5-2620, Linux 3.11):
@@ -21,12 +24,14 @@
 
 namespace lt {
 
+// Same-node memcpy bandwidth (SimParams::LocalCopyNs).
+inline constexpr double kLocalCopyBytesPerNs = 12.0;
+
 // Connection-layer flavor (DESIGN.md §10 "Transport virtualization").
 enum class LiteTransport { kRc, kDc };
 
 struct SimParams {
   // ---- Memory / paging ----
-  size_t page_size = 4096;
   size_t node_phys_mem_bytes = 96ull << 20;  // Physical memory pool per node.
 
   // ---- Fabric (per-hop wire + switch) ----
@@ -40,16 +45,14 @@ struct SimParams {
   uint64_t rnic_ack_ns = 250;        // RC ACK turn-around at the responder NIC.
   uint64_t rnic_atomic_extra_ns = 300;  // PCIe read-modify-write for atomics.
   // Doorbell batching: a post that lands on the same QP within
-  // rnic_doorbell_window_ns of the previous one (and opted in via
-  // WorkRequest::doorbell_hint) rides the same doorbell and pays only the
-  // per-extra-WQE increment instead of the full rnic_post_ns.
+  // kRnicDoorbellWindowNs (src/rnic/rnic.h) of the previous one (and opted
+  // in via WorkRequest::doorbell_hint) rides the same doorbell and pays only
+  // the per-extra-WQE increment instead of the full rnic_post_ns.
   uint64_t rnic_post_wqe_ns = 40;        // Per-extra-WQE cost inside a batch.
-  uint64_t rnic_doorbell_window_ns = 1000;  // Max post gap that still batches.
-  // Inline sends: writes with payload <= rnic_inline_max (and opted in via
+  // Inline sends: writes with payload <= kRnicInlineMax (and opted in via
   // WorkRequest::inline_data) carry the payload in the WQE itself, skipping
   // the local DMA-read stage — the local NIC engine only pays
   // rnic_inline_process_ns per WQE instead of rnic_process_ns.
-  size_t rnic_inline_max = 256;
   uint64_t rnic_inline_process_ns = 60;
 
   // ---- RNIC on-chip SRAM (the scalability bottleneck the paper attacks) ----
@@ -57,7 +60,6 @@ struct SimParams {
   uint64_t mpt_miss_ns = 950;        // Fetch MPT entry from host memory.
   size_t mtt_cache_pages = 1024;     // Cached PTEs: 1024 * 4 KB = 4 MB coverage.
   uint64_t mtt_miss_ns = 700;        // Fetch one PTE from host memory.
-  size_t qpc_cache_entries = 256;    // QP contexts cached on-NIC.
   uint64_t qpc_miss_ns = 500;        // Fetch QP context from host memory.
   // Responder-side QPC modeling: when on, the remote NIC also touches a QPC
   // entry per incoming request (keyed by the sender's QP), so an incast
@@ -85,9 +87,6 @@ struct SimParams {
                                              // (paper used 16 MB; scaled to the
                                              // smaller simulated memory pools).
   uint64_t lite_rpc_timeout_ns = 2'000'000'000;  // RPC failure-detection timeout.
-  // Spin-then-sleep budget of LITE's kernel threads (paper Sec. 5.2): the RPC
-  // service threads and the ring drainer/reaper stay hot this long.
-  uint64_t lite_adaptive_spin_ns = 6'000;
   // Failure recovery (see DESIGN.md "Failure model & recovery").
   uint32_t lite_rpc_max_retries = 3;        // Transparent retransmits per call.
   uint64_t lite_rpc_retry_backoff_ns = 200'000;  // First retry backoff; doubles.
@@ -116,8 +115,8 @@ struct SimParams {
   // ring (the enqueue is a cache-line write — below this model's ns
   // granularity, so it charges nothing) and pays the user->kernel crossing
   // only as a doorbell when the kernel-half drainer has gone cold. The
-  // drainer is considered hot for lite_adaptive_spin_ns after its last activity
-  // (it adaptively spins that long before sleeping); deferred async
+  // drainer is considered hot for lite::kAdaptiveSpinNs after its last
+  // activity (it adaptively spins that long before sleeping); deferred async
   // submissions flush at lite_ring_doorbell_batch entries, at
   // lite_ring_flush_ns age, at lite_ring_entries occupancy (overflow
   // backpressure), or when a sync op / reap needs them ordered-in.
@@ -126,18 +125,17 @@ struct SimParams {
   uint32_t lite_ring_entries = 256;    // Ring capacity (overflow backpressure).
   uint32_t lite_ring_doorbell_batch = 16;  // Deferred entries per flush.
   uint64_t lite_ring_flush_ns = 2'000;     // Max deferred age before flush.
-  double local_copy_bytes_per_ns = 12.0;  // Same-node memcpy bandwidth.
-  uint64_t local_op_base_ns = 60;         // Fixed cost of a local LITE copy.
+  uint64_t local_op_base_ns = 60;         // Fixed cost of a same-node copy.
 
   // ---- TCP/IP over IB (IPoIB) ----
   uint64_t tcp_send_stack_ns = 9000;   // Socket + TCP/IP + IPoIB tx path.
   uint64_t tcp_recv_stack_ns = 9000;   // rx path incl. interrupt + copy.
-  double tcp_rate_bytes_per_ns = 1.7;  // ~13.6 Gb/s effective, per paper Fig. 7.
-  size_t tcp_mtu_bytes = 65520;        // IPoIB connected-mode MTU.
 
-  // Convenience: wire transfer time for a payload at line rate.
-  uint64_t WireBytesNs(size_t bytes) const {
-    return static_cast<uint64_t>(static_cast<double>(bytes) / nic_line_rate_bytes_per_ns);
+  // Virtual cost of a same-node memcpy of `bytes` (LITE's local fast path
+  // and the baselines' buffer copies).
+  uint64_t LocalCopyNs(uint64_t bytes) const {
+    return local_op_base_ns +
+           static_cast<uint64_t>(static_cast<double>(bytes) / kLocalCopyBytesPerNs);
   }
 
   // Scaled-down parameter set for unit tests: tiny delays so tests run fast,

@@ -6,6 +6,11 @@
 #include "src/common/timing.h"
 
 namespace lt {
+namespace {
+
+constexpr size_t kTcpMtuBytes = 65520;  // IPoIB connected-mode MTU.
+
+}  // namespace
 
 Status TcpConn::Send(const void* buf, size_t len) { return SendInternal(buf, len, false); }
 
@@ -25,7 +30,7 @@ Status TcpConn::SendInternal(const void* buf, size_t len, bool streaming) {
 
   size_t offset = 0;
   while (offset < len || len == 0) {
-    size_t chunk = std::min<size_t>(len - offset, p.tcp_mtu_bytes);
+    size_t chunk = std::min<size_t>(len - offset, kTcpMtuBytes);
     if (streaming) {
       SpinFor(p.tcp_send_stack_ns / 8);  // Segmentation-offloaded path.
     }
@@ -93,8 +98,7 @@ std::pair<std::unique_ptr<TcpConn>, std::unique_ptr<TcpConn>> TcpStack::ConnectP
 }
 
 uint64_t TcpStack::ReserveRate(uint64_t earliest_ns, uint64_t bytes) {
-  const uint64_t ser_ns =
-      static_cast<uint64_t>(static_cast<double>(bytes) / params_.tcp_rate_bytes_per_ns);
+  const uint64_t ser_ns = static_cast<uint64_t>(static_cast<double>(bytes) / kTcpRateBytesPerNs);
   return rate_capacity_.Reserve(earliest_ns, ser_ns);
 }
 

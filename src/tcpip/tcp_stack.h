@@ -26,6 +26,8 @@
 
 namespace lt {
 
+inline constexpr double kTcpRateBytesPerNs = 1.7;  // ~13.6 Gb/s effective, per paper Fig. 7.
+
 class TcpStack;
 
 class TcpConn {
@@ -50,7 +52,6 @@ class TcpConn {
   struct Segment {
     std::vector<uint8_t> data;
     uint64_t ready_at_ns = 0;
-    bool stack_charged = false;  // Streaming segments pre-charge rx cost.
   };
 
   TcpConn(TcpStack* stack, NodeId local, NodeId remote)

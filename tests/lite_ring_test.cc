@@ -97,7 +97,7 @@ TEST(LiteRingTest, ColdGapClosesEpochAndPaysFreshDoorbell) {
     ASSERT_TRUE(client->Write(lh, 0, &v, 8).ok());
   }
   // Sit idle past the hot window: the kernel-half drainer goes to sleep.
-  lt::IdleFor(p.lite_adaptive_spin_ns + p.lite_ring_flush_ns + 10'000);
+  lt::IdleFor(kAdaptiveSpinNs + p.lite_ring_flush_ns + 10'000);
   ASSERT_TRUE(client->Write(lh, 0, &v, 8).ok());
   auto* inst = cluster.instance(0);
   EXPECT_EQ(inst->Stat("lite.ring.doorbells"), 2);
@@ -395,7 +395,7 @@ TEST_P(LiteRingTransportTest, MixedWorkloadSatisfiesCrossingConservation) {
     ASSERT_TRUE(client->Read(lh, 0, buf.data(), 512).ok());
     ASSERT_TRUE(client->FetchAdd(lh, 32 << 10, 1).ok());
     // Park long enough for the next round to need a fresh doorbell.
-    lt::IdleFor(p.lite_adaptive_spin_ns + p.lite_ring_flush_ns + 10'000);
+    lt::IdleFor(kAdaptiveSpinNs + p.lite_ring_flush_ns + 10'000);
   }
   auto* inst = cluster.instance(0);
   auto snap = inst->StatSnapshot();

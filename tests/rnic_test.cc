@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "src/common/timing.h"
 #include "src/node/node.h"
@@ -563,6 +566,117 @@ TEST_F(RnicTimingTest, ReadCostsMoreThanWriteForPayloadOnResponse) {
   EXPECT_LE(latency, 6000u);
 }
 
+// One case of the WQE timeline table: an opcode at one size, inline or not,
+// and its warm completion time after the post on the full-cost defaults.
+struct WqeCase {
+  const char* name;
+  WrOpcode opcode;
+  uint64_t length;
+  bool inline_data;
+  QpType type;
+  uint64_t warm_ns;
+};
+
+// Warm completion = post 200 + local engine 150 (inline writes <= 256 B: 60)
+// + the request serialized on both ports (bytes / 4.6, floored; one-sided
+// header 30 B, SEND header 15 B, atomic request 46 B) + wire 300 + remote
+// engine 150 (atomics +300) + ACK turn-around 250 (none for atomics) + return
+// wire 300 (a read also serializes its payload + 15 B on both ports) + CQE
+// 120. UD has no ACK and completes after its local engine: 200 + 150 + 120.
+const WqeCase kWqeCases[] = {
+    {"Write0", WrOpcode::kWrite, 0, false, QpType::kRc, 1482},
+    {"Write0Inline", WrOpcode::kWrite, 0, true, QpType::kRc, 1392},
+    {"Write64", WrOpcode::kWrite, 64, false, QpType::kRc, 1510},
+    {"Write64Inline", WrOpcode::kWrite, 64, true, QpType::kRc, 1420},
+    {"Write4K", WrOpcode::kWrite, 4096, false, QpType::kRc, 3262},
+    {"Write4KInline", WrOpcode::kWrite, 4096, true, QpType::kRc, 3262},
+    {"WriteImm0", WrOpcode::kWriteImm, 0, false, QpType::kRc, 1482},
+    {"WriteImm0Inline", WrOpcode::kWriteImm, 0, true, QpType::kRc, 1392},
+    {"WriteImm64", WrOpcode::kWriteImm, 64, false, QpType::kRc, 1510},
+    {"WriteImm64Inline", WrOpcode::kWriteImm, 64, true, QpType::kRc, 1420},
+    {"WriteImm4K", WrOpcode::kWriteImm, 4096, false, QpType::kRc, 3262},
+    {"WriteImm4KInline", WrOpcode::kWriteImm, 4096, true, QpType::kRc, 3262},
+    {"Read0", WrOpcode::kRead, 0, false, QpType::kRc, 1488},
+    {"Read0Inline", WrOpcode::kRead, 0, true, QpType::kRc, 1488},
+    {"Read64", WrOpcode::kRead, 64, false, QpType::kRc, 1516},
+    {"Read64Inline", WrOpcode::kRead, 64, true, QpType::kRc, 1516},
+    {"Read4K", WrOpcode::kRead, 4096, false, QpType::kRc, 3268},
+    {"Read4KInline", WrOpcode::kRead, 4096, true, QpType::kRc, 3268},
+    {"RcSend64", WrOpcode::kSend, 64, false, QpType::kRc, 1504},
+    {"UdSend64", WrOpcode::kSend, 64, false, QpType::kUd, 470},
+    {"FetchAdd", WrOpcode::kFetchAdd, 8, false, QpType::kRc, 1540},
+    {"CmpSwap", WrOpcode::kCmpSwap, 8, false, QpType::kRc, 1540},
+};
+
+void PrintTo(const WqeCase& k, std::ostream* os) { *os << k.name; }
+
+// Parameter: the case and whether the responder NIC models its QPC.
+using WqeTimelineParam = std::tuple<WqeCase, bool>;
+
+class RnicWqeTimelineTest : public ::testing::TestWithParam<WqeTimelineParam> {};
+
+// Every opcode runs one pipeline: its warm completion lands exactly where the
+// SimParams arithmetic puts it, and cold or warm, the doorbell plus the
+// transport breakdown account for every nanosecond between post and
+// completion (an unacked UD send books no wire or responder time).
+TEST_P(RnicWqeTimelineTest, CompletionTimeAndBreakdownConserve) {
+  const WqeCase& k = std::get<0>(GetParam());
+  SimParams p;  // Full-cost defaults.
+  p.node_phys_mem_bytes = 8 << 20;
+  p.rnic_model_responder_qpc = std::get<1>(GetParam());
+  Cluster cluster(2, p);
+  Rnic* r0 = &cluster.node(0)->rnic();
+  Rnic* r1 = &cluster.node(1)->rnic();
+  MrEntry mr1 = *r1->RegisterMrPhysical(0, 1 << 20, kMrAll);
+  Cq* scq = r0->CreateCq();
+  Qp* qp0 = r0->CreateQp(k.type, scq, r0->CreateCq());
+  Qp* qp1 = r1->CreateQp(k.type, r1->CreateCq(), r1->CreateCq());
+  if (k.type == QpType::kRc) {
+    qp0->Connect(1, qp1->qpn());
+    qp1->Connect(0, qp0->qpn());
+  }
+  std::vector<uint8_t> payload(k.length, 0x5a);
+  uint64_t old_value = 0;
+  for (bool warm : {false, true}) {
+    SCOPED_TRACE(warm ? "warm" : "cold");
+    if (k.opcode == WrOpcode::kSend) {
+      Rqe rqe;
+      rqe.lkey = mr1.lkey;
+      rqe.addr = 65536;
+      rqe.length = 4096;
+      ASSERT_TRUE(qp1->PostRecv(rqe).ok());
+    }
+    WorkRequest wr;
+    wr.opcode = k.opcode;
+    wr.wr_id = 1;
+    wr.length = k.length;
+    wr.host_local = payload.data();  // Atomics ignore it.
+    wr.inline_data = k.inline_data;
+    wr.rkey = mr1.lkey;
+    wr.compare_add = 1;
+    wr.atomic_result = &old_value;
+    wr.ud_dst_node = 1;
+    wr.ud_dst_qpn = qp1->qpn();
+    const uint64_t t0 = NowNs();
+    ASSERT_TRUE(r0->PostSend(qp0, wr).ok());
+    auto c = scq->WaitPoll(1'000'000'000, WaitMode::kBusyPoll);
+    ASSERT_TRUE(c.has_value());
+    ASSERT_TRUE(c->status.ok());
+    EXPECT_EQ(p.rnic_post_ns + c->lat.Total(), c->ready_at_ns - t0);
+    if (warm) {
+      EXPECT_EQ(c->ready_at_ns - t0, k.warm_ns);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Opcodes, RnicWqeTimelineTest,
+    ::testing::Combine(::testing::ValuesIn(kWqeCases), ::testing::Bool()),
+    [](const ::testing::TestParamInfo<WqeTimelineParam>& info) {
+      return std::string(std::get<0>(info.param).name) +
+             (std::get<1>(info.param) ? "_ResponderQpc" : "");
+    });
+
 // ---- Inline sends & doorbell batching (async fast-path plumbing) ----------
 
 TEST_F(RnicTimingTest, InlineSendSkipsLocalDmaStage) {
@@ -618,7 +732,7 @@ TEST_F(RnicTimingTest, DoorbellBatchingCoalescesPostCost) {
     return NowNs() - t0;
   };
   uint64_t unbatched = post_n(8, false);
-  SpinFor(2 * defaults.rnic_doorbell_window_ns);  // Break any open batch.
+  SpinFor(2 * kRnicDoorbellWindowNs);  // Break any open batch.
   uint64_t doorbells_before = r0_->doorbells_rung();
   uint64_t batched_before = r0_->wqes_batched();
   uint64_t batched = post_n(8, true);
@@ -631,7 +745,6 @@ TEST_F(RnicTimingTest, DoorbellBatchingCoalescesPostCost) {
 }
 
 TEST_F(RnicTimingTest, DoorbellBatchBreaksPastPostWindow) {
-  SimParams defaults;
   char buf[8] = "y";
   auto post_one = [&] {
     WorkRequest wr;
@@ -644,10 +757,10 @@ TEST_F(RnicTimingTest, DoorbellBatchBreaksPastPostWindow) {
     wr.signaled = false;
     ASSERT_TRUE(r0_->PostSend(qp0_, wr).ok());
   };
-  SpinFor(defaults.rnic_doorbell_window_ns + 1);  // Invalidate stale batch state.
+  SpinFor(kRnicDoorbellWindowNs + 1);  // Invalidate stale batch state.
   uint64_t doorbells_before = r0_->doorbells_rung();
   post_one();
-  SpinFor(defaults.rnic_doorbell_window_ns + 1);  // Idle past the post window.
+  SpinFor(kRnicDoorbellWindowNs + 1);  // Idle past the post window.
   post_one();
   EXPECT_EQ(r0_->doorbells_rung() - doorbells_before, 2u);
 }
@@ -675,11 +788,26 @@ TEST_F(RnicTest, SignaledAndUnsignaledWqesCounted) {
 
 // ---- QP error-state semantics under fault injection -----------------------
 
-TEST_F(RnicTest, DroppedTransferMovesQpToError) {
-  cluster_->fabric().faults().DropNextTransfers(0, 1, 1);
+// The transfer a drop hits: a write's request (node 0 -> 1) or a read's
+// response (node 1 -> 0).
+enum class DroppedLeg { kWriteRequest, kReadResponse };
+
+const char* DroppedLegName(DroppedLeg leg) {
+  return leg == DroppedLeg::kWriteRequest ? "WriteRequest" : "ReadResponse";
+}
+
+void PrintTo(DroppedLeg leg, std::ostream* os) { *os << DroppedLegName(leg); }
+
+class RnicDropTest : public RnicTest, public ::testing::WithParamInterface<DroppedLeg> {};
+
+TEST_P(RnicDropTest, DroppedTransferMovesQpToError) {
+  const bool read = GetParam() == DroppedLeg::kReadResponse;
+  cluster_->fabric().faults().DropNextTransfers(read ? 1 : 0, read ? 0 : 1, 1);
+  const char remote_bytes[16] = "remote bytes";
+  std::memcpy(Mem1(4096, sizeof(remote_bytes)), remote_bytes, sizeof(remote_bytes));
   char buf[16] = "drop me";
   WorkRequest wr;
-  wr.opcode = WrOpcode::kWrite;
+  wr.opcode = read ? WrOpcode::kRead : WrOpcode::kWrite;
   wr.host_local = buf;
   wr.length = sizeof(buf);
   wr.rkey = mr1_.lkey;
@@ -688,7 +816,16 @@ TEST_F(RnicTest, DroppedTransferMovesQpToError) {
   EXPECT_EQ(st.code(), StatusCode::kUnavailable);  // error completion
   EXPECT_TRUE(qp0_->in_error());
   EXPECT_EQ(cluster_->fabric().faults().drops(), 1u);
+  // Data moves only once every leg is booked: neither buffer changed.
+  EXPECT_STREQ(buf, "drop me");
+  EXPECT_EQ(std::memcmp(Mem1(4096, sizeof(remote_bytes)), remote_bytes, sizeof(remote_bytes)), 0);
 }
+
+INSTANTIATE_TEST_SUITE_P(Legs, RnicDropTest,
+                         ::testing::Values(DroppedLeg::kWriteRequest, DroppedLeg::kReadResponse),
+                         [](const ::testing::TestParamInfo<DroppedLeg>& info) {
+                           return std::string(DroppedLegName(info.param));
+                         });
 
 TEST_F(RnicTest, ErroredQpRejectsPostsUntilReset) {
   qp0_->SetError();

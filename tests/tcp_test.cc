@@ -98,15 +98,14 @@ TEST_F(TcpTest, DropInjectionSurfacesError) {
 }
 
 TEST_F(TcpTest, RateCapBoundsThroughput) {
-  // 10 MB at tcp_rate must take at least bytes/rate of virtual time end to end.
+  // 10 MB at kTcpRateBytesPerNs must take at least bytes/rate of virtual time end to end.
   const size_t bytes = 10 << 20;
   std::vector<uint8_t> data(bytes, 7);
   std::thread sender([&] { ASSERT_TRUE(a_->StreamSend(data.data(), bytes).ok()); });
   std::vector<uint8_t> out(bytes);
   ASSERT_TRUE(b_->RecvExact(out.data(), bytes).ok());
   sender.join();
-  uint64_t min_ns =
-      static_cast<uint64_t>(static_cast<double>(bytes) / params_.tcp_rate_bytes_per_ns);
+  uint64_t min_ns = static_cast<uint64_t>(static_cast<double>(bytes) / kTcpRateBytesPerNs);
   EXPECT_GE(NowNs(), min_ns);
 }
 
