@@ -64,7 +64,7 @@ double MeanRpcUs(lite::LiteClient* c, lt::NodeId server, int reps) {
 
 int main(int argc, char** argv) {
   benchlib::TraceSink trace = benchlib::TraceSink::FromArgs(argc, argv);
-  lt::SimParams p = lt::SimParams::FastForTests();
+  lt::SimParams p;
   p.lite_rpc_timeout_ns = 25'000'000;
   p.lite_rpc_max_retries = 5;
   p.lite_keepalive_interval_ns = 2'000'000;  // 2 ms (real time)

@@ -62,7 +62,7 @@ double LiteUtilization(bool values, uint64_t seed) {
 // Cross-check the analytic send/recv model against the real SendRecvRpcServer
 // accounting on a small sample.
 void ValidateAgainstRealServer() {
-  lt::SimParams p = lt::SimParams::FastForTests();
+  lt::SimParams p;
   p.node_phys_mem_bytes = 48ull << 20;
   lt::Cluster cluster(2, p);
   auto classes = Classes(2);

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Tier-1 verification: full build + test suite, the perf and trace gates, the
-# repo benchmark's smoke run, then the chaos soak, the atomics/RPC-bind races,
+# Tier-1 verification: full build + test suite, the perf gate, the paper
+# figures against their golden stdout, the examples, the trace gate, the repo
+# benchmark's smoke run, then the chaos soak, the atomics/RPC-bind races,
 # the live-migration suite and the simulated RNIC with its Verbs and baseline
 # users under ThreadSanitizer (the failure-recovery and migration-gate paths
 # are the most thread-hostile code in the tree, so they get the extra
@@ -44,13 +45,42 @@ stage "perf-regression gate (check_bench)"
 mkdir -p build/bench-out
 (cd build/bench-out && ../bench/bench_micro >/dev/null)
 (cd build/bench-out && ../bench/bench_migrate >/dev/null)
-(cd build/bench-out && ../bench/bench_latency_breakdown >/dev/null)
+# Its stdout is also a golden figure (next stage).
+(cd build/bench-out && ../bench/bench_latency_breakdown >bench_latency_breakdown.txt)
 # Transport scale smoke: the 8/100-node prefix of the fig14 RC-vs-DC sweep
 # (the committed anchor covers the full 8..1000 sweep; check_bench pairs the
 # smoke prefix and skips the rest — see SUBSET_OK).
 (cd build/bench-out && ../bench/fig14_scalability --scale-smoke \
     --telemetry BENCH_transport_scale.json >/dev/null)
 python3 scripts/check_bench.py
+
+stage "paper figures vs golden stdout"
+# The repeatable figure binaries must print exactly the committed stdout in
+# bench/golden/; bench_latency_breakdown's came from the stage above. A
+# mismatch prints the first differing lines of each figure that moved.
+GOLDEN_FIGS="fig04_mr_count fig05_mr_size fig06_latency fig12_rpc_mem app_dsm"
+for fig in ${GOLDEN_FIGS}; do
+  (cd build/bench-out && "../bench/${fig}" >"${fig}.txt")
+done
+golden_failed=0
+for fig in ${GOLDEN_FIGS} bench_latency_breakdown; do
+  out="build/bench-out/${fig}"
+  if ! diff -u "bench/golden/${fig}.txt" "${out}.txt" >"${out}.diff"; then
+    echo "${fig}: stdout differs from bench/golden/${fig}.txt; first differing lines:"
+    head -n 20 "${out}.diff"
+    golden_failed=1
+  fi
+done
+if [[ ${golden_failed} -ne 0 ]]; then
+  exit 1
+fi
+
+stage "examples"
+# Each example must run to completion (with the tests and fault_recovery,
+# they are what runs on the default node memory pool).
+for example in quickstart kv_service wordcount atomic_log dsm_counter graph_analytics; do
+  "./build/examples/${example}" >/dev/null || { echo "example ${example} failed"; exit 1; }
+done
 
 stage "chrome-trace export sanity"
 TRACE_OUT="$(mktemp /tmp/lite_trace.XXXXXX.json)"

@@ -3,18 +3,11 @@
 #include "src/common/timing.h"
 
 namespace liteapp {
-namespace {
-
-// The baseline systems copy payloads between application and network buffers
-// (LITE's zero-copy design avoids exactly this); charge the memcpy.
-void ChargeCopy(Process* proc, uint64_t len) {
-  lt::SpinFor(proc->node()->params().LocalCopyNs(len));
-}
-
-}  // namespace
 
 Status WriteVirt(Process* proc, VirtAddr addr, const void* src, uint64_t len) {
-  ChargeCopy(proc, len);
+  // The baseline systems copy payloads between application and network
+  // buffers (LITE's zero-copy design avoids exactly this); charge the memcpy.
+  lt::SpinFor(lt::LocalCopyNs(len));
   auto ranges = proc->page_table().TranslateRange(proc->node()->id(), addr, len);
   if (!ranges.ok()) {
     return ranges.status();
@@ -29,7 +22,7 @@ Status WriteVirt(Process* proc, VirtAddr addr, const void* src, uint64_t len) {
 }
 
 Status ReadVirt(Process* proc, VirtAddr addr, void* dst, uint64_t len) {
-  ChargeCopy(proc, len);
+  lt::SpinFor(lt::LocalCopyNs(len));  // The copy, as in WriteVirt.
   auto ranges = proc->page_table().TranslateRange(proc->node()->id(), addr, len);
   if (!ranges.ok()) {
     return ranges.status();

@@ -35,12 +35,6 @@ void SyncToBusy(uint64_t t) {
   }
 }
 
-void SyncToIdle(uint64_t t) {
-  if (t > t_clock.vnow_ns) {
-    t_clock.vnow_ns = t;
-  }
-}
-
 void SyncToAdaptive(uint64_t t, uint64_t spin_budget_ns) {
   if (t > t_clock.vnow_ns) {
     t_clock.cpu_ns += std::min(t - t_clock.vnow_ns, spin_budget_ns);

@@ -11,10 +11,11 @@
 //   NowNs()        current thread's virtual time
 //   SpinFor(ns)    charge busy work: virtual time += ns, virtual CPU += ns
 //   IdleFor(ns)    charge idle wait: virtual time += ns, no CPU
-//   SyncTo*(t)     jump virtual time forward to t (never backward), with the
+//   SyncToBusy(t), SyncToAdaptive(t, budget), SyncClockTo(t)
+//                  jump virtual time forward to t (never backward), with the
 //                  CPU cost of how the thread "waited": busy-polling burns
-//                  CPU for the whole gap, sleeping burns none, LITE's
-//                  adaptive wait burns up to its spin budget (paper Sec. 5.2).
+//                  CPU for the whole gap, LITE's adaptive wait burns up to
+//                  its spin budget (paper Sec. 5.2), sleeping burns none.
 //   ThreadCpuNs()  virtual CPU consumed by this thread
 //
 // A thread's clock starts at the virtual time of whatever event it first
@@ -49,14 +50,12 @@ void ChargeCpu(uint64_t ns);
 // gap (a busy-polling wait).
 void SyncToBusy(uint64_t t);
 
-// Jump to at least `t` without CPU cost (a blocking/sleeping wait).
-void SyncToIdle(uint64_t t);
-
 // Jump to at least `t`, burning CPU for at most `spin_budget_ns` of the gap
 // (spin-then-sleep adaptive wait).
 void SyncToAdaptive(uint64_t t, uint64_t spin_budget_ns);
 
-// Set the thread's virtual clock (used by start barriers; never rewinds).
+// Jump to at least `t` without CPU cost: a blocking/sleeping wait, or a
+// start barrier. Never rewinds.
 void SyncClockTo(uint64_t t);
 
 // Service threads only: set the clock EXACTLY (rewind allowed). A service

@@ -52,7 +52,7 @@ uint64_t Fabric::TransferFinishNs(NodeId src, NodeId dst, uint64_t bytes, uint64
     // ports; reserving sequentially models cut-through with port contention).
     finish = ports_[src]->Reserve(earliest_ns, bytes, queue_ns_out);
     finish = ports_[dst]->Reserve(finish, bytes, queue_ns_out);
-    finish += params_.wire_latency_ns;
+    finish += kWireLatencyNs;
   }
   finish += injected_delay_ns;
   return finish;

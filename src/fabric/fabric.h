@@ -25,6 +25,9 @@
 
 namespace lt {
 
+// Propagation plus one switch hop, one way.
+inline constexpr uint64_t kWireLatencyNs = 300;
+
 class Fabric;
 
 class FabricPort {

@@ -215,7 +215,6 @@ void LiteInstance::RegisterInternalHandlers() {
     }
     const Priority pri =
         pri_raw == static_cast<uint8_t>(Priority::kLow) ? Priority::kLow : Priority::kHigh;
-    const auto& p = self->params();
     if (op == 0) {  // memset on local ranges
       uint8_t value = 0;
       uint32_t count = 0;
@@ -234,7 +233,7 @@ void LiteInstance::RegisterInternalHandlers() {
         if (!gated.ok()) {
           return gated.code();
         }
-        lt::SpinFor(p.LocalCopyNs(len));
+        lt::SpinFor(lt::LocalCopyNs(len));
         std::memset(self->node()->mem().Data(addr, len), value, len);
         self->migration().CloseAccess(&gate, /*success=*/true);
       }
@@ -267,7 +266,7 @@ void LiteInstance::RegisterInternalHandlers() {
             self->migration().CloseAccess(&src_gate, /*success=*/false);
             return gated.code();
           }
-          lt::SpinFor(p.LocalCopyNs(len));
+          lt::SpinFor(lt::LocalCopyNs(len));
           std::memmove(self->node()->mem().Data(dst_addr, len),
                        self->node()->mem().Data(src_addr, len), len);
           self->migration().CloseAccess(&dst_gate, /*success=*/true);

@@ -179,8 +179,9 @@ Status LiteInstance::BootstrapControlChannel(LiteInstance* server) {
 void LiteInstance::Start() {
   stopping_.store(false);
   threads_.emplace_back([this] { PollLoop(); });
-  threads_.emplace_back([this] { InternalWorkerLoop(); });
-  threads_.emplace_back([this] { InternalWorkerLoop(); });
+  for (int i = 0; i < kControlWorkers; ++i) {
+    threads_.emplace_back([this] { InternalWorkerLoop(); });
+  }
   if (params().lite_keepalive_interval_ns > 0 && node_id() != manager_node_) {
     threads_.emplace_back([this] { KeepaliveLoop(); });
   }
@@ -223,12 +224,12 @@ LiteInstance* LiteInstance::Peer(NodeId node) const {
 // ---------------------------------------------------------- local fast path
 
 void LiteInstance::LocalCopyIn(PhysAddr dst, const void* src, uint64_t len) {
-  SpinFor(params().LocalCopyNs(len));
+  SpinFor(lt::LocalCopyNs(len));
   lt::SimDmaCopy(node_->mem().Data(dst, len), src, len);
 }
 
 void LiteInstance::LocalCopyOut(void* dst, PhysAddr src, uint64_t len) {
-  SpinFor(params().LocalCopyNs(len));
+  SpinFor(lt::LocalCopyNs(len));
   lt::SimDmaCopy(dst, node_->mem().Data(src, len), len);
 }
 

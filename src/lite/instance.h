@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "src/common/cpu_meter.h"
+#include "src/common/service_timeline.h"
 #include "src/common/status.h"
 #include "src/common/sync_util.h"
 #include "src/lite/lmr_table.h"
@@ -549,6 +550,18 @@ class LiteInstance {
   // Internal control functions.
   std::unordered_map<RpcFuncId, InternalHandler> internal_handlers_;
   BlockingQueue<std::pair<RpcFuncId, RpcIncoming>> internal_queue_;
+  // The control workers' virtual timelines, one per InternalWorkerLoop
+  // thread. A request is booked on the free one idle longest, whichever
+  // thread pops it, so host scheduling does not decide whether it pays a
+  // wakeup.
+  static constexpr int kControlWorkers = 2;
+  struct ControlWorker {
+    lt::ServiceTimeline timeline;
+    uint64_t free_ns = 0;  // Virtual time its last request finished.
+    bool busy = false;
+  };
+  std::mutex control_workers_mu_;
+  ControlWorker control_workers_[kControlWorkers];
 
   // Lock + barrier services.
   std::mutex locks_mu_;

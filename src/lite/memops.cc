@@ -55,7 +55,7 @@ StatusOr<Lh> LiteInstance::Malloc(uint64_t size, const std::string& name,
   if (size == 0 || name.empty()) {
     return Status::InvalidArgument("LT_malloc needs a size and a name");
   }
-  SpinFor(params().lite_malloc_local_ns);
+  SpinFor(kMallocLocalNs);
 
   std::vector<NodeId> nodes = options.nodes;
   if (nodes.empty()) {
@@ -204,7 +204,7 @@ StatusOr<NodeId> LiteInstance::LookupMasterNode(const std::string& name) {
 }
 
 StatusOr<Lh> LiteInstance::Map(const std::string& name, uint32_t want_perm) {
-  SpinFor(params().lite_map_check_ns);
+  SpinFor(kMapCheckNs);
   auto master = LookupMasterNode(name);
   if (!master.ok()) {
     return master.status();
@@ -300,7 +300,7 @@ Status LiteInstance::BlockingMemop(Lh lh, uint64_t offset, void* buf, uint64_t l
   ScopedOpAttr attr(&node_->telemetry().latency(), is_read ? "read" : "write", len,
                     static_cast<int>(pri));
   const uint64_t submit_t0 = lt::NowNs();
-  SpinFor(params().lite_map_check_ns);
+  SpinFor(kMapCheckNs);
   auto entry = GetLh(lh);
   if (!entry.ok()) {
     return entry.status();
@@ -327,7 +327,7 @@ Status LiteInstance::Memset(Lh lh, uint64_t offset, uint8_t value, uint64_t len,
   }
   ScopedOpAttr attr(&node_->telemetry().latency(), "memset", len, static_cast<int>(pri));
   const uint64_t submit_t0 = lt::NowNs();
-  SpinFor(params().lite_map_check_ns);
+  SpinFor(kMapCheckNs);
   auto entry = GetLh(lh);
   if (!entry.ok()) {
     return entry.status();
@@ -406,7 +406,7 @@ Status LiteInstance::Memcpy(Lh dst, uint64_t dst_off, Lh src, uint64_t src_off, 
   }
   ScopedOpAttr attr(&node_->telemetry().latency(), "memcpy", len, static_cast<int>(pri));
   const uint64_t submit_t0 = lt::NowNs();
-  SpinFor(params().lite_map_check_ns);
+  SpinFor(kMapCheckNs);
   auto src_entry = GetLh(src);
   if (!src_entry.ok()) {
     return src_entry.status();
@@ -495,7 +495,7 @@ StatusOr<uint64_t> LiteInstance::LhAtomic(Lh lh, uint64_t offset, bool is_cas,
   ScopedOpAttr attr(&node_->telemetry().latency(), "atomic", 8,
                     static_cast<int>(Priority::kHigh));
   const uint64_t submit_t0 = lt::NowNs();
-  SpinFor(params().lite_map_check_ns);
+  SpinFor(kMapCheckNs);
   auto entry = GetLh(lh);
   if (!entry.ok()) {
     return entry.status();

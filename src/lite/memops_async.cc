@@ -29,7 +29,7 @@ StatusOr<MemopHandle> LiteInstance::IssueAsyncMemop(Lh lh, uint64_t offset, void
   lt::telemetry::ScopedOpAttr attr(&node_->telemetry().latency(), is_read ? "aread" : "awrite",
                                    len, static_cast<int>(pri));
   const uint64_t submit_t0 = lt::NowNs();
-  SpinFor(params().lite_map_check_ns);
+  SpinFor(kMapCheckNs);
   auto entry = GetLh(lh);
   if (!entry.ok()) {
     return entry.status();
@@ -52,7 +52,7 @@ void LiteInstance::ExecuteDeferredAsync(RingDeferredOp& op, RingDrainCache* cach
     // batch — the whole batch entered the kernel together, so the lookup
     // amortizes like the crossing does.
     if (!cache->valid || cache->lh != op.lh) {
-      SpinFor(params().lite_map_check_ns);
+      SpinFor(kMapCheckNs);
       auto entry = GetLh(op.lh);
       if (!entry.ok()) {
         // The lh died between enqueue and drain: fail the reserved handle.

@@ -308,7 +308,7 @@ Status OpEngine::OneSidedWriteImmImpl(NodeId dst, PhysAddr dst_addr, const void*
     c.imm = imm;
     c.byte_len = static_cast<uint32_t>(len);
     c.src_node = inst_->node_id();
-    c.ready_at_ns = NowNs() + inst_->params().rnic_completion_ns;
+    c.ready_at_ns = NowNs() + lt::kRnicCompletionNs;
     inst_->recv_cq_->Push(std::move(c));
     return Status::Ok();
   }
@@ -339,7 +339,7 @@ StatusOr<uint64_t> OpEngine::RemoteAtomicImpl(NodeId dst, PhysAddr addr, bool is
     LT_RETURN_IF_ERROR(
         inst_->migration().Open(addr, 8, /*is_write=*/true, inst_->node_id(), &gate));
     const uint64_t spin_t0 = NowNs();
-    SpinFor(inst_->params().local_op_base_ns + inst_->params().rnic_atomic_extra_ns / 2);
+    SpinFor(lt::kLocalOpBaseNs + lt::kRnicAtomicExtraNs / 2);
     AttrAdd(LatStage::kLatRnicLocal, NowNs() - spin_t0);
     uint8_t* p = inst_->node_->mem().Data(addr, 8);
     // The responder (Rnic::Execute) applies remote atomics with the
@@ -804,7 +804,7 @@ Status OpEngine::ConsumeAsyncLocked(std::map<MemopHandle, std::unique_ptr<AsyncO
 // ------------------------------------------------------- public retirement
 
 StatusOr<bool> OpEngine::Poll(MemopHandle h) {
-  SpinFor(inst_->params().rnic_completion_ns);  // CQ poll cost; poll loops progress.
+  SpinFor(lt::kRnicCompletionNs);  // CQ poll cost; poll loops progress.
   std::unique_lock<std::mutex> lock(async_mu_);
   auto it = async_ops_.find(h);
   if (it == async_ops_.end()) {

@@ -46,11 +46,11 @@ uint64_t Align64(uint64_t v) { return (v + 63) & ~63ull; }
 // Adaptive spin-then-sleep arrival at an event (paper Sec. 5.2): sync to the
 // event's virtual time; if the gap exceeded the spin budget the thread had
 // gone to sleep, so it additionally pays a wakeup.
-void SyncAdaptiveWithWakeup(uint64_t event_vtime, const lt::SimParams& p) {
+void SyncAdaptiveWithWakeup(uint64_t event_vtime) {
   const uint64_t gap = event_vtime > lt::NowNs() ? event_vtime - lt::NowNs() : 0;
   lt::SyncToAdaptive(event_vtime, kAdaptiveSpinNs);
   if (gap > kAdaptiveSpinNs) {
-    lt::SpinFor(p.thread_wakeup_ns);
+    lt::SpinFor(lt::kThreadWakeupNs);
   }
 }
 
@@ -322,7 +322,7 @@ Status LiteInstance::AwaitReply(uint32_t slot, uint64_t timeout_ns, bool settle,
   // The LITE library's adaptive wait: busy-check the shared state briefly,
   // then sleep (paper Sec. 5.2).
   const uint64_t wait_t0 = NowNs();
-  SyncAdaptiveWithWakeup(ready_vtime, params());
+  SyncAdaptiveWithWakeup(ready_vtime);
   AttrAddRpcWait(NowNs() - wait_t0, post_lat);
   const uint64_t ret_t0 = NowNs();
   const uint32_t copy_len = std::min(len, out_max);
@@ -533,8 +533,7 @@ StatusOr<RpcIncoming> LiteInstance::PopIncoming(RpcFuncId func, uint64_t timeout
   }
   // Serve it on its own timeline (adaptive spin-then-sleep wait).
   lt::ServiceTimeline::ForThisThread().BeginService(inc->arrival_vtime_ns, service_ns,
-                                                    kAdaptiveSpinNs,
-                                                    params().thread_wakeup_ns);
+                                                    kAdaptiveSpinNs, lt::kThreadWakeupNs);
   return std::move(*inc);
 }
 
@@ -605,7 +604,11 @@ StatusOr<MsgIncoming> LiteInstance::RecvMsg(uint64_t timeout_ns) {
 
 void LiteInstance::PollLoop() {
   // The poll thread serves every event on the event's own timeline (clock
-  // rewound per event; its serial dispatch capacity is still enforced).
+  // rewound per event; its serial dispatch capacity is still enforced). The
+  // CQ hands out one source node's completions in the order its RNIC pushed
+  // them, and PostRpcRequest's channel lock makes that the ring order, so a
+  // request that stalled on a cache miss is not overtaken by later ones of
+  // its ring that finished first.
   lt::ServiceTimeline timeline;
   while (!stopping_.load()) {
     uint64_t cpu0 = lt::ThreadCpuNs();
@@ -622,8 +625,7 @@ void LiteInstance::PollLoop() {
       // Batch size at this wake: the completion in hand plus whatever else is
       // already queued behind it (paper Sec. 5.1's shared-poller batching).
       poll_batch_hist_->Record(1 + recv_cq_->Depth());
-      timeline.BeginService(c->ready_at_ns, params().lite_rpc_dispatch_ns,
-                            kAdaptiveSpinNs, params().thread_wakeup_ns);
+      timeline.BeginService(c->ready_at_ns, kRpcDispatchNs, kAdaptiveSpinNs, lt::kThreadWakeupNs);
       if (ImmFunc(c->imm) == kReplyFuncId) {
         HandleReplyImm(c->imm, c->byte_len, lt::NowNs());
       } else {
@@ -707,7 +709,7 @@ uint64_t LiteInstance::HandleRequestImm(NodeId src, uint32_t imm) {
   rpc_requests_->Inc();
   LT_VLOG << "node " << node_id() << ": RPC request from " << src << " func " << func;
 
-  SpinFor(params().lite_rpc_dispatch_ns);
+  SpinFor(kRpcDispatchNs);
 
   // The ring is DMA-written by the client's RNIC; read the header with the
   // simulated-DMA copy (see annotations.h).
@@ -722,9 +724,9 @@ uint64_t LiteInstance::HandleRequestImm(NodeId src, uint32_t imm) {
   // duplication) is not run again: its cached reply is replayed instead —
   // at-most-once execution.
   const bool fresh = hdr.seq == 0 || SeqFresh(ring, hdr.seq);
+  RpcIncoming inc;
   if (fresh) {
     // The single data move of the receive path (paper Sec. 5.2): ring -> user.
-    RpcIncoming inc;
     inc.data.resize(hdr.input_len);
     if (hdr.input_len > 0) {
       LocalCopyOut(inc.data.data(), ring->ring.addr + offset + sizeof(hdr), hdr.input_len);
@@ -738,17 +740,15 @@ uint64_t LiteInstance::HandleRequestImm(NodeId src, uint32_t imm) {
     inc.token.parent_trace_id = hdr.trace_id;
     inc.arrival_vtime_ns = NowNs();
     inc.token.arrival_vtime_ns = inc.arrival_vtime_ns;
-    if (func <= kMaxAppFuncId || func == kMsgFuncId) {
-      FuncQueue(func)->Push(std::move(inc));
-    } else {
-      internal_queue_.Push({func, std::move(inc)});
-    }
   }
 
-  // Release the ring space: publish the new head to the client's mirror
-  // (paper Fig. 9, step f) after the hand-off, so the handler's wakeup is
-  // not queued behind the head write. The write runs on the background
-  // timeline: posted at this virtual time, then the clock is put back.
+  // Release the ring space (a fresh request is already copied out): publish
+  // the new head to the client's mirror (paper Fig. 9, step f). The write
+  // runs on the background timeline: posted at the hand-off's virtual time,
+  // then the clock is put back, so the handler's wakeup is not queued behind
+  // it. It is posted before the hand-off in host order, so it touches the
+  // RNIC caches (QPC, MPT) before the handler's reply can, however the host
+  // schedules the handler.
   ring->head = std::max(ring->head, hdr.tail_after);
   const uint64_t resume_ns = NowNs();
   const uint64_t cpu0 = lt::ThreadCpuNs();
@@ -757,7 +757,13 @@ uint64_t LiteInstance::HandleRequestImm(NodeId src, uint32_t imm) {
                               Priority::kHigh);
   lt::SetServiceClock(resume_ns);
   const uint64_t head_cpu = lt::ThreadCpuNs() - cpu0;
-  if (!fresh) {
+  if (fresh) {
+    if (func <= kMaxAppFuncId || func == kMsgFuncId) {
+      FuncQueue(func)->Push(std::move(inc));
+    } else {
+      internal_queue_.Push({func, std::move(inc)});
+    }
+  } else {
     rpc_dup_requests_->Inc();
     ReplayReply(ring, hdr);
   }
@@ -917,14 +923,27 @@ void LiteInstance::KeepaliveLoop() {
 }
 
 void LiteInstance::InternalWorkerLoop() {
-  lt::ServiceTimeline timeline;
   while (true) {
     auto item = internal_queue_.Pop();
     if (!item.has_value()) {
       return;  // Queue closed.
     }
     auto& [func, inc] = *item;
-    timeline.BeginService(inc.arrival_vtime_ns, 1500, kAdaptiveSpinNs, params().thread_wakeup_ns);
+    // Book the request on the free worker timeline idle longest (one per
+    // worker thread, so one is always free).
+    ControlWorker* worker = nullptr;
+    {
+      std::lock_guard<std::mutex> lock(control_workers_mu_);
+      for (ControlWorker& w : control_workers_) {
+        if (!w.busy && (worker == nullptr || w.free_ns < worker->free_ns)) {
+          worker = &w;
+        }
+      }
+      worker->busy = true;
+    }
+    lt::SetServiceClock(worker->free_ns);
+    worker->timeline.BeginService(inc.arrival_vtime_ns, 1500, kAdaptiveSpinNs,
+                                  lt::kThreadWakeupNs);
     Reply reply = lt::StatusCode::kInvalidArgument;
     auto it = internal_handlers_.find(func);
     if (it != internal_handlers_.end()) {
@@ -935,6 +954,9 @@ void LiteInstance::InternalWorkerLoop() {
     if (!reply.deferred) {
       ReplyControl(inc.token, reply.code, reply.payload);
     }
+    std::lock_guard<std::mutex> lock(control_workers_mu_);
+    worker->free_ns = lt::NowNs();
+    worker->busy = false;
   }
 }
 

@@ -82,9 +82,11 @@ struct ServerRing {
 
   // At-most-once execution state (poll thread only): every executed
   // sequence is <= seq_low or in seq_above (kept sparse — consecutive
-  // completions collapse into the watermark). A set rather than a plain
-  // high-water mark, because fault-injected reordering can deliver a fresh
-  // request with a lower sequence after a later one executed.
+  // completions collapse into the watermark). The poll thread takes a ring's
+  // requests in ring order, but a set rather than a plain high-water mark is
+  // still needed: a retry re-posts its call's original sequence, so when the
+  // first post was lost, the fresh request arrives after later sequences
+  // from the same channel executed.
   uint32_t seq_low = 0;
   std::set<uint32_t> seq_above;
 

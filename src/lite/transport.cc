@@ -9,7 +9,7 @@ namespace lite {
 void Transport::RecoverQp(lt::Qp* qp) {
   // Models the driver's modify_qp cycle ERR -> RESET -> INIT -> RTR -> RTS
   // after a transport error (caller holds the QP's slot mutex).
-  lt::SpinFor(node_->params().lite_qp_reconnect_ns);
+  lt::SpinFor(kQpReconnectNs);
   qp->ResetToRts();
   if (reconnects_ != nullptr) {
     reconnects_->Inc();

@@ -86,7 +86,7 @@ class Transport {
   virtual bool Prepare(const TransportHandle& h) = 0;
 
   // Resets an errored QP back to RTS (modify_qp ERR->...->RTS; charges
-  // lite_qp_reconnect_ns) and stamps a kQpRecover journal event whose `b`
+  // kQpReconnectNs) and stamps a kQpRecover journal event whose `b`
   // argument packs the transport mode (b = mode << 32 | qpn; 1=rc, 2=dc).
   // Caller holds the slot mutex covering the QP.
   virtual void RecoverQp(lt::Qp* qp);

@@ -57,6 +57,12 @@ struct LmrChunk {
 // service threads and the ring drainer/reaper stay hot this long.
 constexpr uint64_t kAdaptiveSpinNs = 6'000;
 
+// The calibrated costs of LITE's own software.
+constexpr uint64_t kMapCheckNs = 90;         // lh lookup + permission check + addr map.
+constexpr uint64_t kRpcDispatchNs = 180;     // Poll-thread IMM decode + hand-off.
+constexpr uint64_t kMallocLocalNs = 1500;    // Local LMR allocation bookkeeping.
+constexpr uint64_t kQpReconnectNs = 25'000;  // modify_qp ERR->RESET->...->RTS.
+
 // RPC function identifier. Application functions use ids 0..999; LITE
 // reserves 1000+ for its internal control functions.
 using RpcFuncId = uint32_t;

@@ -20,10 +20,9 @@ Node::Node(NodeId id, const SimParams& params, Fabric* fabric, RnicDirectory* di
     : id_(id),
       params_(params),
       mem_(params.node_phys_mem_bytes, kPageSize),
-      os_(params),
       port_(fabric->Attach(id)),
       rnic_(id, params_, &mem_, port_, directory),
-      tcp_(id, params_, fabric) {
+      tcp_(id, fabric) {
   telemetry_.SetNodeId(id_);
   fabric->faults().AttachJournal(id_, &telemetry_.journal());
   RegisterHardwareProbes(fabric);

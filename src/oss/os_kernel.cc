@@ -7,12 +7,12 @@ namespace lt {
 
 void OsKernel::Syscall() {
   syscalls_.fetch_add(1, std::memory_order_relaxed);
-  SpinFor(params_.syscall_overhead_ns + 2 * params_.user_kernel_cross_ns);
+  SpinFor(kSyscallOverheadNs + 2 * kUserKernelCrossNs);
 }
 
 void OsKernel::CrossUserKernel() {
   crossings_.fetch_add(1, std::memory_order_relaxed);
-  SpinFor(params_.user_kernel_cross_ns);
+  SpinFor(kUserKernelCrossNs);
 }
 
 void OsKernel::CrossUserKernelBatched() {
@@ -27,10 +27,10 @@ void OsKernel::RecordBatchedCrossing(uint64_t ops) {
   }
 }
 
-void OsKernel::PinPages(uint64_t pages) { SpinFor(pages * params_.pin_page_ns); }
+void OsKernel::PinPages(uint64_t pages) { SpinFor(pages * kPinPageNs); }
 
-void OsKernel::UnpinPages(uint64_t pages) { SpinFor(pages * params_.unpin_page_ns); }
+void OsKernel::UnpinPages(uint64_t pages) { SpinFor(pages * kUnpinPageNs); }
 
-void OsKernel::ChargeThreadWakeup() { SpinFor(params_.thread_wakeup_ns); }
+void OsKernel::ChargeThreadWakeup() { SpinFor(kThreadWakeupNs); }
 
 }  // namespace lt

@@ -11,18 +11,21 @@
 #include <atomic>
 #include <cstdint>
 
-#include "src/sim/params.h"
-
 namespace lt {
 
 namespace telemetry {
 class FixedHistogram;
 }  // namespace telemetry
 
+// The calibrated OS costs.
+inline constexpr uint64_t kUserKernelCrossNs = 85;   // One crossing; optimized RPC pays two.
+inline constexpr uint64_t kSyscallOverheadNs = 150;  // Classic trap entry+exit bookkeeping.
+inline constexpr uint64_t kPinPageNs = 800;          // get_user_pages per page (registration).
+inline constexpr uint64_t kUnpinPageNs = 300;        // Per page on deregistration.
+inline constexpr uint64_t kThreadWakeupNs = 1200;    // Condvar/futex wake of a sleeping thread.
+
 class OsKernel {
  public:
-  explicit OsKernel(const SimParams& params) : params_(params) {}
-
   // Full syscall: enter + exit. Used by the naive (unoptimized) paths.
   void Syscall();
 
@@ -58,10 +61,8 @@ class OsKernel {
     return batched_crossings_.load(std::memory_order_relaxed);
   }
   uint64_t batched_ops_count() const { return batched_ops_.load(std::memory_order_relaxed); }
-  const SimParams& params() const { return params_; }
 
  private:
-  const SimParams params_;
   std::atomic<uint64_t> syscalls_{0};
   std::atomic<uint64_t> crossings_{0};
   std::atomic<uint64_t> batched_crossings_{0};  // Ring doorbells (subset of crossings_).

@@ -68,7 +68,7 @@ void SyncToCompletion(const Completion& c, WaitMode mode) {
   if (mode == WaitMode::kBusyPoll) {
     SyncToBusy(c.ready_at_ns);
   } else {
-    SyncToIdle(c.ready_at_ns);
+    SyncClockTo(c.ready_at_ns);
   }
 }
 
@@ -86,10 +86,17 @@ std::optional<Completion> Cq::WaitPoll(uint64_t timeout_ns, WaitMode mode) {
       // that need elapsed-timeout semantics charge it themselves.
       return std::nullopt;
     }
-    // Take the entry with the earliest virtual ready time.
+    // Take the entry with the earliest virtual ready time among those with
+    // no earlier-pushed receive completion from their source node (the
+    // first entry always qualifies).
     auto best = entries_.begin();
     for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-      if (it->ready_at_ns < best->ready_at_ns) {
+      if (it->ready_at_ns >= best->ready_at_ns) {
+        continue;
+      }
+      const NodeId src = it->src_node;
+      auto same_src = [src](const Completion& e) { return e.src_node == src; };
+      if (src == kInvalidNode || std::none_of(entries_.begin(), it, same_src)) {
         best = it;
       }
     }
@@ -362,7 +369,7 @@ void Rnic::PushSendCompletion(Qp* qp, const WorkRequest& wr, Status status, uint
       c.opcode = WcOpcode::kAtomic;
       break;
   }
-  c.ready_at_ns = ready_at + params_.rnic_completion_ns;
+  c.ready_at_ns = ready_at + kRnicCompletionNs;
   c.lat = tl_last_lat;
   qp->send_cq()->Push(std::move(c));
 }
@@ -379,7 +386,7 @@ void Rnic::ChargePostCost(Qp* qp, const WorkRequest& wr) {
                        now - b.last_post_ns <= kRnicDoorbellWindowNs;
   if (batches) {
     // Rides the previous doorbell: only the per-extra-WQE build cost.
-    SpinFor(params_.rnic_post_wqe_ns);
+    SpinFor(kRnicPostWqeNs);
     wqes_batched_.fetch_add(1, std::memory_order_relaxed);
     ++b.len;
     b.last_post_ns = NowNs();
@@ -393,7 +400,7 @@ void Rnic::ChargePostCost(Qp* qp, const WorkRequest& wr) {
       hist->Record(b.len);
     }
   }
-  SpinFor(params_.rnic_post_ns);
+  SpinFor(kRnicPostNs);
   doorbells_.fetch_add(1, std::memory_order_relaxed);
   b.rnic = wr.doorbell_hint ? this : nullptr;
   b.qpn = qp->qpn();
@@ -449,7 +456,7 @@ Status Rnic::Execute(Qp* qp, const WorkRequest& wr, Rnic* remote, uint32_t dst_q
   // return leg carries (reads only; every other acked op gets a bare ACK).
   uint64_t request_bytes = kOneSidedHeaderBytes + wr.length;
   uint64_t remote_extra_ns = 0;
-  uint64_t ack_ns = params_.rnic_ack_ns;
+  uint64_t ack_ns = kRnicAckNs;
   uint64_t response_bytes = 0;
   switch (wr.opcode) {
     case WrOpcode::kWrite:
@@ -467,7 +474,7 @@ Status Rnic::Execute(Qp* qp, const WorkRequest& wr, Rnic* remote, uint32_t dst_q
       // The atomic response is ack-sized; it rides the credit path rather
       // than reserving payload bandwidth, with no separate ACK turn-around.
       request_bytes = kOneSidedHeaderBytes + 16;
-      remote_extra_ns = params_.rnic_atomic_extra_ns;
+      remote_extra_ns = kRnicAtomicExtraNs;
       ack_ns = 0;
       break;
   }
@@ -493,10 +500,10 @@ Status Rnic::Execute(Qp* qp, const WorkRequest& wr, Rnic* remote, uint32_t dst_q
   // 1. Resolve both buffers. QPC lookups first: this NIC's context for the
   // sender, then (gated) the responder's context serving it — per-peer for
   // RC, the one shared DCT entry for DC targets.
-  const uint64_t qpc_penalty = qpc_cache_.Touch(qp->qpn()) ? 0 : params_.qpc_miss_ns;
+  const uint64_t qpc_penalty = qpc_cache_.Touch(qp->qpn()) ? 0 : kQpcMissNs;
   const uint64_t remote_qpc_penalty =
       params_.rnic_model_responder_qpc && remote != this
-          ? (remote->qpc_cache_.Touch(dst_qpn) ? 0 : params_.qpc_miss_ns)
+          ? (remote->qpc_cache_.Touch(dst_qpn) ? 0 : kQpcMissNs)
           : 0;
   // The local buffer: host memory the kernel addresses physically, or a
   // local MR. An atomic has none; its old value lands in wr.atomic_result.
@@ -545,9 +552,9 @@ Status Rnic::Execute(Qp* qp, const WorkRequest& wr, Rnic* remote, uint32_t dst_q
   if (inline_send) {
     inline_sends_.fetch_add(1, std::memory_order_relaxed);
   }
-  const uint64_t local_done = ReserveEngine(
-      now, (inline_send ? params_.rnic_inline_process_ns : params_.rnic_process_ns) +
-               qpc_penalty + local->cache_penalty_ns);
+  const uint64_t local_done =
+      ReserveEngine(now, (inline_send ? kRnicInlineProcessNs : kRnicProcessNs) + qpc_penalty +
+                             local->cache_penalty_ns);
   Fabric* fabric = port_->fabric();
   TransferFaults request_faults;
   uint64_t queue_ns = 0;
@@ -557,14 +564,13 @@ Status Rnic::Execute(Qp* qp, const WorkRequest& wr, Rnic* remote, uint32_t dst_q
     return drop("message dropped");
   }
   const uint64_t remote_done = remote->ReserveEngine(
-      arrive, params_.rnic_process_ns + remote_extra_ns + target->cache_penalty_ns +
-                  remote_qpc_penalty);
+      arrive, kRnicProcessNs + remote_extra_ns + target->cache_penalty_ns + remote_qpc_penalty);
   uint64_t ready_at = local_done;
   if (!ud) {
     const uint64_t turn_ns = remote_done + ack_ns;
     ready_at = is_read ? fabric->TransferFinishNs(remote->node(), node_, response_bytes, turn_ns,
                                                   nullptr, &queue_ns)
-                       : turn_ns + params_.wire_latency_ns;
+                       : turn_ns + kWireLatencyNs;
     if (ready_at == Fabric::kDropped) {
       return drop("response dropped");
     }
@@ -606,16 +612,16 @@ Status Rnic::Execute(Qp* qp, const WorkRequest& wr, Rnic* remote, uint32_t dst_q
     rc.has_imm = !is_send;
     rc.src_node = node_;
     rc.src_qpn = qp->qpn();
-    rc.ready_at_ns = remote_done + params_.rnic_completion_ns;
+    rc.ready_at_ns = remote_done + kRnicCompletionNs;
+    remote_qp->recv_cq()->Push(rc);
     if (!is_send && request_faults.duplicate) {
       // Fault injection duplicated the request on the wire: the receiver
-      // sees the imm event twice (upper layers must dedup by sequence). A
-      // duplicated SEND would need a second RQE and is not modeled.
-      Completion dup = rc;
-      dup.ready_at_ns += params_.wire_latency_ns + request_faults.dup_extra_delay_ns;
-      remote_qp->recv_cq()->Push(std::move(dup));
+      // sees the imm event twice, the copy after the original (upper layers
+      // must dedup by sequence). A duplicated SEND would need a second RQE
+      // and is not modeled.
+      rc.ready_at_ns += kWireLatencyNs + request_faults.dup_extra_delay_ns;
+      remote_qp->recv_cq()->Push(std::move(rc));
     }
-    remote_qp->recv_cq()->Push(std::move(rc));
   }
   // An unacked WQE books only its local engine and completion: the sender
   // never waits for the wire or the responder.
@@ -626,7 +632,7 @@ Status Rnic::Execute(Qp* qp, const WorkRequest& wr, Rnic* remote, uint32_t dst_q
     // The rest of the trip: serialization, propagation and injected delay.
     tl_last_lat.wire_ns = ready_at - local_done - queue_ns - tl_last_lat.rnic_remote_ns;
   }
-  tl_last_lat.compl_ns = params_.rnic_completion_ns;
+  tl_last_lat.compl_ns = kRnicCompletionNs;
   PushSendCompletion(qp, wr, Status::Ok(), ready_at);
   return Status::Ok();
 }

@@ -7,8 +7,9 @@
 // WRITE-WITH-IMM, two-sided SEND/RECV (RC and UD), and masked 64-bit atomics
 // (FETCH_ADD, CMP_SWAP).
 //
-// Performance model (costs from SimParams, plus the fixed constants below):
-//   * The issuing thread pays the doorbell cost (rnic_post_ns) synchronously.
+// Performance model (cache geometry and miss costs from SimParams, engine
+// costs from the constants below):
+//   * The issuing thread pays the doorbell cost (kRnicPostNs) synchronously.
 //   * Every opcode then runs one WQE pipeline (Rnic::Execute): resolve the
 //     local and remote buffers; book the local engine, the request transfer,
 //     the remote engine and the return leg; move the data; post the
@@ -17,7 +18,7 @@
 //     engine's extra cost, the ACK turn-around, and what comes back (a read's
 //     payload, a bare ACK, or nothing for UD).
 //   * Each engine booking occupies that NIC's processing engine for
-//     rnic_process_ns + (MPT/MTT/QPC miss penalties); engine occupancy is a
+//     kRnicProcessNs + (MPT/MTT/QPC miss penalties); engine occupancy is a
 //     virtual reservation (like a fabric port), so pipelined ops through one
 //     NIC share its processing rate — on-NIC SRAM misses therefore reduce
 //     throughput (paper Fig. 5) and add latency (paper Fig. 4).
@@ -61,12 +62,23 @@ class FixedHistogram;
 
 class Rnic;
 
+// The RNIC's calibrated engine costs.
+inline constexpr uint64_t kRnicPostNs = 200;         // WQE build + doorbell (host side).
+inline constexpr uint64_t kRnicProcessNs = 150;      // NIC packet processing, per side.
+inline constexpr uint64_t kRnicCompletionNs = 120;   // CQE generation + host poll cost.
+inline constexpr uint64_t kRnicAckNs = 250;          // RC ACK turn-around at the responder.
+inline constexpr uint64_t kRnicAtomicExtraNs = 300;  // PCIe read-modify-write for atomics.
+inline constexpr uint64_t kQpcMissNs = 500;          // Fetch a QP context from host memory.
 // Doorbell batching: a hinted post that lands on the same QP within this gap
-// of the previous one rides its doorbell (WorkRequest::doorbell_hint).
+// of the previous one rides its doorbell (WorkRequest::doorbell_hint) and
+// pays only kRnicPostWqeNs instead of the full kRnicPostNs.
 inline constexpr uint64_t kRnicDoorbellWindowNs = 1000;
+inline constexpr uint64_t kRnicPostWqeNs = 40;
 // Inline sends: the largest write payload that can ride in the WQE itself
-// (WorkRequest::inline_data).
+// (WorkRequest::inline_data). It skips the local DMA read, so the local
+// engine pays kRnicInlineProcessNs instead of kRnicProcessNs.
 inline constexpr uint64_t kRnicInlineMax = 256;
+inline constexpr uint64_t kRnicInlineProcessNs = 60;
 
 // Resolves node ids to their RNICs; owned by the cluster.
 class RnicDirectory {
@@ -124,7 +136,11 @@ class Cq {
  public:
   // Blocks (really, on a condvar) until an entry exists, then advances the
   // caller's virtual clock to the entry's ready time, charging CPU according
-  // to `mode`. Returns nullopt on timeout or shutdown.
+  // to `mode`. Returns nullopt on timeout or shutdown. Takes the entry with
+  // the earliest ready time, except that a receive completion waits behind
+  // every earlier-pushed one from the same source node: one sender's
+  // messages leave in the order its RNIC pushed them, even when a later one
+  // became ready first (warm caches, fabric jitter).
   std::optional<Completion> WaitPoll(uint64_t timeout_ns, WaitMode mode);
 
   // Like WaitPoll but only consumes the completion whose wr_id matches;
@@ -195,7 +211,7 @@ class Qp {
   // with kFailedPrecondition until the owner resets the QP. ResetToRts()
   // models the ibv_modify_qp ERR->RESET->INIT->RTR->RTS round-trip (the
   // connection target is preserved); the reconnect's time cost is charged by
-  // the caller (LITE's lite_qp_reconnect_ns).
+  // the caller (LITE's kQpReconnectNs).
   bool in_error() const { return state_.load(std::memory_order_acquire) != 0; }
   void SetError() { state_.store(1, std::memory_order_release); }
   void ResetToRts() { state_.store(0, std::memory_order_release); }
@@ -257,10 +273,10 @@ struct WorkRequest {
   // byte-identical with the flags idle):
   //   doorbell_hint — this post may share a doorbell with an immediately
   //     preceding post to the same QP (within kRnicDoorbellWindowNs),
-  //     paying rnic_post_wqe_ns instead of the full rnic_post_ns.
+  //     paying kRnicPostWqeNs instead of the full kRnicPostNs.
   //   inline_data — for writes with length <= kRnicInlineMax, the payload is
   //     copied into the WQE at post time, skipping the local DMA-read stage
-  //     (local engine occupancy drops to rnic_inline_process_ns).
+  //     (local engine occupancy drops to kRnicInlineProcessNs).
   bool doorbell_hint = false;
   bool inline_data = false;
 };
@@ -358,7 +374,7 @@ class Rnic {
   LruCache mtt_cache_;
   LruCache qpc_cache_;
 
-  // Charges the host-side post cost for `wr`: a full doorbell (rnic_post_ns),
+  // Charges the host-side post cost for `wr`: a full doorbell (kRnicPostNs),
   // or the per-extra-WQE increment when the post batches with the previous
   // one on the same QP. Tracks per-thread batch state and records closed
   // batch sizes into the doorbell histogram.

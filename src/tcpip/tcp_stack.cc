@@ -20,19 +20,18 @@ Status TcpConn::SendInternal(const void* buf, size_t len, bool streaming) {
   if (peer_ == nullptr) {
     return Status::FailedPrecondition("connection not established");
   }
-  const SimParams& p = stack_->params();
   const uint8_t* bytes = static_cast<const uint8_t*>(buf);
 
   // Sender-side stack traversal. Streaming amortizes: one traversal per MTU.
   if (!streaming) {
-    SpinFor(p.tcp_send_stack_ns);
+    SpinFor(kTcpSendStackNs);
   }
 
   size_t offset = 0;
   while (offset < len || len == 0) {
     size_t chunk = std::min<size_t>(len - offset, kTcpMtuBytes);
     if (streaming) {
-      SpinFor(p.tcp_send_stack_ns / 8);  // Segmentation-offloaded path.
+      SpinFor(kTcpSendStackNs / 8);  // Segmentation-offloaded path.
     }
     // TCP-path rate cap + fabric delivery.
     uint64_t now = NowNs();
@@ -57,7 +56,6 @@ Status TcpConn::SendInternal(const void* buf, size_t len, bool streaming) {
 void TcpConn::Deliver(Segment segment) { inbox_.Push(std::move(segment)); }
 
 Status TcpConn::RecvExact(void* buf, size_t len, uint64_t timeout_ns) {
-  const SimParams& p = stack_->params();
   uint8_t* out = static_cast<uint8_t*>(buf);
   size_t got = 0;
   const uint64_t deadline = NowNs() + timeout_ns;
@@ -81,8 +79,8 @@ Status TcpConn::RecvExact(void* buf, size_t len, uint64_t timeout_ns) {
     }
     // Sleep (blocking socket) until the segment's arrival time, then pay the
     // receive-side stack traversal.
-    SyncToIdle(seg->ready_at_ns);
-    SpinFor(p.tcp_recv_stack_ns);
+    SyncClockTo(seg->ready_at_ns);
+    SpinFor(kTcpRecvStackNs);
     pending_ = std::move(seg->data);
   }
   return Status::Ok();

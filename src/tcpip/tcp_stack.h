@@ -22,11 +22,12 @@
 #include "src/common/sync_util.h"
 #include "src/fabric/fabric.h"
 #include "src/mem/addr.h"
-#include "src/sim/params.h"
 
 namespace lt {
 
 inline constexpr double kTcpRateBytesPerNs = 1.7;  // ~13.6 Gb/s effective, per paper Fig. 7.
+inline constexpr uint64_t kTcpSendStackNs = 9000;  // Socket + TCP/IP + IPoIB tx path.
+inline constexpr uint64_t kTcpRecvStackNs = 9000;  // rx path incl. interrupt + copy.
 
 class TcpStack;
 
@@ -72,11 +73,9 @@ class TcpConn {
 
 class TcpStack {
  public:
-  TcpStack(NodeId node, const SimParams& params, Fabric* fabric)
-      : node_(node), params_(params), fabric_(fabric) {}
+  TcpStack(NodeId node, Fabric* fabric) : node_(node), fabric_(fabric) {}
 
   NodeId node() const { return node_; }
-  const SimParams& params() const { return params_; }
   Fabric* fabric() const { return fabric_; }
 
   // Creates a connected socket pair between two stacks (the cluster-level
@@ -89,7 +88,6 @@ class TcpStack {
 
  private:
   const NodeId node_;
-  const SimParams& params_;
   Fabric* const fabric_;
   RateWindow rate_capacity_;
 };

@@ -10,7 +10,7 @@ StatusOr<VerbsMr> VerbsContext::RegisterMr(VirtAddr addr, uint64_t length, uint3
   // ...that pins every page of the region (get_user_pages)...
   os_->PinPages(pt_->PagesSpanned(addr, length));
   // ...and installs the MR in the NIC's MPT/MTT host tables.
-  SpinFor(os_->params().mr_register_base_ns);
+  SpinFor(kMrRegisterBaseNs);
 
   auto entry = rnic_->RegisterMrVirtual(pt_, addr, length, access);
   if (!entry.ok()) {
@@ -27,7 +27,7 @@ StatusOr<VerbsMr> VerbsContext::RegisterMr(VirtAddr addr, uint64_t length, uint3
 Status VerbsContext::DeregisterMr(const VerbsMr& mr) {
   os_->Syscall();
   os_->UnpinPages(pt_->PagesSpanned(mr.addr, mr.length));
-  SpinFor(os_->params().mr_deregister_base_ns);
+  SpinFor(kMrDeregisterBaseNs);
   return rnic_->DeregisterMr(mr.lkey);
 }
 

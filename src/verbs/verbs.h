@@ -18,6 +18,11 @@
 
 namespace lt {
 
+// Fixed driver/firmware cost of registering and deregistering one MR, on top
+// of the syscall and the per-page (un)pinning.
+inline constexpr uint64_t kMrRegisterBaseNs = 2500;
+inline constexpr uint64_t kMrDeregisterBaseNs = 1800;
+
 struct VerbsMr {
   uint32_t lkey = 0;
   uint32_t rkey = 0;

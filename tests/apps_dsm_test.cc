@@ -11,7 +11,7 @@ namespace {
 class DsmTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    lt::SimParams p = lt::SimParams::FastForTests();
+    lt::SimParams p;
     p.node_phys_mem_bytes = 32ull << 20;
     cluster_ = std::make_unique<lite::LiteCluster>(3, p);
     static std::atomic<uint32_t> next_instance{500};

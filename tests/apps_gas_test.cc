@@ -20,7 +20,7 @@ SyntheticGraph Symmetrize(const SyntheticGraph& g) {
 class GasEngineTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    lt::SimParams p = lt::SimParams::FastForTests();
+    lt::SimParams p;
     p.node_phys_mem_bytes = 48ull << 20;
     cluster_ = std::make_unique<lite::LiteCluster>(4, p);
   }

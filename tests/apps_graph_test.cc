@@ -67,7 +67,7 @@ class GraphEnginesTest : public ::testing::Test {
 };
 
 TEST_F(GraphEnginesTest, LiteGraphMatchesReference) {
-  lt::SimParams p = lt::SimParams::FastForTests();
+  lt::SimParams p;
   lite::LiteCluster cluster(4, p);
   auto result = LiteGraphPageRank(&cluster, graph_, 4, options_);
   ASSERT_EQ(result.ranks.size(), reference_.size());
@@ -76,7 +76,7 @@ TEST_F(GraphEnginesTest, LiteGraphMatchesReference) {
 }
 
 TEST_F(GraphEnginesTest, PowerGraphMatchesReference) {
-  lt::SimParams p = lt::SimParams::FastForTests();
+  lt::SimParams p;
   lt::Cluster cluster(4, p);
   auto result = PowerGraphPageRank(&cluster, graph_, 4, options_);
   ASSERT_EQ(result.ranks.size(), reference_.size());
@@ -84,7 +84,7 @@ TEST_F(GraphEnginesTest, PowerGraphMatchesReference) {
 }
 
 TEST_F(GraphEnginesTest, GrappaMatchesReference) {
-  lt::SimParams p = lt::SimParams::FastForTests();
+  lt::SimParams p;
   lt::Cluster cluster(4, p);
   auto result = GrappaPageRank(&cluster, graph_, 4, options_);
   ASSERT_EQ(result.ranks.size(), reference_.size());
@@ -92,7 +92,7 @@ TEST_F(GraphEnginesTest, GrappaMatchesReference) {
 }
 
 TEST_F(GraphEnginesTest, DsmEngineMatchesReference) {
-  lt::SimParams p = lt::SimParams::FastForTests();
+  lt::SimParams p;
   p.node_phys_mem_bytes = 48ull << 20;
   lite::LiteCluster cluster(4, p);
   auto result = LiteGraphDsmPageRank(&cluster, graph_, 4, options_);

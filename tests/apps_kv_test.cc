@@ -11,7 +11,7 @@ namespace {
 class KvTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    lt::SimParams p = lt::SimParams::FastForTests();
+    lt::SimParams p;
     cluster_ = std::make_unique<lite::LiteCluster>(3, p);
     server_ = std::make_unique<LiteKvServer>(cluster_.get(), 0);
     server_->Start();

@@ -12,7 +12,7 @@ namespace {
 class LiteLogTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    lt::SimParams p = lt::SimParams::FastForTests();
+    lt::SimParams p;
     cluster_ = std::make_unique<lite::LiteCluster>(3, p);
     c0_ = cluster_->CreateClient(0);
   }

@@ -103,7 +103,7 @@ TEST_F(MrEquivalenceTest, PhoenixMatchesDirectCount) {
 }
 
 TEST_F(MrEquivalenceTest, LiteMrMatchesDirectCount) {
-  lt::SimParams p = lt::SimParams::FastForTests();
+  lt::SimParams p;
   lite::LiteCluster cluster(3, p);
   WordCounts direct = CountWords(corpus_.data(), corpus_.size());
   MrResult lite_mr = LiteMrWordCount(&cluster, corpus_, 2, 2);
@@ -113,9 +113,7 @@ TEST_F(MrEquivalenceTest, LiteMrMatchesDirectCount) {
 }
 
 TEST_F(MrEquivalenceTest, HadoopLikeMatchesDirectCount) {
-  lt::SimParams p = lt::SimParams::FastForTests();
-  p.tcp_send_stack_ns = 100;
-  p.tcp_recv_stack_ns = 100;
+  lt::SimParams p;
   lt::Cluster cluster(3, p);
   WordCounts direct = CountWords(corpus_.data(), corpus_.size());
   HadoopCosts costs;

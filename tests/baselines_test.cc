@@ -20,7 +20,7 @@ RpcHandler EchoHandler() {
 }
 
 lt::SimParams TestParams() {
-  lt::SimParams p = lt::SimParams::FastForTests();
+  lt::SimParams p;
   p.node_phys_mem_bytes = 32ull << 20;
   return p;
 }

@@ -93,10 +93,10 @@ TEST(TimingTest, SyncToBusyChargesFullGapAsCpu) {
   EXPECT_EQ(ThreadCpuNs() - c0, 2000u);
 }
 
-TEST(TimingTest, SyncToIdleChargesNoCpu) {
+TEST(TimingTest, SyncClockToChargesNoCpu) {
   uint64_t now = NowNs();
   uint64_t c0 = ThreadCpuNs();
-  SyncToIdle(now + 2000);
+  SyncClockTo(now + 2000);
   EXPECT_EQ(NowNs(), now + 2000);
   EXPECT_EQ(ThreadCpuNs() - c0, 0u);
 }

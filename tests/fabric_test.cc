@@ -8,7 +8,6 @@ namespace {
 
 SimParams Params() {
   SimParams p;
-  p.wire_latency_ns = 300;
   p.nic_line_rate_bytes_per_ns = 4.0;
   return p;
 }

@@ -160,7 +160,7 @@ bool WaitFor(const std::function<bool()>& pred, uint64_t real_ns = 20'000'000'00
 class FaultsChaosTransportTest : public ::testing::TestWithParam<lt::LiteTransport> {
  protected:
   lt::SimParams BaseParams() const {
-    lt::SimParams p = lt::SimParams::FastForTests();
+    lt::SimParams p;
     p.lite_transport = GetParam();
     return p;
   }
@@ -853,7 +853,7 @@ TEST_P(FaultsChaosTransportTest, MigrateUnderChaosSoak) {
 }
 
 TEST(FaultsChaosTest, MultiPieceEngineRetiresAgainstDeadPeer) {
-  lt::SimParams p = lt::SimParams::FastForTests();
+  lt::SimParams p;
   p.lite_rpc_timeout_ns = 25'000'000;  // 25 ms per try: dead peers fail fast.
   p.lite_rpc_max_retries = 1;
   p.lite_keepalive_interval_ns = 2'000'000;

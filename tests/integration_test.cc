@@ -21,7 +21,7 @@ using lite::MallocOptions;
 using lt::StatusCode;
 
 TEST(IntegrationTest, MultipleApplicationsShareOneCluster) {
-  lt::SimParams p = lt::SimParams::FastForTests();
+  lt::SimParams p;
   p.node_phys_mem_bytes = 32ull << 20;
   LiteCluster cluster(4, p);
 
@@ -74,7 +74,7 @@ TEST(IntegrationTest, MultipleApplicationsShareOneCluster) {
 TEST(IntegrationTest, QpPoolIsSharedNotPerProcess) {
   // Paper Sec. 6.1: LITE uses K x N QPs per node regardless of how many
   // applications/clients run. Creating many clients must not create QPs.
-  lt::SimParams p = lt::SimParams::FastForTests();
+  lt::SimParams p;
   LiteCluster cluster(3, p);
   size_t qps_before = cluster.instance(0)->qp_pool_size();
   std::vector<std::unique_ptr<lite::LiteClient>> clients;
@@ -93,7 +93,7 @@ TEST(IntegrationTest, QpPoolIsSharedNotPerProcess) {
 
 TEST(IntegrationTest, RnicStaysLeanUnderLiteLoad) {
   // The whole point of the indirection: thousands of LMRs, ONE RNIC MR.
-  lt::SimParams p = lt::SimParams::FastForTests();
+  lt::SimParams p;
   LiteCluster cluster(2, p);
   size_t mrs_before = cluster.node(0)->rnic().MrCount();
   auto client = cluster.CreateClient(0);
@@ -104,7 +104,7 @@ TEST(IntegrationTest, RnicStaysLeanUnderLiteLoad) {
 }
 
 TEST(IntegrationTest, DropInjectionSurfacesAsRpcTimeout) {
-  lt::SimParams p = lt::SimParams::FastForTests();
+  lt::SimParams p;
   p.lite_rpc_timeout_ns = 60'000'000;  // 60 ms.
   LiteCluster cluster(2, p);
   auto server = cluster.CreateClient(1, true);
@@ -141,7 +141,7 @@ TEST(IntegrationTest, DropInjectionSurfacesAsRpcTimeout) {
 }
 
 TEST(IntegrationTest, WriteFailsCleanlyUnderTotalLoss) {
-  lt::SimParams p = lt::SimParams::FastForTests();
+  lt::SimParams p;
   p.lite_rpc_timeout_ns = 60'000'000;
   LiteCluster cluster(2, p);
   auto client = cluster.CreateClient(0);
@@ -159,7 +159,7 @@ TEST(IntegrationTest, WriteFailsCleanlyUnderTotalLoss) {
 }
 
 TEST(IntegrationTest, ExtraDelaySlowsButDoesNotBreak) {
-  lt::SimParams p = lt::SimParams::FastForTests();
+  lt::SimParams p;
   LiteCluster cluster(2, p);
   auto client = cluster.CreateClient(0);
   MallocOptions on1;
@@ -181,7 +181,7 @@ TEST(IntegrationTest, ExtraDelaySlowsButDoesNotBreak) {
 
 TEST(IntegrationTest, MapReduceOnBusyCluster) {
   // A MapReduce job completes correctly while a KV workload runs beside it.
-  lt::SimParams p = lt::SimParams::FastForTests();
+  lt::SimParams p;
   p.node_phys_mem_bytes = 48ull << 20;
   LiteCluster cluster(3, p);
   LiteKvServer kv(&cluster, 0);

@@ -99,7 +99,7 @@ std::vector<uint8_t> Pattern(size_t n, uint8_t seed) {
 // ------------------------------------------------- conservation: blocking
 
 TEST(AttrConservationTest, BlockingMemopsAndAtomics) {
-  lt::SimParams p = lt::SimParams::FastForTests();
+  lt::SimParams p;
   lite::LiteCluster cluster(2, p);
   auto client = cluster.CreateClient(0);  // User-level: includes the crossing.
   lite::MallocOptions on1;
@@ -140,7 +140,7 @@ TEST(AttrConservationTest, BlockingMemopsAndAtomics) {
 
 // The waterfall renders every recorded key and reconciles to ~100%.
 TEST(AttrConservationTest, DumpLatencyBreakdownRendersRecordedKeys) {
-  lt::SimParams p = lt::SimParams::FastForTests();
+  lt::SimParams p;
   lite::LiteCluster cluster(2, p);
   auto client = cluster.CreateClient(0);
   lite::MallocOptions on1;
@@ -161,7 +161,7 @@ TEST(AttrConservationTest, DumpLatencyBreakdownRendersRecordedKeys) {
 // ---------------------------------------------------- conservation: async
 
 TEST(AttrConservationTest, AsyncMemopsRetiringOnOtherThreadsClocks) {
-  lt::SimParams p = lt::SimParams::FastForTests();
+  lt::SimParams p;
   lite::LiteCluster cluster(2, p);
   auto client = cluster.CreateClient(0);
   lite::MallocOptions on1;
@@ -204,7 +204,7 @@ TEST(AttrConservationTest, AsyncMemopsRetiringOnOtherThreadsClocks) {
 // ------------------------------------------------------ conservation: RPC
 
 TEST(AttrConservationTest, BlockingAndAsyncRpc) {
-  lt::SimParams p = lt::SimParams::FastForTests();
+  lt::SimParams p;
   lite::LiteCluster cluster(2, p);
   auto client = cluster.CreateClient(0);
   auto server = cluster.CreateClient(1, /*kernel_level=*/true);
@@ -240,7 +240,7 @@ TEST(AttrConservationTest, BlockingAndAsyncRpc) {
 // ----------------------------------------------- conservation: multi-chunk
 
 TEST(AttrConservationTest, MultiChunkOpsSpanningNodes) {
-  lt::SimParams p = lt::SimParams::FastForTests();
+  lt::SimParams p;
   p.lite_max_chunk_bytes = 8 << 10;  // Force the 64K LMR into 8 chunks.
   p.lite_rpc_ring_bytes = 8 << 10;   // Rings must stay single-chunk.
   lite::LiteCluster cluster(3, p);
@@ -270,7 +270,7 @@ TEST(AttrConservationTest, MultiChunkOpsSpanningNodes) {
 // -------------------------------------- conservation: drops, retries, NACKs
 
 TEST(AttrConservationTest, HoldsUnderDropsAndRetries) {
-  lt::SimParams p = lt::SimParams::FastForTests();
+  lt::SimParams p;
   lite::LiteCluster cluster(2, p);
   auto client = cluster.CreateClient(0);
   lite::MallocOptions on1;
@@ -301,7 +301,7 @@ TEST(AttrConservationTest, HoldsUnderDropsAndRetries) {
 }
 
 TEST(AttrConservationTest, HoldsAcrossStaleHomeRedirects) {
-  lt::SimParams p = lt::SimParams::FastForTests();
+  lt::SimParams p;
   lite::LiteCluster cluster(3, p);
   auto owner = cluster.CreateClient(1);
   auto user = cluster.CreateClient(2);

@@ -20,7 +20,7 @@ using lt::StatusCode;
 class LiteAsyncTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    lt::SimParams p = lt::SimParams::FastForTests();
+    lt::SimParams p;
     cluster_ = std::make_unique<LiteCluster>(2, p);
     client_ = cluster_->CreateClient(0, /*kernel_level=*/true);
     MallocOptions on1;
@@ -204,7 +204,7 @@ TEST_F(LiteAsyncTest, DropStormInsideOpenWindowRecovers) {
 }
 
 TEST(LiteAsyncWindowTest, WindowFullBackpressureRetiresOldest) {
-  lt::SimParams p = lt::SimParams::FastForTests();
+  lt::SimParams p;
   p.lite_async_window = 4;
   LiteCluster cluster(2, p);
   auto client = cluster.CreateClient(0, /*kernel_level=*/true);
@@ -259,7 +259,7 @@ class EchoServer {
 };
 
 TEST(LiteAsyncRpcTest, RpcAsyncDeliversReplyThroughHandle) {
-  lt::SimParams p = lt::SimParams::FastForTests();
+  lt::SimParams p;
   LiteCluster cluster(2, p);
   EchoServer server(&cluster, 1);
   auto* inst = cluster.instance(0);
@@ -274,7 +274,7 @@ TEST(LiteAsyncRpcTest, RpcAsyncDeliversReplyThroughHandle) {
 }
 
 TEST(LiteAsyncRpcTest, RpcAsyncPollDoesNotBlock) {
-  lt::SimParams p = lt::SimParams::FastForTests();
+  lt::SimParams p;
   LiteCluster cluster(2, p);
   EchoServer server(&cluster, 1);
   auto* inst = cluster.instance(0);
@@ -299,7 +299,7 @@ TEST(LiteAsyncRpcTest, RpcAsyncPollDoesNotBlock) {
 
 // Mixed memop + RPC handles drain together through WaitAll.
 TEST(LiteAsyncRpcTest, WaitAllDrainsMixedMemopsAndRpcs) {
-  lt::SimParams p = lt::SimParams::FastForTests();
+  lt::SimParams p;
   LiteCluster cluster(2, p);
   EchoServer server(&cluster, 1);
   auto client = cluster.CreateClient(0, /*kernel_level=*/true);

@@ -18,7 +18,7 @@ using lt::StatusCode;
 class LiteMemoryTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    lt::SimParams p = lt::SimParams::FastForTests();
+    lt::SimParams p;
     cluster_ = std::make_unique<LiteCluster>(3, p);
     c0_ = cluster_->CreateClient(0);
     c1_ = cluster_->CreateClient(1);
@@ -385,7 +385,7 @@ TEST_F(LiteMemoryTest, RebuildNameServiceUnderConcurrentTraffic) {
 class LiteIoSizeTest : public ::testing::TestWithParam<uint64_t> {
  protected:
   void SetUp() override {
-    lt::SimParams p = lt::SimParams::FastForTests();
+    lt::SimParams p;
     cluster_ = std::make_unique<LiteCluster>(2, p);
     c0_ = cluster_->CreateClient(0);
   }
@@ -417,7 +417,7 @@ INSTANTIATE_TEST_SUITE_P(Sizes, LiteIoSizeTest,
 class MultiChunkEngineTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    lt::SimParams p = lt::SimParams::FastForTests();
+    lt::SimParams p;
     p.lite_max_chunk_bytes = 4096;  // Small chunks force multi-piece ops.
     p.lite_rpc_ring_bytes = 4096;   // RPC ring must fit in one chunk.
     cluster_ = std::make_unique<LiteCluster>(4, p);
@@ -518,7 +518,7 @@ TEST_F(MultiChunkEngineTest, MemcpyAcrossSpreadLmrsUnderDrop) {
 class MigrationTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    lt::SimParams p = lt::SimParams::FastForTests();
+    lt::SimParams p;
     cluster_ = std::make_unique<LiteCluster>(3, p);
     c0_ = cluster_->CreateClient(0);
     c1_ = cluster_->CreateClient(1);

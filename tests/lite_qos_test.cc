@@ -118,7 +118,7 @@ TEST(QosEndToEndTest, HighPriorityWinsUnderSwPri) {
 }
 
 TEST(QosEndToEndTest, HwSepRestrictsLowPriorityQp) {
-  lt::SimParams p = lt::SimParams::FastForTests();
+  lt::SimParams p;
   p.lite_qp_sharing_factor = 3;
   LiteCluster cluster(2, p);
   cluster.instance(0)->qos().SetPolicy(QosPolicy::kHwSep);

@@ -35,7 +35,7 @@ std::vector<uint8_t> Pattern(size_t n, uint8_t seed) {
 // ------------------------------------------------------------ rings off
 
 TEST(LiteRingOffTest, DisabledRingsLeaveNoTraceAndNoBatchedCrossings) {
-  lt::SimParams p = lt::SimParams::FastForTests();
+  lt::SimParams p;
   ASSERT_FALSE(p.lite_ring_enable);
   LiteCluster cluster(2, p);
   auto client = cluster.CreateClient(0);  // User level.
@@ -135,14 +135,14 @@ TEST(LiteRingTest, SteadyStateBlockingOpSavesExactlyOneCrossing) {
 
   const uint64_t off_ns = measure(false);
   const uint64_t on_ns = measure(true);
-  EXPECT_EQ(off_ns - on_ns, lt::SimParams{}.user_kernel_cross_ns)
+  EXPECT_EQ(off_ns - on_ns, lt::kUserKernelCrossNs)
       << "rings-off " << off_ns << "ns vs rings-on " << on_ns << "ns";
 }
 
 // ------------------------------------------------- deferred async flushes
 
 TEST(LiteRingTest, AsyncBatchFlushesAtDoorbellThreshold) {
-  lt::SimParams p = RingParams(lt::SimParams::FastForTests());
+  lt::SimParams p = RingParams(lt::SimParams{});
   p.lite_ring_doorbell_batch = 8;
   p.lite_ring_flush_ns = ~0ull >> 1;  // Age trigger off: isolate the batch one.
   LiteCluster cluster(2, p);
@@ -167,7 +167,7 @@ TEST(LiteRingTest, AsyncBatchFlushesAtDoorbellThreshold) {
 }
 
 TEST(LiteRingTest, AgedSubmissionFlushesOnNextSubmit) {
-  lt::SimParams p = RingParams(lt::SimParams::FastForTests());
+  lt::SimParams p = RingParams(lt::SimParams{});
   p.lite_ring_doorbell_batch = 64;  // Batch trigger off: isolate the age one.
   p.lite_ring_flush_ns = 1'000;
   LiteCluster cluster(2, p);
@@ -186,7 +186,7 @@ TEST(LiteRingTest, AgedSubmissionFlushesOnNextSubmit) {
 }
 
 TEST(LiteRingTest, RingFullAppliesOverflowBackpressure) {
-  lt::SimParams p = RingParams(lt::SimParams::FastForTests());
+  lt::SimParams p = RingParams(lt::SimParams{});
   p.lite_ring_entries = 4;
   p.lite_ring_doorbell_batch = 64;        // > entries: overflow fires first.
   p.lite_ring_flush_ns = ~0ull >> 1;
@@ -211,7 +211,7 @@ TEST(LiteRingTest, RingFullAppliesOverflowBackpressure) {
 TEST(LiteRingTest, SlotWrapUnderSustainedOverflowKeepsEveryOp) {
   // Tiny ring, ten times as many ops: every slot is reused many times over
   // and no submission may be lost or misordered per offset.
-  lt::SimParams p = RingParams(lt::SimParams::FastForTests());
+  lt::SimParams p = RingParams(lt::SimParams{});
   p.lite_ring_entries = 4;
   p.lite_ring_doorbell_batch = 64;
   p.lite_ring_flush_ns = ~0ull >> 1;
@@ -234,7 +234,7 @@ TEST(LiteRingTest, SlotWrapUnderSustainedOverflowKeepsEveryOp) {
 }
 
 TEST(LiteRingTest, SyncOpOnSameRingFlushesPendingAsyncFirst) {
-  lt::SimParams p = RingParams(lt::SimParams::FastForTests());
+  lt::SimParams p = RingParams(lt::SimParams{});
   p.lite_ring_cpus = 1;  // Both calls land on the same ring regardless of hash.
   p.lite_ring_doorbell_batch = 64;
   p.lite_ring_flush_ns = ~0ull >> 1;
@@ -258,7 +258,7 @@ TEST(LiteRingTest, SyncOpOnSameRingFlushesPendingAsyncFirst) {
 // -------------------------------------------- handle retirement semantics
 
 TEST(LiteRingTest, PollFlushesAndConsumesExactlyOnce) {
-  lt::SimParams p = RingParams(lt::SimParams::FastForTests());
+  lt::SimParams p = RingParams(lt::SimParams{});
   LiteCluster cluster(2, p);
   auto client = cluster.CreateClient(0);
   MallocOptions on1;
@@ -282,7 +282,7 @@ TEST(LiteRingTest, PollFlushesAndConsumesExactlyOnce) {
 }
 
 TEST(LiteRingTest, SubmitTimeValidationMatchesClassicPath) {
-  lt::SimParams p = RingParams(lt::SimParams::FastForTests());
+  lt::SimParams p = RingParams(lt::SimParams{});
   LiteCluster cluster(2, p);
   auto client = cluster.CreateClient(0);
   MallocOptions on1;
@@ -297,7 +297,7 @@ TEST(LiteRingTest, SubmitTimeValidationMatchesClassicPath) {
 TEST(LiteRingTest, DrainTimeFailureResolvesHandleWithError) {
   // The lh is valid at submit but freed before the batch drains: the kernel
   // half must still retire the reserved handle (with the error), never hang.
-  lt::SimParams p = RingParams(lt::SimParams::FastForTests());
+  lt::SimParams p = RingParams(lt::SimParams{});
   p.lite_ring_doorbell_batch = 64;
   p.lite_ring_flush_ns = ~0ull >> 1;
   LiteCluster cluster(2, p);
@@ -325,7 +325,7 @@ TEST(LiteRingTest, DrainTimeFailureResolvesHandleWithError) {
 class LiteRingTransportTest : public ::testing::TestWithParam<lt::LiteTransport> {
  protected:
   lt::SimParams BaseParams() const {
-    lt::SimParams p = RingParams(lt::SimParams::FastForTests());
+    lt::SimParams p = RingParams(lt::SimParams{});
     p.lite_transport = GetParam();
     return p;
   }

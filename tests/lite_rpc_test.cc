@@ -77,7 +77,10 @@ class EchoServer {
 class LiteRpcTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    lt::SimParams p = lt::SimParams::FastForTests();
+    lt::SimParams p;
+    // Ring and slot pool sized so the ring tests below wrap and recycle.
+    p.lite_rpc_ring_bytes = 128 << 10;
+    p.lite_reply_slots = 128;
     cluster_ = std::make_unique<LiteCluster>(3, p);
     c0_ = cluster_->CreateClient(0);
   }
@@ -113,7 +116,7 @@ TEST_F(LiteRpcTest, SelfCallViaLoopback) {
 
 TEST_F(LiteRpcTest, ManySequentialCallsRecycleRing) {
   EchoServer server(cluster_.get(), 1, 10);
-  // Enough traffic to wrap the (test-sized) ring several times.
+  // Enough traffic to wrap the fixture's 128 KB ring about seven times.
   std::vector<uint8_t> payload(3000, 0x42);
   char out[4096];
   uint32_t out_len = 0;
@@ -228,7 +231,7 @@ TEST_F(LiteRpcTest, ReplyLargerThanBufferTruncates) {
 TEST_F(LiteRpcTest, UnservedFunctionTimesOut) {
   // No server registered anywhere for func 20; request lands in the queue
   // and no reply ever comes.
-  lt::SimParams p = lt::SimParams::FastForTests();
+  lt::SimParams p;
   p.lite_rpc_timeout_ns = 50'000'000;  // 50 ms.
   LiteCluster small(2, p);
   auto client = small.CreateClient(0);
@@ -248,7 +251,18 @@ TEST_F(LiteRpcTest, SendMsgAndRecvMsg) {
   EXPECT_EQ(std::memcmp(msg->data.data(), "hello msg", 9), 0);
 }
 
-TEST_F(LiteRpcTest, MessagesArriveInOrderPerSender) {
+// One sender's messages share one ring and arrive in send order: on a clean
+// link, where the first write-imm's cold QPC and MPT misses let later ones
+// complete before it, and on a link whose 5 us jitter reorders the writes on
+// the wire. Parameter: the jitter on link 0->1.
+class LiteMsgOrderTest : public LiteRpcTest, public ::testing::WithParamInterface<uint64_t> {};
+
+TEST_P(LiteMsgOrderTest, MessagesArriveInOrderPerSender) {
+  lt::LinkFaultRule link;
+  link.jitter_ns = GetParam();
+  if (link.Active()) {
+    cluster_->faults().SetLinkRule(0, 1, link);
+  }
   auto c1 = cluster_->CreateClient(1);
   for (uint32_t i = 0; i < 50; ++i) {
     ASSERT_TRUE(c0_->SendMsg(1, &i, sizeof(i)).ok());
@@ -262,6 +276,12 @@ TEST_F(LiteRpcTest, MessagesArriveInOrderPerSender) {
   }
 }
 
+INSTANTIATE_TEST_SUITE_P(Links, LiteMsgOrderTest,
+                         ::testing::Values(uint64_t{0}, uint64_t{5'000}),
+                         [](const ::testing::TestParamInfo<uint64_t>& info) {
+                           return std::string(info.param == 0 ? "Clean" : "Jitter5us");
+                         });
+
 TEST_F(LiteRpcTest, RecvMsgTimesOutWhenIdle) {
   auto c1 = cluster_->CreateClient(1);
   auto msg = c1->RecvMsg(10'000'000);
@@ -272,7 +292,7 @@ TEST_F(LiteRpcTest, RecvMsgTimesOutWhenIdle) {
 class LiteRpcSizeTest : public ::testing::TestWithParam<uint32_t> {
  protected:
   void SetUp() override {
-    lt::SimParams p = lt::SimParams::FastForTests();
+    lt::SimParams p;
     cluster_ = std::make_unique<LiteCluster>(2, p);
     c0_ = cluster_->CreateClient(0);
   }
@@ -363,7 +383,7 @@ TEST(LiteRpcLatencyTest, NaiveSyscallModeCostsMore) {
 class LiteRpcRecoveryTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    lt::SimParams p = lt::SimParams::FastForTests();
+    lt::SimParams p;
     p.lite_rpc_timeout_ns = 50'000'000;  // 50 ms per try
     p.lite_rpc_max_retries = 3;
     cluster_ = std::make_unique<LiteCluster>(2, p);
@@ -469,7 +489,7 @@ TEST(LiteRpcRingTest, FirstBindRaceKeepsRingsDraining) {
   // Both threads must end up polling the head mirror the server ring
   // publishes into; a channel left on the race loser's own mirror never sees
   // the head move, and the ring reads full after one ring's worth of calls.
-  lt::SimParams p = lt::SimParams::FastForTests();
+  lt::SimParams p;
   p.lite_rpc_ring_bytes = 4096;
   p.lite_rpc_timeout_ns = 1'000'000'000;  // A wedged ring fails within 1 s.
   p.lite_rpc_max_retries = 0;
@@ -526,7 +546,7 @@ TEST(LiteRpcZombieTest, TimedOutSlotsAreReclaimed) {
   // async calls retired by Wait share one reply wait; both are checked.
   for (const bool async : {false, true}) {
     SCOPED_TRACE(async ? "RpcAsync + Wait" : "Rpc");
-    lt::SimParams p = lt::SimParams::FastForTests();
+    lt::SimParams p;
     p.lite_rpc_timeout_ns = 10'000'000;  // 10 ms
     p.lite_rpc_max_retries = 0;
     p.lite_reply_slots = 4;
@@ -562,7 +582,7 @@ TEST(LiteRpcRingTest, FailedRingSetupLeaksNothing) {
   // A server ring is one physically-consecutive chunk. On a node whose free
   // memory is only holes smaller than a ring, a first bind and a first
   // control call must fail with an error and leave its memory untouched.
-  lt::SimParams p = lt::SimParams::FastForTests();
+  lt::SimParams p;
   p.lite_rpc_ring_bytes = 1 << 20;
   LiteCluster cluster(3, p);
   LiteInstance* n0 = cluster.instance(0);

@@ -19,15 +19,19 @@ using lt::StatusCode;
 class LiteStressTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    lt::SimParams p = lt::SimParams::FastForTests();
+    lt::SimParams p;
     p.node_phys_mem_bytes = 48ull << 20;
+    // Ring and slot pool sized so the ring-wrap and slot-pressure tests below
+    // wrap and recycle.
+    p.lite_rpc_ring_bytes = 128 << 10;
+    p.lite_reply_slots = 128;
     cluster_ = std::make_unique<LiteCluster>(4, p);
   }
   std::unique_ptr<LiteCluster> cluster_;
 };
 
 TEST_F(LiteStressTest, RingWrapsManyTimesUnderConcurrentClients) {
-  // Ring is 128 KB in test params; drive ~6 MB of requests through it from
+  // The fixture's ring is 128 KB; drive ~2.4 MB of requests through it from
   // three concurrent client threads on different nodes.
   auto server = cluster_->CreateClient(3, true);
   (void)server->RegisterRpc(100);
@@ -134,7 +138,7 @@ TEST_F(LiteStressTest, ChunkBoundaryReadsAndWrites) {
 
 TEST_F(LiteStressTest, ReplySlotPressure) {
   // More concurrent outstanding RPCs than... not quite slot count (128 in
-  // test params), but enough to cycle slots heavily via multicast.
+  // the fixture), but enough to cycle slots heavily via multicast.
   auto s1 = cluster_->CreateClient(1, true);
   auto s2 = cluster_->CreateClient(2, true);
   auto s3 = cluster_->CreateClient(3, true);

@@ -14,7 +14,7 @@ using lt::StatusCode;
 class LiteSyncTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    lt::SimParams p = lt::SimParams::FastForTests();
+    lt::SimParams p;
     cluster_ = std::make_unique<LiteCluster>(3, p);
     c0_ = cluster_->CreateClient(0);
     c1_ = cluster_->CreateClient(1);

@@ -3,6 +3,7 @@
 #include <cstring>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "src/common/timing.h"
@@ -16,7 +17,7 @@ namespace {
 class RnicTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    SimParams p = SimParams::FastForTests();
+    SimParams p;
     cluster_ = std::make_unique<Cluster>(2, p);
     r0_ = &cluster_->node(0)->rnic();
     r1_ = &cluster_->node(1)->rnic();
@@ -149,6 +150,49 @@ TEST_F(RnicTest, ZeroLengthWriteImmWorks) {
   auto c = rcq1_->WaitPoll(1'000'000'000, WaitMode::kBusyPoll);
   ASSERT_TRUE(c.has_value());
   EXPECT_EQ(c->imm, 7u);
+}
+
+// One source node's receive completions leave in push order even when a
+// later one is ready first, while entries of no source (send completions) and
+// the other sources' oldest entries still go earliest-ready first.
+TEST(CqTest, OneSourcesEntriesLeaveInPushOrder) {
+  // {source node, ready time}, in push order.
+  const std::vector<std::pair<NodeId, uint64_t>> pushed = {
+      {1, 500}, {2, 300}, {1, 100}, {2, 400}, {kInvalidNode, 200}, {kInvalidNode, 150}};
+  Cq cq;
+  for (const auto& [src, ready] : pushed) {
+    Completion c;
+    c.src_node = src;
+    c.ready_at_ns = ready;
+    cq.Push(c);
+  }
+  std::vector<uint64_t> order;
+  for (size_t i = 0; i < pushed.size(); ++i) {
+    auto c = cq.WaitPoll(1'000'000'000, WaitMode::kSleep);
+    order.push_back(c.has_value() ? c->ready_at_ns : 0);
+  }
+  EXPECT_EQ(order, (std::vector<uint64_t>{150, 200, 300, 400, 500, 100}));
+}
+
+// A write-imm the fabric duplicates raises two receive CQEs with the original
+// pushed first, so the CQ, which hands out one source's entries in push
+// order, still gives the copy second.
+TEST_F(RnicTest, DuplicatedWriteImmQueuesAfterOriginal) {
+  LinkFaultRule dup;
+  dup.dup_p = 1.0;
+  cluster_->fabric().faults().SetLinkRule(0, 1, dup);
+  WorkRequest wr;
+  wr.opcode = WrOpcode::kWriteImm;
+  wr.length = 0;
+  wr.imm = 9;
+  ASSERT_TRUE(ExecSync(qp0_, wr).ok());
+  cluster_->fabric().faults().ClearLinkRule(0, 1);
+  auto original = rcq1_->WaitPoll(1'000'000'000, WaitMode::kBusyPoll);
+  auto copy = rcq1_->WaitPoll(1'000'000'000, WaitMode::kBusyPoll);
+  ASSERT_TRUE(original.has_value());
+  ASSERT_TRUE(copy.has_value());
+  EXPECT_EQ(copy->imm, 9u);
+  EXPECT_EQ(copy->ready_at_ns, original->ready_at_ns + kWireLatencyNs);
 }
 
 TEST_F(RnicTest, SendRecvTwoSided) {
@@ -361,7 +405,7 @@ TEST_F(RnicTest, MrCountTracksRegistrations) {
 class RnicCacheTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    SimParams p = SimParams::FastForTests();
+    SimParams p;
     p.mpt_cache_entries = 4;
     p.mpt_miss_ns = 1000;
     p.mtt_cache_pages = 8;
@@ -616,7 +660,7 @@ using WqeTimelineParam = std::tuple<WqeCase, bool>;
 class RnicWqeTimelineTest : public ::testing::TestWithParam<WqeTimelineParam> {};
 
 // Every opcode runs one pipeline: its warm completion lands exactly where the
-// SimParams arithmetic puts it, and cold or warm, the doorbell plus the
+// calibrated cost arithmetic puts it, and cold or warm, the doorbell plus the
 // transport breakdown account for every nanosecond between post and
 // completion (an unacked UD send books no wire or responder time).
 TEST_P(RnicWqeTimelineTest, CompletionTimeAndBreakdownConserve) {
@@ -662,7 +706,7 @@ TEST_P(RnicWqeTimelineTest, CompletionTimeAndBreakdownConserve) {
     auto c = scq->WaitPoll(1'000'000'000, WaitMode::kBusyPoll);
     ASSERT_TRUE(c.has_value());
     ASSERT_TRUE(c->status.ok());
-    EXPECT_EQ(p.rnic_post_ns + c->lat.Total(), c->ready_at_ns - t0);
+    EXPECT_EQ(kRnicPostNs + c->lat.Total(), c->ready_at_ns - t0);
     if (warm) {
       EXPECT_EQ(c->ready_at_ns - t0, k.warm_ns);
     }
@@ -680,7 +724,6 @@ INSTANTIATE_TEST_SUITE_P(
 // ---- Inline sends & doorbell batching (async fast-path plumbing) ----------
 
 TEST_F(RnicTimingTest, InlineSendSkipsLocalDmaStage) {
-  SimParams defaults;  // Same full-cost params the fixture cluster runs.
   auto measure = [&](bool inline_data, uint32_t len, uint64_t wr_id) {
     std::vector<char> payload(len);
     WorkRequest wr;
@@ -702,8 +745,8 @@ TEST_F(RnicTimingTest, InlineSendSkipsLocalDmaStage) {
   uint64_t plain = measure(false, 64, 2);
   uint64_t inlined = measure(true, 64, 3);
   // The WQE-embedded payload skips the local DMA-read stage: exactly the
-  // rnic_process_ns -> rnic_inline_process_ns delta in this deterministic sim.
-  EXPECT_EQ(plain - inlined, defaults.rnic_process_ns - defaults.rnic_inline_process_ns);
+  // kRnicProcessNs -> kRnicInlineProcessNs delta in this deterministic sim.
+  EXPECT_EQ(plain - inlined, kRnicProcessNs - kRnicInlineProcessNs);
   EXPECT_EQ(r0_->inline_sends(), 1u);
 
   // Payloads above inline_max fall back to the DMA path even when requested.
@@ -714,7 +757,6 @@ TEST_F(RnicTimingTest, InlineSendSkipsLocalDmaStage) {
 }
 
 TEST_F(RnicTimingTest, DoorbellBatchingCoalescesPostCost) {
-  SimParams defaults;
   char buf[8] = "x";
   auto post_n = [&](int n, bool hint) {
     uint64_t t0 = NowNs();
@@ -738,8 +780,8 @@ TEST_F(RnicTimingTest, DoorbellBatchingCoalescesPostCost) {
   uint64_t batched = post_n(8, true);
   // 8 un-hinted posts ring 8 doorbells; 8 hinted back-to-back posts to the
   // same QP ring one and append 7 WQEs at the cheap per-WQE cost.
-  EXPECT_EQ(unbatched, 8 * defaults.rnic_post_ns);
-  EXPECT_EQ(batched, defaults.rnic_post_ns + 7 * defaults.rnic_post_wqe_ns);
+  EXPECT_EQ(unbatched, 8 * kRnicPostNs);
+  EXPECT_EQ(batched, kRnicPostNs + 7 * kRnicPostWqeNs);
   EXPECT_EQ(r0_->doorbells_rung() - doorbells_before, 1u);
   EXPECT_EQ(r0_->wqes_batched() - batched_before, 7u);
 }

@@ -12,36 +12,33 @@ namespace lt {
 namespace {
 
 TEST(OsKernelTest, SyscallChargesAndCounts) {
-  SimParams p;
-  OsKernel os(p);
+  OsKernel os;
   uint64_t t0 = NowNs();
   os.Syscall();
-  EXPECT_EQ(NowNs() - t0, p.syscall_overhead_ns + 2 * p.user_kernel_cross_ns);
+  EXPECT_EQ(NowNs() - t0, kSyscallOverheadNs + 2 * kUserKernelCrossNs);
   EXPECT_EQ(os.syscall_count(), 1u);
 }
 
 TEST(OsKernelTest, CrossingChargesHalfTransition) {
-  SimParams p;
-  OsKernel os(p);
+  OsKernel os;
   uint64_t t0 = NowNs();
   os.CrossUserKernel();
-  EXPECT_EQ(NowNs() - t0, p.user_kernel_cross_ns);
+  EXPECT_EQ(NowNs() - t0, kUserKernelCrossNs);
   EXPECT_EQ(os.crossing_count(), 1u);
 }
 
 TEST(OsKernelTest, PinningScalesWithPages) {
-  SimParams p;
-  OsKernel os(p);
+  OsKernel os;
   uint64_t t0 = NowNs();
   os.PinPages(100);
-  EXPECT_EQ(NowNs() - t0, 100 * p.pin_page_ns);
+  EXPECT_EQ(NowNs() - t0, 100 * kPinPageNs);
   t0 = NowNs();
   os.UnpinPages(100);
-  EXPECT_EQ(NowNs() - t0, 100 * p.unpin_page_ns);
+  EXPECT_EQ(NowNs() - t0, 100 * kUnpinPageNs);
 }
 
 TEST(NodeTest, ClusterComposesAllSubsystems) {
-  SimParams p = SimParams::FastForTests();
+  SimParams p;
   Cluster cluster(3, p);
   EXPECT_EQ(cluster.size(), 3u);
   for (NodeId i = 0; i < 3; ++i) {
@@ -56,7 +53,7 @@ TEST(NodeTest, ClusterComposesAllSubsystems) {
 }
 
 TEST(NodeTest, ProcessesAreIsolatedAddressSpaces) {
-  SimParams p = SimParams::FastForTests();
+  SimParams p;
   Cluster cluster(1, p);
   Process* a = cluster.node(0)->CreateProcess();
   Process* b = cluster.node(0)->CreateProcess();

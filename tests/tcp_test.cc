@@ -73,7 +73,7 @@ TEST_F(TcpTest, LatencyIncludesBothStackTraversals) {
   char out[1];
   ASSERT_TRUE(b_->RecvExact(out, 1).ok());
   // Receiver pays its stack traversal (virtual time advanced by >= recv cost).
-  EXPECT_GE(NowNs() - t0, params_.tcp_recv_stack_ns);
+  EXPECT_GE(NowNs() - t0, kTcpRecvStackNs);
 }
 
 TEST_F(TcpTest, MessageModeLatencyFarAboveRdma) {
@@ -85,7 +85,7 @@ TEST_F(TcpTest, MessageModeLatencyFarAboveRdma) {
   char out[1];
   ASSERT_TRUE(b_->RecvExact(out, 1).ok());
   sender.join();
-  EXPECT_GE(NowNs(), params_.tcp_send_stack_ns + params_.tcp_recv_stack_ns);
+  EXPECT_GE(NowNs(), kTcpSendStackNs + kTcpRecvStackNs);
 }
 
 TEST_F(TcpTest, DropInjectionSurfacesError) {

@@ -218,8 +218,7 @@ TEST(TracerTest, SampleEveryNKeepsOneInN) {
 // Records carried through the LITE fast path must book stages in
 // monotonically non-decreasing virtual time, all inside the op's interval.
 TEST(TraceIntegrationTest, LiteWriteSpanStagesAreMonotone) {
-  lt::SimParams p;  // Calibrated costs: with FastForTests most stages take 0 ns.
-  p.node_phys_mem_bytes = 32ull << 20;
+  lt::SimParams p;
   lite::LiteCluster cluster(2, p);
   cluster.EnableTracing(/*sample_every=*/1);
   auto client = cluster.CreateClient(0);  // User-level: includes the crossing.
@@ -265,7 +264,7 @@ TEST(TraceIntegrationTest, LiteWriteSpanStagesAreMonotone) {
 // --------------------------------------------------------------- LT_stat
 
 TEST(LtStatTest, HardwareAndLiteMetricsAreQueryable) {
-  lt::SimParams p = lt::SimParams::FastForTests();
+  lt::SimParams p;
   lite::LiteCluster cluster(2, p);
   auto client = cluster.CreateClient(0);
   auto server = cluster.CreateClient(1, /*kernel_level=*/true);
@@ -300,7 +299,7 @@ TEST(LtStatTest, HardwareAndLiteMetricsAreQueryable) {
 // the same traffic against few MRs stays cached.
 TEST(MptCacheIntegrationTest, MissCountersRisePast128Mrs) {
   auto run = [](size_t num_mrs, uint64_t* hits, uint64_t* misses) {
-    lt::SimParams p = lt::SimParams::FastForTests();
+    lt::SimParams p;
     p.node_phys_mem_bytes = 64ull << 20;
     ASSERT_GE(static_cast<size_t>(p.mpt_cache_entries), 128u);
     lt::Cluster cluster(2, p);

@@ -77,18 +77,10 @@ int CountStage(const tel::OpTrace& t, tel::LatStage stage) {
   return n;
 }
 
-// Default (calibrated) costs: with FastForTests most stages take 0 ns and so
-// book no timeline events.
-lt::SimParams TimedParams() {
-  lt::SimParams p;
-  p.node_phys_mem_bytes = 32ull << 20;
-  return p;
-}
-
 // ---------------------------------------------------------------- stitching
 
 TEST(TraceStitchTest, RpcClientSpanLinksToServerSpan) {
-  lt::SimParams p = lt::SimParams::FastForTests();
+  lt::SimParams p;
   LiteCluster cluster(2, p);
   cluster.EnableTracing(1);
   EchoServer server(&cluster, 1, 7);
@@ -121,7 +113,7 @@ TEST(TraceStitchTest, RpcClientSpanLinksToServerSpan) {
 // Regression: async RPCs (and MulticastRpc, built on them) claimed a latency
 // record but no trace, so they always put trace id 0 on the wire.
 TEST(TraceStitchTest, RpcAsyncLinksToServerSpan) {
-  lt::SimParams p = lt::SimParams::FastForTests();
+  lt::SimParams p;
   LiteCluster cluster(2, p);
   cluster.EnableTracing(1);
   EchoServer server(&cluster, 1, 15);
@@ -144,7 +136,7 @@ TEST(TraceStitchTest, RpcAsyncLinksToServerSpan) {
 }
 
 TEST(TraceStitchTest, MemopCarriesTraceIdToRemoteNode) {
-  lt::SimParams p = lt::SimParams::FastForTests();
+  lt::SimParams p;
   LiteCluster cluster(2, p);
   auto owner = cluster.CreateClient(1);
   MallocOptions on1;
@@ -175,7 +167,7 @@ TEST(TraceStitchTest, MemopCarriesTraceIdToRemoteNode) {
 }
 
 TEST(TraceStitchTest, TracingOffPutsZeroOnWireAndCommitsNothing) {
-  lt::SimParams p = lt::SimParams::FastForTests();
+  lt::SimParams p;
   LiteCluster cluster(2, p);
   EchoServer server(&cluster, 1, 9);
   auto client = cluster.CreateClient(0);
@@ -193,7 +185,7 @@ TEST(TraceStitchTest, TracingOffPutsZeroOnWireAndCommitsNothing) {
 // one record per deferred write, spanning submit -> drain -> retire — not in
 // the read's timeline.
 TEST(TraceStitchTest, RingDrainedWritesKeepTheirOwnRecords) {
-  lt::SimParams p = TimedParams();
+  lt::SimParams p;
   p.lite_ring_enable = true;
   p.lite_ring_cpus = 1;               // Every call lands on one ring.
   p.lite_ring_doorbell_batch = 64;    // No batch or age flush: the writes stay
@@ -267,7 +259,7 @@ TEST(JournalTest, PackName8RoundTrips) {
 }
 
 TEST(JournalTest, FaultDecisionsAreRecorded) {
-  lt::SimParams p = lt::SimParams::FastForTests();
+  lt::SimParams p;
   LiteCluster cluster(2, p);
   EchoServer server(&cluster, 1, 11);
   auto client = cluster.CreateClient(0);
@@ -312,7 +304,7 @@ TEST(JournalTest, FaultDecisionsAreRecorded) {
 // Regression: atomics claimed a latency record but no span, so they left no
 // op breadcrumbs in the always-on journal.
 TEST(JournalTest, FetchAddLeavesOpBreadcrumbs) {
-  lt::SimParams p = lt::SimParams::FastForTests();
+  lt::SimParams p;
   LiteCluster cluster(2, p);
   auto client = cluster.CreateClient(0);
   MallocOptions on1;
@@ -372,7 +364,7 @@ TEST(TracerTest, StampOverflowIsCountedNotSilent) {
 }
 
 TEST(TracerTest, EventsDroppedSurfacesInStatSnapshot) {
-  lt::SimParams p = lt::SimParams::FastForTests();
+  lt::SimParams p;
   LiteCluster cluster(2, p);
   tel::OpTrace t;
   t.op = "synthetic";
@@ -394,7 +386,7 @@ struct TracedRun {
 };
 
 TracedRun RunTracedWorkload() {
-  lt::SimParams p = TimedParams();  // Nonzero stages: exercises nested slices.
+  lt::SimParams p;  // Nonzero stages: exercises nested slices.
   LiteCluster cluster(2, p);
   cluster.EnableTracing(1);
   EchoServer server(&cluster, 1, 13);

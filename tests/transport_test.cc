@@ -52,7 +52,7 @@ std::vector<uint64_t> QpRecoverArgs(const std::string& journal_json) {
 // ------------------------------------------------------- RC handle validity
 
 TEST(QpManagerTest, ValidChecksBoundsHolesAndEmptyPools) {
-  lt::SimParams p = lt::SimParams::FastForTests();
+  lt::SimParams p;
   ASSERT_GE(p.lite_qp_sharing_factor, 2);
   lt::Cluster cluster(3, p);
   QosManager qos(p);
@@ -82,7 +82,7 @@ TEST(QpManagerTest, ValidChecksBoundsHolesAndEmptyPools) {
 }
 
 TEST(QpManagerTest, StickySelectionRespectsSaltAndRotation) {
-  lt::SimParams p = lt::SimParams::FastForTests();
+  lt::SimParams p;
   p.lite_qp_sharing_factor = 4;
   lt::Cluster cluster(2, p);
   QosManager qos(p);
@@ -105,7 +105,7 @@ TEST(QpManagerTest, StickySelectionRespectsSaltAndRotation) {
 // ------------------------------------------- DC pool: attach/steal/affinity
 
 TEST(DcTransportTest, BoundedPoolAttachesStealsAndKeepsAffinity) {
-  lt::SimParams p = lt::SimParams::FastForTests();
+  lt::SimParams p;
   p.lite_transport = lt::LiteTransport::kDc;
   p.lite_dc_qp_pool = 2;
   p.lite_dc_connect_ns = 700;
@@ -175,7 +175,7 @@ TEST(DcTransportTest, PrepareRecoversAndRetargetsAStolenSlot) {
   // A handle leased before its slot was stolen AND errored must come back
   // usable from one Prepare: recovery runs (returns true) and the QP is
   // re-attached to the handle's destination, not the thief's.
-  lt::SimParams p = lt::SimParams::FastForTests();
+  lt::SimParams p;
   p.lite_transport = lt::LiteTransport::kDc;
   p.lite_dc_qp_pool = 1;  // Every second destination steals.
   lt::Cluster cluster(3, p);
@@ -214,7 +214,7 @@ TEST(DcTransportTest, PrepareRecoversAndRetargetsAStolenSlot) {
 
 TEST(TransportParityTest, DataOpsMatchAcrossModes) {
   for (const bool use_dc : {false, true}) {
-    lt::SimParams p = lt::SimParams::FastForTests();
+    lt::SimParams p;
     if (use_dc) p = DcParams(p);
     LiteCluster cluster(3, p);
     auto client = cluster.CreateClient(0);
@@ -257,7 +257,7 @@ TEST(TransportParityTest, DataOpsMatchAcrossModes) {
 }
 
 TEST(TransportParityTest, DcHoldsQpStateAtPoolScale) {
-  lt::SimParams rc_p = lt::SimParams::FastForTests();
+  lt::SimParams rc_p;
   lt::SimParams dc_p = DcParams(rc_p);
   dc_p.lite_dc_qp_pool = 4;
   const size_t n = 8;
@@ -281,7 +281,7 @@ TEST(TransportParityTest, DcHoldsQpStateAtPoolScale) {
 
 TEST(TransportParityTest, RecoveryJournalsTransportMode) {
   for (const bool use_dc : {false, true}) {
-    lt::SimParams p = lt::SimParams::FastForTests();
+    lt::SimParams p;
     if (use_dc) p = DcParams(p);
     LiteCluster cluster(2, p);
     auto client = cluster.CreateClient(0);

@@ -11,7 +11,7 @@ namespace {
 class VerbsTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    SimParams p = SimParams::FastForTests();
+    SimParams p;
     cluster_ = std::make_unique<Cluster>(2, p);
     p0_ = cluster_->node(0)->CreateProcess();
     p1_ = cluster_->node(1)->CreateProcess();
