@@ -11,6 +11,8 @@
 //   * coordinator-side copy work (mirror bytes, converge rounds, dirty
 //     re-copy bytes).
 // BENCH_migrate.json is the machine-readable regression anchor.
+#include <sys/mman.h>
+
 #include <atomic>
 #include <cstdio>
 #include <memory>
@@ -91,6 +93,17 @@ int main(int argc, char** argv) {
   lt::SimParams p;
   p.node_phys_mem_bytes = 64ull << 20;
   lite::LiteCluster cluster(3, p);
+  // The writers race the migration in real time, so a page the host faults
+  // in during the mirror copy stretches the copy, lets more writes dirty the
+  // LMR and lengthens the fence toward its budget. Node pools are paid for on
+  // first touch: fault in both homes' pools before any traffic (their
+  // contents stay as they are).
+  for (lt::NodeId n : {1u, 2u}) {
+    lt::PhysMem& mem = cluster.node(n)->mem();
+    if (madvise(mem.Data(0, mem.size_bytes()), mem.size_bytes(), MADV_POPULATE_WRITE) != 0) {
+      std::perror("bench_migrate: madvise(MADV_POPULATE_WRITE)");
+    }
+  }
   if (trace.enabled()) {
     cluster.EnableTracing(1);
   }

@@ -3,6 +3,9 @@
 #ifndef BENCH_BENCHLIB_H_
 #define BENCH_BENCHLIB_H_
 
+#include <sys/resource.h>
+
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -76,10 +79,57 @@ inline void PrintLatencyStats(const std::string& label, const lt::Histogram& his
 //   {"bench": "<name>",
 //    "points": [{"series": "...", "x": "...",
 //                "metrics": {...}, "histograms": {...}}, ...],
+//    "host": {"wall_ns", "user_ns", "sys_ns", "maxrss_kb", "threads", "csw"},
 //    "cluster": {...}}          <- optional full Cluster::DumpTelemetryJson()
 //
 // Each point embeds one lt::telemetry::MetricsSnapshot taken right after the
-// corresponding figure point was measured.
+// corresponding figure point was measured. "host" is what the process has
+// cost the host when the sidecar is written: wall time since process start,
+// user and system CPU time, peak RSS (getrusage), live threads
+// (/proc/self/status) and voluntary plus involuntary context switches.
+// scripts/check_bench.py gates maxrss_kb and wall_ns against the anchor's.
+
+// Set during static initialisation, before main: the process's start.
+inline const std::chrono::steady_clock::time_point kProcessStart =
+    std::chrono::steady_clock::now();
+
+// Live threads of this process ("Threads:" in /proc/self/status), 0 if unknown.
+inline long HostThreads() {
+  std::FILE* f = std::fopen("/proc/self/status", "r");
+  if (f == nullptr) {
+    return 0;
+  }
+  long threads = 0;
+  char line[256];
+  while (std::fgets(line, sizeof(line), f) != nullptr) {
+    if (std::sscanf(line, "Threads: %ld", &threads) == 1) {
+      break;
+    }
+  }
+  std::fclose(f);
+  return threads;
+}
+
+// The sidecar's "host" object.
+inline std::string HostJson() {
+  struct rusage ru {};
+  getrusage(RUSAGE_SELF, &ru);
+  auto ns = [](const timeval& tv) {
+    return static_cast<long long>(tv.tv_sec) * 1000000000LL +
+           static_cast<long long>(tv.tv_usec) * 1000LL;
+  };
+  long long wall_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                          std::chrono::steady_clock::now() - kProcessStart)
+                          .count();
+  char buf[256];
+  std::snprintf(buf, sizeof(buf),
+                "{\"wall_ns\":%lld,\"user_ns\":%lld,\"sys_ns\":%lld,\"maxrss_kb\":%ld,"
+                "\"threads\":%ld,\"csw\":%ld}",
+                wall_ns, ns(ru.ru_utime), ns(ru.ru_stime), ru.ru_maxrss, HostThreads(),
+                ru.ru_nvcsw + ru.ru_nivcsw);
+  return buf;
+}
+
 class TelemetrySink {
  public:
   // Parses "--telemetry <path>" / "--telemetry=<path>" from argv. A sink with
@@ -138,7 +188,7 @@ class TelemetrySink {
     for (size_t i = 0; i < points_.size(); ++i) {
       std::fprintf(f, "%s%s", i == 0 ? "" : ",", points_[i].c_str());
     }
-    std::fprintf(f, "]");
+    std::fprintf(f, "],\"host\":%s", HostJson().c_str());
     if (!cluster_json_.empty()) {
       std::fprintf(f, ",\"cluster\":%s", cluster_json_.c_str());
     }

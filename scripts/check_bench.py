@@ -3,10 +3,10 @@
 
 Every bench binary that matters for performance emits a BENCH_<name>.json
 sidecar (schema: benchlib.h TelemetrySink — {"bench", "points": [{"series",
-"x", "metrics", "histograms"}]}). The committed copies at the repo root are
-the anchors; scripts/run_tier1.sh re-runs the benches into build/bench-out/
-and this script compares the two, metric by metric, with per-metric
-tolerance bands:
+"x", "metrics", "histograms"}], "host"}). The committed copies at the repo
+root are the anchors; scripts/run_tier1.sh re-runs the benches into
+build/bench-out/ and this script compares the two, metric by metric, with
+per-metric tolerance bands:
 
   * default: relative 35% with an absolute slack of 8 (counters with tiny
     values flap by a few ops between legitimate runs);
@@ -23,7 +23,12 @@ tolerance bands:
     them);
   * benches listed in XLABEL_ONLY (bench_migrate: real writer threads
     racing the migration make every traffic counter flap) are judged on
-    their x-label contract only.
+    their x-label contract only;
+  * each sidecar's "host" block (what the bench process cost the host) is
+    printed for the anchor and the fresh run, and gated by HOST_BANDS: peak
+    RSS may exceed the anchor's by 35% plus 16 MB, wall time may reach 4x
+    the anchor's plus 2 s. SUBSET_OK anchors skip this gate, since their
+    anchor run is a bigger sweep than the fresh one.
 
 Points are paired by (series, x) after stripping numeric values out of
 key=value x-labels, so a run whose measured downtime moved slightly still
@@ -96,6 +101,15 @@ XLABEL_BANDS = {
     "qp_bytes": (None, 0.0),
 }
 DEFAULT_BAND = (0.35, 8.0)
+
+# Host-cost ceilings, key -> (factor, slack): the fresh value may reach
+# factor * anchor + slack. Peak RSS catches memory paid for up front (node
+# pools written at construction made bench_micro 25x bigger); the wall band
+# is loose because tier-1 shares its host with other work.
+HOST_BANDS = {
+    "maxrss_kb": (1.35, 16 * 1024),
+    "wall_ns": (4.0, 2e9),
+}
 
 # Histogram percentile fields need enough mass to be stable.
 PERCENTILE_FIELDS = ("p50", "p99", "p999", "min", "max")
@@ -180,12 +194,37 @@ def check_point(name, anchor, fresh, violations):
                                   (tag, key, field, ahist.get(field), fhist.get(field)))
 
 
+def format_host(host):
+    if host is None:
+        return "none"
+    return "wall %.2f s, user %.2f s, sys %.2f s, maxrss %.1f MB, %d threads, %d csw" % (
+        host["wall_ns"] / 1e9, host["user_ns"] / 1e9, host["sys_ns"] / 1e9,
+        host["maxrss_kb"] / 1024.0, host["threads"], host["csw"])
+
+
+def check_host(name, anchor, fresh, violations):
+    print("check_bench: %s host anchor: %s" % (name, format_host(anchor)))
+    print("check_bench: %s host fresh:  %s" % (name, format_host(fresh)))
+    if name in SUBSET_OK:
+        return
+    if anchor is None or fresh is None:
+        violations.append("%s: host block missing from the %s" %
+                          (name, "anchor" if anchor is None else "fresh run"))
+        return
+    for key, (factor, slack) in HOST_BANDS.items():
+        ceiling = factor * anchor[key] + slack
+        if fresh[key] > ceiling:
+            violations.append("%s: host %s anchor=%d fresh=%d above %g x anchor + %g" %
+                              (name, key, anchor[key], fresh[key], factor, slack))
+
+
 def check_file(anchor_path, fresh_path, violations):
     name = os.path.basename(anchor_path)
     with open(anchor_path) as f:
         anchor = json.load(f)
     with open(fresh_path) as f:
         fresh = json.load(f)
+    check_host(name, anchor.get("host"), fresh.get("host"), violations)
     fresh_points = {}
     for p in fresh.get("points", []):
         fresh_points.setdefault(pair_key(p), []).append(p)

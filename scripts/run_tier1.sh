@@ -39,19 +39,29 @@ cmake --build build -j"${JOBS}"
 
 stage "perf-regression gate (check_bench)"
 # Re-run the anchored benches into a scratch dir and diff their telemetry
-# sidecars against the committed BENCH_*.json anchors (tolerances in
-# scripts/check_bench.py). bench_micro runs its three sweeps and writes their
-# sidecars.
+# sidecars against the committed BENCH_*.json anchors (tolerances and host
+# bands in scripts/check_bench.py). Each bench's stdout is kept in
+# build/bench-out/<bench>.txt; a bench that exits non-zero (bench_migrate's
+# FAIL verdict, say) prints its last 20 lines and ends tier-1.
 mkdir -p build/bench-out
-(cd build/bench-out && ../bench/bench_micro >/dev/null)
-(cd build/bench-out && ../bench/bench_migrate >/dev/null)
+run_bench() {
+  local bench="$1"
+  shift
+  if ! (cd build/bench-out && "../bench/${bench}" "$@" >"${bench}.txt"); then
+    echo "${bench} exited non-zero; last 20 lines of build/bench-out/${bench}.txt:"
+    tail -n 20 "build/bench-out/${bench}.txt"
+    exit 1
+  fi
+}
+# bench_micro runs its three sweeps and writes their sidecars.
+run_bench bench_micro
+run_bench bench_migrate
 # Its stdout is also a golden figure (next stage).
-(cd build/bench-out && ../bench/bench_latency_breakdown >bench_latency_breakdown.txt)
+run_bench bench_latency_breakdown
 # Transport scale smoke: the 8/100-node prefix of the fig14 RC-vs-DC sweep
 # (the committed anchor covers the full 8..1000 sweep; check_bench pairs the
 # smoke prefix and skips the rest — see SUBSET_OK).
-(cd build/bench-out && ../bench/fig14_scalability --scale-smoke \
-    --telemetry BENCH_transport_scale.json >/dev/null)
+run_bench fig14_scalability --scale-smoke --telemetry BENCH_transport_scale.json
 python3 scripts/check_bench.py
 
 stage "paper figures vs golden stdout"

@@ -1,18 +1,32 @@
 #include "src/mem/phys_mem.h"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <cassert>
-#include <cstring>
+#include <new>
 
 namespace lt {
 
 PhysMem::PhysMem(uint64_t size_bytes, size_t page_size)
-    : size_(size_bytes - (size_bytes % page_size)),
-      page_size_(page_size),
-      data_(new uint8_t[size_]) {
+    : size_(size_bytes - (size_bytes % page_size)), page_size_(page_size) {
   assert(size_ > 0);
-  std::memset(data_.get(), 0, size_);
+  const size_t host_page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+  const size_t pool_len = (size_ + host_page - 1) / host_page * host_page;
+  map_len_ = pool_len + host_page;
+  void* map = mmap(nullptr, map_len_, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (map == MAP_FAILED) {
+    throw std::bad_alloc();
+  }
+  data_ = static_cast<uint8_t*>(map);
+  if (mprotect(data_ + pool_len, host_page, PROT_NONE) != 0) {
+    munmap(map, map_len_);
+    throw std::bad_alloc();
+  }
   free_runs_[0] = size_ / page_size_;
 }
+
+PhysMem::~PhysMem() { munmap(data_, map_len_); }
 
 StatusOr<PhysAddr> PhysMem::AllocContiguous(uint64_t bytes) {
   if (bytes == 0) {
@@ -68,12 +82,12 @@ Status PhysMem::Free(PhysAddr addr) {
 
 uint8_t* PhysMem::Data(PhysAddr addr, uint64_t len) {
   assert(addr + len <= size_ && "physical access out of range");
-  return data_.get() + addr;
+  return data_ + addr;
 }
 
 const uint8_t* PhysMem::Data(PhysAddr addr, uint64_t len) const {
   assert(addr + len <= size_ && "physical access out of range");
-  return data_.get() + addr;
+  return data_ + addr;
 }
 
 uint64_t PhysMem::allocated_bytes() const {

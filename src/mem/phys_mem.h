@@ -1,6 +1,10 @@
 // Per-node physical memory: one flat byte pool with a page-granular
 // first-fit allocator that can hand out physically-consecutive ranges.
 //
+// The pool is one anonymous private mapping, so it reads zero until written
+// and the host pays only for the pages a run touches. A PROT_NONE guard page
+// follows it: a write past the pool's end faults in every build type.
+//
 // LITE allocates LMR chunks here directly (physical addressing); native-Verbs
 // processes allocate virtual memory whose pages also come from this pool via
 // PageTable.
@@ -9,7 +13,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <vector>
 
@@ -21,6 +24,8 @@ namespace lt {
 class PhysMem {
  public:
   PhysMem(uint64_t size_bytes, size_t page_size);
+
+  ~PhysMem();
 
   PhysMem(const PhysMem&) = delete;
   PhysMem& operator=(const PhysMem&) = delete;
@@ -44,7 +49,10 @@ class PhysMem {
  private:
   const uint64_t size_;
   const size_t page_size_;
-  std::unique_ptr<uint8_t[]> data_;
+  // Length of the whole mapping: the pool rounded up to host pages, plus
+  // the guard page.
+  size_t map_len_;
+  uint8_t* data_;
 
   mutable std::mutex mu_;
   // Free list: start page -> page count. Allocation map: start page -> count.

@@ -1,4 +1,6 @@
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <cstring>
 #include <set>
@@ -119,6 +121,39 @@ TEST(PhysMemTest, RandomAllocFreeInvariants) {
     }
     EXPECT_EQ(mem.allocated_bytes() + mem.free_bytes(), 64 * kPage);
   }
+}
+
+// The pool is paid for on first touch: constructing a node's memory writes
+// none of it, yet every byte still reads zero until written.
+TEST(PhysMemTest, PoolIsNotResidentUntilTouched) {
+  constexpr uint64_t kPool = 128ull << 20;
+  PhysMem mem(kPool, kPage);
+  uint8_t* base = mem.Data(0, kPool);
+  // mincore wants a host-page-aligned start; the pool's own start need not be.
+  const uintptr_t host_page = static_cast<uintptr_t>(sysconf(_SC_PAGESIZE));
+  const uintptr_t first = reinterpret_cast<uintptr_t>(base) & ~(host_page - 1);
+  const uintptr_t end = reinterpret_cast<uintptr_t>(base) + kPool;
+  std::vector<unsigned char> resident((end - first + host_page - 1) / host_page);
+  ASSERT_EQ(mincore(reinterpret_cast<void*>(first), end - first, resident.data()), 0);
+  size_t touched = 0;
+  for (unsigned char r : resident) {
+    touched += r & 1;
+  }
+  EXPECT_EQ(touched, 0u) << "of " << resident.size() << " pages";
+
+  EXPECT_EQ(base[0], 0);
+  EXPECT_EQ(base[kPool - 1], 0);
+  base[kPool / 2] = 0x5a;
+  EXPECT_EQ(*mem.Data(kPool / 2, 1), 0x5a);
+}
+
+// A guard page follows the pool, so an overrun faults even where Data()'s
+// bounds assert is compiled out.
+TEST(PhysMemDeathTest, WritePastPoolEndFaults) {
+  constexpr uint64_t kPool = 16 * kPage;
+  PhysMem mem(kPool, kPage);
+  volatile uint8_t* past_end = mem.Data(0, kPool) + kPool;
+  EXPECT_DEATH(*past_end = 1, "");
 }
 
 // ------------------------------------------------------------ PageTable

@@ -1,8 +1,8 @@
 // telemetry_smoke: end-to-end check of the --telemetry sidecar path. Runs a
 // miniature bench workload against a LiteCluster, writes the JSON sidecar
 // through benchlib::TelemetrySink exactly as the fig benches do, reads it
-// back, and validates the schema: balanced structure, expected keys, and
-// counters that actually moved.
+// back, and validates the schema: balanced structure, expected keys, the
+// host-cost block, and counters that actually moved.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -113,6 +113,16 @@ TEST(TelemetrySmokeTest, SidecarSchemaAndLiveCounters) {
   EXPECT_NE(json.find("\"op\":\"write\""), std::string::npos);
   EXPECT_NE(json.find("\"stage\":\"cross\""), std::string::npos);
   EXPECT_NE(json.find("\"stage\":\"compl_poll\""), std::string::npos);
+
+  // The host block: what the process has cost the host so far. A run this
+  // short can be charged no user (or no system) time, and need not switch.
+  EXPECT_NE(json.find("\"host\":{\"wall_ns\":"), std::string::npos);
+  for (const char* key : {"wall_ns", "maxrss_kb", "threads"}) {
+    EXPECT_GT(JsonIntValue(json, key), 0) << key << " missing or zero in the host block";
+  }
+  for (const char* key : {"user_ns", "sys_ns", "csw"}) {
+    EXPECT_GE(JsonIntValue(json, key), 0) << key << " missing from the host block";
+  }
 
   // The workload really ran: key counters are present and positive.
   for (const char* key :
