@@ -10,6 +10,7 @@
 #include "src/common/rng.h"
 #include "src/common/timing.h"
 #include "src/lite/lite_cluster.h"
+#include "src/lite/ring.h"
 
 namespace {
 
@@ -124,7 +125,7 @@ void RunRingBatchSweep(benchlib::TelemetrySink* sink) {
           busy_ns += lt::NowNs() - t0;
           // Park past the hot window and flush deadline: the next group pays
           // a fresh doorbell, so the crossings amortize over exactly K ops.
-          lt::IdleFor(lite::kAdaptiveSpinNs + p.lite_ring_flush_ns + 1'000);
+          lt::IdleFor(lite::kAdaptiveSpinNs + lite::kRingFlushNs + 1'000);
         }
         auto* inst = cluster.instance(0);
         const double ops = static_cast<double>(kGroups) * batch;

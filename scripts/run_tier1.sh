@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
-# Tier-1 verification: full build + test suite, the perf gate, the paper
-# figures against their golden stdout, the examples, the trace gate, the repo
-# benchmark's smoke run, then the chaos soak, the atomics/RPC-bind races,
-# the live-migration suite and the simulated RNIC with its Verbs and baseline
-# users under ThreadSanitizer (the failure-recovery and migration-gate paths
-# are the most thread-hostile code in the tree, so they get the extra
-# scrutiny), and the memory, async, RPC, RNIC and baseline suites under
-# ASan+UBSan. Each stage's wall time and the total are printed as they
-# finish.
+# Tier-1 verification: the SimParams knob check, full build + test suite,
+# the perf gate, the paper figures against their golden stdout, the examples,
+# the trace gate, the repo benchmark's smoke run, then the chaos soak, the
+# atomics/RPC-bind races, the live-migration suite and the simulated RNIC
+# with its Verbs and baseline users under ThreadSanitizer (the
+# failure-recovery and migration-gate paths are the most thread-hostile code
+# in the tree, so they get the extra scrutiny), and the memory, async, RPC,
+# RNIC and baseline suites under ASan+UBSan. Each stage's wall time and the
+# total are printed as they finish.
 #
 # Usage: scripts/run_tier1.sh [jobs]
 set -euo pipefail
@@ -31,6 +31,12 @@ stage() {
   STAGE_T0=${t}
   echo "== tier-1: ${STAGE} =="
 }
+
+stage "SimParams knobs (check_params)"
+# Every SimParams field must be assigned by some bench, benchmark workload,
+# example or src/ file; a field only tests set belongs beside its user as a
+# named constant.
+python3 scripts/check_params.py
 
 stage "build + ctest"
 cmake -B build -S . >/dev/null

@@ -45,9 +45,6 @@ namespace liteapp {
 struct GasOptions {
   uint32_t max_iterations = 50;
   int threads_per_node = 4;  // Divides the modeled per-edge compute.
-  // Modeled compute per edge gathered / per vertex applied.
-  uint64_t edge_work_ns = 14;
-  uint64_t vertex_work_ns = 6;
 };
 
 template <typename Program>
@@ -150,8 +147,7 @@ GasResult<Program> RunGas(lite::LiteCluster* cluster, const SyntheticGraph& grap
           }
           mine[v - begin] = next;
         }
-        lt::SpinFor((edges * options.edge_work_ns +
-                     static_cast<uint64_t>(end - begin) * options.vertex_work_ns) /
+        lt::SpinFor((edges * kEdgeWorkNs + static_cast<uint64_t>(end - begin) * kVertexWorkNs) /
                     std::max(1, options.threads_per_node));
         (void)client->Barrier(name("g", it), num_nodes);
 

@@ -18,13 +18,6 @@ using lt::NowNs;
 using lt::SpinFor;
 using lt::SyncClockTo;
 
-// Modeled per-edge gather/apply cost, divided across a node's compute
-// threads. Using an explicit model (rather than real host CPU) keeps the
-// three engines' compute identical so the comparison isolates the network
-// stacks — which is what the paper attributes the gap to (Sec. 8.3).
-constexpr uint64_t kEdgeWorkNs = 14;
-constexpr uint64_t kVertexWorkNs = 6;
-
 // PowerGraph-like engines ship fine-grained mirror updates: vertices per
 // TCP message. Small batches => many full socket-stack traversals per step,
 // which is what makes the IPoIB version so slow (paper Sec. 8.3).

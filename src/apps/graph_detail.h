@@ -12,6 +12,13 @@
 
 namespace liteapp {
 
+// Modeled per-edge gather / per-vertex apply cost, divided across a node's
+// compute threads. Using an explicit model (rather than real host CPU) keeps
+// the engines' compute identical so the comparison isolates the network
+// stacks — which is what the paper attributes the gap to (Sec. 8.3).
+inline constexpr uint64_t kEdgeWorkNs = 14;
+inline constexpr uint64_t kVertexWorkNs = 6;
+
 struct Partitioning {
   uint32_t num_vertices;
   uint32_t parts;

@@ -8,8 +8,8 @@
 namespace lt {
 
 uint64_t FabricPort::Reserve(uint64_t earliest_ns, uint64_t bytes, uint64_t* queue_ns_out) {
-  const double rate = fabric_->params().nic_line_rate_bytes_per_ns;
-  const uint64_t ser_ns = static_cast<uint64_t>(static_cast<double>(bytes) / rate);
+  const uint64_t ser_ns =
+      static_cast<uint64_t>(static_cast<double>(bytes) / kNicLineRateBytesPerNs);
   bytes_.fetch_add(bytes, std::memory_order_relaxed);
   const uint64_t finish = capacity_.Reserve(earliest_ns, ser_ns);
   reservations_.fetch_add(1, std::memory_order_relaxed);

@@ -21,12 +21,13 @@
 #include "src/common/sync_util.h"
 #include "src/faults/faults.h"
 #include "src/mem/addr.h"
-#include "src/sim/params.h"
 
 namespace lt {
 
 // Propagation plus one switch hop, one way.
 inline constexpr uint64_t kWireLatencyNs = 300;
+// Port line rate: the paper's 40 Gbps ConnectX-3 minus framing overhead.
+inline constexpr double kNicLineRateBytesPerNs = 4.6;
 
 class Fabric;
 
@@ -69,14 +70,11 @@ class FabricPort {
 
 class Fabric {
  public:
-  explicit Fabric(const SimParams& params) : params_(params) {}
-
   // Attaches a port for `node`; node ids must be attached in order 0..N-1.
   FabricPort* Attach(NodeId node);
 
   FabricPort* port(NodeId node) { return ports_[node].get(); }
   size_t node_count() const { return ports_.size(); }
-  const SimParams& params() const { return params_; }
 
   // Reserves a one-way transfer of `bytes` from src to dst starting no
   // earlier than `earliest_ns` (virtual time), accounting for wire latency
@@ -99,7 +97,6 @@ class Fabric {
   static constexpr uint64_t kDropped = ~0ull;
 
  private:
-  const SimParams params_;
   std::vector<std::unique_ptr<FabricPort>> ports_;
   SpinLock attach_mu_;
   FaultEngine faults_;

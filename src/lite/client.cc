@@ -28,6 +28,21 @@ void LiteClient::EnterKernel() {
   AttrAdd(LatStage::kLatCross, lt::NowNs() - cross_t0);
 }
 
+LiteClient::DataPathBoundary::DataPathBoundary(LiteClient* client)
+    : rings_(client->UseRings() ? client->instance_->rings() : nullptr) {
+  if (rings_ != nullptr) {
+    rings_->SyncEnter();
+  } else {
+    client->EnterKernel();
+  }
+}
+
+LiteClient::DataPathBoundary::~DataPathBoundary() {
+  if (rings_ != nullptr) {
+    rings_->SyncExit();
+  }
+}
+
 lt::telemetry::LatencyAttr* LiteClient::AttrSink() {
   return &instance_->node()->telemetry().latency();
 }
@@ -57,11 +72,7 @@ Status LiteClient::Read(Lh lh, uint64_t offset, void* buf, uint64_t len) {
   // Claim the op record before the boundary crossing so user-level ops book
   // the cross stage; the instance-level claim is then inert.
   ScopedOpAttr attr(AttrSink(), "read", len, static_cast<int>(priority_));
-  if (UseRings()) {
-    RingGate gate(instance_->rings());
-    return instance_->Read(lh, offset, buf, len, priority_);
-  }
-  EnterKernel();
+  DataPathBoundary boundary(this);
   return instance_->Read(lh, offset, buf, len, priority_);
 }
 
@@ -148,41 +159,25 @@ Status LiteClient::WaitAll(std::vector<std::pair<MemopHandle, Status>>* results)
 
 Status LiteClient::Write(Lh lh, uint64_t offset, const void* buf, uint64_t len) {
   ScopedOpAttr attr(AttrSink(), "write", len, static_cast<int>(priority_));
-  if (UseRings()) {
-    RingGate gate(instance_->rings());
-    return instance_->Write(lh, offset, buf, len, priority_);
-  }
-  EnterKernel();
+  DataPathBoundary boundary(this);
   return instance_->Write(lh, offset, buf, len, priority_);
 }
 
 Status LiteClient::Memset(Lh lh, uint64_t offset, uint8_t value, uint64_t len) {
   ScopedOpAttr attr(AttrSink(), "memset", len, static_cast<int>(priority_));
-  if (UseRings()) {
-    RingGate gate(instance_->rings());
-    return instance_->Memset(lh, offset, value, len, priority_);
-  }
-  EnterKernel();
+  DataPathBoundary boundary(this);
   return instance_->Memset(lh, offset, value, len, priority_);
 }
 
 Status LiteClient::Memcpy(Lh dst, uint64_t dst_off, Lh src, uint64_t src_off, uint64_t len) {
   ScopedOpAttr attr(AttrSink(), "memcpy", len, static_cast<int>(priority_));
-  if (UseRings()) {
-    RingGate gate(instance_->rings());
-    return instance_->Memcpy(dst, dst_off, src, src_off, len, priority_);
-  }
-  EnterKernel();
+  DataPathBoundary boundary(this);
   return instance_->Memcpy(dst, dst_off, src, src_off, len, priority_);
 }
 
 Status LiteClient::Memmove(Lh dst, uint64_t dst_off, Lh src, uint64_t src_off, uint64_t len) {
   ScopedOpAttr attr(AttrSink(), "memcpy", len, static_cast<int>(priority_));
-  if (UseRings()) {
-    RingGate gate(instance_->rings());
-    return instance_->Memmove(dst, dst_off, src, src_off, len, priority_);
-  }
-  EnterKernel();
+  DataPathBoundary boundary(this);
   return instance_->Memmove(dst, dst_off, src, src_off, len, priority_);
 }
 
@@ -194,21 +189,13 @@ Status LiteClient::RegisterRpc(RpcFuncId func) {
 Status LiteClient::Rpc(NodeId server, RpcFuncId func, const void* in, uint32_t in_len, void* out,
                        uint32_t out_max, uint32_t* out_len) {
   ScopedOpAttr attr(AttrSink(), "rpc", in_len, static_cast<int>(priority_));
-  if (UseRings()) {
-    RingGate gate(instance_->rings());
-    return instance_->Rpc(server, func, in, in_len, out, out_max, out_len, priority_);
-  }
-  EnterKernel();
+  DataPathBoundary boundary(this);
   return instance_->Rpc(server, func, in, in_len, out, out_max, out_len, priority_);
 }
 
 Status LiteClient::MulticastRpc(const std::vector<NodeId>& servers, RpcFuncId func, const void* in,
                                 uint32_t in_len, std::vector<std::vector<uint8_t>>* replies) {
-  if (UseRings()) {
-    RingGate gate(instance_->rings());
-    return instance_->MulticastRpc(servers, func, in, in_len, replies);
-  }
-  EnterKernel();
+  DataPathBoundary boundary(this);
   return instance_->MulticastRpc(servers, func, in, in_len, replies);
 }
 
@@ -231,11 +218,7 @@ StatusOr<RpcIncoming> LiteClient::ReplyAndRecv(const ReplyToken& token, const vo
 }
 
 Status LiteClient::SendMsg(NodeId dst, const void* data, uint32_t len) {
-  if (UseRings()) {
-    RingGate gate(instance_->rings());
-    return instance_->SendMsg(dst, data, len, priority_);
-  }
-  EnterKernel();
+  DataPathBoundary boundary(this);
   return instance_->SendMsg(dst, data, len, priority_);
 }
 
@@ -246,22 +229,14 @@ StatusOr<MsgIncoming> LiteClient::RecvMsg(uint64_t timeout_ns) {
 
 StatusOr<uint64_t> LiteClient::FetchAdd(Lh lh, uint64_t offset, uint64_t delta) {
   ScopedOpAttr attr(AttrSink(), "atomic", 8, static_cast<int>(Priority::kHigh));
-  if (UseRings()) {
-    RingGate gate(instance_->rings());
-    return instance_->FetchAdd(lh, offset, delta);
-  }
-  EnterKernel();
+  DataPathBoundary boundary(this);
   return instance_->FetchAdd(lh, offset, delta);
 }
 
 StatusOr<uint64_t> LiteClient::TestSet(Lh lh, uint64_t offset, uint64_t expected,
                                        uint64_t desired) {
   ScopedOpAttr attr(AttrSink(), "atomic", 8, static_cast<int>(Priority::kHigh));
-  if (UseRings()) {
-    RingGate gate(instance_->rings());
-    return instance_->TestSet(lh, offset, expected, desired);
-  }
-  EnterKernel();
+  DataPathBoundary boundary(this);
   return instance_->TestSet(lh, offset, expected, desired);
 }
 

@@ -100,6 +100,21 @@ class LiteClient {
   // Charges the cost of entering the kernel for one LITE call.
   void EnterKernel();
 
+  // The user->kernel boundary of one blocking data-path call, held for the
+  // call's duration: with rings, SyncEnter on entry and SyncExit on exit;
+  // without, one EnterKernel() on entry.
+  class DataPathBoundary {
+   public:
+    explicit DataPathBoundary(LiteClient* client);
+    ~DataPathBoundary();
+
+    DataPathBoundary(const DataPathBoundary&) = delete;
+    DataPathBoundary& operator=(const DataPathBoundary&) = delete;
+
+   private:
+    SubmissionRings* const rings_;
+  };
+
   // True when this client's data-path ops ride the per-CPU rings: user
   // level, not in the naive-syscall ablation, and the instance has rings.
   bool UseRings() const {

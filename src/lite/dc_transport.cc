@@ -1,7 +1,5 @@
 #include "src/lite/dc_transport.h"
 
-#include <algorithm>
-
 #include "src/common/timing.h"
 #include "src/telemetry/metrics.h"
 
@@ -9,8 +7,7 @@ namespace lite {
 
 void DcTransport::Setup(const std::vector<bool>& connect, lt::Cq* recv_cq) {
   known_peers_ = connect.size();
-  const int pool = std::max(1, node_->params().lite_dc_qp_pool);
-  slots_ = std::vector<Slot>(static_cast<size_t>(pool));
+  slots_ = std::vector<Slot>(kDcQpPool);
   for (Slot& s : slots_) {
     lt::Cq* send_cq = node_->rnic().CreateCq();
     s.qp = node_->rnic().CreateQp(lt::QpType::kDcIni, send_cq, recv_cq);
@@ -86,7 +83,6 @@ bool DcTransport::Prepare(const TransportHandle& h) {
 }
 
 void DcTransport::Attach(Slot& slot, NodeId dst) {
-  const auto& p = node_->params();
   if (slot.qp->connected()) {
     detaches_.fetch_add(1, std::memory_order_relaxed);
     if (detaches_ctr_ != nullptr) {
@@ -96,7 +92,7 @@ void DcTransport::Attach(Slot& slot, NodeId dst) {
   // The µs-scale DC attach: resolve the destination's target QPN and
   // re-target the initiator (real hardware: a new DC stream handshake).
   const uint32_t dct_qpn = dct_resolver_ ? dct_resolver_(dst) : 0;
-  lt::SpinFor(p.lite_dc_connect_ns);
+  lt::SpinFor(kDcConnectNs);
   slot.qp->Connect(dst, dct_qpn);
   slot.owner.store(dst, std::memory_order_relaxed);
   attaches_.fetch_add(1, std::memory_order_relaxed);
@@ -104,7 +100,7 @@ void DcTransport::Attach(Slot& slot, NodeId dst) {
     attaches_ctr_->Inc();
   }
   if (connect_hist_ != nullptr) {
-    connect_hist_->Record(p.lite_dc_connect_ns);
+    connect_hist_->Record(kDcConnectNs);
   }
 }
 

@@ -1,9 +1,9 @@
 // DcTransport — the DC-style virtualized implementation of Transport
-// (DESIGN.md §10): a bounded node-wide pool of lite_dc_qp_pool initiator
-// QPs that attach to any destination on demand, plus one target QP (the
-// DCT) every remote initiator addresses. Attaching an initiator to a new
-// peer charges lite_dc_connect_ns (the µs-scale re-target of real DC
-// hardware); per-destination affinity keeps hot peers attached so steady
+// (DESIGN.md §10): a bounded node-wide pool of kDcQpPool initiator QPs
+// that attach to any destination on demand, plus one target QP (the DCT)
+// every remote initiator addresses. Attaching an initiator to a new peer
+// charges kDcConnectNs (the µs-scale re-target of real DC hardware);
+// per-destination affinity keeps hot peers attached so steady
 // traffic pays it once. QP state is O(pool) instead of O(peers), and the
 // responder side of every node is a single QP context — the two properties
 // that let the fig14 sweep reach 1000 nodes with a warm QPC cache.
@@ -18,6 +18,9 @@
 #include "src/lite/transport.h"
 
 namespace lite {
+
+inline constexpr size_t kDcQpPool = 32;        // DC initiator QPs per node (bounded).
+inline constexpr uint64_t kDcConnectNs = 900;  // DC re-target (attach) cost, host side.
 
 class DcTransport : public Transport {
  public:
@@ -71,7 +74,7 @@ class DcTransport : public Transport {
     std::atomic<NodeId> owner{kInvalidNode};
   };
 
-  // Attaches `slot`'s QP to `dst` (Connect + lite_dc_connect_ns charge +
+  // Attaches `slot`'s QP to `dst` (Connect + kDcConnectNs charge +
   // attach/detach accounting). Caller holds the slot mutex.
   void Attach(Slot& slot, NodeId dst);
 

@@ -129,7 +129,7 @@ class LiteInstance {
   // ---- Asynchronous memops (the RDMA-throughput fast path) ----
   // LT_read_async / LT_write_async issue the op and return a completion
   // handle immediately; the caller's buffer must stay valid until the handle
-  // is retired. Up to SimParams::lite_async_window ops may be in flight per
+  // is retired. Up to kAsyncWindow (op_engine.h) ops may be in flight per
   // instance; issuing past the window transparently retires the oldest
   // outstanding op first. Posting strategy and retry/fault semantics live in
   // the op engine — see op_engine.h.

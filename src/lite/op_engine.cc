@@ -217,7 +217,7 @@ StatusOr<Completion> OpEngine::Retransmit(const Wqe& w, Priority pri, Status las
                                           bool pinned) {
   Transport& tr = *inst_->transport_;
   const NodeId dst = w.h.dst;
-  uint64_t backoff_ns = inst_->params().lite_rpc_retry_backoff_ns;
+  uint64_t backoff_ns = kRetryBackoffNs;
   for (uint32_t attempt = 1; attempt <= inst_->params().lite_rpc_max_retries; ++attempt) {
     oneside_retries_->Inc();
     engine_retries_->Inc();
@@ -445,9 +445,8 @@ StatusOr<MemopHandle> OpEngine::IssueAsyncPieces(const std::vector<OpDesc>& piec
   op->origin_is_read = is_read;
 
   std::unique_lock<std::mutex> lock(async_mu_);
-  const size_t window = std::max<size_t>(1, inst_->params().lite_async_window);
   const uint64_t bp_t0 = NowNs();
-  while (async_inflight_ >= window) {
+  while (async_inflight_ >= kAsyncWindow) {
     RetireOldestLocked(lock);
   }
   AttrAdd(LatStage::kLatEngineQueue, NowNs() - bp_t0);
@@ -526,9 +525,8 @@ StatusOr<MemopHandle> OpEngine::InsertAsyncRpc(uint32_t rpc_slot, void* out, uin
   op->rpc_out_len = out_len;
 
   std::unique_lock<std::mutex> lock(async_mu_);
-  const size_t window = std::max<size_t>(1, inst_->params().lite_async_window);
   const uint64_t bp_t0 = NowNs();
-  while (async_inflight_ >= window) {
+  while (async_inflight_ >= kAsyncWindow) {
     RetireOldestLocked(lock);
   }
   AttrAdd(LatStage::kLatEngineQueue, NowNs() - bp_t0);

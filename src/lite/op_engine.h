@@ -43,6 +43,10 @@ using lt::StatusOr;
 
 class LiteInstance;
 
+// Async memops in flight per instance; issuing past it retires the oldest
+// outstanding op first (window-full backpressure).
+inline constexpr size_t kAsyncWindow = 64;
+
 class OpEngine {
  public:
   explicit OpEngine(LiteInstance* inst) : inst_(inst) {}
@@ -220,7 +224,7 @@ class OpEngine {
   // `pinned` keeps every re-post on w.h (async flush fences).
   StatusOr<lt::Completion> Complete(const Wqe& w, Priority pri, bool pinned = false);
   // The one retransmit routine: re-posts `w` signaled, backing off
-  // lite_rpc_retry_backoff_ns (doubling) before every attempt, at most
+  // kRetryBackoffNs (doubling) before every attempt, at most
   // lite_rpc_max_retries times; fails fast once the peer is marked dead.
   // Returns the successful completion, or the last error.
   StatusOr<lt::Completion> Retransmit(const Wqe& w, Priority pri, Status last, bool pinned);

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/common/timing.h"
+#include "src/fabric/fabric.h"
 #include "src/telemetry/journal.h"
 
 namespace lite {
@@ -30,8 +31,7 @@ uint64_t QosManager::AdmitInner(Priority pri, uint64_t bytes) {
     // confined to 1 of K QPs gets ~1/K of the processing rate whenever the
     // other QPs have work. Reserved capacity idles when high-priority jobs
     // are absent — the inflexibility the paper demonstrates (Sec. 6.2).
-    double share = params_.nic_line_rate_bytes_per_ns /
-                   std::max(1, params_.lite_qp_sharing_factor);
+    double share = lt::kNicLineRateBytesPerNs / std::max(1, params_.lite_qp_sharing_factor);
     const uint64_t ser_ns = static_cast<uint64_t>(static_cast<double>(bytes) / share);
     uint64_t finish = low_rate_.Reserve(now, ser_ns);
     if (finish > now + ser_ns) {
@@ -131,7 +131,7 @@ bool QosManager::HighPriActive(uint64_t now) const {
   // (high-priority request/response traffic is bursty; a deep threshold
   // would miss it between bursts).
   const uint64_t threshold =
-      static_cast<uint64_t>(params_.nic_line_rate_bytes_per_ns * kWindowNs * 0.005);
+      static_cast<uint64_t>(lt::kNicLineRateBytesPerNs * kWindowNs * 0.005);
   return current + previous > threshold;
 }
 

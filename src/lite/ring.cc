@@ -14,16 +14,7 @@ using lt::telemetry::AttrAdd;
 using lt::telemetry::LatStage;
 
 SubmissionRings::SubmissionRings(LiteInstance* inst)
-    : inst_(inst),
-      flush_ns_(inst->params().lite_ring_flush_ns),
-      batch_(std::max<uint32_t>(1, inst->params().lite_ring_doorbell_batch)),
-      entries_(std::max<uint32_t>(1, inst->params().lite_ring_entries)) {
-  const uint32_t n = std::max<uint32_t>(1, inst->params().lite_ring_cpus);
-  rings_.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    rings_.push_back(std::make_unique<CpuRing>());
-  }
-}
+    : inst_(inst), batch_(std::max<uint32_t>(1, inst->params().lite_ring_doorbell_batch)) {}
 
 void SubmissionRings::RegisterTelemetry(lt::telemetry::Registry& reg) {
   ops_ = reg.GetCounter("lite.ring.ops");
@@ -40,7 +31,7 @@ void SubmissionRings::RegisterTelemetry(lt::telemetry::Registry& reg) {
 
 SubmissionRings::CpuRing& SubmissionRings::RingForThisThread() {
   const size_t h = std::hash<std::thread::id>()(std::this_thread::get_id());
-  return *rings_[h % rings_.size()];
+  return rings_[h % kRingCpus];
 }
 
 void SubmissionRings::MaybeDoorbellLocked(CpuRing& r) {
@@ -71,16 +62,9 @@ void SubmissionRings::BookOpsLocked(CpuRing& r, uint64_t ops) {
 
 void SubmissionRings::SyncEnter() {
   CpuRing& r = RingForThisThread();
-  std::vector<RingDeferredOp> batch;
-  {
-    std::lock_guard<std::mutex> lock(r.mu);
-    batch.swap(r.deferred);
-    MaybeDoorbellLocked(r);
-  }
-  if (!batch.empty()) {
-    deferred_flushes_->Inc();
-    DrainBatch(r, std::move(batch));
-  }
+  std::lock_guard<std::mutex> lock(r.mu);
+  MaybeDoorbellLocked(r);
+  DrainLocked(r, deferred_flushes_);
 }
 
 void SubmissionRings::SyncExit(uint64_t ops) {
@@ -89,13 +73,17 @@ void SubmissionRings::SyncExit(uint64_t ops) {
   BookOpsLocked(r, ops);
 }
 
-void SubmissionRings::DrainBatch(CpuRing& r, std::vector<RingDeferredOp>&& batch) {
+void SubmissionRings::DrainLocked(CpuRing& r, lt::telemetry::Counter* reason) {
+  if (r.deferred.empty()) {
+    return;
+  }
+  reason->Inc();
   RingDrainCache cache;
-  for (RingDeferredOp& op : batch) {
+  for (RingDeferredOp& op : r.deferred) {
     inst_->ExecuteDeferredAsync(op, &cache);
   }
-  std::lock_guard<std::mutex> lock(r.mu);
-  BookOpsLocked(r, batch.size());
+  BookOpsLocked(r, r.deferred.size());
+  r.deferred.clear();
 }
 
 StatusOr<MemopHandle> SubmissionRings::SubmitAsync(Lh lh, uint64_t offset, void* buf, uint64_t len,
@@ -126,64 +114,36 @@ StatusOr<MemopHandle> SubmissionRings::SubmitAsync(Lh lh, uint64_t offset, void*
   const MemopHandle h = op.handle;
 
   CpuRing& r = RingForThisThread();
-  std::vector<RingDeferredOp> batch;
-  bool overflow = false;
-  {
-    std::lock_guard<std::mutex> lock(r.mu);
-    r.deferred.push_back(std::move(op));
-    overflow = r.deferred.size() >= entries_;
-    const bool aged = NowNs() - r.deferred.front().enqueue_ns >= flush_ns_;
-    if (overflow || aged || r.deferred.size() >= batch_) {
-      batch.swap(r.deferred);
-      MaybeDoorbellLocked(r);
-    }
-  }
-  if (!batch.empty()) {
-    (overflow ? overflow_flushes_ : deferred_flushes_)->Inc();
-    DrainBatch(r, std::move(batch));
+  std::lock_guard<std::mutex> lock(r.mu);
+  r.deferred.push_back(std::move(op));
+  const bool overflow = r.deferred.size() >= kRingEntries;
+  const bool aged = NowNs() - r.deferred.front().enqueue_ns >= kRingFlushNs;
+  if (overflow || aged || r.deferred.size() >= batch_) {
+    MaybeDoorbellLocked(r);
+    DrainLocked(r, overflow ? overflow_flushes_ : deferred_flushes_);
   }
   return h;
 }
 
 void SubmissionRings::FlushHandle(MemopHandle h) {
-  for (auto& rp : rings_) {
-    CpuRing& r = *rp;
-    std::vector<RingDeferredOp> batch;
-    {
-      std::lock_guard<std::mutex> lock(r.mu);
-      bool found = false;
-      for (const RingDeferredOp& op : r.deferred) {
-        if (op.handle == h) {
-          found = true;
-          break;
-        }
-      }
-      if (!found) {
-        continue;
-      }
-      batch.swap(r.deferred);
+  for (CpuRing& r : rings_) {
+    std::lock_guard<std::mutex> lock(r.mu);
+    if (std::any_of(r.deferred.begin(), r.deferred.end(),
+                    [h](const RingDeferredOp& op) { return op.handle == h; })) {
       MaybeDoorbellLocked(r);
+      DrainLocked(r, deferred_flushes_);
+      return;
     }
-    deferred_flushes_->Inc();
-    DrainBatch(r, std::move(batch));
-    return;
   }
 }
 
 void SubmissionRings::FlushAll() {
-  for (auto& rp : rings_) {
-    CpuRing& r = *rp;
-    std::vector<RingDeferredOp> batch;
-    {
-      std::lock_guard<std::mutex> lock(r.mu);
-      if (r.deferred.empty()) {
-        continue;
-      }
-      batch.swap(r.deferred);
+  for (CpuRing& r : rings_) {
+    std::lock_guard<std::mutex> lock(r.mu);
+    if (!r.deferred.empty()) {
       MaybeDoorbellLocked(r);
+      DrainLocked(r, deferred_flushes_);
     }
-    deferred_flushes_->Inc();
-    DrainBatch(r, std::move(batch));
   }
 }
 
@@ -210,27 +170,27 @@ void SubmissionRings::AccountReap(uint64_t waited_ns) {
 
 uint64_t SubmissionRings::OpenEpochs() const {
   uint64_t n = 0;
-  for (const auto& rp : rings_) {
-    std::lock_guard<std::mutex> lock(rp->mu);
-    n += rp->epoch_open ? 1 : 0;
+  for (const CpuRing& r : rings_) {
+    std::lock_guard<std::mutex> lock(r.mu);
+    n += r.epoch_open ? 1 : 0;
   }
   return n;
 }
 
 uint64_t SubmissionRings::OpenEpochOps() const {
   uint64_t n = 0;
-  for (const auto& rp : rings_) {
-    std::lock_guard<std::mutex> lock(rp->mu);
-    n += rp->epoch_ops;
+  for (const CpuRing& r : rings_) {
+    std::lock_guard<std::mutex> lock(r.mu);
+    n += r.epoch_ops;
   }
   return n;
 }
 
 uint64_t SubmissionRings::DeferredPending() const {
   uint64_t n = 0;
-  for (const auto& rp : rings_) {
-    std::lock_guard<std::mutex> lock(rp->mu);
-    n += rp->deferred.size();
+  for (const CpuRing& r : rings_) {
+    std::lock_guard<std::mutex> lock(r.mu);
+    n += r.deferred.size();
   }
   return n;
 }

@@ -15,11 +15,13 @@
 // Async submissions (LT_read_async/LT_write_async) additionally defer: the
 // descriptor parks in the ring and the kernel half executes a whole batch
 // per drain — one lh map-check per distinct lh per batch, with the engine's
-// PR-4 RNIC doorbell batching coalescing the posts behind it. Flush
-// triggers: lite_ring_doorbell_batch entries, lite_ring_flush_ns age,
-// lite_ring_entries occupancy (overflow backpressure), any sync op on the
-// same ring (program-order fence), or any reap (LT_poll/LT_wait need the
-// handle registered).
+// RNIC doorbell batching coalescing the posts behind it. Flush triggers:
+// lite_ring_doorbell_batch entries, kRingFlushNs age, kRingEntries
+// occupancy (overflow backpressure), any sync op on the same ring
+// (program-order fence), or any reap (LT_poll/LT_wait need the handle
+// registered). A batch drains with its ring's lock held, so taking it and
+// registering its ops with the engine is one step for every other thread:
+// a flush that finds the ring empty knows every op it held is registered.
 //
 // Completions are published to a completion ring the user half reaps with
 // adaptive spin-then-sleep: a reap that returns within kAdaptiveSpinNs is
@@ -32,8 +34,8 @@
 #ifndef SRC_LITE_RING_H_
 #define SRC_LITE_RING_H_
 
+#include <array>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <vector>
 
@@ -49,6 +51,14 @@ using lt::Status;
 using lt::StatusOr;
 
 class LiteInstance;
+
+// Ring geometry: submission/completion ring pairs per instance (threads hash
+// onto them), slots per ring (a full ring drains inline: overflow
+// backpressure), and the oldest deferred submission's age at which the next
+// submit flushes the ring.
+inline constexpr uint32_t kRingCpus = 4;
+inline constexpr uint32_t kRingEntries = 256;
+inline constexpr uint64_t kRingFlushNs = 2'000;
 
 // One async memop parked in a submission ring awaiting its drain. The
 // completion handle is reserved at enqueue (the caller gets it back
@@ -91,7 +101,7 @@ class SubmissionRings {
   // Brackets one sync op: SyncEnter flushes this CPU's deferred async
   // submissions first (program order within a ring) and rings the doorbell
   // if the drainer has gone cold; SyncExit books the op into the open epoch
-  // and keeps the drainer hot. Use the RingGate RAII below.
+  // and keeps the drainer hot. LiteClient's boundary scope pairs them.
   void SyncEnter();
   void SyncExit(uint64_t ops = 1);
 
@@ -135,15 +145,14 @@ class SubmissionRings {
   // Doorbell decision at a boundary interaction; r.mu held. Charges one
   // batched crossing when the drainer is cold, closing the previous epoch.
   void MaybeDoorbellLocked(CpuRing& r);
-  // Executes a stolen batch (no ring lock held) and books its ops.
-  void DrainBatch(CpuRing& r, std::vector<RingDeferredOp>&& batch);
+  // Executes r's deferred batch in order and books its ops, counting the
+  // drain in `reason`; r.mu held throughout. No-op on an empty ring.
+  void DrainLocked(CpuRing& r, lt::telemetry::Counter* reason);
   void BookOpsLocked(CpuRing& r, uint64_t ops);
 
   LiteInstance* const inst_;
-  const uint64_t flush_ns_;
   const uint32_t batch_;
-  const uint32_t entries_;
-  std::vector<std::unique_ptr<CpuRing>> rings_;
+  std::array<CpuRing, kRingCpus> rings_;
 
   // lite.ring.* instruments (docs/TELEMETRY.md).
   lt::telemetry::Counter* ops_ = nullptr;
@@ -153,19 +162,6 @@ class SubmissionRings {
   lt::telemetry::Counter* spin_hits_ = nullptr;
   lt::telemetry::Counter* sleep_wakeups_ = nullptr;
   lt::telemetry::FixedHistogram* ops_per_crossing_ = nullptr;
-};
-
-// RAII bracket for one sync op submitted through the rings.
-class RingGate {
- public:
-  explicit RingGate(SubmissionRings* rings) : rings_(rings) { rings_->SyncEnter(); }
-  ~RingGate() { rings_->SyncExit(); }
-
-  RingGate(const RingGate&) = delete;
-  RingGate& operator=(const RingGate&) = delete;
-
- private:
-  SubmissionRings* const rings_;
 };
 
 }  // namespace lite

@@ -371,7 +371,7 @@ Status LiteInstance::RpcCall(NodeId server_node, RpcFuncId func, const void* in,
   const uint32_t max_retries = opts.max_retries == kUseParamRetries
                                    ? params().lite_rpc_max_retries
                                    : opts.max_retries;
-  uint64_t backoff_ns = params().lite_rpc_retry_backoff_ns;
+  uint64_t backoff_ns = kRetryBackoffNs;
   uint32_t seq = 0;  // Assigned by the first successful post; reused after.
   lt::telemetry::WqeLatBreakdown post_lat;
   Status last = Status::Timeout("no RPC reply before timeout");

@@ -62,6 +62,9 @@ constexpr uint64_t kMapCheckNs = 90;         // lh lookup + permission check + a
 constexpr uint64_t kRpcDispatchNs = 180;     // Poll-thread IMM decode + hand-off.
 constexpr uint64_t kMallocLocalNs = 1500;    // Local LMR allocation bookkeeping.
 constexpr uint64_t kQpReconnectNs = 25'000;  // modify_qp ERR->RESET->...->RTS.
+// Virtual backoff before the first retransmit of a one-sided piece or an
+// RPC; it doubles per attempt (DESIGN.md "Failure model & recovery").
+constexpr uint64_t kRetryBackoffNs = 200'000;
 
 // RPC function identifier. Application functions use ids 0..999; LITE
 // reserves 1000+ for its internal control functions.

@@ -92,7 +92,7 @@ Process* Node::CreateProcess() {
   return processes_.back().get();
 }
 
-Cluster::Cluster(size_t node_count, const SimParams& params) : params_(params), fabric_(params_) {
+Cluster::Cluster(size_t node_count, const SimParams& params) : params_(params) {
   nodes_.reserve(node_count);
   for (size_t i = 0; i < node_count; ++i) {
     nodes_.push_back(

@@ -202,8 +202,8 @@ Rnic::Rnic(NodeId node, const SimParams& params, PhysMem* mem, FabricPort* port,
       mem_(mem),
       port_(port),
       directory_(directory),
-      mpt_cache_(params.mpt_cache_entries),
-      mtt_cache_(params.mtt_cache_pages),
+      mpt_cache_(kMptCacheEntries),
+      mtt_cache_(kMttCachePages),
       qpc_cache_(kQpcCacheEntries) {
   directory_->Register(node, this);
 }
@@ -306,7 +306,7 @@ StatusOr<Rnic::Resolved> Rnic::ResolveOnNic(uint32_t key, uint64_t addr, uint64_
                                             uint32_t required_access) {
   Resolved out;
   if (!mpt_cache_.Touch(key)) {
-    out.cache_penalty_ns += params_.mpt_miss_ns;
+    out.cache_penalty_ns += kMptMissNs;
   }
   auto mr_or = LookupMr(key);
   if (!mr_or.ok()) {
@@ -330,7 +330,7 @@ StatusOr<Rnic::Resolved> Rnic::ResolveOnNic(uint32_t key, uint64_t addr, uint64_
   const size_t page = mr.page_table->page_size();
   for (uint64_t vpage = addr / page; vpage <= (addr + length - 1) / page; ++vpage) {
     if (!mtt_cache_.Touch(MttKey(key, vpage))) {
-      out.cache_penalty_ns += params_.mtt_miss_ns;
+      out.cache_penalty_ns += kMttMissNs;
     }
   }
   auto ranges = mr.page_table->TranslateRange(node_, addr, length);

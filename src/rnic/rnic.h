@@ -7,8 +7,8 @@
 // WRITE-WITH-IMM, two-sided SEND/RECV (RC and UD), and masked 64-bit atomics
 // (FETCH_ADD, CMP_SWAP).
 //
-// Performance model (cache geometry and miss costs from SimParams, engine
-// costs from the constants below):
+// Performance model (engine costs, MPT/MTT cache geometry and miss costs are
+// the constants below):
 //   * The issuing thread pays the doorbell cost (kRnicPostNs) synchronously.
 //   * Every opcode then runs one WQE pipeline (Rnic::Execute): resolve the
 //     local and remote buffers; book the local engine, the request transfer,
@@ -69,6 +69,13 @@ inline constexpr uint64_t kRnicCompletionNs = 120;   // CQE generation + host po
 inline constexpr uint64_t kRnicAckNs = 250;          // RC ACK turn-around at the responder.
 inline constexpr uint64_t kRnicAtomicExtraNs = 300;  // PCIe read-modify-write for atomics.
 inline constexpr uint64_t kQpcMissNs = 500;          // Fetch a QP context from host memory.
+// On-NIC SRAM, the scalability bottleneck the paper attacks: the MR-key
+// (MPT) cache holds ~128 entries (Fig. 4's latency cliff past ~100 MRs) and
+// the PTE (MTT) cache covers 1024 * 4 KB = 4 MB (Fig. 5's throughput cliff).
+inline constexpr size_t kMptCacheEntries = 128;      // MR protection-table entries cached.
+inline constexpr uint64_t kMptMissNs = 950;          // Fetch an MPT entry from host memory.
+inline constexpr size_t kMttCachePages = 1024;       // Cached PTEs.
+inline constexpr uint64_t kMttMissNs = 700;          // Fetch one PTE from host memory.
 // Doorbell batching: a hinted post that lands on the same QP within this gap
 // of the previous one rides its doorbell (WorkRequest::doorbell_hint) and
 // pays only kRnicPostWqeNs instead of the full kRnicPostNs.

@@ -1,14 +1,20 @@
-// SimParams: what a run of the simulated substrate may vary — pool and cache
-// sizes, the fabric's line rate, and LITE's policies (transport, rings,
-// timeouts, retries). The calibrated per-event costs nothing varies are
-// named constants beside their users instead: the RNIC's engine costs in
-// src/rnic/rnic.h, the wire hop in src/fabric/fabric.h, the OS crossings in
-// src/oss/os_kernel.h, MR registration in src/verbs/verbs.h, LITE's software
-// costs in src/lite/types.h, the TCP stack in src/tcpip/tcp_stack.h, and the
-// same-node copy below. Unit tests and paper figures run this one model.
+// SimParams: what a bench varies between runs of the simulated substrate —
+// the node memory pool, LITE's transport, QP sharing, chunk and RPC sizes,
+// timeouts and retries, liveness, and the rings' on/off switch and doorbell
+// batch. Every field here is set by some bench, benchmark workload or
+// example. Everything else the model needs is a named constant beside its
+// user: the fabric's line rate and wire hop in src/fabric/fabric.h, the
+// RNIC's engine costs and MPT/MTT cache geometry in src/rnic/rnic.h, the OS
+// crossings in src/oss/os_kernel.h, MR registration in src/verbs/verbs.h,
+// LITE's software costs and retry backoff in src/lite/types.h, the DC pool
+// in src/lite/dc_transport.h, the async window in src/lite/op_engine.h, the
+// ring geometry in src/lite/ring.h, the TCP stack in src/tcpip/tcp_stack.h,
+// and the same-node copy below. Unit tests and paper figures run this one
+// model.
 //
-// The defaults are calibrated so the microbenchmark *shapes and magnitudes*
-// match the paper's testbed (40 Gbps ConnectX-3, Xeon E5-2620, Linux 3.11):
+// The defaults and constants are calibrated so the microbenchmark *shapes
+// and magnitudes* match the paper's testbed (40 Gbps ConnectX-3, Xeon
+// E5-2620, Linux 3.11):
 //   - native Verbs 64 B write RTT ~= 1.3 us (paper Fig. 6)
 //   - RNIC MR-key (MPT) cache holds ~128 entries: latency cliff past ~100 MRs
 //     (paper Fig. 4)
@@ -45,14 +51,7 @@ struct SimParams {
   // ---- Memory / paging ----
   size_t node_phys_mem_bytes = 32ull << 20;  // Physical memory pool per node.
 
-  // ---- Fabric ----
-  double nic_line_rate_bytes_per_ns = 4.6; // ~40 Gbps minus framing overhead.
-
-  // ---- RNIC on-chip SRAM (the scalability bottleneck the paper attacks) ----
-  size_t mpt_cache_entries = 128;    // MR protection-table entries cached.
-  uint64_t mpt_miss_ns = 950;        // Fetch MPT entry from host memory.
-  size_t mtt_cache_pages = 1024;     // Cached PTEs: 1024 * 4 KB = 4 MB coverage.
-  uint64_t mtt_miss_ns = 700;        // Fetch one PTE from host memory.
+  // ---- RNIC ----
   // Responder-side QPC modeling: when on, the remote NIC also touches a QPC
   // entry per incoming request (keyed by the sender's QP), so an incast
   // server with many distinct RC peers thrashes its QPC cache while a DC
@@ -69,7 +68,6 @@ struct SimParams {
   uint64_t lite_rpc_timeout_ns = 2'000'000'000;  // RPC failure-detection timeout.
   // Failure recovery (see DESIGN.md "Failure model & recovery").
   uint32_t lite_rpc_max_retries = 3;        // Transparent retransmits per call.
-  uint64_t lite_rpc_retry_backoff_ns = 200'000;  // First retry backoff; doubles.
   // Liveness: keepalive cadence (real time; 0 disables the service) and the
   // manager-side lease (0 means 5x the keepalive interval).
   uint64_t lite_keepalive_interval_ns = 0;
@@ -79,14 +77,10 @@ struct SimParams {
   // kRc: the paper's shared RC pool — K dedicated QPs per connected peer,
   // eagerly wired at cluster setup (QP state grows O(n) per node).
   // kDc: a DC-style virtualized transport — a bounded node-wide pool of
-  // lite_dc_qp_pool initiator QPs that attach to any destination on demand,
-  // paying lite_dc_connect_ns when a QP re-targets a different peer
+  // lite::kDcQpPool initiator QPs that attach to any destination on demand,
+  // paying lite::kDcConnectNs when a QP re-targets a different peer
   // (amortized by per-destination affinity). QP state is O(pool), not O(n).
   LiteTransport lite_transport = LiteTransport::kRc;
-  int lite_dc_qp_pool = 32;            // DC initiator QPs per node (bounded).
-  uint64_t lite_dc_connect_ns = 900;   // DC re-target (attach) cost, host side.
-  // Async memop fast path (LT_read_async/LT_write_async).
-  size_t lite_async_window = 64;      // Per-instance in-flight memop cap.
   size_t lite_reply_slots = 256;      // Concurrent outstanding RPCs per node.
   size_t lite_reply_slot_bytes = 16384;  // Max RPC reply size per slot.
   // Per-CPU submission/completion rings (DESIGN.md §9). With rings on, a
@@ -97,13 +91,11 @@ struct SimParams {
   // drainer is considered hot for lite::kAdaptiveSpinNs after its last
   // activity (it adaptively spins that long before sleeping); deferred async
   // submissions flush at lite_ring_doorbell_batch entries, at
-  // lite_ring_flush_ns age, at lite_ring_entries occupancy (overflow
-  // backpressure), or when a sync op / reap needs them ordered-in.
+  // lite::kRingFlushNs age, at lite::kRingEntries occupancy (overflow
+  // backpressure), or when a sync op / reap needs them ordered-in. The ring
+  // count and geometry are constants in src/lite/ring.h.
   bool lite_ring_enable = false;       // Rings off: every path byte-identical.
-  uint32_t lite_ring_cpus = 4;         // Submission/completion ring pairs.
-  uint32_t lite_ring_entries = 256;    // Ring capacity (overflow backpressure).
   uint32_t lite_ring_doorbell_batch = 16;  // Deferred entries per flush.
-  uint64_t lite_ring_flush_ns = 2'000;     // Max deferred age before flush.
 };
 
 }  // namespace lt

@@ -6,14 +6,13 @@
 namespace lt {
 namespace {
 
-SimParams Params() {
-  SimParams p;
-  p.nic_line_rate_bytes_per_ns = 4.0;
-  return p;
+// Serialization time of `bytes` on one port at the line rate.
+uint64_t SerNs(uint64_t bytes) {
+  return static_cast<uint64_t>(static_cast<double>(bytes) / kNicLineRateBytesPerNs);
 }
 
 TEST(FabricTest, AttachAssignsPortsInOrder) {
-  Fabric fabric(Params());
+  Fabric fabric;
   FabricPort* p0 = fabric.Attach(0);
   FabricPort* p1 = fabric.Attach(1);
   EXPECT_EQ(p0->node(), 0u);
@@ -23,25 +22,25 @@ TEST(FabricTest, AttachAssignsPortsInOrder) {
 }
 
 TEST(FabricTest, TransferIncludesWireLatencyAndSerialization) {
-  Fabric fabric(Params());
+  Fabric fabric;
   fabric.Attach(0);
   fabric.Attach(1);
   uint64_t now = NowNs();
   uint64_t finish = fabric.TransferFinishNs(0, 1, 4000, now);
-  // 4000 bytes at 4 B/ns = 1000 ns serialization (x2 ports) + 300 wire.
-  EXPECT_GE(finish - now, 1000u + 300u);
-  EXPECT_LE(finish - now, 2500u);
+  // 4000 bytes of serialization on each of the two ports, plus the wire.
+  EXPECT_GE(finish - now, SerNs(4000) + kWireLatencyNs);
+  EXPECT_LE(finish - now, 2 * SerNs(4000) + kWireLatencyNs);
 }
 
 TEST(FabricTest, LoopbackIsFree) {
-  Fabric fabric(Params());
+  Fabric fabric;
   fabric.Attach(0);
   uint64_t now = NowNs();
   EXPECT_EQ(fabric.TransferFinishNs(0, 0, 1 << 20, now), now);
 }
 
 TEST(FabricTest, BackToBackTransfersQueueOnThePort) {
-  Fabric fabric(Params());
+  Fabric fabric;
   fabric.Attach(0);
   fabric.Attach(1);
   uint64_t now = NowNs();
@@ -51,7 +50,7 @@ TEST(FabricTest, BackToBackTransfersQueueOnThePort) {
 }
 
 TEST(FabricTest, DisjointPairsDoNotContend) {
-  Fabric fabric(Params());
+  Fabric fabric;
   for (NodeId i = 0; i < 4; ++i) {
     fabric.Attach(i);
   }
@@ -63,7 +62,7 @@ TEST(FabricTest, DisjointPairsDoNotContend) {
 }
 
 TEST(FabricTest, EarliestBoundsStart) {
-  Fabric fabric(Params());
+  Fabric fabric;
   fabric.Attach(0);
   fabric.Attach(1);
   uint64_t finish = fabric.TransferFinishNs(0, 1, 100, 1'000'000);
@@ -71,7 +70,7 @@ TEST(FabricTest, EarliestBoundsStart) {
 }
 
 TEST(FabricTest, DropInjection) {
-  Fabric fabric(Params());
+  Fabric fabric;
   fabric.Attach(0);
   fabric.Attach(1);
   LinkFaultRule drop_all;
@@ -83,7 +82,7 @@ TEST(FabricTest, DropInjection) {
 }
 
 TEST(FabricTest, ExtraDelayInjection) {
-  Fabric fabric(Params());
+  Fabric fabric;
   fabric.Attach(0);
   fabric.Attach(1);
   uint64_t now = NowNs();
@@ -97,7 +96,7 @@ TEST(FabricTest, ExtraDelayInjection) {
 
 TEST(FabricTest, BandwidthSharingHalvesThroughput) {
   // Two flows into one destination port share its line rate.
-  Fabric fabric(Params());
+  Fabric fabric;
   for (NodeId i = 0; i < 3; ++i) {
     fabric.Attach(i);
   }
@@ -110,28 +109,28 @@ TEST(FabricTest, BandwidthSharingHalvesThroughput) {
 }
 
 TEST(FabricPortTest, ReserveBackfillsIdleCapacity) {
-  Fabric fabric(Params());
+  Fabric fabric;
   FabricPort* port = fabric.Attach(0);
   uint64_t f1 = port->Reserve(1000, 400);
-  EXPECT_EQ(f1, 1000 + 100);  // 400 B at 4 B/ns.
+  EXPECT_EQ(f1, 1000 + SerNs(400));
   // An earlier-virtual-time reservation may backfill idle capacity instead
   // of queueing behind later traffic (windowed capacity accounting).
   uint64_t f2 = port->Reserve(0, 400);
-  EXPECT_GE(f2, 100u);
-  EXPECT_LE(f2, f1 + 100);
+  EXPECT_GE(f2, SerNs(400));
+  EXPECT_LE(f2, f1 + SerNs(400));
   EXPECT_EQ(port->bytes_transferred(), 800u);
 }
 
 TEST(FabricPortTest, SaturationQueuesIntoLaterWindows) {
-  Fabric fabric(Params());
+  Fabric fabric;
   FabricPort* port = fabric.Attach(0);
   // Demand far above one window's capacity at the same virtual time: finish
   // times must spread out at the port's service rate.
   uint64_t last = 0;
   for (int i = 0; i < 100; ++i) {
-    last = port->Reserve(0, 4000);  // 1 us of service each.
+    last = port->Reserve(0, 4000);
   }
-  EXPECT_GE(last, 100'000u * 95 / 100);  // ~100 us of total service.
+  EXPECT_GE(last, 100 * SerNs(4000) * 95 / 100);  // ~100 reservations of service.
 }
 
 }  // namespace

@@ -194,8 +194,7 @@ TEST(FaultsTest, ScheduledCrashWindowTriggersByVirtualTime) {
 }
 
 TEST(FaultsTest, FabricSurfacesDuplicateDecision) {
-  SimParams p;
-  Fabric fabric(p);
+  Fabric fabric;
   fabric.Attach(0);
   fabric.Attach(1);
   LinkFaultRule rule;

@@ -204,21 +204,20 @@ TEST_F(LiteAsyncTest, DropStormInsideOpenWindowRecovers) {
 }
 
 TEST(LiteAsyncWindowTest, WindowFullBackpressureRetiresOldest) {
-  lt::SimParams p;
-  p.lite_async_window = 4;
-  LiteCluster cluster(2, p);
+  LiteCluster cluster(2, lt::SimParams{});
   auto client = cluster.CreateClient(0, /*kernel_level=*/true);
   MallocOptions on1;
   on1.nodes = {1};
   auto lh = *client->Malloc(4096, "win", on1);
   uint64_t v = 0x77;
   std::vector<MemopHandle> handles;
-  for (int i = 0; i < 32; ++i) {
-    auto h = client->WriteAsync(lh, 8 * static_cast<uint64_t>(i % 64), &v, 8);
+  // Eight windows' worth of writes: the window fills and stays full.
+  for (size_t i = 0; i < 8 * kAsyncWindow; ++i) {
+    auto h = client->WriteAsync(lh, 8 * (i % 64), &v, 8);
     ASSERT_TRUE(h.ok());
     handles.push_back(*h);
     // The issuing thread retires the oldest op itself once the window fills.
-    EXPECT_LE(cluster.instance(0)->AsyncInFlight(), 4u);
+    EXPECT_LE(cluster.instance(0)->AsyncInFlight(), kAsyncWindow);
   }
   EXPECT_TRUE(client->WaitAll().ok());
   EXPECT_EQ(cluster.instance(0)->AsyncInFlight(), 0u);

@@ -817,68 +817,99 @@ TEST_F(MultiChunkEngineTest, AsyncMultiPieceSharesEngineWithBlockingPath) {
 enum class DroppedOp { kOnePiece, kThreePiece, kAsync };
 
 struct DropRun {
-  uint64_t latency_ns = 0;  // Virtual time of the op that took the drop.
-  int64_t retries = 0;      // lite.oneside.retries during that op.
-  int64_t posts = 0;        // rnic.ops_posted during that op.
+  uint64_t latency_ns = 0;  // Virtual time of the measured write.
+  int64_t retries = 0;      // lite.oneside.retries during that write.
+  int64_t posts = 0;        // rnic.ops_posted during that write.
 };
 
-// Runs one write that loses exactly one transfer, on a fresh calibrated
-// 2-node cluster, after an identical warm-up write.
-DropRun RunWithOneDrop(DroppedOp kind, uint64_t backoff_ns) {
-  lt::SimParams p;  // Calibrated: every stage charges its modelled cost.
-  p.lite_max_chunk_bytes = 4096;
-  p.lite_rpc_ring_bytes = 4096;  // RPC ring must fit in one chunk.
-  p.lite_rpc_retry_backoff_ns = backoff_ns;
-  LiteCluster cluster(2, p);
-  auto client = cluster.CreateClient(0, /*kernel_level=*/true);
-  MallocOptions on1;
-  on1.nodes = {1};
-  const uint64_t len = kind == DroppedOp::kThreePiece ? 3 * 4096 : 64;
-  auto lh = client->Malloc(len, "retry_schedule", on1);
-  if (!lh.ok()) {
-    ADD_FAILURE() << "malloc: " << lh.status();
-    return {};
-  }
-  const std::vector<uint8_t> data(len, 0x5a);
-  auto write = [&] {
-    if (kind != DroppedOp::kAsync) {
-      return client->Write(*lh, 0, data.data(), len);
-    }
-    auto h = client->WriteAsync(*lh, 0, data.data(), len);
-    return h.ok() ? client->Wait(*h) : h.status();
-  };
-  EXPECT_TRUE(write().ok());  // Warm-up: caches and QPs as in the measured op.
-
+// Runs one write on a fresh calibrated 2-node cluster, after an identical
+// warm-up write; with `drop`, the measured write loses exactly one transfer.
+// One QP per peer, so the re-post lands on the QP the drop errored whatever
+// the thread-id hash picks; and a fresh thread, whose virtual clock starts at
+// 0, so every run books the same absolute times (the same RateWindow windows)
+// whatever ran before it in this process.
+DropRun RunWrite(DroppedOp kind, bool drop) {
   DropRun run;
-  run.retries = -client->Stat("lite.oneside.retries");
-  run.posts = -client->Stat("rnic.ops_posted");
-  cluster.faults().DropNextTransfers(0, 1, 1);
-  const uint64_t t0 = lt::NowNs();
-  EXPECT_TRUE(write().ok());
-  run.latency_ns = lt::NowNs() - t0;
-  run.retries += client->Stat("lite.oneside.retries");
-  run.posts += client->Stat("rnic.ops_posted");
-  EXPECT_EQ(cluster.faults().drops(), 1u);
+  std::thread([&] {
+    lt::SimParams p;  // Calibrated: every stage charges its modelled cost.
+    p.lite_max_chunk_bytes = 4096;
+    p.lite_rpc_ring_bytes = 4096;  // RPC ring must fit in one chunk.
+    p.lite_qp_sharing_factor = 1;
+    LiteCluster cluster(2, p);
+    auto client = cluster.CreateClient(0, /*kernel_level=*/true);
+    MallocOptions on1;
+    on1.nodes = {1};
+    const uint64_t len = kind == DroppedOp::kThreePiece ? 3 * 4096 : 64;
+    auto lh = client->Malloc(len, "retry_schedule", on1);
+    if (!lh.ok()) {
+      ADD_FAILURE() << "malloc: " << lh.status();
+      return;
+    }
+    const std::vector<uint8_t> data(len, 0x5a);
+    auto write = [&] {
+      if (kind != DroppedOp::kAsync) {
+        return client->Write(*lh, 0, data.data(), len);
+      }
+      auto h = client->WriteAsync(*lh, 0, data.data(), len);
+      return h.ok() ? client->Wait(*h) : h.status();
+    };
+    EXPECT_TRUE(write().ok());  // Warm-up: caches and QPs as in the measured op.
+
+    run.retries = -client->Stat("lite.oneside.retries");
+    run.posts = -client->Stat("rnic.ops_posted");
+    if (drop) {
+      cluster.faults().DropNextTransfers(0, 1, 1);
+    }
+    const uint64_t t0 = lt::NowNs();
+    EXPECT_TRUE(write().ok());
+    run.latency_ns = lt::NowNs() - t0;
+    run.retries += client->Stat("lite.oneside.retries");
+    run.posts += client->Stat("rnic.ops_posted");
+    EXPECT_EQ(cluster.faults().drops(), drop ? 1u : 0u);
+  }).join();
   return run;
+}
+
+// What one dropped transfer adds to a write on the calibrated model, beyond
+// the kRetryBackoffNs it waits before its one re-post. A blocking write waits
+// out the error completion the RNIC books 31.25 ms (its receiver-not-ready
+// give-up over 64) after the failed post. The one-piece write then recovers
+// the errored QP (kQpReconnectNs) before the re-post, and has paid the failed
+// post and its error CQE poll (200 + 120 ns). The three-piece write recovers
+// the QP while posting its other pieces, inside that wait; how long its clean
+// run's pieces queue in RateWindow's 8 µs windows depends on where the run
+// starts, which is why every run starts on a fresh thread. An async write's
+// retirement takes the error completion its unsignaled WQE left without
+// waiting for it, so its detour is about the QP recovery alone.
+uint64_t DropDetourNs(DroppedOp kind) {
+  switch (kind) {
+    case DroppedOp::kOnePiece:
+      return 31'275'320;
+    case DroppedOp::kThreePiece:
+      return 31'249'092;
+    case DroppedOp::kAsync:
+      return 24'938;
+  }
+  return 0;
 }
 
 class RetryScheduleTest : public ::testing::TestWithParam<DroppedOp> {};
 
 TEST_P(RetryScheduleTest, OneDropCostsOneBackoffAndOneRepost) {
-  // The same drop under two backoff settings: everything but the backoff is
-  // identical between the runs, so the latency difference is the backoff
-  // the op paid — exactly one lite_rpc_retry_backoff_ns before its one
-  // re-post, whatever its piece count or issue mode.
-  constexpr uint64_t kShortBackoffNs = 200'000;
-  constexpr uint64_t kLongBackoffNs = 1'000'000;
-  const DropRun short_run = RunWithOneDrop(GetParam(), kShortBackoffNs);
-  const DropRun long_run = RunWithOneDrop(GetParam(), kLongBackoffNs);
+  // The same write with and without one dropped transfer: the latency
+  // difference is what the drop cost — one kRetryBackoffNs before its one
+  // re-post plus the calibrated detour, whatever its piece count or issue
+  // mode — and it is pinned exactly.
+  const DropRun clean = RunWrite(GetParam(), /*drop=*/false);
+  const DropRun dropped = RunWrite(GetParam(), /*drop=*/true);
   const int64_t pieces = GetParam() == DroppedOp::kThreePiece ? 3 : 1;
-  for (const DropRun& run : {short_run, long_run}) {
-    EXPECT_EQ(run.retries, 1);
-    EXPECT_EQ(run.posts, pieces + 1);
-  }
-  EXPECT_EQ(long_run.latency_ns - short_run.latency_ns, kLongBackoffNs - kShortBackoffNs);
+  EXPECT_EQ(clean.retries, 0);
+  // A clean async write is made observable by a zero-length signaled fence.
+  EXPECT_EQ(clean.posts, GetParam() == DroppedOp::kAsync ? pieces + 1 : pieces);
+  EXPECT_EQ(dropped.retries, 1);
+  EXPECT_EQ(dropped.posts, pieces + 1);
+  EXPECT_EQ(dropped.latency_ns - clean.latency_ns, kRetryBackoffNs + DropDetourNs(GetParam()))
+      << "clean " << clean.latency_ns << " ns, dropped " << dropped.latency_ns << " ns";
 }
 
 INSTANTIATE_TEST_SUITE_P(Ops, RetryScheduleTest,

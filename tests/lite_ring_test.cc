@@ -97,7 +97,7 @@ TEST(LiteRingTest, ColdGapClosesEpochAndPaysFreshDoorbell) {
     ASSERT_TRUE(client->Write(lh, 0, &v, 8).ok());
   }
   // Sit idle past the hot window: the kernel-half drainer goes to sleep.
-  lt::IdleFor(kAdaptiveSpinNs + p.lite_ring_flush_ns + 10'000);
+  lt::IdleFor(kAdaptiveSpinNs + kRingFlushNs + 10'000);
   ASSERT_TRUE(client->Write(lh, 0, &v, 8).ok());
   auto* inst = cluster.instance(0);
   EXPECT_EQ(inst->Stat("lite.ring.doorbells"), 2);
@@ -142,9 +142,10 @@ TEST(LiteRingTest, SteadyStateBlockingOpSavesExactlyOneCrossing) {
 // ------------------------------------------------- deferred async flushes
 
 TEST(LiteRingTest, AsyncBatchFlushesAtDoorbellThreshold) {
+  // A ring submit charges no virtual time, so the age trigger (kRingFlushNs)
+  // stays quiet: only the batch one fires.
   lt::SimParams p = RingParams(lt::SimParams{});
   p.lite_ring_doorbell_batch = 8;
-  p.lite_ring_flush_ns = ~0ull >> 1;  // Age trigger off: isolate the batch one.
   LiteCluster cluster(2, p);
   auto client = cluster.CreateClient(0);
   MallocOptions on1;
@@ -169,7 +170,6 @@ TEST(LiteRingTest, AsyncBatchFlushesAtDoorbellThreshold) {
 TEST(LiteRingTest, AgedSubmissionFlushesOnNextSubmit) {
   lt::SimParams p = RingParams(lt::SimParams{});
   p.lite_ring_doorbell_batch = 64;  // Batch trigger off: isolate the age one.
-  p.lite_ring_flush_ns = 1'000;
   LiteCluster cluster(2, p);
   auto client = cluster.CreateClient(0);
   MallocOptions on1;
@@ -178,7 +178,7 @@ TEST(LiteRingTest, AgedSubmissionFlushesOnNextSubmit) {
   uint64_t v = 7;
   ASSERT_TRUE(client->WriteAsync(lh, 0, &v, 8).ok());
   EXPECT_EQ(cluster.instance(0)->Stat("lite.ring.deferred_pending"), 1);
-  lt::SpinFor(2'000);  // Let the head entry exceed the flush deadline.
+  lt::SpinFor(kRingFlushNs + 1'000);  // Let the head entry exceed the flush deadline.
   ASSERT_TRUE(client->WriteAsync(lh, 8, &v, 8).ok());
   EXPECT_EQ(cluster.instance(0)->Stat("lite.ring.deferred_pending"), 0);
   ASSERT_TRUE(client->WaitAll().ok());
@@ -187,20 +187,18 @@ TEST(LiteRingTest, AgedSubmissionFlushesOnNextSubmit) {
 
 TEST(LiteRingTest, RingFullAppliesOverflowBackpressure) {
   lt::SimParams p = RingParams(lt::SimParams{});
-  p.lite_ring_entries = 4;
-  p.lite_ring_doorbell_batch = 64;        // > entries: overflow fires first.
-  p.lite_ring_flush_ns = ~0ull >> 1;
+  p.lite_ring_doorbell_batch = 2 * kRingEntries;  // > entries: overflow fires first.
   LiteCluster cluster(2, p);
   auto client = cluster.CreateClient(0);
   MallocOptions on1;
   on1.nodes = {1};
-  auto lh = *client->Malloc(4096, "ring_full", on1);
+  auto lh = *client->Malloc(8 * kRingEntries, "ring_full", on1);
   uint64_t v = 3;
-  for (int i = 0; i < 4; ++i) {
+  for (uint32_t i = 0; i < kRingEntries; ++i) {
     ASSERT_TRUE(client->WriteAsync(lh, 8 * static_cast<uint64_t>(i), &v, 8).ok());
   }
   auto* inst = cluster.instance(0);
-  // The fourth submit filled the ring; the producer drained it inline rather
+  // The last submit filled the ring; the producer drained it inline rather
   // than dropping or growing without bound.
   EXPECT_GE(inst->Stat("lite.ring.overflow_flushes"), 1);
   EXPECT_EQ(inst->Stat("lite.ring.deferred_pending"), 0);
@@ -209,35 +207,36 @@ TEST(LiteRingTest, RingFullAppliesOverflowBackpressure) {
 }
 
 TEST(LiteRingTest, SlotWrapUnderSustainedOverflowKeepsEveryOp) {
-  // Tiny ring, ten times as many ops: every slot is reused many times over
-  // and no submission may be lost or misordered per offset.
+  // Ten ring-fulls of ops with only the overflow trigger armed: every slot
+  // is reused many times over and no submission may be lost or misordered
+  // per offset.
+  constexpr size_t kOps = 10 * kRingEntries;
   lt::SimParams p = RingParams(lt::SimParams{});
-  p.lite_ring_entries = 4;
-  p.lite_ring_doorbell_batch = 64;
-  p.lite_ring_flush_ns = ~0ull >> 1;
+  p.lite_ring_doorbell_batch = 2 * kRingEntries;
   LiteCluster cluster(2, p);
   auto client = cluster.CreateClient(0);
   MallocOptions on1;
   on1.nodes = {1};
-  auto lh = *client->Malloc(8192, "ring_wrap", on1);
-  std::vector<uint64_t> vals(100);
-  for (int i = 0; i < 100; ++i) {
-    vals[i] = 0xffaa'0000ull + static_cast<uint64_t>(i);
-    ASSERT_TRUE(client->WriteAsync(lh, 8 * static_cast<uint64_t>(i), &vals[i], 8).ok());
+  auto lh = *client->Malloc(8 * kOps, "ring_wrap", on1);
+  std::vector<uint64_t> vals(kOps);
+  for (size_t i = 0; i < kOps; ++i) {
+    vals[i] = 0xffaa'0000ull + i;
+    ASSERT_TRUE(client->WriteAsync(lh, 8 * i, &vals[i], 8).ok());
   }
   ASSERT_TRUE(client->WaitAll().ok());
-  std::vector<uint64_t> back(100, 0);
-  ASSERT_TRUE(client->Read(lh, 0, back.data(), 800).ok());
+  std::vector<uint64_t> back(kOps, 0);
+  ASSERT_TRUE(client->Read(lh, 0, back.data(), 8 * kOps).ok());
   EXPECT_EQ(back, vals);
-  EXPECT_EQ(cluster.instance(0)->Stat("lite.ring.ops"), 101);  // 100 async + read.
+  EXPECT_EQ(cluster.instance(0)->Stat("lite.ring.overflow_flushes"), 10);
+  EXPECT_EQ(cluster.instance(0)->Stat("lite.ring.ops"),
+            static_cast<int64_t>(kOps) + 1);  // The async writes + the read.
   EXPECT_EQ(cluster.RunHealthCheck(), std::vector<std::string>{});
 }
 
 TEST(LiteRingTest, SyncOpOnSameRingFlushesPendingAsyncFirst) {
+  // One thread makes both calls, so both land on its ring.
   lt::SimParams p = RingParams(lt::SimParams{});
-  p.lite_ring_cpus = 1;  // Both calls land on the same ring regardless of hash.
   p.lite_ring_doorbell_batch = 64;
-  p.lite_ring_flush_ns = ~0ull >> 1;
   LiteCluster cluster(2, p);
   auto client = cluster.CreateClient(0);
   MallocOptions on1;
@@ -299,7 +298,6 @@ TEST(LiteRingTest, DrainTimeFailureResolvesHandleWithError) {
   // half must still retire the reserved handle (with the error), never hang.
   lt::SimParams p = RingParams(lt::SimParams{});
   p.lite_ring_doorbell_batch = 64;
-  p.lite_ring_flush_ns = ~0ull >> 1;
   LiteCluster cluster(2, p);
   auto client = cluster.CreateClient(0);
   MallocOptions on1;
@@ -339,7 +337,6 @@ INSTANTIATE_TEST_SUITE_P(Modes, LiteRingTransportTest,
 
 TEST_P(LiteRingTransportTest, ConcurrentSubmittersAndReapersStayCoherent) {
   lt::SimParams p = BaseParams();
-  p.lite_ring_cpus = 2;  // Fewer rings than threads: forced sharing.
   p.lite_ring_doorbell_batch = 4;
   LiteCluster cluster(2, p);
   MallocOptions on1;
@@ -347,7 +344,7 @@ TEST_P(LiteRingTransportTest, ConcurrentSubmittersAndReapersStayCoherent) {
   auto owner = cluster.CreateClient(0);
   auto lh = *owner->Malloc(64 << 10, "ring_mt", on1);
 
-  constexpr int kThreads = 4;
+  constexpr int kThreads = 2 * kRingCpus;  // More threads than rings: forced sharing.
   constexpr int kOpsPerThread = 64;
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
@@ -395,7 +392,7 @@ TEST_P(LiteRingTransportTest, MixedWorkloadSatisfiesCrossingConservation) {
     ASSERT_TRUE(client->Read(lh, 0, buf.data(), 512).ok());
     ASSERT_TRUE(client->FetchAdd(lh, 32 << 10, 1).ok());
     // Park long enough for the next round to need a fresh doorbell.
-    lt::IdleFor(kAdaptiveSpinNs + p.lite_ring_flush_ns + 10'000);
+    lt::IdleFor(kAdaptiveSpinNs + kRingFlushNs + 10'000);
   }
   auto* inst = cluster.instance(0);
   auto snap = inst->StatSnapshot();

@@ -405,12 +405,7 @@ TEST_F(RnicTest, MrCountTracksRegistrations) {
 class RnicCacheTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    SimParams p;
-    p.mpt_cache_entries = 4;
-    p.mpt_miss_ns = 1000;
-    p.mtt_cache_pages = 8;
-    p.mtt_miss_ns = 500;
-    cluster_ = std::make_unique<Cluster>(2, p);
+    cluster_ = std::make_unique<Cluster>(2, SimParams{});
     r0_ = &cluster_->node(0)->rnic();
     r1_ = &cluster_->node(1)->rnic();
   }
@@ -422,8 +417,9 @@ class RnicCacheTest : public ::testing::Test {
 TEST_F(RnicCacheTest, MptThrashingWithManyMrs) {
   // Register more MRs than the MPT cache holds and touch them round-robin:
   // every access misses.
+  constexpr size_t kMrs = 2 * kMptCacheEntries;
   std::vector<MrEntry> mrs;
-  for (int i = 0; i < 8; ++i) {
+  for (size_t i = 0; i < kMrs; ++i) {
     mrs.push_back(*r1_->RegisterMrPhysical(static_cast<PhysAddr>(i) * 4096, 4096, kMrAll));
   }
   Cq* scq = r0_->CreateCq();
@@ -446,8 +442,8 @@ TEST_F(RnicCacheTest, MptThrashingWithManyMrs) {
       ASSERT_TRUE(r0_->PostSend(qp0, wr).ok());
     }
   }
-  // 8 MRs round-robin through a 4-entry LRU: all 32 accesses miss.
-  EXPECT_GE(r1_->mpt_cache().misses() - misses_before, 32u);
+  // Twice the cache's MRs round-robin through its LRU: all accesses miss.
+  EXPECT_GE(r1_->mpt_cache().misses() - misses_before, 4 * kMrs);
 }
 
 TEST_F(RnicCacheTest, MptHitsWithFewMrs) {
@@ -495,9 +491,10 @@ TEST_F(RnicCacheTest, PhysicalMrBypassesMtt) {
 }
 
 TEST_F(RnicCacheTest, VirtualMrThrashesMttWhenWorkingSetExceedsCache) {
+  constexpr uint64_t kPages = 2 * kMttCachePages;  // Twice what the MTT caches.
   Process* proc = cluster_->node(1)->CreateProcess();
-  auto va = proc->page_table().AllocVirt(64 * 4096);  // 64 pages >> 8 cached.
-  auto mr = r1_->RegisterMrVirtual(&proc->page_table(), *va, 64 * 4096, kMrAll);
+  auto va = proc->page_table().AllocVirt(kPages * 4096);
+  auto mr = r1_->RegisterMrVirtual(&proc->page_table(), *va, kPages * 4096, kMrAll);
   ASSERT_TRUE(mr.ok());
   Cq* scq = r0_->CreateCq();
   Qp* qp0 = r0_->CreateQp(QpType::kRc, scq, r0_->CreateCq());
@@ -507,18 +504,18 @@ TEST_F(RnicCacheTest, VirtualMrThrashesMttWhenWorkingSetExceedsCache) {
   uint64_t misses_before = r1_->mtt_cache().misses();
   char buf[8];
   for (int round = 0; round < 2; ++round) {
-    for (int page = 0; page < 64; ++page) {
+    for (uint64_t page = 0; page < kPages; ++page) {
       WorkRequest wr;
       wr.opcode = WrOpcode::kWrite;
       wr.host_local = buf;
       wr.length = 8;
       wr.rkey = mr->lkey;
-      wr.remote_addr = *va + static_cast<uint64_t>(page) * 4096;
+      wr.remote_addr = *va + page * 4096;
       wr.signaled = false;
       ASSERT_TRUE(r0_->PostSend(qp0, wr).ok());
     }
   }
-  EXPECT_GE(r1_->mtt_cache().misses() - misses_before, 128u);
+  EXPECT_GE(r1_->mtt_cache().misses() - misses_before, 2 * kPages);
 }
 
 // ---- Latency/timing semantics ----

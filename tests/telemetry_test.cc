@@ -301,7 +301,7 @@ TEST(MptCacheIntegrationTest, MissCountersRisePast128Mrs) {
   auto run = [](size_t num_mrs, uint64_t* hits, uint64_t* misses) {
     lt::SimParams p;
     p.node_phys_mem_bytes = 64ull << 20;
-    ASSERT_GE(static_cast<size_t>(p.mpt_cache_entries), 128u);
+    ASSERT_GE(lt::kMptCacheEntries, 128u);
     lt::Cluster cluster(2, p);
     lt::Process* client = cluster.node(0)->CreateProcess();
     lt::Process* server = cluster.node(1)->CreateProcess();

@@ -185,11 +185,12 @@ TEST(TraceStitchTest, TracingOffPutsZeroOnWireAndCommitsNothing) {
 // one record per deferred write, spanning submit -> drain -> retire — not in
 // the read's timeline.
 TEST(TraceStitchTest, RingDrainedWritesKeepTheirOwnRecords) {
+  // One thread makes every call, so all land on its ring. No batch flush,
+  // and a ring submit charges no virtual time, so no age flush either: the
+  // writes stay parked until the read drains them.
   lt::SimParams p;
   p.lite_ring_enable = true;
-  p.lite_ring_cpus = 1;               // Every call lands on one ring.
-  p.lite_ring_doorbell_batch = 64;    // No batch or age flush: the writes stay
-  p.lite_ring_flush_ns = ~0ull >> 1;  // parked until the read drains them.
+  p.lite_ring_doorbell_batch = 64;
   LiteCluster cluster(2, p);
   auto client = cluster.CreateClient(0);
   MallocOptions on1;

@@ -1,7 +1,7 @@
 // Transport virtualization (DESIGN.md §10): the pluggable RC/DC layer behind
 // the op engine. Covers QpManager handle validation (bounds, holes, empty
 // pools), the DC bounded pool's attach/detach/steal state machine and
-// per-destination affinity, the lite_dc_connect_ns re-target charge,
+// per-destination affinity, the kDcConnectNs re-target charge,
 // RC-vs-DC functional parity on data ops, O(pool)-vs-O(peers) QP state, and
 // the transport-mode tag journaled by errored-QP recovery.
 #include <gtest/gtest.h>
@@ -104,46 +104,65 @@ TEST(QpManagerTest, StickySelectionRespectsSaltAndRotation) {
 
 // ------------------------------------------- DC pool: attach/steal/affinity
 
+// One connected node 0 with `peers` destinations: the connect vector
+// DcTransport::Setup takes.
+std::vector<bool> ConnectAll(size_t peers) {
+  std::vector<bool> connect(peers + 1, true);
+  connect[0] = false;
+  return connect;
+}
+
+// Leases and attaches destination `dst`, under the slot mutex as the op
+// engine does; returns the handle.
+TransportHandle LeaseAndAttach(DcTransport& dc, NodeId dst) {
+  TransportHandle h = dc.Lease(dst, Priority::kHigh);
+  std::lock_guard<std::mutex> lock(dc.Mu(h));
+  dc.Prepare(h);
+  return h;
+}
+
 TEST(DcTransportTest, BoundedPoolAttachesStealsAndKeepsAffinity) {
+  // One more peer than the pool holds: the last destination must steal.
+  constexpr size_t kPeers = kDcQpPool + 1;
   lt::SimParams p;
   p.lite_transport = lt::LiteTransport::kDc;
-  p.lite_dc_qp_pool = 2;
-  p.lite_dc_connect_ns = 700;
-  lt::Cluster cluster(4, p);
+  lt::Cluster cluster(kPeers + 1, p);
   QosManager qos(p);
   DcTransport dc(cluster.node(0), &qos);
-  dc.Setup({false, true, true, true}, cluster.node(0)->rnic().CreateCq());
-  // Bounded: 2 initiators + 1 target, regardless of peer count.
-  EXPECT_EQ(dc.TotalQps(), 3u);
+  dc.Setup(ConnectAll(kPeers), cluster.node(0)->rnic().CreateCq());
+  // Bounded: the pool's initiators + 1 target, regardless of peer count.
+  EXPECT_EQ(dc.TotalQps(), kDcQpPool + 1);
   EXPECT_NE(dc.TargetQpn(), 0u);
 
   // Self and out-of-range destinations never lease.
   EXPECT_FALSE(dc.Valid(dc.Lease(0, Priority::kHigh)));
-  EXPECT_FALSE(dc.Valid(TransportHandle{9, 0}));
-  EXPECT_FALSE(dc.Valid(TransportHandle{1, 2}));
+  EXPECT_FALSE(dc.Valid(TransportHandle{static_cast<NodeId>(kPeers + 1), 0}));
+  EXPECT_FALSE(dc.Valid(TransportHandle{1, static_cast<int32_t>(kDcQpPool)}));
   EXPECT_FALSE(dc.Valid(TransportHandle{1, -1}));
 
-  // First two destinations claim the two slots; attach happens in Prepare
-  // under the slot mutex and charges lite_dc_connect_ns of virtual time.
+  // The first destination claims a slot; the attach happens in Prepare under
+  // the slot mutex and charges kDcConnectNs of virtual time.
   TransportHandle h1 = dc.Lease(1, Priority::kHigh);
   ASSERT_TRUE(dc.Valid(h1));
   {
     std::lock_guard<std::mutex> lock(dc.Mu(h1));
     const uint64_t t0 = lt::NowNs();
     EXPECT_FALSE(dc.Prepare(h1));  // No error recovery, just an attach.
-    EXPECT_GE(lt::NowNs() - t0, p.lite_dc_connect_ns);
+    EXPECT_GE(lt::NowNs() - t0, kDcConnectNs);
   }
   EXPECT_EQ(dc.attaches(), 1u);
   EXPECT_EQ(dc.Qp(h1)->remote_node(), 1u);
 
-  TransportHandle h2 = dc.Lease(2, Priority::kHigh);
-  ASSERT_TRUE(dc.Valid(h2));
-  EXPECT_NE(h2.slot, h1.slot);
-  {
-    std::lock_guard<std::mutex> lock(dc.Mu(h2));
-    dc.Prepare(h2);
+  // The next destinations claim the rest of the pool, one slot each.
+  std::vector<bool> slot_used(kDcQpPool, false);
+  slot_used[h1.slot] = true;
+  for (NodeId dst = 2; dst <= kDcQpPool; ++dst) {
+    TransportHandle h = LeaseAndAttach(dc, dst);
+    ASSERT_TRUE(dc.Valid(h));
+    EXPECT_FALSE(slot_used[h.slot]) << "destination " << dst << " shares slot " << h.slot;
+    slot_used[h.slot] = true;
   }
-  EXPECT_EQ(dc.attaches(), 2u);
+  EXPECT_EQ(dc.attaches(), kDcQpPool);
   EXPECT_EQ(dc.steals(), 0u);
 
   // Affinity: a hot destination re-leases its slot and Prepare is free.
@@ -155,49 +174,48 @@ TEST(DcTransportTest, BoundedPoolAttachesStealsAndKeepsAffinity) {
     EXPECT_FALSE(dc.Prepare(h1b));
     EXPECT_EQ(lt::NowNs() - t0, 0u);  // Already attached: no re-target.
   }
-  EXPECT_EQ(dc.attaches(), 2u);
+  EXPECT_EQ(dc.attaches(), kDcQpPool);
 
-  // Third destination with a full pool: round-robin steal + re-target,
-  // which detaches the victim's peer.
-  TransportHandle h3 = dc.Lease(3, Priority::kHigh);
+  // One destination past a full pool: round-robin steal + re-target, which
+  // detaches the victim's peer.
+  const NodeId last = static_cast<NodeId>(kPeers);
+  TransportHandle h3 = dc.Lease(last, Priority::kHigh);
   ASSERT_TRUE(dc.Valid(h3));
   EXPECT_EQ(dc.steals(), 1u);
   {
     std::lock_guard<std::mutex> lock(dc.Mu(h3));
     dc.Prepare(h3);
   }
-  EXPECT_EQ(dc.attaches(), 3u);
+  EXPECT_EQ(dc.attaches(), kDcQpPool + 1);
   EXPECT_EQ(dc.detaches(), 1u);
-  EXPECT_EQ(dc.Qp(h3)->remote_node(), 3u);
+  EXPECT_EQ(dc.Qp(h3)->remote_node(), last);
 }
 
 TEST(DcTransportTest, PrepareRecoversAndRetargetsAStolenSlot) {
   // A handle leased before its slot was stolen AND errored must come back
   // usable from one Prepare: recovery runs (returns true) and the QP is
   // re-attached to the handle's destination, not the thief's.
+  constexpr size_t kPeers = kDcQpPool + 1;
   lt::SimParams p;
   p.lite_transport = lt::LiteTransport::kDc;
-  p.lite_dc_qp_pool = 1;  // Every second destination steals.
-  lt::Cluster cluster(3, p);
+  lt::Cluster cluster(kPeers + 1, p);
   QosManager qos(p);
   DcTransport dc(cluster.node(0), &qos);
-  dc.Setup({false, true, true}, cluster.node(0)->rnic().CreateCq());
+  dc.Setup(ConnectAll(kPeers), cluster.node(0)->rnic().CreateCq());
 
-  TransportHandle h1 = dc.Lease(1, Priority::kHigh);
-  {
-    std::lock_guard<std::mutex> lock(dc.Mu(h1));
-    dc.Prepare(h1);
-  }
+  TransportHandle h1 = LeaseAndAttach(dc, 1);
   ASSERT_EQ(dc.Qp(h1)->remote_node(), 1u);
-
-  // The only slot gets stolen for destination 2 and errors while away.
-  TransportHandle h2 = dc.Lease(2, Priority::kHigh);
-  EXPECT_EQ(h2.slot, h1.slot);
-  {
-    std::lock_guard<std::mutex> lock(dc.Mu(h2));
-    dc.Prepare(h2);
+  for (NodeId dst = 2; dst <= kDcQpPool; ++dst) {
+    LeaseAndAttach(dc, dst);
   }
-  ASSERT_EQ(dc.Qp(h1)->remote_node(), 2u);
+
+  // With the pool full, the first steal takes destination 1's slot for the
+  // last destination, and the QP errors while away.
+  const NodeId thief = static_cast<NodeId>(kPeers);
+  TransportHandle h2 = LeaseAndAttach(dc, thief);
+  EXPECT_EQ(dc.steals(), 1u);
+  EXPECT_EQ(h2.slot, h1.slot);
+  ASSERT_EQ(dc.Qp(h1)->remote_node(), thief);
   dc.Qp(h1)->SetError();
 
   const uint64_t attaches_before = dc.attaches();
@@ -258,22 +276,28 @@ TEST(TransportParityTest, DataOpsMatchAcrossModes) {
 
 TEST(TransportParityTest, DcHoldsQpStateAtPoolScale) {
   lt::SimParams rc_p;
-  lt::SimParams dc_p = DcParams(rc_p);
-  dc_p.lite_dc_qp_pool = 4;
-  const size_t n = 8;
-  LiteCluster rc(n, rc_p);
-  LiteCluster dc(n, dc_p);
-  uint64_t rc_bytes = 0;
-  uint64_t dc_bytes = 0;
-  for (size_t i = 0; i < n; ++i) {
-    rc_bytes += rc.instance(i)->transport().QpStateBytes();
-    dc_bytes += dc.instance(i)->transport().QpStateBytes();
-  }
+  const lt::SimParams dc_p = DcParams(rc_p);
+  // Enough nodes that RC's K QPs per peer outgrow twice DC's pool + DCT:
+  // (n - 1) * K > 2 * (kDcQpPool + 1).
+  const size_t n =
+      2 * (kDcQpPool + 1) / static_cast<size_t>(rc_p.lite_qp_sharing_factor) + 2;
+  // The two clusters are built one after the other, so their service threads
+  // never run side by side.
+  auto qp_state_bytes = [n](const lt::SimParams& p) {
+    LiteCluster cluster(n, p);
+    uint64_t bytes = 0;
+    for (size_t i = 0; i < n; ++i) {
+      bytes += cluster.instance(i)->transport().QpStateBytes();
+    }
+    return bytes;
+  };
+  const uint64_t rc_bytes = qp_state_bytes(rc_p);
+  const uint64_t dc_bytes = qp_state_bytes(dc_p);
   // RC: K QPs per peer pair, O(n^2) cluster-wide. DC: pool + DCT per node.
   EXPECT_EQ(rc_bytes, n * (n - 1) *
                           static_cast<uint64_t>(rc_p.lite_qp_sharing_factor) *
                           kQpStateBytes);
-  EXPECT_EQ(dc_bytes, n * (dc_p.lite_dc_qp_pool + 1) * kQpStateBytes);
+  EXPECT_EQ(dc_bytes, n * (kDcQpPool + 1) * kQpStateBytes);
   EXPECT_GT(rc_bytes, 2 * dc_bytes);
 }
 
