@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification: the SimParams knob check, full build + test suite,
-# the perf gate, the paper figures against their golden stdout, the examples,
-# the trace gate, the repo benchmark's smoke run, then the chaos soak, the
+# the perf gate, the paper figures against their golden stdout and the
+# paper's claims, the examples, the trace gate, the repo benchmark's smoke
+# run, then the chaos soak, the
 # atomics/RPC-bind races, the live-migration suite and the simulated RNIC
 # with its Verbs and baseline users under ThreadSanitizer (the
 # failure-recovery and migration-gate paths are the most thread-hostile code
@@ -70,7 +71,7 @@ run_bench bench_latency_breakdown
 run_bench fig14_scalability --scale-smoke --telemetry BENCH_transport_scale.json
 python3 scripts/check_bench.py
 
-stage "paper figures vs golden stdout"
+stage "paper figures vs golden stdout and the paper's claims"
 # The repeatable figure binaries must print exactly the committed stdout in
 # bench/golden/; bench_latency_breakdown's came from the stage above. A
 # mismatch prints the first differing lines of each figure that moved.
@@ -90,6 +91,9 @@ done
 if [[ ${golden_failed} -ne 0 ]]; then
   exit 1
 fi
+# The paper's qualitative claims for Figs 4, 5, 6 and 12, read from the same
+# tables (EXPERIMENTS.md's "Paper" bullets; see scripts/check_claims.py).
+python3 scripts/check_claims.py build/bench-out
 
 stage "examples"
 # Each example must run to completion (with the tests and fault_recovery,

@@ -4,6 +4,7 @@
 #include <thread>
 
 #include "src/apps/graph_detail.h"
+#include "src/apps/phase.h"
 #include "src/common/logging.h"
 #include "src/common/timing.h"
 #include "src/lite/wire.h"
@@ -383,45 +384,31 @@ PageRankResult LiteGraphDsmPageRank(lite::LiteCluster* cluster, const SyntheticG
   }
 
   const uint64_t t0 = NowNs();
-  std::vector<uint64_t> ends(num_nodes, 0);
-  std::vector<std::vector<double>> final_ranks(num_nodes);
-  std::vector<std::thread> threads;
-  for (uint32_t p = 0; p < num_nodes; ++p) {
-    threads.emplace_back([&, p] {
-      SyncClockTo(t0);
-      auto client = cluster->CreateClient(p);
-      std::vector<double> snapshot(graph.num_vertices);
-      std::vector<double> mine(parts.End(p) - parts.Begin(p));
-      const uint64_t my_off = static_cast<uint64_t>(parts.Begin(p)) * sizeof(double);
-      const uint32_t my_bytes = static_cast<uint32_t>(mine.size() * sizeof(double));
-      for (uint32_t it = 0; it < options.iterations; ++it) {
-        // Gather: plain DSM reads (page faults + one-sided fetches).
-        (void)dsms[p]->Read(0, snapshot.data(), static_cast<uint32_t>(rank_bytes));
-        SweepPartition(idx, parts, p, snapshot, &mine, options);
-        // Per-step barriers keep gather and scatter phases disjoint, as in
-        // LITE-Graph (paper Secs. 8.3-8.4).
-        (void)client->Barrier("grdsm" + std::to_string(job) + "_g" + std::to_string(it),
-                              num_nodes);
-        // Scatter: acquire/write/release of this partition's range.
-        (void)dsms[p]->Acquire(my_off, my_bytes);
-        (void)dsms[p]->Write(my_off, mine.data(), my_bytes);
-        (void)dsms[p]->Release(my_off, my_bytes);
-        (void)client->Barrier("grdsm" + std::to_string(job) + "_s" + std::to_string(it),
-                              num_nodes);
-      }
-      final_ranks[p] = mine;
-      ends[p] = NowNs();
-    });
-  }
-  for (auto& t : threads) {
-    t.join();
-  }
   result.ranks.resize(graph.num_vertices);
-  uint64_t end = t0;
-  for (uint32_t p = 0; p < num_nodes; ++p) {
-    std::copy(final_ranks[p].begin(), final_ranks[p].end(), result.ranks.begin() + parts.Begin(p));
-    end = std::max(end, ends[p]);
-  }
+  const uint64_t end = RunPhase(num_nodes, t0, [&](size_t node) {
+    const auto p = static_cast<uint32_t>(node);
+    auto client = cluster->CreateClient(p);
+    std::vector<double> snapshot(graph.num_vertices);
+    std::vector<double> mine(parts.End(p) - parts.Begin(p));
+    const uint64_t my_off = static_cast<uint64_t>(parts.Begin(p)) * sizeof(double);
+    const uint32_t my_bytes = static_cast<uint32_t>(mine.size() * sizeof(double));
+    for (uint32_t it = 0; it < options.iterations; ++it) {
+      // Gather: plain DSM reads (page faults + one-sided fetches).
+      (void)dsms[p]->Read(0, snapshot.data(), static_cast<uint32_t>(rank_bytes));
+      SweepPartition(idx, parts, p, snapshot, &mine, options);
+      // Per-step barriers keep gather and scatter phases disjoint, as in
+      // LITE-Graph (paper Secs. 8.3-8.4).
+      (void)client->Barrier("grdsm" + std::to_string(job) + "_g" + std::to_string(it),
+                            num_nodes);
+      // Scatter: acquire/write/release of this partition's range.
+      (void)dsms[p]->Acquire(my_off, my_bytes);
+      (void)dsms[p]->Write(my_off, mine.data(), my_bytes);
+      (void)dsms[p]->Release(my_off, my_bytes);
+      (void)client->Barrier("grdsm" + std::to_string(job) + "_s" + std::to_string(it),
+                            num_nodes);
+    }
+    std::copy(mine.begin(), mine.end(), result.ranks.begin() + parts.Begin(p));
+  });
   result.total_ns = end - t0;
   result.iterations = options.iterations;
   for (auto& dsm : dsms) {

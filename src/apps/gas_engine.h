@@ -31,11 +31,11 @@
 
 #include <atomic>
 #include <cmath>
-#include <thread>
 #include <type_traits>
 #include <vector>
 
 #include "src/apps/graph_detail.h"
+#include "src/apps/phase.h"
 #include "src/apps/workloads.h"
 #include "src/common/timing.h"
 #include "src/lite/lite_cluster.h"
@@ -100,95 +100,77 @@ GasResult<Program> RunGas(lite::LiteCluster* cluster, const SyntheticGraph& grap
   }
 
   const uint64_t t0 = lt::NowNs();
-  std::vector<uint64_t> ends(num_nodes, t0);
-  std::vector<std::vector<State>> final_states(num_nodes);
   std::atomic<uint32_t> iterations_run{0};
   std::atomic<bool> converged{false};
-  std::vector<std::thread> threads;
+  result.states.resize(graph.num_vertices);
+  const uint64_t end_time = RunPhase(num_nodes, t0, [&](size_t node) {
+    const auto p = static_cast<uint32_t>(node);
+    auto client = cluster->CreateClient(p);
+    std::vector<lite::Lh> state_lh(num_nodes);
+    for (uint32_t q = 0; q < num_nodes; ++q) {
+      state_lh[q] = *client->Map(name("state", q));
+    }
+    auto my_lock = *client->OpenLock(name("lock", p));
+    auto active_lh = *client->Map(name("active", 0));
 
-  for (uint32_t p = 0; p < num_nodes; ++p) {
-    threads.emplace_back([&, p] {
-      lt::SyncClockTo(t0);
-      auto client = cluster->CreateClient(p);
-      std::vector<lite::Lh> state_lh(num_nodes);
+    const uint32_t begin = parts.Begin(p);
+    const uint32_t end = parts.End(p);
+    std::vector<State> snapshot(graph.num_vertices);
+    std::vector<State> mine(end - begin);
+
+    for (uint32_t it = 0; it < options.max_iterations; ++it) {
+      // 1. Gather inputs: bulk one-sided reads.
       for (uint32_t q = 0; q < num_nodes; ++q) {
-        state_lh[q] = *client->Map(name("state", q));
+        uint64_t bytes =
+            static_cast<uint64_t>(parts.End(q) - parts.Begin(q)) * sizeof(State);
+        (void)client->Read(state_lh[q], 0, snapshot.data() + parts.Begin(q), bytes);
       }
-      auto my_lock = *client->OpenLock(name("lock", p));
-      auto active_lh = *client->Map(name("active", 0));
-
-      const uint32_t begin = parts.Begin(p);
-      const uint32_t end = parts.End(p);
-      std::vector<State> snapshot(graph.num_vertices);
-      std::vector<State> mine(end - begin);
-
-      for (uint32_t it = 0; it < options.max_iterations; ++it) {
-        // 1. Gather inputs: bulk one-sided reads.
-        for (uint32_t q = 0; q < num_nodes; ++q) {
-          uint64_t bytes =
-              static_cast<uint64_t>(parts.End(q) - parts.Begin(q)) * sizeof(State);
-          (void)client->Read(state_lh[q], 0, snapshot.data() + parts.Begin(q), bytes);
+      // 2. Apply the vertex program over owned vertices.
+      uint64_t edges = 0;
+      uint64_t active = 0;
+      for (uint32_t v = begin; v < end; ++v) {
+        auto gathered = program.GatherInit();
+        uint32_t lo = idx.in_offsets[p][v - begin];
+        uint32_t hi = idx.in_offsets[p][v - begin + 1];
+        edges += hi - lo;
+        for (uint32_t e = lo; e < hi; ++e) {
+          uint32_t u = idx.in_sources[p][e];
+          program.GatherEdge(&gathered, snapshot[u], idx.out_degree[u]);
         }
-        // 2. Apply the vertex program over owned vertices.
-        uint64_t edges = 0;
-        uint64_t active = 0;
-        for (uint32_t v = begin; v < end; ++v) {
-          auto gathered = program.GatherInit();
-          uint32_t lo = idx.in_offsets[p][v - begin];
-          uint32_t hi = idx.in_offsets[p][v - begin + 1];
-          edges += hi - lo;
-          for (uint32_t e = lo; e < hi; ++e) {
-            uint32_t u = idx.in_sources[p][e];
-            program.GatherEdge(&gathered, snapshot[u], idx.out_degree[u]);
-          }
-          State next = program.Apply(v, snapshot[v], gathered, graph.num_vertices);
-          if (program.Changed(snapshot[v], next)) {
-            ++active;
-          }
-          mine[v - begin] = next;
+        State next = program.Apply(v, snapshot[v], gathered, graph.num_vertices);
+        if (program.Changed(snapshot[v], next)) {
+          ++active;
         }
-        lt::SpinFor((edges * kEdgeWorkNs + static_cast<uint64_t>(end - begin) * kVertexWorkNs) /
-                    std::max(1, options.threads_per_node));
-        (void)client->Barrier(name("g", it), num_nodes);
-
-        // 3. Scatter + active-count aggregation.
-        (void)client->Lock(my_lock);
-        (void)client->Write(state_lh[p], 0, mine.data(), mine.size() * sizeof(State));
-        (void)client->Unlock(my_lock);
-        (void)client->FetchAdd(active_lh, 8ull * it, active);
-        (void)client->Barrier(name("s", it), num_nodes);
-
-        // 4. Convergence check: every participant reads this superstep's
-        // counter (complete once the scatter barrier passed) and takes the
-        // same branch.
-        uint64_t total_active = 0;
-        (void)client->Read(active_lh, 8ull * it, &total_active, 8);
-        if (p == 0) {
-          iterations_run.store(it + 1);
-        }
-        if (total_active == 0) {
-          converged.store(true);
-          break;
-        }
+        mine[v - begin] = next;
       }
-      final_states[p] = mine;
-      ends[p] = lt::NowNs();
-    });
-  }
-  for (auto& t : threads) {
-    t.join();
-  }
-  uint64_t end_time = t0;
-  for (uint64_t e : ends) {
-    end_time = std::max(end_time, e);
-  }
+      lt::SpinFor((edges * kEdgeWorkNs + static_cast<uint64_t>(end - begin) * kVertexWorkNs) /
+                  std::max(1, options.threads_per_node));
+      (void)client->Barrier(name("g", it), num_nodes);
+
+      // 3. Scatter + active-count aggregation.
+      (void)client->Lock(my_lock);
+      (void)client->Write(state_lh[p], 0, mine.data(), mine.size() * sizeof(State));
+      (void)client->Unlock(my_lock);
+      (void)client->FetchAdd(active_lh, 8ull * it, active);
+      (void)client->Barrier(name("s", it), num_nodes);
+
+      // 4. Convergence check: every participant reads this superstep's
+      // counter (complete once the scatter barrier passed) and takes the
+      // same branch.
+      uint64_t total_active = 0;
+      (void)client->Read(active_lh, 8ull * it, &total_active, 8);
+      if (p == 0) {
+        iterations_run.store(it + 1);
+      }
+      if (total_active == 0) {
+        converged.store(true);
+        break;
+      }
+    }
+    std::copy(mine.begin(), mine.end(), result.states.begin() + begin);
+  });
   lt::SyncClockTo(end_time);
 
-  result.states.resize(graph.num_vertices);
-  for (uint32_t p = 0; p < num_nodes; ++p) {
-    std::copy(final_states[p].begin(), final_states[p].end(),
-              result.states.begin() + parts.Begin(p));
-  }
   result.iterations = iterations_run.load();
   result.total_ns = end_time - t0;
   result.converged = converged.load();

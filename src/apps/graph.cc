@@ -6,8 +6,8 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
-#include <thread>
 
+#include "src/apps/phase.h"
 #include "src/common/timing.h"
 #include "src/tcpip/tcp_stack.h"
 
@@ -16,7 +16,6 @@ namespace {
 
 using lt::NowNs;
 using lt::SpinFor;
-using lt::SyncClockTo;
 
 // PowerGraph-like engines ship fine-grained mirror updates: vertices per
 // TCP message. Small batches => many full socket-stack traversals per step,
@@ -140,50 +139,36 @@ PageRankResult LiteGraphPageRank(lite::LiteCluster* cluster, const SyntheticGrap
   }
 
   const uint64_t t0 = NowNs();
-  std::vector<std::thread> threads;
-  std::vector<std::vector<double>> final_ranks(num_nodes);
-  std::vector<uint64_t> ends(num_nodes, 0);
-  for (uint32_t p = 0; p < num_nodes; ++p) {
-    threads.emplace_back([&, p] {
-      SyncClockTo(t0);
-      auto client = cluster->CreateClient(p);
-      std::vector<lite::Lh> rank_lh(num_nodes);
-      std::vector<lite::LockId> locks(num_nodes);
-      for (uint32_t q = 0; q < num_nodes; ++q) {
-        rank_lh[q] = *client->Map(name(q));
-        locks[q] = *client->OpenLock(name(q) + "_lock");
-      }
-      std::vector<double> snapshot(graph.num_vertices);
-      std::vector<double> mine(parts.End(p) - parts.Begin(p));
-      for (uint32_t it = 0; it < options.iterations; ++it) {
-        // Gather inputs: bulk one-sided read of every partition's ranks.
-        for (uint32_t q = 0; q < num_nodes; ++q) {
-          uint64_t bytes = static_cast<uint64_t>(parts.End(q) - parts.Begin(q)) * sizeof(double);
-          (void)client->Read(rank_lh[q], 0, snapshot.data() + parts.Begin(q), bytes);
-        }
-        SweepPartition(idx, parts, p, snapshot, &mine, options);
-        // Barrier after each GAS step (paper Sec. 8.3): no one scatters
-        // until everyone has gathered+applied this iteration's inputs.
-        (void)client->Barrier("gr" + std::to_string(job) + "_g" + std::to_string(it), num_nodes);
-        // Scatter: lock-protected update of the global data.
-        (void)client->Lock(locks[p]);
-        (void)client->Write(rank_lh[p], 0, mine.data(), mine.size() * sizeof(double));
-        (void)client->Unlock(locks[p]);
-        (void)client->Barrier("gr" + std::to_string(job) + "_s" + std::to_string(it), num_nodes);
-      }
-      final_ranks[p] = mine;
-      ends[p] = NowNs();
-    });
-  }
-  for (auto& t : threads) {
-    t.join();
-  }
   result.ranks.resize(graph.num_vertices);
-  uint64_t end = t0;
-  for (uint32_t p = 0; p < num_nodes; ++p) {
-    std::copy(final_ranks[p].begin(), final_ranks[p].end(), result.ranks.begin() + parts.Begin(p));
-    end = std::max(end, ends[p]);
-  }
+  const uint64_t end = RunPhase(num_nodes, t0, [&](size_t node) {
+    const auto p = static_cast<uint32_t>(node);
+    auto client = cluster->CreateClient(p);
+    std::vector<lite::Lh> rank_lh(num_nodes);
+    std::vector<lite::LockId> locks(num_nodes);
+    for (uint32_t q = 0; q < num_nodes; ++q) {
+      rank_lh[q] = *client->Map(name(q));
+      locks[q] = *client->OpenLock(name(q) + "_lock");
+    }
+    std::vector<double> snapshot(graph.num_vertices);
+    std::vector<double> mine(parts.End(p) - parts.Begin(p));
+    for (uint32_t it = 0; it < options.iterations; ++it) {
+      // Gather inputs: bulk one-sided read of every partition's ranks.
+      for (uint32_t q = 0; q < num_nodes; ++q) {
+        uint64_t bytes = static_cast<uint64_t>(parts.End(q) - parts.Begin(q)) * sizeof(double);
+        (void)client->Read(rank_lh[q], 0, snapshot.data() + parts.Begin(q), bytes);
+      }
+      SweepPartition(idx, parts, p, snapshot, &mine, options);
+      // Barrier after each GAS step (paper Sec. 8.3): no one scatters
+      // until everyone has gathered+applied this iteration's inputs.
+      (void)client->Barrier("gr" + std::to_string(job) + "_g" + std::to_string(it), num_nodes);
+      // Scatter: lock-protected update of the global data.
+      (void)client->Lock(locks[p]);
+      (void)client->Write(rank_lh[p], 0, mine.data(), mine.size() * sizeof(double));
+      (void)client->Unlock(locks[p]);
+      (void)client->Barrier("gr" + std::to_string(job) + "_s" + std::to_string(it), num_nodes);
+    }
+    std::copy(mine.begin(), mine.end(), result.ranks.begin() + parts.Begin(p));
+  });
   lt::SyncClockTo(end);  // Keep the caller's clock ahead of this run.
   result.total_ns = end - t0;
   result.iterations = options.iterations;
@@ -226,55 +211,41 @@ PageRankResult PowerGraphPageRank(lt::Cluster* cluster, const SyntheticGraph& gr
   TcpMesh mesh(cluster, num_nodes);
 
   const uint64_t t0 = NowNs();
-  std::vector<uint64_t> ends(num_nodes, 0);
-  std::vector<std::vector<double>> final_ranks(num_nodes);
-  std::vector<std::thread> threads;
-  for (uint32_t p = 0; p < num_nodes; ++p) {
-    threads.emplace_back([&, p] {
-      SyncClockTo(t0);
-      std::vector<double> snapshot(graph.num_vertices, 1.0 / graph.num_vertices);
-      std::vector<double> mine(parts.End(p) - parts.Begin(p));
-      const uint32_t my_count = parts.End(p) - parts.Begin(p);
-      for (uint32_t it = 0; it < options.iterations; ++it) {
-        SweepPartition(idx, parts, p, snapshot, &mine, options);
-        std::copy(mine.begin(), mine.end(), snapshot.begin() + parts.Begin(p));
-        // Mirror updates: fine-grained batches over TCP to every peer (each
-        // batch pays a full stack traversal).
-        for (uint32_t q = 0; q < num_nodes; ++q) {
-          if (q == p) {
-            continue;
-          }
-          for (uint32_t off = 0; off < my_count; off += kPowerGraphBatch) {
-            uint32_t n = std::min(kPowerGraphBatch, my_count - off);
-            (void)mesh.conn[p][q]->Send(mine.data() + off, n * sizeof(double));
-          }
+  result.ranks.resize(graph.num_vertices);
+  const uint64_t end = RunPhase(num_nodes, t0, [&](size_t node) {
+    const auto p = static_cast<uint32_t>(node);
+    std::vector<double> snapshot(graph.num_vertices, 1.0 / graph.num_vertices);
+    std::vector<double> mine(parts.End(p) - parts.Begin(p));
+    const uint32_t my_count = parts.End(p) - parts.Begin(p);
+    for (uint32_t it = 0; it < options.iterations; ++it) {
+      SweepPartition(idx, parts, p, snapshot, &mine, options);
+      std::copy(mine.begin(), mine.end(), snapshot.begin() + parts.Begin(p));
+      // Mirror updates: fine-grained batches over TCP to every peer (each
+      // batch pays a full stack traversal).
+      for (uint32_t q = 0; q < num_nodes; ++q) {
+        if (q == p) {
+          continue;
         }
-        // Receive every peer's updates.
-        for (uint32_t q = 0; q < num_nodes; ++q) {
-          if (q == p) {
-            continue;
-          }
-          uint32_t q_count = parts.End(q) - parts.Begin(q);
-          for (uint32_t off = 0; off < q_count; off += kPowerGraphBatch) {
-            uint32_t n = std::min(kPowerGraphBatch, q_count - off);
-            (void)mesh.conn[p][q]->RecvExact(snapshot.data() + parts.Begin(q) + off,
-                                             n * sizeof(double));
-          }
+        for (uint32_t off = 0; off < my_count; off += kPowerGraphBatch) {
+          uint32_t n = std::min(kPowerGraphBatch, my_count - off);
+          (void)mesh.conn[p][q]->Send(mine.data() + off, n * sizeof(double));
         }
       }
-      final_ranks[p] = mine;
-      ends[p] = NowNs();
-    });
-  }
-  for (auto& t : threads) {
-    t.join();
-  }
-  result.ranks.resize(graph.num_vertices);
-  uint64_t end = t0;
-  for (uint32_t p = 0; p < num_nodes; ++p) {
-    std::copy(final_ranks[p].begin(), final_ranks[p].end(), result.ranks.begin() + parts.Begin(p));
-    end = std::max(end, ends[p]);
-  }
+      // Receive every peer's updates.
+      for (uint32_t q = 0; q < num_nodes; ++q) {
+        if (q == p) {
+          continue;
+        }
+        uint32_t q_count = parts.End(q) - parts.Begin(q);
+        for (uint32_t off = 0; off < q_count; off += kPowerGraphBatch) {
+          uint32_t n = std::min(kPowerGraphBatch, q_count - off);
+          (void)mesh.conn[p][q]->RecvExact(snapshot.data() + parts.Begin(q) + off,
+                                           n * sizeof(double));
+        }
+      }
+    }
+    std::copy(mine.begin(), mine.end(), result.ranks.begin() + parts.Begin(p));
+  });
   lt::SyncClockTo(end);  // Keep the caller's clock ahead of this run.
   result.total_ns = end - t0;
   result.iterations = options.iterations;
@@ -289,51 +260,37 @@ PageRankResult GrappaPageRank(lt::Cluster* cluster, const SyntheticGraph& graph,
   TcpMesh mesh(cluster, num_nodes);
 
   const uint64_t t0 = NowNs();
-  std::vector<uint64_t> ends(num_nodes, 0);
-  std::vector<std::vector<double>> final_ranks(num_nodes);
-  std::vector<std::thread> threads;
-  for (uint32_t p = 0; p < num_nodes; ++p) {
-    threads.emplace_back([&, p] {
-      SyncClockTo(t0);
-      std::vector<double> snapshot(graph.num_vertices, 1.0 / graph.num_vertices);
-      std::vector<double> mine(parts.End(p) - parts.Begin(p));
-      const uint32_t my_count = parts.End(p) - parts.Begin(p);
-      for (uint32_t it = 0; it < options.iterations; ++it) {
-        SweepPartition(idx, parts, p, snapshot, &mine, options);
-        std::copy(mine.begin(), mine.end(), snapshot.begin() + parts.Begin(p));
-        // Grappa aggregates all delegated updates to a peer into ONE large
-        // message per step (its core optimization)...
-        for (uint32_t q = 0; q < num_nodes; ++q) {
-          if (q == p) {
-            continue;
-          }
-          (void)mesh.conn[p][q]->StreamSend(mine.data(), my_count * sizeof(double));
-        }
-        for (uint32_t q = 0; q < num_nodes; ++q) {
-          if (q == p) {
-            continue;
-          }
-          uint32_t q_count = parts.End(q) - parts.Begin(q);
-          (void)mesh.conn[p][q]->RecvExact(snapshot.data() + parts.Begin(q),
-                                           q_count * sizeof(double));
-          // ...but pays a per-delegated-operation cost applying them.
-          SpinFor(static_cast<uint64_t>(q_count) * kGrappaDelegateNs /
-                  std::max(1, options.threads_per_node));
-        }
-      }
-      final_ranks[p] = mine;
-      ends[p] = NowNs();
-    });
-  }
-  for (auto& t : threads) {
-    t.join();
-  }
   result.ranks.resize(graph.num_vertices);
-  uint64_t end = t0;
-  for (uint32_t p = 0; p < num_nodes; ++p) {
-    std::copy(final_ranks[p].begin(), final_ranks[p].end(), result.ranks.begin() + parts.Begin(p));
-    end = std::max(end, ends[p]);
-  }
+  const uint64_t end = RunPhase(num_nodes, t0, [&](size_t node) {
+    const auto p = static_cast<uint32_t>(node);
+    std::vector<double> snapshot(graph.num_vertices, 1.0 / graph.num_vertices);
+    std::vector<double> mine(parts.End(p) - parts.Begin(p));
+    const uint32_t my_count = parts.End(p) - parts.Begin(p);
+    for (uint32_t it = 0; it < options.iterations; ++it) {
+      SweepPartition(idx, parts, p, snapshot, &mine, options);
+      std::copy(mine.begin(), mine.end(), snapshot.begin() + parts.Begin(p));
+      // Grappa aggregates all delegated updates to a peer into ONE large
+      // message per step (its core optimization)...
+      for (uint32_t q = 0; q < num_nodes; ++q) {
+        if (q == p) {
+          continue;
+        }
+        (void)mesh.conn[p][q]->StreamSend(mine.data(), my_count * sizeof(double));
+      }
+      for (uint32_t q = 0; q < num_nodes; ++q) {
+        if (q == p) {
+          continue;
+        }
+        uint32_t q_count = parts.End(q) - parts.Begin(q);
+        (void)mesh.conn[p][q]->RecvExact(snapshot.data() + parts.Begin(q),
+                                         q_count * sizeof(double));
+        // ...but pays a per-delegated-operation cost applying them.
+        SpinFor(static_cast<uint64_t>(q_count) * kGrappaDelegateNs /
+                std::max(1, options.threads_per_node));
+      }
+    }
+    std::copy(mine.begin(), mine.end(), result.ranks.begin() + parts.Begin(p));
+  });
   lt::SyncClockTo(end);  // Keep the caller's clock ahead of this run.
   result.total_ns = end - t0;
   result.iterations = options.iterations;

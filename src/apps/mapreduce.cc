@@ -7,6 +7,7 @@
 #include <cstring>
 #include <thread>
 
+#include "src/apps/phase.h"
 #include "src/common/timing.h"
 #include "src/tcpip/tcp_stack.h"
 
@@ -22,29 +23,6 @@ std::atomic<uint32_t> g_job_counter{0};
 
 std::string JobName(uint32_t job, const std::string& what) {
   return "mr" + std::to_string(job) + "_" + what;
-}
-
-// Runs `fn(i)` on `n` threads whose virtual clocks start at `start_vtime`;
-// returns the max end vtime across threads.
-uint64_t RunPhase(size_t n, uint64_t start_vtime, const std::function<void(size_t)>& fn) {
-  std::vector<uint64_t> ends(n, 0);
-  std::vector<std::thread> threads;
-  threads.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    threads.emplace_back([&, i] {
-      SyncClockTo(start_vtime);
-      fn(i);
-      ends[i] = NowNs();
-    });
-  }
-  for (auto& t : threads) {
-    t.join();
-  }
-  uint64_t end = start_vtime;
-  for (uint64_t e : ends) {
-    end = std::max(end, e);
-  }
-  return end;
 }
 
 lt::Status SendFramed(lt::TcpConn* conn, const void* data, uint32_t len) {

@@ -336,12 +336,6 @@ uint64_t FaultEngine::OnTransfer(NodeId src, NodeId dst, uint64_t vtime_ns, Tran
       return kDropTransfer;
     }
     rule = link->has_override ? link->rule : link->default_copy;
-    if (rule.partitioned) {
-      partition_drops_.fetch_add(1, std::memory_order_relaxed);
-      NoteDrop(src);
-      JournalDrop(src, dst, vtime_ns, telemetry::DropCause::kPartition);
-      return kDropTransfer;
-    }
     if (rule.drop_p > 0.0 && link->rng.NextDouble() < rule.drop_p) {
       drop = true;
     }

@@ -37,10 +37,9 @@ struct LinkFaultRule {
   uint64_t extra_delay_ns = 0;  // fixed extra one-way delay
   uint64_t jitter_ns = 0;       // uniform random delay in [0, jitter_ns)
                                 //   (reorders messages racing on a link)
-  bool partitioned = false;     // hard cut: every transfer dropped
 
   bool Active() const {
-    return drop_p > 0.0 || dup_p > 0.0 || extra_delay_ns != 0 || jitter_ns != 0 || partitioned;
+    return drop_p > 0.0 || dup_p > 0.0 || extra_delay_ns != 0 || jitter_ns != 0;
   }
 };
 

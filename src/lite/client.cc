@@ -127,21 +127,6 @@ Status LiteClient::Wait(MemopHandle h) {
   return instance_->Wait(h);
 }
 
-Status LiteClient::WaitAll() {
-  if (UseRings()) {
-    SubmissionRings* rings = instance_->rings();
-    rings->FlushAll();
-    const uint64_t wait_t0 = lt::NowNs();
-    Status s = instance_->WaitAll();
-    rings->AccountReap(lt::NowNs() - wait_t0);
-    return s;
-  }
-  if (naive_syscalls_ || !instance_->AsyncAllReady()) {
-    EnterKernel();
-  }
-  return instance_->WaitAll();
-}
-
 Status LiteClient::WaitAll(std::vector<std::pair<MemopHandle, Status>>* results) {
   if (UseRings()) {
     SubmissionRings* rings = instance_->rings();

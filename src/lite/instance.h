@@ -144,12 +144,11 @@ class LiteInstance {
   // consumes the handle.
   Status Wait(MemopHandle h) { return engine_.Wait(h); }
   // LT_wait_all: retires every outstanding async op of this instance
-  // (consuming their handles) and returns the first error, if any.
-  Status WaitAll() { return engine_.WaitAll(); }
-  // Per-handle LT_wait_all: same retirement, but every retired handle's
-  // final status is appended to `results` — errors past the first are not
-  // swallowed (a dead home fails each affected op with the same shape).
-  Status WaitAll(std::vector<std::pair<MemopHandle, Status>>* results) {
+  // (consuming their handles) and returns the first error, if any. When
+  // `results` is given, every retired handle's final status is appended to
+  // it — errors past the first are not swallowed (a dead home fails each
+  // affected op with the same shape).
+  Status WaitAll(std::vector<std::pair<MemopHandle, Status>>* results = nullptr) {
     return engine_.WaitAll(results);
   }
   // Outstanding (not yet retired) async ops.

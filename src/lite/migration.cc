@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <thread>
 
 #include "src/common/logging.h"
 #include "src/common/timing.h"
@@ -99,6 +100,22 @@ void MigrationState::AddDirtyLocked(MigrationRecord* rec, PhysAddr addr, uint64_
   }
 }
 
+Status MigrationState::Open(PhysAddr addr, uint64_t len, bool is_write, NodeId requester,
+                            AccessGate* gate) {
+  gate->is_write = is_write;
+  if (is_write) {
+    untracked_writes_.fetch_add(1);
+  }
+  if (armed_.load() == 0) {
+    return Status::Ok();
+  }
+  Status s = OpenAccess(addr, len, is_write, requester, gate);
+  if (is_write && (gate->rec != nullptr || !s.ok())) {
+    untracked_writes_.fetch_sub(1);  // A token tracks it, or it never runs.
+  }
+  return s;
+}
+
 Status MigrationState::OpenAccess(PhysAddr addr, uint64_t len, bool is_write, NodeId requester,
                                   AccessGate* gate) {
   std::shared_ptr<MigrationRecord> rec = FindRange(addr, len);
@@ -144,7 +161,6 @@ Status MigrationState::OpenAccess(PhysAddr addr, uint64_t len, bool is_write, No
         gate->rec = rec;
         gate->addr = addr;
         gate->len = len;
-        gate->is_write = is_write;
         return Status::Ok();
       case MigrationPhase::kIdle:
       case MigrationPhase::kFence: {
@@ -170,6 +186,9 @@ Status MigrationState::OpenAccess(PhysAddr addr, uint64_t len, bool is_write, No
 
 void MigrationState::CloseAccess(AccessGate* gate, bool success) {
   if (gate->rec == nullptr) {
+    if (gate->is_write) {
+      untracked_writes_.fetch_sub(1);
+    }
     return;
   }
   std::shared_ptr<MigrationRecord> rec = std::move(gate->rec);
@@ -206,26 +225,33 @@ StatusOr<std::shared_ptr<MigrationRecord>> MigrationState::Begin(
   }
   rec->phase = MigrationPhase::kMirror;
 
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = records_.find(name);
-  if (it != records_.end()) {
-    // A clean abort leaves an inert record. A committed tombstone is stale
-    // once the LMR has migrated back here at an epoch >= the one it left
-    // with (its quarantined ranges stay armed below). Either one may be
-    // replaced; anything else is a migration genuinely in flight.
-    const bool inert = it->second->phase == MigrationPhase::kAborted;
-    const bool superseded = it->second->phase == MigrationPhase::kCommitted &&
-                            it->second->new_epoch <= old_epoch;
-    if (!inert && !superseded) {
-      return Status::FailedPrecondition("LMR already migrating or already migrated away");
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = records_.find(name);
+    if (it != records_.end()) {
+      // A clean abort leaves an inert record. A committed tombstone is stale
+      // once the LMR has migrated back here at an epoch >= the one it left
+      // with (its quarantined ranges stay armed below). Either one may be
+      // replaced; anything else is a migration genuinely in flight.
+      const bool inert = it->second->phase == MigrationPhase::kAborted;
+      const bool superseded = it->second->phase == MigrationPhase::kCommitted &&
+                              it->second->new_epoch <= old_epoch;
+      if (!inert && !superseded) {
+        return Status::FailedPrecondition("LMR already migrating or already migrated away");
+      }
+      records_.erase(it);
     }
-    records_.erase(it);
+    for (const LmrChunk& c : chunks) {
+      ranges_[c.addr] = RangeRef{c.addr + c.size, rec};
+    }
+    records_[name] = rec;
+    armed_.store(records_.size() + ranges_.size());
   }
-  for (const LmrChunk& c : chunks) {
-    ranges_[c.addr] = RangeRef{c.addr + c.size, rec};
+  // Every write that opens from here on finds the record. One that opened
+  // before it existed may still be copying its data in: let it land first.
+  while (untracked_writes_.load() != 0) {
+    std::this_thread::yield();
   }
-  records_[name] = rec;
-  armed_.store(records_.size() + ranges_.size(), std::memory_order_relaxed);
   return rec;
 }
 
@@ -730,17 +756,19 @@ StatusOr<StaleRedirect> LiteInstance::ResolveHome(const std::string& name, NodeI
       }
       return redir;
     }
-    // Live local metadata wins over any tombstone: if the LMR migrated back
-    // here, this node IS home and the old tombstone must not redirect
-    // callers away from it.
+    // The higher epoch of live local metadata and a committed tombstone
+    // wins, as in the name service. An LMR that migrated back here outranks
+    // its old tombstone; between a commit and the drop of the source's
+    // metadata, the tombstone outranks the metadata it replaces.
     const lt::StatusCode hosted = lmrs_.WithMeta(name, [&](LmrMeta& meta) {
       redir = StaleRedirect{node_id(), meta.epoch, meta.chunks};
       return lt::StatusCode::kOk;
     });
-    if (hosted == lt::StatusCode::kOk) {
+    auto tombstone = migration_.LookupTombstone(name);
+    if (hosted == lt::StatusCode::kOk && (!tombstone.ok() || tombstone->epoch <= redir.epoch)) {
       return redir;
     }
-    return migration_.LookupTombstone(name);
+    return tombstone;
   };
   auto redir = ask(hint);
   if (redir.ok() || !ask_manager) {

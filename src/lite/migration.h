@@ -119,25 +119,22 @@ class MigrationState {
   void RegisterTelemetry(lt::telemetry::Registry* registry,
                          lt::telemetry::Journal* journal);
 
-  // True once any migration record (active or tombstone) exists on this
-  // node. Single relaxed load: the idle-path cost of the whole subsystem.
-  bool armed() const { return armed_.load(std::memory_order_relaxed) != 0; }
-
   // The gate around one access to this node's memory, by any issuer: Ok
   // (proceed, then CloseAccess once the post is done), kStaleHome (the range
   // belongs to a committed migration: re-resolve the home), or Unavailable
   // (a fence park outlived its real-time cap). A node no migration has
-  // touched answers with the one inline load.
-  Status Open(PhysAddr addr, uint64_t len, bool is_write, NodeId requester, AccessGate* gate) {
-    return armed() ? OpenAccess(addr, len, is_write, requester, gate) : Status::Ok();
-  }
-  // Releases the token (and heals the arming race: a write that opened
-  // before the record armed but completed after it is dirty-logged here).
+  // touched answers with one load, and a write also bumps the count of
+  // writes in flight without a token.
+  Status Open(PhysAddr addr, uint64_t len, bool is_write, NodeId requester, AccessGate* gate);
+  // Releases the token, or ends a tokenless write's count.
   void CloseAccess(AccessGate* gate, bool success);
 
   // ---- Coordinator side (source node) ----
-  // Installs a record covering `chunks` (all local to this node) and arms
-  // the guard. Fails if the name already has an active record or any range
+  // Installs a record covering `chunks` (all local to this node), arms the
+  // guard, and waits (real time) until every write that passed the gate
+  // without a token has closed: such a write may have checked before the
+  // record existed, and its data must land before the mirror copy reads the
+  // range. Fails if the name already has an active record or any range
   // collides with an existing one.
   StatusOr<std::shared_ptr<MigrationRecord>> Begin(const std::string& name, NodeId src, NodeId dst,
                                                    uint64_t old_epoch,
@@ -207,6 +204,11 @@ class MigrationState {
   // too: a superseded tombstone leaves records_ but its quarantined ranges
   // must keep gating.
   std::atomic<uint64_t> armed_{0};
+  // Writes from Open to CloseAccess that hold no token. Open counts a write
+  // before it loads armed_, and Begin stores armed_ before it waits for the
+  // count to drain, so either the write sees the new record or Begin sees
+  // the write.
+  std::atomic<uint64_t> untracked_writes_{0};
 };
 
 }  // namespace lite

@@ -3,12 +3,14 @@
 // fire-and-forget ring writes and atomics, and the async completion-handle
 // machinery.
 //
-// Concurrency: one mutex (async_mu_) covers the op table, the per-stream
-// signaling state, and the shared harvest map (a CQE taken on behalf of a
-// different op's WQE parks there until its owner retires). In this simulator
-// every CQE exists from post time — only its ready_at is in the future — so
-// retirement never blocks on real time; waiters advance their own virtual
-// clocks from the harvested ready times.
+// Completions: the RNIC books a WQE's whole trip inside PostSend and queues
+// its completion before returning, so the posting call takes it at once
+// (PostGated, PostRingWrite) and the WQE carries it. Settling never blocks
+// on real time; the settler advances its own virtual clock to the
+// completion's ready time.
+//
+// Concurrency: one mutex (async_mu_) covers the op table and the per-stream
+// signaling state.
 #include "src/lite/op_engine.h"
 
 #include <algorithm>
@@ -26,7 +28,6 @@ using lt::Completion;
 using lt::NowNs;
 using lt::SpinFor;
 using lt::SyncToBusy;
-using lt::WaitMode;
 using lt::WcOpcode;
 using lt::WorkRequest;
 using lt::WrOpcode;
@@ -44,15 +45,12 @@ constexpr uint64_t kLongTimeoutCapNs = 3'600ull * 1'000'000'000ull;
 // stream is signaled; the unsignaled prefix is inferred complete from its CQE.
 constexpr uint64_t kAsyncSignalEvery = 8;
 
-bool TransientCode(const Status& s) {
-  return s.code() == lt::StatusCode::kUnavailable || s.code() == lt::StatusCode::kTimeout;
-}
-
-// A failed attempt worth re-posting: a drop or a completion timeout, a
-// migration fence that stayed busy, or a post that lost a race to a
-// concurrent QP error (Prepare recovers it on the next attempt).
+// A failed attempt worth re-posting: a drop or a receiver-not-ready
+// timeout, a migration fence that stayed busy, or a post that lost a race to
+// a concurrent QP error (Prepare recovers it on the next attempt).
 bool Retryable(const Status& s) {
-  return TransientCode(s) || s.code() == lt::StatusCode::kFailedPrecondition;
+  return s.code() == lt::StatusCode::kUnavailable || s.code() == lt::StatusCode::kTimeout ||
+         s.code() == lt::StatusCode::kFailedPrecondition;
 }
 
 // True for WRs that touch LMR data at the destination and therefore go
@@ -150,9 +148,9 @@ OpEngine::Wqe OpEngine::LeaseRemote(NodeId dst, Priority pri, bool batched,
   return w;
 }
 
-Status OpEngine::PostGated(const TransportHandle& h, WorkRequest* wr) {
+Status OpEngine::PostGated(Wqe* w) {
   Transport& tr = *inst_->transport_;
-  if (!tr.Valid(h)) {
+  if (!tr.Valid(w->h)) {
     return Status::Unavailable("no QP to destination node");
   }
   // Migration gate of the target node (the simulated analogue of the
@@ -160,23 +158,29 @@ Status OpEngine::PostGated(const TransportHandle& h, WorkRequest* wr) {
   // retransmit must re-check the phase, as the fence may have committed in
   // between. The gate may park here — real-time wait, zero virtual charge —
   // until the fence resolves.
-  LiteInstance* peer = GatedDataOp(*wr) ? inst_->Peer(h.dst) : nullptr;
+  const WorkRequest& wr = w->wr;
+  LiteInstance* peer = GatedDataOp(wr) ? inst_->Peer(w->h.dst) : nullptr;
   AccessGate gate;
   if (peer != nullptr) {
-    LT_RETURN_IF_ERROR(peer->migration().Open(wr->remote_addr, wr->length,
-                                              wr->opcode != WrOpcode::kRead, inst_->node_id(),
+    LT_RETURN_IF_ERROR(peer->migration().Open(wr.remote_addr, wr.length,
+                                              wr.opcode != WrOpcode::kRead, inst_->node_id(),
                                               &gate));
   }
   Status posted = Status::Ok();
   const uint64_t post_t0 = NowNs();
   {
-    // The QP lock covers only the post; waiting happens outside so threads
-    // sharing a pool QP overlap their in-flight ops (the whole point of
-    // the shared pool, Sec. 6.1). Prepare recovers an errored QP and, under
-    // DC, re-attaches a stolen slot to this handle's destination.
-    std::lock_guard<std::mutex> lock(tr.Mu(h));
-    tr.Prepare(h);
-    posted = inst_->rnic().PostSend(tr.Qp(h), *wr);
+    // The QP lock covers only the post and the take of its completion;
+    // waiting happens outside so threads sharing a pool QP overlap their
+    // in-flight ops (the whole point of the shared pool, Sec. 6.1). Prepare
+    // recovers an errored QP and, under DC, re-attaches a stolen slot to
+    // this handle's destination.
+    std::lock_guard<std::mutex> lock(tr.Mu(w->h));
+    tr.Prepare(w->h);
+    lt::Qp* qp = tr.Qp(w->h);
+    posted = inst_->rnic().PostSend(qp, wr);
+    if (posted.ok()) {
+      w->cqe = qp->send_cq()->Take(wr.wr_id);
+    }
   }
   AttrAdd(LatStage::kLatPost, NowNs() - post_t0);
   // Data movement is synchronous inside PostSend (the simulated DMA), so
@@ -189,24 +193,26 @@ Status OpEngine::PostGated(const TransportHandle& h, WorkRequest* wr) {
   return posted;
 }
 
-StatusOr<Completion> OpEngine::Await(const TransportHandle& h, uint64_t wr_id) {
+StatusOr<Completion> OpEngine::Await(const Wqe& w) {
+  if (!w.post.ok()) {
+    return w.post;
+  }
+  // Every signaled WR's Ok post took one; an unsignaled WR is only settled
+  // here when its post took an error.
+  const Completion& c = w.cqe.value();
   const uint64_t wait_t0 = NowNs();
-  auto c = inst_->transport_->Qp(h)->send_cq()->WaitPollFor(
-      wr_id, inst_->params().lite_rpc_timeout_ns, WaitMode::kBusyPoll);
+  SyncToBusy(c.ready_at_ns);
   const uint64_t wait_dt = NowNs() - wait_t0;
-  if (c.has_value() && c->status.ok()) {
-    AttrAddSplit(wait_dt, c->lat);
-    return *c;
+  if (c.status.ok()) {
+    AttrAddSplit(wait_dt, c.lat);
+    return c;
   }
   AttrAdd(LatStage::kLatDetour, wait_dt);
-  if (!c.has_value()) {
-    return Status::Timeout("one-sided completion timeout");
-  }
-  return c->status;
+  return c.status;
 }
 
 StatusOr<Completion> OpEngine::Complete(const Wqe& w, Priority pri, bool pinned) {
-  StatusOr<Completion> c = w.post.ok() ? Await(w.h, w.wr.wr_id) : StatusOr<Completion>(w.post);
+  StatusOr<Completion> c = Await(w);
   if (c.ok() || !Retryable(c.status())) {
     return c;  // Done, or non-transient (stale home, permission, bounds).
   }
@@ -231,13 +237,14 @@ StatusOr<Completion> OpEngine::Retransmit(const Wqe& w, Priority pri, Status las
       inst_->rpc_dead_fast_fail_->Inc();
       return DeadPeerUnavailable();
     }
-    const TransportHandle h = pinned ? w.h : tr.Lease(dst, pri);
-    WorkRequest wr = w.wr;
-    wr.signaled = true;
-    wr.doorbell_hint = false;
-    wr.wr_id = NextWrId();
-    Status posted = PostGated(h, &wr);
-    StatusOr<Completion> c = posted.ok() ? Await(h, wr.wr_id) : StatusOr<Completion>(posted);
+    Wqe retry;
+    retry.h = pinned ? w.h : tr.Lease(dst, pri);
+    retry.wr = w.wr;
+    retry.wr.signaled = true;
+    retry.wr.doorbell_hint = false;
+    retry.wr.wr_id = NextWrId();
+    retry.post = PostGated(&retry);
+    StatusOr<Completion> c = Await(retry);
     if (c.ok() || !Retryable(c.status())) {
       return c;
     }
@@ -257,17 +264,22 @@ Status OpEngine::PostRingWrite(NodeId dst, Priority pri, WorkRequest wr) {
   }
   wr.rkey = inst_->peer_global_rkey_[dst];
   wr.signaled = false;
+  wr.wr_id = NextWrId();
   const uint64_t post_t0 = NowNs();
   std::lock_guard<std::mutex> lock(tr.Mu(h));
+  lt::Qp* qp = tr.Qp(h);
   if (tr.Prepare(h)) {
     // A prior drop errored this QP; the recovery happened on behalf of a
     // post nobody waits on, so count and journal it for the flight recorder.
     unsignaled_recovered_->Inc();
     if (journal_ != nullptr) {
-      journal_->Record(lt::telemetry::JournalEvent::kUnsignaledRecover, dst, tr.Qp(h)->qpn());
+      journal_->Record(lt::telemetry::JournalEvent::kUnsignaledRecover, dst, qp->qpn());
     }
   }
-  Status s = inst_->rnic().PostSend(tr.Qp(h), wr);
+  Status s = inst_->rnic().PostSend(qp, wr);
+  // Only a drop leaves a completion; nobody waits on it, since the reply
+  // timeout detects the loss (paper Sec. 5.1).
+  (void)qp->send_cq()->Take(wr.wr_id);
   AttrAdd(LatStage::kLatPost, NowNs() - post_t0);
   return s;
 }
@@ -368,7 +380,7 @@ StatusOr<uint64_t> OpEngine::RemoteAtomicImpl(NodeId dst, PhysAddr addr, bool is
   // Retry is exactly-once here: a dropped atomic is rejected by the
   // responder before the memory operation is applied (see Rnic::Execute).
   Wqe w = LeaseRemote(dst, Priority::kHigh, /*batched=*/false, wr);
-  w.post = PostGated(w.h, &w.wr);
+  w.post = PostGated(&w);
   auto c = Complete(w, Priority::kHigh);
   if (!c.ok()) {
     return c.status();
@@ -405,14 +417,14 @@ Status OpEngine::SubmitPiecesImpl(const std::vector<OpDesc>& pieces, bool is_rea
       continue;
     }
     Wqe w = LeaseRemote(piece.node, pri, batched, PieceWr(piece, is_read));
-    w.post = PostGated(w.h, &w.wr);
+    w.post = PostGated(&w);
     remote.push_back(std::move(w));
   }
   if (remote.size() > 1) {
     engine_pieces_overlapped_->Inc(remote.size());
   }
 
-  // Wait phase: harvest every piece, retransmitting transient failures.
+  // Wait phase: settle every piece, retransmitting transient failures.
   // All pieces drain even after an error, so no WQE is left dangling
   // against the caller's buffer.
   for (const Wqe& w : remote) {
@@ -469,19 +481,20 @@ StatusOr<MemopHandle> OpEngine::IssueAsyncPieces(const std::vector<OpDesc>& piec
     }
     Wqe wqe = LeaseRemote(piece.node, pri, /*batched=*/true, PieceWr(piece, is_read));
     AsyncStream* stream = nullptr;
+    wqe.wr.signaled = false;
     if (tr.Valid(wqe.h)) {
       stream = &async_streams_[{wqe.h.dst, wqe.h.slot}];
       wqe.stream_pos = stream->next_pos++;
-      wqe.signaled = ((wqe.stream_pos + 1) % kAsyncSignalEvery == 0);
+      wqe.wr.signaled = (wqe.stream_pos + 1) % kAsyncSignalEvery == 0;
     }
-    wqe.wr.signaled = wqe.signaled;
-    // A failed post (gate NACK, QP race, no QP) is settled at retirement:
-    // retransmitted when transient, reported otherwise.
-    wqe.post = PostGated(wqe.h, &wqe.wr);
-    if (wqe.post.ok() && wqe.signaled) {
-      stream->signaled_pending[wqe.stream_pos] = wqe.wr.wr_id;
+    // A failed post (gate NACK, QP race, no QP) or an error completion is
+    // settled at retirement: retransmitted when transient, reported
+    // otherwise.
+    wqe.post = PostGated(&wqe);
+    if (wqe.post.ok() && wqe.wr.signaled) {
+      stream->signaled_pending.emplace(wqe.stream_pos, wqe.cqe.value());
     }
-    op->wqes.push_back(wqe);
+    op->wqes.push_back(std::move(wqe));
   }
 
   const MemopHandle h = reserved_handle != 0 ? reserved_handle : next_memop_handle_.fetch_add(1);
@@ -578,26 +591,6 @@ bool OpEngine::AllHandlesReady() const {
 
 // ------------------------------------------------------------- retirement
 
-std::optional<Completion> OpEngine::TakeAsyncCompletionLocked(lt::Cq* cq, uint64_t wr_id) {
-  auto it = async_harvested_.find(wr_id);
-  if (it != async_harvested_.end()) {
-    Completion c = it->second;
-    async_harvested_.erase(it);
-    return c;
-  }
-  return cq->TryTake(wr_id);
-}
-
-Status OpEngine::ResendAsyncWqe(AsyncOp* op, Wqe* wqe, Status last) {
-  auto c = Retransmit(*wqe, op->pri, std::move(last), /*pinned=*/false);
-  if (!c.ok()) {
-    return c.status();
-  }
-  wqe->done = true;
-  wqe->ready_at_ns = c->ready_at_ns;
-  return Status::Ok();
-}
-
 void OpEngine::CommitAsyncAttr(AsyncOp* op) {
   if (!op->attr.active) {
     return;
@@ -619,97 +612,79 @@ void OpEngine::RetireMemopLocked(std::unique_lock<std::mutex>& lock, AsyncOp* op
   for (Wqe& wqe : op->wqes) {
     Status s = Status::Ok();
     if (!wqe.done) {
-      if (!wqe.post.ok()) {
-        s = Retryable(wqe.post) ? ResendAsyncWqe(op, &wqe, wqe.post) : wqe.post;
-      } else {
-        lt::Cq* cq = inst_->transport_->Qp(wqe.h)->send_cq();
-        AsyncStream& stream = async_streams_[{wqe.h.dst, wqe.h.slot}];
-        auto c = TakeAsyncCompletionLocked(cq, wqe.wr.wr_id);
-        if (wqe.signaled) {
-          stream.signaled_pending.erase(wqe.stream_pos);
-          if (!c.has_value()) {
-            s = Status::Internal("signaled async CQE missing");
-          } else {
-            if (wqe.stream_pos + 1 > stream.covered_pos) {
-              stream.covered_pos = wqe.stream_pos + 1;
-              stream.covered_ready_ns = std::max(stream.covered_ready_ns, c->ready_at_ns);
-            }
-            if (c->status.ok()) {
-              wqe.done = true;
-              wqe.ready_at_ns = c->ready_at_ns;
-              if (c->ready_at_ns >= tail_ready) {
-                tail_ready = c->ready_at_ns;
-                tail_lat = c->lat;
-              }
-            } else if (TransientCode(c->status)) {
-              s = ResendAsyncWqe(op, &wqe, c->status);
-            } else {
-              s = c->status;
-            }
-          }
-        } else if (c.has_value()) {
-          // Unsignaled WQEs only ever leave an error CQE behind.
-          s = TransientCode(c->status) ? ResendAsyncWqe(op, &wqe, c->status) : c->status;
+      AsyncStream* stream = wqe.post.ok() ? &async_streams_[{wqe.h.dst, wqe.h.slot}] : nullptr;
+      if (stream != nullptr && wqe.wr.signaled) {
+        // A signaled completion, error or not, fences every earlier position
+        // on its stream.
+        stream->signaled_pending.erase(wqe.stream_pos);
+        if (wqe.stream_pos + 1 > stream->covered_pos) {
+          stream->covered_pos = wqe.stream_pos + 1;
+          stream->covered_ready_ns = std::max(stream->covered_ready_ns, wqe.cqe->ready_at_ns);
+        }
+      }
+      if (stream == nullptr || (wqe.cqe.has_value() && !wqe.cqe->status.ok())) {
+        // A failed post or an error completion settles like a blocking
+        // piece: wait out the error, then retransmit when it is transient.
+        auto c = Complete(wqe, op->pri);
+        if (c.ok()) {
+          wqe.done = true;
+          wqe.ready_at_ns = c->ready_at_ns;
         } else {
-          // No error CQE: the WQE succeeded. Find (or create) the signaled
-          // fence that makes its completion observable, and take its time.
-          if (stream.covered_pos > wqe.stream_pos) {
-            wqe.done = true;
-            wqe.ready_at_ns = stream.covered_ready_ns;
-            async_inferred_->Inc();
-          } else {
-            auto cover = stream.signaled_pending.lower_bound(wqe.stream_pos);
-            bool covered = false;
-            if (cover != stream.signaled_pending.end()) {
-              const uint64_t cover_pos = cover->first;
-              const uint64_t cover_wr_id = cover->second;
-              auto c2 = TakeAsyncCompletionLocked(cq, cover_wr_id);
-              stream.signaled_pending.erase(cover);
-              if (c2.has_value()) {
-                // Park the cover CQE for its owner; its arrival (success or
-                // error) fences everything before it on this stream either
-                // way — our WQE's own outcome was already decided above.
-                async_harvested_.emplace(cover_wr_id, *c2);
-                if (cover_pos + 1 > stream.covered_pos) {
-                  stream.covered_pos = cover_pos + 1;
-                  stream.covered_ready_ns = std::max(stream.covered_ready_ns, c2->ready_at_ns);
-                }
-                wqe.done = true;
-                wqe.ready_at_ns = c2->ready_at_ns;
-                if (c2->ready_at_ns >= tail_ready) {
-                  tail_ready = c2->ready_at_ns;
-                  tail_lat = c2->lat;
-                }
-                async_inferred_->Inc();
-                covered = true;
-              }
-            }
-            if (!covered) {
-              // No signaled WQE past ours: fence the stream with a
-              // zero-length signaled write on the same QP.
-              async_flush_fences_->Inc();
-              Wqe fence;
-              fence.h = wqe.h;
-              fence.wr.opcode = WrOpcode::kWrite;
-              fence.wr.length = 0;
-              fence.wr.rkey = inst_->peer_global_rkey_[wqe.h.dst];
-              fence.wr.signaled = true;
-              fence.wr.wr_id = NextWrId();
-              fence.post = PostGated(fence.h, &fence.wr);
-              auto fc = Complete(fence, op->pri, /*pinned=*/true);
-              if (fc.ok()) {
-                stream.covered_pos = std::max(stream.covered_pos, stream.next_pos);
-                stream.covered_ready_ns = std::max(stream.covered_ready_ns, fc->ready_at_ns);
-                wqe.done = true;
-                wqe.ready_at_ns = fc->ready_at_ns;
-                async_inferred_->Inc();
-              } else {
-                // The data landed (no error CQE) but the fence could not
-                // complete — report the fence's error; at-least-once holds.
-                s = fc.status();
-              }
-            }
-          }
+          s = c.status();
+        }
+      } else if (wqe.cqe.has_value()) {
+        wqe.done = true;
+        wqe.ready_at_ns = wqe.cqe->ready_at_ns;
+        if (wqe.ready_at_ns >= tail_ready) {
+          tail_ready = wqe.ready_at_ns;
+          tail_lat = wqe.cqe->lat;
+        }
+      } else if (stream->covered_pos > wqe.stream_pos) {
+        // An unsignaled WQE that left no error completion succeeded; a
+        // retired signaled completion past it already fenced it.
+        wqe.done = true;
+        wqe.ready_at_ns = stream->covered_ready_ns;
+        async_inferred_->Inc();
+      } else if (auto cover = stream->signaled_pending.lower_bound(wqe.stream_pos);
+                 cover != stream->signaled_pending.end()) {
+        // A later signaled WQE's completion, which its own op keeps, fences
+        // this one whatever its status.
+        const uint64_t cover_ready = cover->second.ready_at_ns;
+        if (cover->first + 1 > stream->covered_pos) {
+          stream->covered_pos = cover->first + 1;
+          stream->covered_ready_ns = std::max(stream->covered_ready_ns, cover_ready);
+        }
+        wqe.done = true;
+        wqe.ready_at_ns = cover_ready;
+        if (cover_ready >= tail_ready) {
+          tail_ready = cover_ready;
+          tail_lat = cover->second.lat;
+        }
+        stream->signaled_pending.erase(cover);
+        async_inferred_->Inc();
+      } else {
+        // No signaled WQE past ours: fence the stream with a zero-length
+        // signaled write on the same QP.
+        async_flush_fences_->Inc();
+        Wqe fence;
+        fence.h = wqe.h;
+        fence.wr.opcode = WrOpcode::kWrite;
+        fence.wr.length = 0;
+        fence.wr.rkey = inst_->peer_global_rkey_[wqe.h.dst];
+        fence.wr.signaled = true;
+        fence.wr.wr_id = NextWrId();
+        fence.post = PostGated(&fence);
+        auto fc = Complete(fence, op->pri, /*pinned=*/true);
+        if (fc.ok()) {
+          stream->covered_pos = std::max(stream->covered_pos, stream->next_pos);
+          stream->covered_ready_ns = std::max(stream->covered_ready_ns, fc->ready_at_ns);
+          wqe.done = true;
+          wqe.ready_at_ns = fc->ready_at_ns;
+          async_inferred_->Inc();
+        } else {
+          // The data landed (no error CQE) but the fence could not
+          // complete — report the fence's error; at-least-once holds.
+          s = fc.status();
         }
       }
     }
@@ -734,7 +709,7 @@ void OpEngine::RetireMemopLocked(std::unique_lock<std::mutex>& lock, AsyncOp* op
   }
   op->result = result;
   op->ready_at_ns = op_ready > 0 ? op_ready : NowNs();
-  // Book the tail WQE's RNIC/fabric breakdown: harvesting a CQE advances no
+  // Book the tail WQE's RNIC/fabric breakdown: reading a completion advances no
   // clock, so without this the transport time would all land in "other".
   if (tail_ready > 0) {
     AttrAdd(LatStage::kLatRnicLocal, tail_lat.rnic_local_ns);
@@ -871,8 +846,6 @@ Status OpEngine::Wait(MemopHandle h) {
     }
   }
 }
-
-Status OpEngine::WaitAll() { return WaitAll(nullptr); }
 
 Status OpEngine::WaitAll(std::vector<std::pair<MemopHandle, Status>>* results) {
   Status first_error = Status::Ok();

@@ -17,7 +17,10 @@
 //     so the send side shares the same QP/recovery spine (RPC-level
 //     retransmits count into lite.engine.retries through CountRetry()).
 // Blocking and async pieces share one local-piece copy, one gated post and
-// one retransmit routine; QoS admits each remote WR once, at issue.
+// one retransmit routine; QoS admits each remote WR once, at issue. One
+// completion rule holds for every WQE the engine posts: the call that posts
+// it takes its completion off the send CQ (the RNIC queues it before
+// PostSend returns), and whoever settles the WQE waits out its ready time.
 #ifndef SRC_LITE_OP_ENGINE_H_
 #define SRC_LITE_OP_ENGINE_H_
 
@@ -27,7 +30,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/status.h"
@@ -65,8 +67,9 @@ class OpEngine {
 
   // ---- Fire-and-forget ring writes and atomics ----
   // Unsignaled ring traffic (RPC head-mirror publishes; requests and replies
-  // are write-with-IMM): no CQE to wait on, so a drop surfaces as the RPC
-  // layer's reply timeout. An errored QP is recovered before the post.
+  // are write-with-IMM): the post takes and drops the error CQE a drop
+  // leaves, and the loss surfaces as the RPC layer's reply timeout. An
+  // errored QP is recovered before the post.
   Status OneSidedWrite(NodeId dst, PhysAddr dst_addr, const void* src, uint64_t len, Priority pri);
   Status OneSidedWriteImm(NodeId dst, PhysAddr dst_addr, const void* src, uint64_t len,
                           uint32_t imm, Priority pri);
@@ -117,10 +120,10 @@ class OpEngine {
                                        uint32_t* out_len, Priority pri);
   StatusOr<bool> Poll(MemopHandle h);
   Status Wait(MemopHandle h);
-  Status WaitAll();
-  // Per-handle variant: appends every retired handle's final status to
-  // `results` (when non-null) so errors past the first are not swallowed.
-  Status WaitAll(std::vector<std::pair<MemopHandle, Status>>* results);
+  // Retires every outstanding op and returns the first error. When
+  // `results` is given, every retired handle's final status is appended to
+  // it, so errors past the first are not swallowed.
+  Status WaitAll(std::vector<std::pair<MemopHandle, Status>>* results = nullptr);
   size_t AsyncInFlight() const;
 
   // Resolves the API timeout sentinels (types.h) and applies the hang-
@@ -154,13 +157,15 @@ class OpEngine {
 
  private:
   // One remote WR from issue to retirement — a blocking piece, an async
-  // WQE, an atomic or a flush fence. Async local pieces ride along as
-  // entries that are done at issue.
+  // WQE, an atomic, a flush fence or a re-post. Async local pieces ride
+  // along as entries that are done at issue.
   struct Wqe {
     TransportHandle h;         // Leased transport slot (dst + pool slot).
     lt::WorkRequest wr;        // Retained so a failed WQE can be re-posted.
     Status post = Status::Ok();  // Issue-time post outcome (gate NACK, QP race).
-    bool signaled = false;
+    // The completion its post took off the send CQ: a signaled WR's always,
+    // an unsignaled one's only when it failed.
+    std::optional<lt::Completion> cqe;
     uint64_t stream_pos = 0;
     bool done = false;         // Local pieces complete at issue time.
     uint64_t ready_at_ns = 0;
@@ -192,13 +197,14 @@ class OpEngine {
     // committed when the op retires (latency_attr.h).
     lt::telemetry::OpAttrRecord attr;
   };
-  // Per-(destination, QP) selective-signaling stream: which positions have a
-  // harvested covering CQE, and which signaled WQEs are still pending.
+  // Per-(destination, QP) selective-signaling stream: which positions a
+  // retired signaled CQE covers, and the completions of the signaled WQEs
+  // not yet retired (read, never taken, by the WQEs they cover).
   struct AsyncStream {
     uint64_t next_pos = 0;
     uint64_t covered_pos = 0;       // Positions < covered_pos are fenced.
     uint64_t covered_ready_ns = 0;  // Virtual time the fence completed.
-    std::map<uint64_t, uint64_t> signaled_pending;  // stream_pos -> wr_id
+    std::map<uint64_t, lt::Completion> signaled_pending;  // stream_pos -> CQE
   };
 
   uint64_t NextWrId() { return next_wr_id_.fetch_add(1); }
@@ -214,13 +220,17 @@ class OpEngine {
   // otherwise. Fills the rkey and a fresh wr_id; the caller posts it with
   // PostGated.
   Wqe LeaseRemote(NodeId dst, Priority pri, bool batched, const lt::WorkRequest& wr);
-  // The gated post: the destination's migration gate (data WRs only), then
-  // Prepare and PostSend under the slot mutex. kStaleHome means the LMR
-  // left the destination; no QP, a busy fence and a QP race are Retryable.
-  Status PostGated(const TransportHandle& h, lt::WorkRequest* wr);
-  // Waits for `wr_id`'s CQE; a missing CQE is a Timeout.
-  StatusOr<lt::Completion> Await(const TransportHandle& h, uint64_t wr_id);
-  // Waits for an issued WR and hands a transient failure to Retransmit.
+  // The gated post of `w`: the destination's migration gate (data WRs only),
+  // then Prepare, PostSend and the take of the WQE's completion into w->cqe
+  // under the slot mutex (PostSend queues every completion before it
+  // returns). Returns the post's status: kStaleHome means the LMR left the
+  // destination; no QP, a busy fence and a QP race are Retryable.
+  Status PostGated(Wqe* w);
+  // Settles a posted WQE: a failed post is its result; otherwise busy-waits
+  // until the completion its post took is ready, booking the wait as the
+  // WQE's transport split on success or as a detour on error.
+  StatusOr<lt::Completion> Await(const Wqe& w);
+  // Awaits a posted WQE and hands a transient failure to Retransmit.
   // `pinned` keeps every re-post on w.h (async flush fences).
   StatusOr<lt::Completion> Complete(const Wqe& w, Priority pri, bool pinned = false);
   // The one retransmit routine: re-posts `w` signaled, backing off
@@ -228,7 +238,8 @@ class OpEngine {
   // lite_rpc_max_retries times; fails fast once the peer is marked dead.
   // Returns the successful completion, or the last error.
   StatusOr<lt::Completion> Retransmit(const Wqe& w, Priority pri, Status last, bool pinned);
-  // Fire-and-forget post of ring traffic (no gate, no CQE).
+  // Fire-and-forget post of ring traffic (no gate; a drop's error CQE is
+  // taken and dropped).
   Status PostRingWrite(NodeId dst, Priority pri, lt::WorkRequest wr);
 
   // Bodies of the blocking entry points; the public wrappers add the
@@ -242,23 +253,20 @@ class OpEngine {
   // Commits a retired async op's attribution record (no-op when inactive).
   void CommitAsyncAttr(AsyncOp* op);
 
-  // Re-posts a failed async WQE through Retransmit; marks it done on success.
-  Status ResendAsyncWqe(AsyncOp* op, Wqe* wqe, Status last);
   // Retires an RPC-kind op; drops the lock around the reply wait (the reply
   // is delivered by the poll thread, which never takes async_mu_).
   void RetireRpcUnlocked(std::unique_lock<std::mutex>& lock, AsyncOp* op);
   // Retires `op` (state must be kRetiring; async_mu_ held via `lock`):
-  // harvests or infers each WQE's completion, re-posting failed WQEs
-  // through Retransmit, then marks the op kDone. A
-  // kStaleHome result with a known origin drops the lock and re-issues the
-  // whole memop against the LMR's new home (exactly-once for the caller).
+  // reads each WQE's own completion or infers it from a later signaled one
+  // on its stream (a flush fence when there is none). A failed post or an
+  // error completion settles through Complete, like a blocking piece. Then
+  // marks the op kDone. A kStaleHome result with a known origin drops the
+  // lock and re-issues the whole memop against the LMR's new home
+  // (exactly-once for the caller).
   void RetireMemopLocked(std::unique_lock<std::mutex>& lock, AsyncOp* op);
   // Retires the oldest in-flight op (backpressure path). Waits on the cv if
   // every outstanding op is already being retired by another thread.
   void RetireOldestLocked(std::unique_lock<std::mutex>& lock);
-  // Finds a completion for `wr_id`: the shared harvest map first, then the
-  // CQ itself (async CQEs exist from post time; only ready_at is future).
-  std::optional<lt::Completion> TakeAsyncCompletionLocked(lt::Cq* cq, uint64_t wr_id);
   // Consumes a kDone op's result (erases the record).
   Status ConsumeAsyncLocked(std::map<MemopHandle, std::unique_ptr<AsyncOp>>::iterator it);
 
@@ -267,15 +275,14 @@ class OpEngine {
   std::atomic<uint64_t> next_wr_id_{1};
 
   // Async completion-handle state (the completion ring). One mutex covers
-  // the op table, the signaling streams, and the harvest map; the cv wakes
-  // window-full issuers and waiters racing a concurrent retirer.
+  // the op table and the signaling streams; the cv wakes window-full
+  // issuers and waiters racing a concurrent retirer.
   mutable std::mutex async_mu_;
   std::condition_variable async_cv_;
   std::map<MemopHandle, std::unique_ptr<AsyncOp>> async_ops_;  // Oldest first.
   std::atomic<uint64_t> next_memop_handle_{1};
   size_t async_inflight_ = 0;  // Ops not yet kDone.
   std::map<std::pair<NodeId, int>, AsyncStream> async_streams_;
-  std::unordered_map<uint64_t, lt::Completion> async_harvested_;  // wr_id -> CQE
 
   // Telemetry instruments (owned by the node's registry; cached pointers so
   // the hot path never does a name lookup).

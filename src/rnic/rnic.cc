@@ -60,20 +60,6 @@ Rnic* RnicDirectory::Lookup(NodeId node) const {
 
 // ----------------------------------------------------------------------- cq
 
-namespace {
-
-// Advances the waiter's clock to the completion's ready time, charging the
-// gap as CPU (busy poll) or not (sleep).
-void SyncToCompletion(const Completion& c, WaitMode mode) {
-  if (mode == WaitMode::kBusyPoll) {
-    SyncToBusy(c.ready_at_ns);
-  } else {
-    SyncClockTo(c.ready_at_ns);
-  }
-}
-
-}  // namespace
-
 std::optional<Completion> Cq::WaitPoll(uint64_t timeout_ns, WaitMode mode) {
   Completion c;
   {
@@ -103,42 +89,17 @@ std::optional<Completion> Cq::WaitPoll(uint64_t timeout_ns, WaitMode mode) {
     c = *best;
     entries_.erase(best);
   }
-  SyncToCompletion(c, mode);
-  return c;
-}
-
-std::optional<Completion> Cq::WaitPollFor(uint64_t wr_id, uint64_t timeout_ns, WaitMode mode) {
-  const uint64_t real_deadline = RealNowNs() + timeout_ns;
-  Completion c;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    while (true) {
-      auto it = entries_.begin();
-      for (; it != entries_.end(); ++it) {
-        if (it->wr_id == wr_id) {
-          break;
-        }
-      }
-      if (it != entries_.end()) {
-        c = *it;
-        entries_.erase(it);
-        break;
-      }
-      if (shutdown_) {
-        return std::nullopt;
-      }
-      uint64_t now = RealNowNs();
-      if (now >= real_deadline) {
-        return std::nullopt;
-      }
-      cv_.wait_for(lock, std::chrono::nanoseconds(real_deadline - now));
-    }
+  // The gap until the entry's ready time is CPU when busy-polling, not when
+  // sleeping.
+  if (mode == WaitMode::kBusyPoll) {
+    SyncToBusy(c.ready_at_ns);
+  } else {
+    SyncClockTo(c.ready_at_ns);
   }
-  SyncToCompletion(c, mode);
   return c;
 }
 
-std::optional<Completion> Cq::TryTake(uint64_t wr_id) {
+std::optional<Completion> Cq::Take(uint64_t wr_id) {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto it = entries_.begin(); it != entries_.end(); ++it) {
     if (it->wr_id == wr_id) {

@@ -23,8 +23,12 @@
 //     NIC share its processing rate — on-NIC SRAM misses therefore reduce
 //     throughput (paper Fig. 5) and add latency (paper Fig. 4).
 //   * Payloads reserve fabric bandwidth on both endpoint ports.
-//   * Completions carry a ready_at timestamp; polling a CQ only yields
-//     entries whose time has arrived.
+//   * Execute books the whole trip inside PostSend, so every completion it
+//     produces (each signaled WQE's, and every error past the doorbell) is
+//     on the send CQ before PostSend returns, carrying the virtual time it
+//     becomes ready. The poster takes its own by wr_id (Cq::Take) and waits
+//     out ready_at itself; WaitPoll hands out the earliest entry and moves
+//     the caller's clock to it.
 //
 // One-sided operations never execute application/OS code on the target node:
 // the issuing thread performs the target-memory copy itself (it is the DMA
@@ -150,16 +154,12 @@ class Cq {
   // became ready first (warm caches, fabric jitter).
   std::optional<Completion> WaitPoll(uint64_t timeout_ns, WaitMode mode);
 
-  // Like WaitPoll but only consumes the completion whose wr_id matches;
-  // lets many threads await their own completions on one shared CQ without
-  // stealing each other's entries.
-  std::optional<Completion> WaitPollFor(uint64_t wr_id, uint64_t timeout_ns, WaitMode mode);
-
-  // Removes and returns the completion whose wr_id matches, regardless of its
-  // ready time, without touching the caller's clock. Used by the async memop
-  // retirement path, where the CQE's existence (success/error) is decided at
-  // post time and the waiter advances its own clock from ready_at_ns.
-  std::optional<Completion> TryTake(uint64_t wr_id);
+  // Removes and returns the completion whose wr_id matches, wherever it
+  // sits in the queue and whatever its ready time, without touching the
+  // caller's clock; nullopt when there is none. The thread that posted a WQE
+  // takes its completion right after PostSend and waits out ready_at_ns
+  // itself, so posters sharing a CQ never take each other's entries.
+  std::optional<Completion> Take(uint64_t wr_id);
 
   void Push(Completion completion);
   size_t Depth() const;
@@ -311,9 +311,10 @@ class Rnic {
   size_t QpCount() const;
 
   // ---- Data path ----
-  // Posts a work request; returns once the doorbell is rung. The completion
-  // (with status) appears on the QP's send CQ. Two-sided deliveries appear on
-  // the target QP's recv CQ.
+  // Posts a work request and books its whole trip. When it returns Ok, the
+  // WQE's completion (signaled, or any error) is already on the QP's send
+  // CQ, stamped with its ready time; an error it returns pushes nothing.
+  // Two-sided deliveries appear on the target QP's recv CQ.
   Status PostSend(Qp* qp, const WorkRequest& wr);
 
   // Cache statistics (for tests and the ablation benches).

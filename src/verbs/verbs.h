@@ -49,9 +49,9 @@ class VerbsContext {
   Status PostSend(Qp* qp, const WorkRequest& wr) { return rnic_->PostSend(qp, wr); }
   Status PostRecv(Qp* qp, const Rqe& rqe) { return qp->PostRecv(rqe); }
 
-  // Posts `wr` and busy-polls the QP's send CQ until its completion arrives
-  // (assumes the QP is driven by one thread for synchronous use).
-  Status ExecSync(Qp* qp, WorkRequest wr, uint64_t timeout_ns = 2'000'000'000);
+  // Posts `wr` signaled, takes its completion off the QP's send CQ and
+  // busy-polls until the completion's ready time.
+  Status ExecSync(Qp* qp, WorkRequest wr);
 
   Rnic* rnic() const { return rnic_; }
   OsKernel* os() const { return os_; }

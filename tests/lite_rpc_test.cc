@@ -415,6 +415,26 @@ TEST_F(LiteRpcRecoveryTest, RetryRecoversFromDroppedRequest) {
   EXPECT_EQ(server.served(), 6);
 }
 
+// An RPC request is an unsignaled write-imm: its drop leaves an error
+// completion, which the post that sent it takes and drops (the reply timeout
+// detects the loss). Nothing is left on any of the client's send CQs.
+TEST_F(LiteRpcRecoveryTest, DroppedRequestLeavesNoSendCompletion) {
+  EchoServer server(cluster_.get(), 1, 32);
+  char out[64];
+  uint32_t out_len = 0;
+  ASSERT_TRUE(c0_->Rpc(1, 32, "warm", 4, out, sizeof(out), &out_len).ok());
+
+  cluster_->faults().DropNextTransfers(0, 1, 1);
+  ASSERT_TRUE(c0_->Rpc(1, 32, "dropped once", 12, out, sizeof(out), &out_len).ok());
+  EXPECT_EQ(cluster_->faults().drops(), 1u);
+  EXPECT_EQ(server.served(), 2);
+  const Transport& transport = cluster_->instance(0)->transport();
+  ASSERT_NE(transport.PoolQp(1, 0), nullptr);
+  for (int k = 0; transport.PoolQp(1, k) != nullptr; ++k) {
+    EXPECT_EQ(transport.PoolQp(1, k)->send_cq()->Depth(), 0u) << "QP " << k;
+  }
+}
+
 TEST_F(LiteRpcRecoveryTest, RetryAfterLostReplyDoesNotReexecute) {
   EchoServer server(cluster_.get(), 1, 31);
   char out[64];

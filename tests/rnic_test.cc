@@ -174,6 +174,32 @@ TEST(CqTest, OneSourcesEntriesLeaveInPushOrder) {
   EXPECT_EQ(order, (std::vector<uint64_t>{150, 200, 300, 400, 500, 100}));
 }
 
+// Take hands a poster its own completion wherever it sits in the queue and
+// whatever its ready time; waiting that time out is the caller's business.
+TEST(CqTest, TakeRemovesOneEntryByWrIdAndLeavesTheClock) {
+  Cq cq;
+  const uint64_t now = NowNs();
+  for (uint64_t wr_id : {7, 8, 9}) {
+    Completion c;
+    c.wr_id = wr_id;
+    c.ready_at_ns = now + 1000 * wr_id;
+    cq.Push(c);
+  }
+  auto last = cq.Take(9);  // Out of push order: 7 and 8 were pushed first.
+  ASSERT_TRUE(last.has_value());
+  EXPECT_EQ(last->wr_id, 9u);
+  EXPECT_EQ(last->ready_at_ns, now + 9000);
+  EXPECT_EQ(NowNs(), now);
+  EXPECT_FALSE(cq.Take(9).has_value());
+  EXPECT_FALSE(cq.Take(42).has_value());
+  EXPECT_EQ(cq.Depth(), 2u);
+  auto first = cq.Take(7);
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->wr_id, 7u);
+  EXPECT_EQ(NowNs(), now);
+  EXPECT_EQ(cq.Depth(), 1u);
+}
+
 // A write-imm the fabric duplicates raises two receive CQEs with the original
 // pushed first, so the CQ, which hands out one source's entries in push
 // order, still gives the copy second.
