@@ -3,12 +3,13 @@
 # the perf gate, the paper figures against their golden stdout and the
 # paper's claims, the examples, the trace gate, the repo benchmark's smoke
 # run, then the chaos soak, the
-# atomics/RPC-bind races, the live-migration suite and the simulated RNIC
-# with its Verbs and baseline users under ThreadSanitizer (the
+# atomics/RPC-bind races, the live-migration suite, the simulated RNIC
+# with its Verbs and baseline users, and the shared virtual-time timelines
+# (RateWindow, the RNIC directory) under ThreadSanitizer (the
 # failure-recovery and migration-gate paths are the most thread-hostile code
 # in the tree, so they get the extra scrutiny), and the memory, async, RPC,
-# RNIC and baseline suites under ASan+UBSan. Each stage's wall time and the
-# total are printed as they finish.
+# RNIC, baseline and timeline suites under ASan+UBSan. Each stage's wall time
+# and the total are printed as they finish.
 #
 # Usage: scripts/run_tier1.sh [jobs]
 set -euo pipefail
@@ -114,10 +115,15 @@ stage "repo benchmark smoke"
 # fetch-add, the health watchdog); exits 1 on any mismatch or failed op.
 python3 benchmark/run.py --smoke
 
-stage "chaos soak, migration and the RNIC under ThreadSanitizer"
+stage "chaos soak, migration, the RNIC and the timelines under ThreadSanitizer"
 cmake -B build-tsan -S . -DLT_SANITIZE=thread >/dev/null
-cmake --build build-tsan -j"${JOBS}" --target faults_chaos_test faults_test lite_async_test lite_ring_test transport_test lite_sync_test lite_rpc_test lite_memory_test rnic_test baselines_test verbs_test
+cmake --build build-tsan -j"${JOBS}" --target faults_chaos_test faults_test lite_async_test lite_ring_test transport_test lite_sync_test lite_rpc_test lite_memory_test rnic_test baselines_test verbs_test rate_window_test substrate_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/faults_test
+# RateWindow's sorted slot array (insert in place, walk forward through a
+# spill, prefix-erase GC) and the lock-free RNIC directory, with the service
+# timelines and the cluster that build on them.
+TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/rate_window_test
+TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/substrate_test
 # The WQE pipeline: SEND/RNR waits, shared CQs, and the baselines' server
 # threads polling the same RNIC the clients post to.
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/rnic_test
@@ -135,9 +141,9 @@ TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/lite_memory_test \
     --gtest_filter='MigrationTest.*:Ops/MigrationStaleTest.*:LiteMemoryTest.MoveLmrPreservesContentAndRemapsHandles'
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/faults_chaos_test
 
-stage "memory, async, RPC, RNIC and baseline suites under ASan+UBSan"
+stage "memory, async, RPC, RNIC, baseline and timeline suites under ASan+UBSan"
 cmake -B build-asan -S . -DLT_SANITIZE=address >/dev/null
-cmake --build build-asan -j"${JOBS}" --target lite_memory_test lite_async_test lite_rpc_test rnic_test baselines_test
+cmake --build build-asan -j"${JOBS}" --target lite_memory_test lite_async_test lite_rpc_test rnic_test baselines_test rate_window_test substrate_test
 ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" ./build-asan/tests/lite_memory_test
 ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" ./build-asan/tests/lite_async_test
 # Reply-slot and server-ring lifetimes (zombie reclaim, failed ring setup).
@@ -145,6 +151,9 @@ ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" ./build-asan/test
 # The SEND/RNR path and CopyResolved's scatter/gather pointer arithmetic.
 ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" ./build-asan/tests/rnic_test
 ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" ./build-asan/tests/baselines_test
+# A stale iterator across RateWindow's in-place insert would read freed memory.
+ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" ./build-asan/tests/rate_window_test
+ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" ./build-asan/tests/substrate_test
 
 stage "PASS"
 echo "   total: $(fmt_s $(( STAGE_T0 - TIER1_T0 )))"

@@ -13,13 +13,21 @@
 //   * Light load: Reserve(earliest, cost) returns earliest + cost (exact).
 //   * Saturation: the reservation spills into subsequent windows, modeling
 //     queueing with ~kWindowNs granularity.
+//
+// Storage: one vector of 8-byte slots, one per booked window, sorted by
+// window index. A window gets a slot the first time a reservation consumes
+// from it. Once more than kGcThreshold slots are stored, every window more
+// than kGcKeepWindows behind the newest booked one is dropped (one prefix
+// erase), so a resource holds at most kGcThreshold + 1 = 65537 slots
+// (512 KB; its capacity may round up to 1 MB).
 #ifndef SRC_COMMON_RATE_WINDOW_H_
 #define SRC_COMMON_RATE_WINDOW_H_
 
 #include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <mutex>
-#include <unordered_map>
+#include <vector>
 
 namespace lt {
 
@@ -37,16 +45,23 @@ class RateWindow {
     uint64_t w = earliest_ns / kWindowNs;
     uint64_t remaining = cost_ns;
     uint64_t last_consume_point = earliest_ns;
+    auto it = SlotAt(w);
     while (remaining > 0) {
-      uint64_t& used = used_[w];
+      assert(w < kMaxWindows);
+      if (it == used_.end() || it->window != w) {
+        it = used_.insert(it, Slot{w, 0});
+      }
+      uint64_t used = it->used;
       if (used < kWindowNs) {
         uint64_t take = std::min(kWindowNs - used, remaining);
         used += take;
+        it->used = used;
         remaining -= take;
         last_consume_point = w * kWindowNs + used;
       }
       if (remaining > 0) {
         ++w;
+        ++it;
       }
     }
     max_window_ = std::max(max_window_, w);
@@ -57,21 +72,36 @@ class RateWindow {
   }
 
  private:
+  static constexpr uint64_t kWindowNs = 8192;
+  static constexpr size_t kGcThreshold = 1 << 16;
+  static constexpr uint64_t kGcKeepWindows = 1 << 15;
+  static constexpr int kUsedBits = 14;  // Holds 0..kWindowNs.
+  static constexpr int kWindowBits = 64 - kUsedBits;
+  static constexpr uint64_t kMaxWindows = uint64_t{1} << kWindowBits;
+  static_assert(kWindowNs < (uint64_t{1} << kUsedBits));
+
+  // One booked window: its index and the capacity consumed in it.
+  struct Slot {
+    uint64_t window : kWindowBits;
+    uint64_t used : kUsedBits;
+  };
+  static_assert(sizeof(Slot) == 8);
+
+  // The first slot whose window is at or after `window`.
+  std::vector<Slot>::iterator SlotAt(uint64_t window) {
+    return std::lower_bound(used_.begin(), used_.end(), window,
+                            [](const Slot& s, uint64_t w) { return s.window < w; });
+  }
+
   void Gc() {
     // Drop windows far behind the frontier; reservations that far in the
     // past no longer occur (clocks only move forward on each thread).
     uint64_t horizon = max_window_ > kGcKeepWindows ? max_window_ - kGcKeepWindows : 0;
-    for (auto it = used_.begin(); it != used_.end();) {
-      it = it->first < horizon ? used_.erase(it) : std::next(it);
-    }
+    used_.erase(used_.begin(), SlotAt(horizon));
   }
 
-  static constexpr uint64_t kWindowNs = 8192;
-  static constexpr size_t kGcThreshold = 1 << 16;
-  static constexpr uint64_t kGcKeepWindows = 1 << 15;
-
   std::mutex mu_;
-  std::unordered_map<uint64_t, uint64_t> used_;
+  std::vector<Slot> used_;  // Sorted by window; see the file comment.
   uint64_t max_window_ = 0;
 };
 

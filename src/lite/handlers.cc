@@ -4,6 +4,7 @@
 // barrier services. Every handler returns its outcome, which the worker
 // sends back as [u32 status code | payload] (see InternalWorkerLoop).
 #include <cstring>
+#include <utility>
 
 #include "src/common/logging.h"
 #include "src/common/timing.h"
@@ -391,14 +392,17 @@ void LiteInstance::RegisterInternalHandlers() {
     const uint64_t lease_ns = p.lite_lease_timeout_ns > 0
                                   ? p.lite_lease_timeout_ns
                                   : 5 * p.lite_keepalive_interval_ns;
-    const uint64_t now_real = lt::RealNowNs();
-    std::vector<NodeId> dead;
+    std::vector<std::pair<NodeId, uint64_t>> dead;  // Node, ns since its last keepalive.
     {
       std::lock_guard<std::mutex> lock(self->lease_mu_);
+      // Read the clock under the lock: a renewal the other control worker
+      // stored after a clock read taken outside it would make now - last_seen
+      // wrap and condemn a live node.
+      const uint64_t now_real = lt::RealNowNs();
       self->lease_last_seen_[sender] = now_real;
       for (const auto& [node, last_seen] : self->lease_last_seen_) {
         if (lease_ns > 0 && now_real - last_seen > lease_ns) {
-          dead.push_back(node);
+          dead.emplace_back(node, now_real - last_seen);
         }
       }
     }
@@ -406,24 +410,16 @@ void LiteInstance::RegisterInternalHandlers() {
     // holders. The dead list is piggybacked on the reply so every renewal
     // disseminates the manager's view (paper Sec. 3.3's failure handling).
     self->SetPeerDead(sender, false);
-    for (NodeId node : dead) {
+    for (const auto& [node, overdue_ns] : dead) {
       if (self->journal_ != nullptr && !self->PeerDead(node)) {
-        uint64_t overdue_ns = 0;
-        {
-          std::lock_guard<std::mutex> lock(self->lease_mu_);
-          auto it = self->lease_last_seen_.find(node);
-          if (it != self->lease_last_seen_.end()) {
-            overdue_ns = now_real - it->second;
-          }
-        }
         self->journal_->Record(lt::telemetry::JournalEvent::kLeaseExpire, node, overdue_ns);
       }
       self->SetPeerDead(node, true);
     }
     WireWriter payload;
     payload.Put<uint32_t>(static_cast<uint32_t>(dead.size()));
-    for (NodeId node : dead) {
-      payload.Put<NodeId>(node);
+    for (const auto& entry : dead) {
+      payload.Put<NodeId>(entry.first);
     }
     return payload.bytes();
   };

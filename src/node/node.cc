@@ -92,7 +92,8 @@ Process* Node::CreateProcess() {
   return processes_.back().get();
 }
 
-Cluster::Cluster(size_t node_count, const SimParams& params) : params_(params) {
+Cluster::Cluster(size_t node_count, const SimParams& params)
+    : params_(params), directory_(node_count) {
   nodes_.reserve(node_count);
   for (size_t i = 0; i < node_count; ++i) {
     nodes_.push_back(

@@ -21,16 +21,17 @@ uint64_t MttKey(uint32_t lkey, uint64_t vpage) {
 }
 
 // Per-thread doorbell batch tracker: consecutive hinted posts to the same QP
-// within kRnicDoorbellWindowNs share one doorbell. The rnic/qpn fields are
-// used for identity comparison only and are never dereferenced (the tracked
-// RNIC may outlive a test cluster).
+// within kRnicDoorbellWindowNs share one doorbell. It outlives the cluster it
+// was filled in, so it names its RNIC by Rnic::id_, which no later RNIC
+// reuses, and never by address.
 struct DoorbellBatch {
-  const Rnic* rnic = nullptr;
+  uint64_t rnic_id = 0;  // 0: no open batch (ids start at 1).
   uint32_t qpn = 0;
   uint64_t last_post_ns = 0;
   uint32_t len = 0;  // WQEs under the current doorbell (0 = untracked post).
 };
 thread_local DoorbellBatch tl_doorbell;
+std::atomic<uint64_t> g_next_rnic_id{1};
 
 // Transport breakdown of this thread's most recent PostSend (latency
 // attribution). Execute fills it from the same absolute timestamps it
@@ -39,24 +40,6 @@ thread_local DoorbellBatch tl_doorbell;
 thread_local telemetry::WqeLatBreakdown tl_last_lat;
 
 }  // namespace
-
-// ---------------------------------------------------------------- directory
-
-void RnicDirectory::Register(NodeId node, Rnic* rnic) {
-  std::lock_guard<SpinLock> lock(mu_);
-  if (rnics_.size() <= node) {
-    rnics_.resize(node + 1, nullptr);
-  }
-  rnics_[node] = rnic;
-}
-
-Rnic* RnicDirectory::Lookup(NodeId node) const {
-  std::lock_guard<SpinLock> lock(mu_);
-  if (node >= rnics_.size()) {
-    return nullptr;
-  }
-  return rnics_[node];
-}
 
 // ----------------------------------------------------------------------- cq
 
@@ -163,6 +146,7 @@ Rnic::Rnic(NodeId node, const SimParams& params, PhysMem* mem, FabricPort* port,
       mem_(mem),
       port_(port),
       directory_(directory),
+      id_(g_next_rnic_id.fetch_add(1, std::memory_order_relaxed)),
       mpt_cache_(kMptCacheEntries),
       mtt_cache_(kMttCachePages),
       qpc_cache_(kQpcCacheEntries) {
@@ -342,7 +326,7 @@ void Rnic::ResetLastPostBreakdown() { tl_last_lat = telemetry::WqeLatBreakdown{}
 void Rnic::ChargePostCost(Qp* qp, const WorkRequest& wr) {
   DoorbellBatch& b = tl_doorbell;
   const uint64_t now = NowNs();
-  const bool batches = wr.doorbell_hint && b.rnic == this && b.qpn == qp->qpn() &&
+  const bool batches = wr.doorbell_hint && b.rnic_id == id_ && b.qpn == qp->qpn() &&
                        b.len > 0 && now >= b.last_post_ns &&
                        now - b.last_post_ns <= kRnicDoorbellWindowNs;
   if (batches) {
@@ -355,7 +339,7 @@ void Rnic::ChargePostCost(Qp* qp, const WorkRequest& wr) {
   }
   // New doorbell. Close out the previous batch on this NIC (batch size is
   // only observable once the next doorbell rings).
-  if (b.rnic == this && b.len > 0) {
+  if (b.rnic_id == id_ && b.len > 0) {
     telemetry::FixedHistogram* hist = doorbell_batch_hist_.load(std::memory_order_acquire);
     if (hist != nullptr) {
       hist->Record(b.len);
@@ -363,7 +347,7 @@ void Rnic::ChargePostCost(Qp* qp, const WorkRequest& wr) {
   }
   SpinFor(kRnicPostNs);
   doorbells_.fetch_add(1, std::memory_order_relaxed);
-  b.rnic = wr.doorbell_hint ? this : nullptr;
+  b.rnic_id = wr.doorbell_hint ? id_ : 0;
   b.qpn = qp->qpn();
   b.len = wr.doorbell_hint ? 1 : 0;
   b.last_post_ns = NowNs();

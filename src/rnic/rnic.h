@@ -38,6 +38,7 @@
 #define SRC_RNIC_RNIC_H_
 
 #include <atomic>
+#include <cassert>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -91,14 +92,21 @@ inline constexpr uint64_t kRnicPostWqeNs = 40;
 inline constexpr uint64_t kRnicInlineMax = 256;
 inline constexpr uint64_t kRnicInlineProcessNs = 60;
 
-// Resolves node ids to their RNICs; owned by the cluster.
+// Resolves node ids to their RNICs; owned by the cluster. It is sized for
+// the cluster's nodes up front, and every RNIC registers while the cluster is
+// built, before any thread that looks one up exists, so Lookup takes no lock.
 class RnicDirectory {
  public:
-  void Register(NodeId node, Rnic* rnic);
-  Rnic* Lookup(NodeId node) const;
+  explicit RnicDirectory(size_t nodes) : rnics_(nodes, nullptr) {}
+
+  void Register(NodeId node, Rnic* rnic) {
+    assert(node < rnics_.size());
+    rnics_[node] = rnic;
+  }
+  // nullptr for a node id outside the cluster.
+  Rnic* Lookup(NodeId node) const { return node < rnics_.size() ? rnics_[node] : nullptr; }
 
  private:
-  mutable SpinLock mu_;
   std::vector<Rnic*> rnics_;
 };
 
@@ -377,6 +385,9 @@ class Rnic {
   PhysMem* const mem_;
   FabricPort* const port_;
   RnicDirectory* const directory_;
+  // Process-unique and never reused, unlike this object's address, which a
+  // later cluster's RNIC can take over: keys the per-thread doorbell tracker.
+  const uint64_t id_;
 
   LruCache mpt_cache_;
   LruCache mtt_cache_;

@@ -16,7 +16,9 @@
 #ifndef SRC_TELEMETRY_METRICS_H_
 #define SRC_TELEMETRY_METRICS_H_
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -60,7 +62,8 @@ struct HistogramSnapshot {
   uint64_t min = 0;
   uint64_t max = 0;
   // bucket[i] counts samples v with bit_width(v) == i, i.e. v in
-  // [2^(i-1), 2^i) for i >= 1 and v == 0 for i == 0.
+  // [2^(i-1), 2^i) for i >= 1 and v == 0 for i == 0; the last bucket (63)
+  // also takes v >= 2^63.
   std::vector<uint64_t> buckets;
 
   double Mean() const {
@@ -79,10 +82,7 @@ class FixedHistogram {
   static constexpr int kBuckets = 64;
 
   void Record(uint64_t v) {
-    int b = 0;
-    while ((v >> b) != 0 && b < kBuckets - 1) {
-      ++b;
-    }
+    const int b = std::min(static_cast<int>(std::bit_width(v)), kBuckets - 1);
     buckets_[b].fetch_add(1, std::memory_order_relaxed);
     count_.fetch_add(1, std::memory_order_relaxed);
     sum_.fetch_add(v, std::memory_order_relaxed);

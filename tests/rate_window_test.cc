@@ -1,11 +1,57 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <thread>
+#include <unordered_map>
 
 #include "src/common/rate_window.h"
+#include "src/common/rng.h"
 
 namespace lt {
 namespace {
+
+constexpr uint64_t kWindowNs = 8192;  // RateWindow's window, GC bound and GC keep.
+constexpr size_t kGcThreshold = 1 << 16;
+constexpr uint64_t kGcKeepWindows = 1 << 15;
+
+// The hash-map RateWindow the sorted slot array replaced, kept as the
+// reference its results must match exactly.
+class MapRateWindow {
+ public:
+  uint64_t Reserve(uint64_t earliest_ns, uint64_t cost_ns) {
+    if (cost_ns == 0) {
+      return earliest_ns;
+    }
+    uint64_t w = earliest_ns / kWindowNs;
+    uint64_t remaining = cost_ns;
+    uint64_t last_consume_point = earliest_ns;
+    while (remaining > 0) {
+      uint64_t& used = used_[w];
+      if (used < kWindowNs) {
+        uint64_t take = std::min(kWindowNs - used, remaining);
+        used += take;
+        remaining -= take;
+        last_consume_point = w * kWindowNs + used;
+      }
+      if (remaining > 0) {
+        ++w;
+      }
+    }
+    max_window_ = std::max(max_window_, w);
+    if (used_.size() > kGcThreshold) {
+      uint64_t horizon = max_window_ > kGcKeepWindows ? max_window_ - kGcKeepWindows : 0;
+      std::erase_if(used_, [horizon](const auto& kv) { return kv.first < horizon; });
+      ++gcs_;
+    }
+    return std::max(earliest_ns + cost_ns, last_consume_point);
+  }
+  int gcs() const { return gcs_; }
+
+ private:
+  std::unordered_map<uint64_t, uint64_t> used_;
+  uint64_t max_window_ = 0;
+  int gcs_ = 0;
+};
 
 TEST(RateWindowTest, LightLoadIsExact) {
   RateWindow window;
@@ -80,6 +126,67 @@ TEST(RateWindowTest, GcKeepsReserving) {
     window.Reserve(t * 8192, 10);
   }
   EXPECT_EQ(window.Reserve(100'000ull * 8192, 10), 100'000ull * 8192 + 10);
+}
+
+TEST(RateWindowTest, MatchesTheMapReferenceOnSeededReservations) {
+  // A frontier that advances half a window per reservation on average, at
+  // about 80% load, with bursts at one instant, spills across many windows,
+  // and backfills both near the frontier and past the GC horizon (where the
+  // windows were dropped and read as free again).
+  RateWindow window;
+  MapRateWindow model;
+  Rng rng(42);
+  uint64_t frontier = 0;
+  constexpr int kReservations = 1 << 20;
+  for (int i = 0; i < kReservations; ++i) {
+    frontier += rng.NextBounded(kWindowNs);
+    const uint64_t kind = rng.NextBounded(1000);
+    uint64_t earliest = frontier;
+    uint64_t cost = 1 + rng.NextBounded(2048);
+    if (kind < 500) {  // At or just past the frontier.
+      earliest += rng.NextBounded(kWindowNs / 2);
+    } else if (kind < 750) {  // Near backfill, up to 64 windows back.
+      earliest -= std::min(frontier, rng.NextBounded(64 * kWindowNs));
+      cost = 1 + rng.NextBounded(4096);
+    } else if (kind < 900) {  // Bursts at one instant.
+      cost = 1 + rng.NextBounded(kWindowNs);
+    } else if (kind < 950) {  // Spills across up to seven windows.
+      cost = kWindowNs + rng.NextBounded(6 * kWindowNs);
+    } else if (kind < 998) {
+      cost = kind < 990 ? 1 + rng.NextBounded(64) : 0;
+    } else {  // Far backfill, often past the GC horizon.
+      earliest -= std::min(frontier, rng.NextBounded(48'000 * kWindowNs));
+      cost = 1 + rng.NextBounded(2 * kWindowNs);
+    }
+    ASSERT_EQ(window.Reserve(earliest, cost), model.Reserve(earliest, cost))
+        << "reservation " << i << " at " << earliest << " for " << cost << " ns";
+  }
+  EXPECT_GE(model.gcs(), 10);  // The stream crossed the GC threshold repeatedly.
+}
+
+TEST(RateWindowTest, GcDropsWindowsBehindTheHorizonOnlyPastTheThreshold) {
+  RateWindow window;
+  auto at = [](uint64_t w) { return w * kWindowNs; };
+  // Fill windows 32767 and 32768, then book 10 ns in 65534 other windows in
+  // increasing order, leaving window 65536 unbooked: 65536 windows held.
+  ASSERT_EQ(window.Reserve(at(32767), kWindowNs), at(32768));
+  ASSERT_EQ(window.Reserve(at(32768), kWindowNs), at(32769));
+  for (uint64_t w = 0; w < 65536; ++w) {
+    if (w != 32767 && w != 32768) {
+      ASSERT_EQ(window.Reserve(at(w), 10), at(w) + 10);
+    }
+  }
+  // Exactly 65536 windows: nothing was dropped, so window 0 still holds its
+  // 10 ns, and booking the rest of it ends at the window's end.
+  EXPECT_EQ(window.Reserve(at(0), kWindowNs - 10), at(1));
+  // The 65537th window starts the GC, relative to window 65536: every window
+  // below 65536 - 32768 = 32768 goes, window 32768 and up stay.
+  ASSERT_EQ(window.Reserve(at(65536), 10), at(65536) + 10);
+  // Window 32767 was full and was dropped: its capacity reads free again.
+  EXPECT_EQ(window.Reserve(at(32767), 1), at(32767) + 1);
+  // Window 32768 is full and kept: a booking there spills into window
+  // 32769, behind the 10 ns already in it.
+  EXPECT_EQ(window.Reserve(at(32768), 1), at(32769) + 11);
 }
 
 }  // namespace

@@ -830,6 +830,67 @@ TEST_F(RnicTimingTest, DoorbellBatchBreaksPastPostWindow) {
   EXPECT_EQ(r0_->doorbells_rung() - doorbells_before, 2u);
 }
 
+// The per-thread doorbell tracker outlives the cluster it was filled in, and
+// a later cluster's RNIC can sit at a destroyed one's address. Its first post
+// must neither ride the dead RNIC's open batch nor close it into its own
+// doorbell-batch histogram.
+TEST(RnicDoorbellTest, LaterClusterInheritsNoOpenBatch) {
+  struct TwoNodes {
+    std::unique_ptr<Cluster> cluster;
+    Rnic* r0;
+    Qp* qp0;
+    MrEntry mr1;
+  };
+  auto build = [] {
+    SimParams p;
+    p.node_phys_mem_bytes = 8 << 20;
+    TwoNodes t{std::make_unique<Cluster>(2, p), nullptr, nullptr, {}};
+    t.r0 = &t.cluster->node(0)->rnic();
+    Rnic* r1 = &t.cluster->node(1)->rnic();
+    t.mr1 = *r1->RegisterMrPhysical(0, 1 << 20, kMrAll);
+    t.qp0 = t.r0->CreateQp(QpType::kRc, t.r0->CreateCq(), t.r0->CreateCq());
+    Qp* qp1 = r1->CreateQp(QpType::kRc, r1->CreateCq(), r1->CreateCq());
+    t.qp0->Connect(1, qp1->qpn());
+    qp1->Connect(0, t.qp0->qpn());
+    return t;
+  };
+  char buf[8] = "d";
+  auto post_hinted = [&buf](TwoNodes& t) {
+    WorkRequest wr;
+    wr.opcode = WrOpcode::kWrite;
+    wr.host_local = buf;
+    wr.length = 8;
+    wr.rkey = t.mr1.lkey;
+    wr.remote_addr = 0;
+    wr.doorbell_hint = true;
+    wr.signaled = false;
+    uint64_t t0 = NowNs();
+    EXPECT_TRUE(t.r0->PostSend(t.qp0, wr).ok());
+    return NowNs() - t0;
+  };
+  // Within the post window the stale batch could be ridden; past it, closed.
+  for (uint64_t idle_ns : {uint64_t{0}, 2 * kRnicDoorbellWindowNs}) {
+    SCOPED_TRACE("idle " + std::to_string(idle_ns) + " ns before the first post");
+    {
+      TwoNodes a = build();
+      for (int i = 0; i < 3; ++i) {
+        post_hinted(a);  // Leaves a batch of 3 open on this thread.
+      }
+    }
+    TwoNodes b = build();
+    SpinFor(idle_ns);
+    EXPECT_EQ(post_hinted(b), kRnicPostNs);
+    EXPECT_EQ(b.r0->doorbells_rung(), 1u);
+    EXPECT_EQ(b.r0->wqes_batched(), 0u);
+    EXPECT_EQ(b.cluster->node(0)
+                  ->telemetry()
+                  .registry()
+                  .GetHistogram("lite.rnic.doorbell_batch")
+                  ->count(),
+              0u);
+  }
+}
+
 TEST_F(RnicTest, SignaledAndUnsignaledWqesCounted) {
   char buf[8] = "c";
   WorkRequest wr;

@@ -102,6 +102,26 @@ TEST(RegistryTest, HistogramBucketsAndPercentiles) {
   EXPECT_LE(s.Percentile(100), 1023u);
 }
 
+TEST(RegistryTest, HistogramBucketIsTheBitWidthCappedAtTheLastBucket) {
+  // One sample per histogram; the snapshot trims trailing empty buckets, so
+  // its last bucket is the one the sample went to.
+  auto bucket_of = [](uint64_t v) {
+    FixedHistogram h;
+    h.Record(v);
+    HistogramSnapshot s = h.Snapshot();
+    EXPECT_EQ(s.buckets.back(), 1u);
+    return static_cast<int>(s.buckets.size()) - 1;
+  };
+  EXPECT_EQ(bucket_of(0), 0);
+  EXPECT_EQ(bucket_of(1), 1);
+  for (int k = 1; k < 63; ++k) {
+    EXPECT_EQ(bucket_of((uint64_t{1} << k) - 1), k) << "2^" << k << " - 1";
+    EXPECT_EQ(bucket_of(uint64_t{1} << k), k + 1) << "2^" << k;
+  }
+  EXPECT_EQ(bucket_of(uint64_t{1} << 63), 63);  // 2^62 is the loop's last 2^k.
+  EXPECT_EQ(bucket_of(~uint64_t{0}), 63);
+}
+
 TEST(RegistryTest, SnapshotIncludesProbesAndValueOr) {
   Registry reg;
   reg.GetCounter("counted")->Inc(7);
