@@ -7,9 +7,9 @@
 # with its Verbs and baseline users, and the shared virtual-time timelines
 # (RateWindow, the RNIC directory) under ThreadSanitizer (the
 # failure-recovery and migration-gate paths are the most thread-hostile code
-# in the tree, so they get the extra scrutiny), and the memory, async, RPC,
-# RNIC, baseline and timeline suites under ASan+UBSan. Each stage's wall time
-# and the total are printed as they finish.
+# in the tree, so they get the extra scrutiny), and the memory, async,
+# submission-ring, RPC, RNIC, baseline and timeline suites under ASan+UBSan.
+# Each stage's wall time and the total are printed as they finish.
 #
 # Usage: scripts/run_tier1.sh [jobs]
 set -euo pipefail
@@ -141,11 +141,14 @@ TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/lite_memory_test \
     --gtest_filter='MigrationTest.*:Ops/MigrationStaleTest.*:LiteMemoryTest.MoveLmrPreservesContentAndRemapsHandles'
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/faults_chaos_test
 
-stage "memory, async, RPC, RNIC, baseline and timeline suites under ASan+UBSan"
+stage "memory, async, ring, RPC, RNIC, baseline and timeline suites under ASan+UBSan"
 cmake -B build-asan -S . -DLT_SANITIZE=address >/dev/null
-cmake --build build-asan -j"${JOBS}" --target lite_memory_test lite_async_test lite_rpc_test rnic_test baselines_test rate_window_test substrate_test
+cmake --build build-asan -j"${JOBS}" --target lite_memory_test lite_async_test lite_ring_test lite_rpc_test rnic_test baselines_test rate_window_test substrate_test
 ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" ./build-asan/tests/lite_memory_test
 ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" ./build-asan/tests/lite_async_test
+# The deferred drain: a handle reserved at submit and registered (or failed)
+# when its batch drains, with the op record handed from ring to engine.
+ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" ./build-asan/tests/lite_ring_test
 # Reply-slot and server-ring lifetimes (zombie reclaim, failed ring setup).
 ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" ./build-asan/tests/lite_rpc_test
 # The SEND/RNR path and CopyResolved's scatter/gather pointer arithmetic.

@@ -1,7 +1,7 @@
 // Shared plumbing for the re-implemented comparator systems (HERD, FaSST,
-// FaRM messaging, send/recv RPC). These run on the *native Verbs* path —
-// registered virtual-memory MRs, their own QPs/CQs and polling threads — with
-// no LITE involvement, exactly like the paper's baselines.
+// send/recv RPC). These run on the *native Verbs* path — registered
+// virtual-memory MRs, their own QPs/CQs and polling threads — with no LITE
+// involvement, exactly like the paper's baselines.
 #ifndef SRC_BASELINES_BASE_UTIL_H_
 #define SRC_BASELINES_BASE_UTIL_H_
 

@@ -39,7 +39,6 @@ void SendRecvRpcServer::PostClassRecv(size_t port, size_t cls, size_t slot) {
   rqe.addr = recv_bufs_[port][cls][slot].addr;
   rqe.length = class_sizes_[cls];
   (void)ports_[port]->class_qps_server[cls]->PostRecv(rqe);
-  posted_.fetch_add(class_sizes_[cls]);
 }
 
 StatusOr<SendRecvRpcClient*> SendRecvRpcServer::AttachClient(NodeId client_node) {

@@ -57,7 +57,6 @@ class SendRecvRpcServer {
   // Fig. 12 accounting.
   uint64_t consumed_buffer_bytes() const { return consumed_.load(); }
   uint64_t payload_bytes() const { return payload_.load(); }
-  uint64_t posted_buffer_bytes() const { return posted_.load(); }
 
  private:
   friend class SendRecvRpcClient;
@@ -89,7 +88,6 @@ class SendRecvRpcServer {
   std::atomic<bool> stopping_{false};
   std::atomic<uint64_t> consumed_{0};
   std::atomic<uint64_t> payload_{0};
-  std::atomic<uint64_t> posted_{0};
 };
 
 }  // namespace liteapp

@@ -44,11 +44,6 @@ class Histogram {
     sorted_ = false;
   }
 
-  void AddUnlocked(double v) {
-    samples_.push_back(v);
-    sorted_ = false;
-  }
-
   size_t count() const {
     std::lock_guard<std::mutex> lock(mu_);
     return samples_.size();

@@ -23,7 +23,6 @@ class SpinLock {
     }
   }
   void unlock() { flag_.clear(std::memory_order_release); }
-  bool try_lock() { return !flag_.test_and_set(std::memory_order_acquire); }
 
  private:
   std::atomic_flag flag_ = ATOMIC_FLAG_INIT;

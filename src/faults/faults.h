@@ -96,11 +96,6 @@ class FaultEngine {
   // [start_vns, end_vns). Replayable: the trigger is virtual time, not wall
   // time. Windows stack with CrashNode and are removed by ClearSchedules().
   void ScheduleCrash(NodeId node, uint64_t start_vns, uint64_t end_vns);
-  // One-shot deterministic crash: `node` is down for every transfer departing
-  // at virtual time >= t_vns — CrashNode() firing at exactly t_vns, no window
-  // end to pick. Healed by ClearSchedules() (RestartNode only clears the
-  // immediate-crash flag, not virtual-time schedules).
-  void CrashAtVtime(NodeId node, uint64_t t_vns) { ScheduleCrash(node, t_vns, ~0ull); }
   void ClearSchedules();
 
   // ---- Transfer decision (hot path when armed) -------------------------

@@ -168,7 +168,7 @@ Status LiteInstance::BootstrapControlChannel(LiteInstance* server) {
   auto channel = std::make_unique<RpcChannel>();
   channel->server = server->node_id();
   channel->func = kControlRingId;
-  channel->ring = {LmrChunk{server->node_id(), ring->ring.addr, ring->ring.size}};
+  channel->ring = ring->ring;
   channel->ring_size = ring->ring_size;
   channel->head_mirror = ring->client_head_mirror;
   std::lock_guard<std::mutex> lock(channels_mu_);

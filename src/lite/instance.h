@@ -335,7 +335,21 @@ class LiteInstance {
   // One-sided posting has no forwarders: every call site posts through
   // engine_ directly (op_engine.h owns QP selection, recovery, retry).
 
-  // The blocking LT_read/LT_write body: op record, lh check, then SubmitLh.
+  // One lh a data-path memop touches, the access it needs, and where its
+  // resolved entry goes.
+  struct LhAccess {
+    Lh lh;
+    uint64_t offset;
+    uint64_t len;
+    uint32_t perm;
+    LhEntry* entry;
+  };
+  // The lh prologue of every data-path memop: one map check, each handle's
+  // lookup, then each permission check, booked as `submit` only when all
+  // pass (a failed lookup or check books nothing). LT_memcpy's two handles
+  // share the one map check.
+  Status ResolveLhs(std::initializer_list<LhAccess> uses);
+  // The blocking LT_read/LT_write body: op record, ResolveLhs, then SubmitLh.
   Status BlockingMemop(Lh lh, uint64_t offset, void* buf, uint64_t len, Priority pri,
                        bool is_read);
   // Submits [offset, offset+len) of `*entry` as one SubmitPieces call,
@@ -421,14 +435,15 @@ class LiteInstance {
   Status RpcSendNoReply(NodeId server_node, RpcFuncId func, const void* in, uint32_t in_len,
                         Priority pri = Priority::kHigh);
 
-  // Shared body of ReadAsync/WriteAsync: lh/permission prologue, then hands
-  // the sliced pieces to the engine.
+  // Shared body of ReadAsync/WriteAsync: ResolveLhs, then hands the sliced
+  // pieces to the engine.
   StatusOr<MemopHandle> IssueAsyncMemop(Lh lh, uint64_t offset, void* buf, uint64_t len,
                                         Priority pri, bool is_read);
   // Kernel-half execution of one ring-deferred async memop (ring.h): adopts
   // the op's detached attribution record, pays the map check once per
   // distinct lh per drain batch (via `cache`), and registers the op with
-  // the engine under its reserved handle.
+  // the engine under its reserved handle (a failed one too); the engine
+  // commits or keeps the record.
   void ExecuteDeferredAsync(RingDeferredOp& op, RingDrainCache* cache);
 
   static Status CheckAppFunc(RpcFuncId func);

@@ -282,6 +282,23 @@ Status LiteInstance::Unmap(Lh lh) {
 
 // ------------------------------------------------------ LT_read / LT_write
 
+Status LiteInstance::ResolveLhs(std::initializer_list<LhAccess> uses) {
+  const uint64_t submit_t0 = lt::NowNs();
+  SpinFor(kMapCheckNs);
+  for (const LhAccess& use : uses) {
+    auto entry = GetLh(use.lh);
+    if (!entry.ok()) {
+      return entry.status();
+    }
+    *use.entry = std::move(*entry);
+  }
+  for (const LhAccess& use : uses) {
+    LT_RETURN_IF_ERROR(CheckAccess(*use.entry, use.offset, use.len, use.perm));
+  }
+  AttrAdd(LatStage::kLatSubmit, lt::NowNs() - submit_t0);
+  return Status::Ok();
+}
+
 Status LiteInstance::Read(Lh lh, uint64_t offset, void* buf, uint64_t len, Priority pri) {
   return BlockingMemop(lh, offset, buf, len, pri, /*is_read=*/true);
 }
@@ -299,15 +316,9 @@ Status LiteInstance::BlockingMemop(Lh lh, uint64_t offset, void* buf, uint64_t l
   // inert and the stamps below flow into the client-level op.
   ScopedOpAttr attr(&node_->telemetry().latency(), is_read ? "read" : "write", len,
                     static_cast<int>(pri));
-  const uint64_t submit_t0 = lt::NowNs();
-  SpinFor(kMapCheckNs);
-  auto entry = GetLh(lh);
-  if (!entry.ok()) {
-    return entry.status();
-  }
-  LT_RETURN_IF_ERROR(CheckAccess(*entry, offset, len, is_read ? kPermRead : kPermWrite));
-  AttrAdd(LatStage::kLatSubmit, lt::NowNs() - submit_t0);
-  return SubmitLh(lh, &*entry, offset, buf, len, is_read, pri);
+  LhEntry entry;
+  LT_RETURN_IF_ERROR(ResolveLhs({{lh, offset, len, is_read ? kPermRead : kPermWrite, &entry}}));
+  return SubmitLh(lh, &entry, offset, buf, len, is_read, pri);
 }
 
 Status LiteInstance::SubmitLh(Lh lh, LhEntry* entry, uint64_t offset, void* buf, uint64_t len,
@@ -326,22 +337,16 @@ Status LiteInstance::Memset(Lh lh, uint64_t offset, uint8_t value, uint64_t len,
     return Status::Ok();
   }
   ScopedOpAttr attr(&node_->telemetry().latency(), "memset", len, static_cast<int>(pri));
-  const uint64_t submit_t0 = lt::NowNs();
-  SpinFor(kMapCheckNs);
-  auto entry = GetLh(lh);
-  if (!entry.ok()) {
-    return entry.status();
-  }
-  LT_RETURN_IF_ERROR(CheckAccess(*entry, offset, len, kPermWrite));
-  AttrAdd(LatStage::kLatSubmit, lt::NowNs() - submit_t0);
+  LhEntry entry;
+  LT_RETURN_IF_ERROR(ResolveLhs({{lh, offset, len, kPermWrite, &entry}}));
 
   // Send one command per involved node; each node memsets its own pieces
   // locally (cheaper than shipping the pattern over the wire, Sec. 7.1).
   // Re-issuing the whole memset after a redirect is idempotent: the pattern
   // write repeats on nodes that already applied it.
-  return RedirectStale({{lh, &*entry}}, [&]() -> Status {
+  return RedirectStale({{lh, &entry}}, [&]() -> Status {
     std::map<NodeId, std::vector<ChunkPiece>> by_node;
-    for (const ChunkPiece& p : SliceChunks(entry->chunks, offset, len)) {
+    for (const ChunkPiece& p : SliceChunks(entry.chunks, offset, len)) {
       by_node[p.node].push_back(p);
     }
     for (const auto& [target, group] : by_node) {
@@ -405,28 +410,19 @@ Status LiteInstance::Memcpy(Lh dst, uint64_t dst_off, Lh src, uint64_t src_off, 
     return Status::Ok();
   }
   ScopedOpAttr attr(&node_->telemetry().latency(), "memcpy", len, static_cast<int>(pri));
-  const uint64_t submit_t0 = lt::NowNs();
-  SpinFor(kMapCheckNs);
-  auto src_entry = GetLh(src);
-  if (!src_entry.ok()) {
-    return src_entry.status();
-  }
-  auto dst_entry = GetLh(dst);
-  if (!dst_entry.ok()) {
-    return dst_entry.status();
-  }
-  LT_RETURN_IF_ERROR(CheckAccess(*src_entry, src_off, len, kPermRead));
-  LT_RETURN_IF_ERROR(CheckAccess(*dst_entry, dst_off, len, kPermWrite));
-  AttrAdd(LatStage::kLatSubmit, lt::NowNs() - submit_t0);
+  LhEntry src_entry;
+  LhEntry dst_entry;
+  LT_RETURN_IF_ERROR(ResolveLhs(
+      {{src, src_off, len, kPermRead, &src_entry}, {dst, dst_off, len, kPermWrite, &dst_entry}}));
 
   // One LT_RPC to each node storing source data; that node either memcpys
   // locally or LT_writes to the destination node (paper Sec. 7.1). Either
   // side may have migrated, so a redirect refreshes both mappings and
   // re-pairs the pieces.
-  return RedirectStale({{src, &*src_entry}, {dst, &*dst_entry}}, [&]() -> Status {
+  return RedirectStale({{src, &src_entry}, {dst, &dst_entry}}, [&]() -> Status {
     std::map<NodeId, std::vector<CopySegment>> by_src;
-    for (const CopySegment& seg : PairPieces(SliceChunks(src_entry->chunks, src_off, len),
-                                             SliceChunks(dst_entry->chunks, dst_off, len))) {
+    for (const CopySegment& seg : PairPieces(SliceChunks(src_entry.chunks, src_off, len),
+                                             SliceChunks(dst_entry.chunks, dst_off, len))) {
       by_src[seg.src_node].push_back(seg);
     }
     for (const auto& [target, group] : by_src) {
@@ -494,17 +490,11 @@ StatusOr<uint64_t> LiteInstance::LhAtomic(Lh lh, uint64_t offset, bool is_cas,
                                           uint64_t compare_add, uint64_t swap) {
   ScopedOpAttr attr(&node_->telemetry().latency(), "atomic", 8,
                     static_cast<int>(Priority::kHigh));
-  const uint64_t submit_t0 = lt::NowNs();
-  SpinFor(kMapCheckNs);
-  auto entry = GetLh(lh);
-  if (!entry.ok()) {
-    return entry.status();
-  }
-  LT_RETURN_IF_ERROR(CheckAccess(*entry, offset, 8, kPermWrite));
-  AttrAdd(LatStage::kLatSubmit, lt::NowNs() - submit_t0);
+  LhEntry entry;
+  LT_RETURN_IF_ERROR(ResolveLhs({{lh, offset, 8, kPermWrite, &entry}}));
   uint64_t old_value = 0;
-  LT_RETURN_IF_ERROR(RedirectStale({{lh, &*entry}}, [&]() -> Status {
-    auto pieces = SliceChunks(entry->chunks, offset, 8);
+  LT_RETURN_IF_ERROR(RedirectStale({{lh, &entry}}, [&]() -> Status {
+    auto pieces = SliceChunks(entry.chunks, offset, 8);
     if (pieces.size() != 1) {
       return Status::InvalidArgument("atomic target straddles LMR chunks");
     }

@@ -284,53 +284,55 @@ Status OpEngine::PostRingWrite(NodeId dst, Priority pri, WorkRequest wr) {
   return s;
 }
 
+template <typename Body>
+auto OpEngine::Blocking(Body&& body) {
+  BeginEngineOp();
+  auto r = body();
+  FinishEngineOp(r.ok());
+  return r;
+}
+
 Status OpEngine::OneSidedWrite(NodeId dst, PhysAddr dst_addr, const void* src, uint64_t len,
                                Priority pri) {
-  BeginEngineOp();
   const OpDesc piece{dst, dst_addr, const_cast<void*>(src), len};
-  Status s = dst == inst_->node_id() ? CopyLocalPiece(piece, /*is_read=*/false)
-                                     : PostRingWrite(dst, pri, PieceWr(piece, /*is_read=*/false));
-  FinishEngineOp(s.ok());
-  return s;
+  return Blocking([&] {
+    return dst == inst_->node_id() ? CopyLocalPiece(piece, /*is_read=*/false)
+                                   : PostRingWrite(dst, pri, PieceWr(piece, /*is_read=*/false));
+  });
 }
 
 Status OpEngine::OneSidedWriteImm(NodeId dst, PhysAddr dst_addr, const void* src, uint64_t len,
                                   uint32_t imm, Priority pri) {
-  BeginEngineOp();
-  Status s = OneSidedWriteImmImpl(dst, dst_addr, src, len, imm, pri);
-  FinishEngineOp(s.ok());
-  return s;
-}
-
-Status OpEngine::OneSidedWriteImmImpl(NodeId dst, PhysAddr dst_addr, const void* src,
-                                      uint64_t len, uint32_t imm, Priority pri) {
-  if (dst == inst_->node_id()) {
-    // Loopback: copy locally and deliver the IMM to our own receive CQ so the
-    // poll thread handles it uniformly. No PostSend happens, so clear the
-    // RNIC's last-post breakdown — RPC callers read it after this returns.
-    lt::Rnic::ResetLastPostBreakdown();
-    const uint64_t copy_t0 = NowNs();
-    if (len > 0) {
-      inst_->LocalCopyIn(dst_addr, src, len);
+  return Blocking([&] {
+    if (dst == inst_->node_id()) {
+      // Loopback: copy locally and deliver the IMM to our own receive CQ so
+      // the poll thread handles it uniformly. No PostSend happens, so clear
+      // the RNIC's last-post breakdown — RPC callers read it after this
+      // returns.
+      lt::Rnic::ResetLastPostBreakdown();
+      const uint64_t copy_t0 = NowNs();
+      if (len > 0) {
+        inst_->LocalCopyIn(dst_addr, src, len);
+      }
+      AttrAdd(LatStage::kLatPost, NowNs() - copy_t0);
+      Completion c;
+      c.opcode = WcOpcode::kRecvImm;
+      c.has_imm = true;
+      c.imm = imm;
+      c.byte_len = static_cast<uint32_t>(len);
+      c.src_node = inst_->node_id();
+      c.ready_at_ns = NowNs() + lt::kRnicCompletionNs;
+      inst_->recv_cq_->Push(std::move(c));
+      return Status::Ok();
     }
-    AttrAdd(LatStage::kLatPost, NowNs() - copy_t0);
-    Completion c;
-    c.opcode = WcOpcode::kRecvImm;
-    c.has_imm = true;
-    c.imm = imm;
-    c.byte_len = static_cast<uint32_t>(len);
-    c.src_node = inst_->node_id();
-    c.ready_at_ns = NowNs() + lt::kRnicCompletionNs;
-    inst_->recv_cq_->Push(std::move(c));
-    return Status::Ok();
-  }
-  WorkRequest wr;
-  wr.opcode = WrOpcode::kWriteImm;
-  wr.host_local = const_cast<void*>(src);
-  wr.length = len;
-  wr.remote_addr = dst_addr;
-  wr.imm = imm;  // Failures are detected by reply timeout (paper Sec. 5.1).
-  return PostRingWrite(dst, pri, wr);
+    WorkRequest wr;
+    wr.opcode = WrOpcode::kWriteImm;
+    wr.host_local = const_cast<void*>(src);
+    wr.length = len;
+    wr.remote_addr = dst_addr;
+    wr.imm = imm;  // Failures are detected by reply timeout (paper Sec. 5.1).
+    return PostRingWrite(dst, pri, wr);
+  });
 }
 
 StatusOr<uint64_t> OpEngine::RemoteAtomic(NodeId dst, PhysAddr addr, bool is_cas,
@@ -338,138 +340,165 @@ StatusOr<uint64_t> OpEngine::RemoteAtomic(NodeId dst, PhysAddr addr, bool is_cas
   if (addr % 8 != 0) {
     return Status::InvalidArgument("atomic target not 8-byte aligned");
   }
-  BeginEngineOp();
-  StatusOr<uint64_t> r = RemoteAtomicImpl(dst, addr, is_cas, compare_add, swap);
-  FinishEngineOp(r.ok());
-  return r;
-}
-
-StatusOr<uint64_t> OpEngine::RemoteAtomicImpl(NodeId dst, PhysAddr addr, bool is_cas,
-                                              uint64_t compare_add, uint64_t swap) {
-  if (dst == inst_->node_id()) {
-    AccessGate gate;
-    LT_RETURN_IF_ERROR(
-        inst_->migration().Open(addr, 8, /*is_write=*/true, inst_->node_id(), &gate));
-    const uint64_t spin_t0 = NowNs();
-    SpinFor(lt::kLocalOpBaseNs + lt::kRnicAtomicExtraNs / 2);
-    AttrAdd(LatStage::kLatRnicLocal, NowNs() - spin_t0);
-    uint8_t* p = inst_->node_->mem().Data(addr, 8);
-    // The responder (Rnic::Execute) applies remote atomics with the
-    // same host atomics, so local and remote updates of one word serialize.
-    uint64_t old_value;
-    if (is_cas) {
-      uint64_t expected = compare_add;
-      __atomic_compare_exchange_n(reinterpret_cast<uint64_t*>(p), &expected, swap, false,
-                                  __ATOMIC_SEQ_CST, __ATOMIC_SEQ_CST);
-      old_value = expected;
-    } else {
-      old_value = __atomic_fetch_add(reinterpret_cast<uint64_t*>(p), compare_add, __ATOMIC_SEQ_CST);
+  return Blocking([&]() -> StatusOr<uint64_t> {
+    if (dst == inst_->node_id()) {
+      AccessGate gate;
+      LT_RETURN_IF_ERROR(
+          inst_->migration().Open(addr, 8, /*is_write=*/true, inst_->node_id(), &gate));
+      const uint64_t spin_t0 = NowNs();
+      SpinFor(lt::kLocalOpBaseNs + lt::kRnicAtomicExtraNs / 2);
+      AttrAdd(LatStage::kLatRnicLocal, NowNs() - spin_t0);
+      uint8_t* p = inst_->node_->mem().Data(addr, 8);
+      // The responder (Rnic::Execute) applies remote atomics with the
+      // same host atomics, so local and remote updates of one word serialize.
+      uint64_t old_value;
+      if (is_cas) {
+        uint64_t expected = compare_add;
+        __atomic_compare_exchange_n(reinterpret_cast<uint64_t*>(p), &expected, swap, false,
+                                    __ATOMIC_SEQ_CST, __ATOMIC_SEQ_CST);
+        old_value = expected;
+      } else {
+        old_value =
+            __atomic_fetch_add(reinterpret_cast<uint64_t*>(p), compare_add, __ATOMIC_SEQ_CST);
+      }
+      inst_->migration().CloseAccess(&gate, /*success=*/true);
+      return old_value;
     }
-    inst_->migration().CloseAccess(&gate, /*success=*/true);
+    uint64_t old_value = 0;
+    WorkRequest wr;
+    wr.opcode = is_cas ? WrOpcode::kCmpSwap : WrOpcode::kFetchAdd;
+    wr.length = 8;
+    wr.remote_addr = addr;
+    wr.compare_add = compare_add;
+    wr.swap = swap;
+    wr.atomic_result = &old_value;
+    wr.signaled = true;
+    // Retry is exactly-once here: a dropped atomic is rejected by the
+    // responder before the memory operation is applied (see Rnic::Execute).
+    Wqe w = LeaseRemote(dst, Priority::kHigh, /*batched=*/false, wr);
+    w.post = PostGated(&w);
+    auto c = Complete(w, Priority::kHigh);
+    if (!c.ok()) {
+      return c.status();
+    }
     return old_value;
-  }
-  uint64_t old_value = 0;
-  WorkRequest wr;
-  wr.opcode = is_cas ? WrOpcode::kCmpSwap : WrOpcode::kFetchAdd;
-  wr.length = 8;
-  wr.remote_addr = addr;
-  wr.compare_add = compare_add;
-  wr.swap = swap;
-  wr.atomic_result = &old_value;
-  wr.signaled = true;
-  // Retry is exactly-once here: a dropped atomic is rejected by the
-  // responder before the memory operation is applied (see Rnic::Execute).
-  Wqe w = LeaseRemote(dst, Priority::kHigh, /*batched=*/false, wr);
-  w.post = PostGated(&w);
-  auto c = Complete(w, Priority::kHigh);
-  if (!c.ok()) {
-    return c.status();
-  }
-  return old_value;
+  });
 }
 
 // -------------------------------------------------------- blocking memops
 
 Status OpEngine::SubmitPieces(const std::vector<OpDesc>& pieces, bool is_read, Priority pri) {
-  BeginEngineOp();
-  Status s = SubmitPiecesImpl(pieces, is_read, pri);
-  FinishEngineOp(s.ok());
-  return s;
-}
+  return Blocking([&] {
+    const uint64_t start = NowNs();
+    // The piece count is the one input that selects the post: a lone piece
+    // goes out plain, several share doorbells on a sticky QP per
+    // destination.
+    const bool batched = pieces.size() > 1;
 
-Status OpEngine::SubmitPiecesImpl(const std::vector<OpDesc>& pieces, bool is_read, Priority pri) {
-  const uint64_t start = NowNs();
-  // The piece count is the one input that selects the post: a lone piece
-  // goes out plain, several share doorbells on a sticky QP per destination.
-  const bool batched = pieces.size() > 1;
-
-  // Issue phase: post every remote piece before waiting on any; local
-  // pieces complete inline.
-  Status result = Status::Ok();
-  std::vector<Wqe> remote;
-  remote.reserve(pieces.size());
-  for (const OpDesc& piece : pieces) {
-    if (piece.node == inst_->node_id()) {
-      Status s = CopyLocalPiece(piece, is_read);
-      if (!s.ok() && result.ok()) {
-        result = s;
+    // Issue phase: post every remote piece before waiting on any; local
+    // pieces complete inline.
+    Status result = Status::Ok();
+    std::vector<Wqe> remote;
+    remote.reserve(pieces.size());
+    for (const OpDesc& piece : pieces) {
+      if (piece.node == inst_->node_id()) {
+        Status s = CopyLocalPiece(piece, is_read);
+        if (!s.ok() && result.ok()) {
+          result = s;
+        }
+        continue;
       }
-      continue;
+      Wqe w = LeaseRemote(piece.node, pri, batched, PieceWr(piece, is_read));
+      w.post = PostGated(&w);
+      remote.push_back(std::move(w));
     }
-    Wqe w = LeaseRemote(piece.node, pri, batched, PieceWr(piece, is_read));
-    w.post = PostGated(&w);
-    remote.push_back(std::move(w));
-  }
-  if (remote.size() > 1) {
-    engine_pieces_overlapped_->Inc(remote.size());
-  }
+    if (remote.size() > 1) {
+      engine_pieces_overlapped_->Inc(remote.size());
+    }
 
-  // Wait phase: settle every piece, retransmitting transient failures.
-  // All pieces drain even after an error, so no WQE is left dangling
-  // against the caller's buffer.
-  for (const Wqe& w : remote) {
-    auto c = Complete(w, pri);
-    if (!c.ok() && result.ok()) {
-      result = c.status();
+    // Wait phase: settle every piece, retransmitting transient failures.
+    // All pieces drain even after an error, so no WQE is left dangling
+    // against the caller's buffer.
+    for (const Wqe& w : remote) {
+      auto c = Complete(w, pri);
+      if (!c.ok() && result.ok()) {
+        result = c.status();
+      }
     }
-  }
-  if (!remote.empty() && result.ok() && pri == Priority::kHigh) {
-    inst_->qos_.RecordHighPriRtt(NowNs() - start);
-  }
-  return result;
+    if (!remote.empty() && result.ok() && pri == Priority::kHigh) {
+      inst_->qos_.RecordHighPriRtt(NowNs() - start);
+    }
+    return result;
+  });
 }
 
-// ----------------------------------------------------------- async issue
+// ----------------------------------------------------------- registration
 
-StatusOr<MemopHandle> OpEngine::IssueAsyncPieces(const std::vector<OpDesc>& pieces, bool is_read,
-                                                 Priority pri, Lh origin_lh, uint64_t origin_off,
-                                                 void* origin_buf, uint64_t origin_len,
-                                                 MemopHandle reserved_handle) {
-  BeginEngineOp();
-  async_ops_issued_->Inc();
-
+MemopHandle OpEngine::IssueAsyncPieces(const std::vector<OpDesc>& pieces, bool is_read,
+                                       Priority pri, Lh origin_lh, uint64_t origin_off,
+                                       void* origin_buf, uint64_t origin_len,
+                                       MemopHandle reserved_handle) {
   auto op = std::make_unique<AsyncOp>();
   op->pri = pri;
+  op->is_read = is_read;
   op->origin_lh = origin_lh;
   op->origin_off = origin_off;
   op->origin_buf = origin_buf;
   op->origin_len = origin_len;
-  op->origin_is_read = is_read;
+  return Register(std::move(op), pieces, reserved_handle);
+}
 
+MemopHandle OpEngine::InsertAsyncRpc(uint32_t rpc_slot, void* out, uint32_t out_max,
+                                     uint32_t* out_len, Priority pri) {
+  // The ring post already went through OneSidedWriteImm; the handle itself
+  // is an engine op too, so the conservation invariant sees it retire.
+  auto op = std::make_unique<AsyncOp>();
+  op->is_rpc = true;
+  op->pri = pri;
+  op->rpc_slot = rpc_slot;
+  op->rpc_out = out;
+  op->rpc_out_max = out_max;
+  op->rpc_out_len = out_len;
+  return Register(std::move(op), {}, 0);
+}
+
+void OpEngine::InsertFailedHandle(MemopHandle h, const Status& result) {
+  // The handle was reserved and returned to the caller before its deferred
+  // op could register (the lh died between enqueue and drain); a done op
+  // under it makes Poll/Wait surface the failure instead of InvalidArgument.
+  auto op = std::make_unique<AsyncOp>();
+  op->state = AsyncOpState::kDone;
+  op->result = result;
+  Register(std::move(op), {}, h);
+}
+
+MemopHandle OpEngine::Register(std::unique_ptr<AsyncOp> op, const std::vector<OpDesc>& pieces,
+                               MemopHandle reserved) {
+  BeginEngineOp();
+  async_ops_issued_->Inc();
   std::unique_lock<std::mutex> lock(async_mu_);
-  const uint64_t bp_t0 = NowNs();
-  while (async_inflight_ >= kAsyncWindow) {
-    RetireOldestLocked(lock);
+  if (op->state == AsyncOpState::kInFlight) {
+    // Window backpressure: retire the oldest in-flight op, or wait while
+    // every outstanding op is being retired by another thread. An op that
+    // arrives done never enters flight, so it skips the window.
+    const uint64_t bp_t0 = NowNs();
+    while (async_inflight_ >= kAsyncWindow) {
+      auto oldest = std::find_if(async_ops_.begin(), async_ops_.end(), [](const auto& entry) {
+        return entry.second->state == AsyncOpState::kInFlight;
+      });
+      RetireOrWait(lock, oldest == async_ops_.end() ? nullptr : oldest->second.get());
+    }
+    AttrAdd(LatStage::kLatEngineQueue, NowNs() - bp_t0);
   }
-  AttrAdd(LatStage::kLatEngineQueue, NowNs() - bp_t0);
 
   Transport& tr = *inst_->transport_;
+  bool all_local = true;
   for (const OpDesc& piece : pieces) {
     if (piece.node == inst_->node_id()) {
       // Local pieces complete at issue time. A gate NACK is recorded as the
       // op's issue error; retirement folds it in (and the stale-home redo
       // then re-issues the whole memop against the new home).
-      Status s = CopyLocalPiece(piece, is_read);
+      Status s = CopyLocalPiece(piece, op->is_read);
       if (!s.ok() && op->issue_error.ok()) {
         op->issue_error = s;
       }
@@ -479,7 +508,8 @@ StatusOr<MemopHandle> OpEngine::IssueAsyncPieces(const std::vector<OpDesc>& piec
       op->wqes.push_back(local);
       continue;
     }
-    Wqe wqe = LeaseRemote(piece.node, pri, /*batched=*/true, PieceWr(piece, is_read));
+    all_local = false;
+    Wqe wqe = LeaseRemote(piece.node, op->pri, /*batched=*/true, PieceWr(piece, op->is_read));
     AsyncStream* stream = nullptr;
     wqe.wr.signaled = false;
     if (tr.Valid(wqe.h)) {
@@ -496,78 +526,26 @@ StatusOr<MemopHandle> OpEngine::IssueAsyncPieces(const std::vector<OpDesc>& piec
     }
     op->wqes.push_back(std::move(wqe));
   }
-
-  const MemopHandle h = reserved_handle != 0 ? reserved_handle : next_memop_handle_.fetch_add(1);
-  op->id = h;
-  // An issue-time error (gate NACK on a local piece) keeps the op in flight
-  // so retirement folds the error in and can run the stale-home redo.
-  bool all_done = op->issue_error.ok();
-  uint64_t ready = NowNs();
-  for (const Wqe& wqe : op->wqes) {
-    all_done = all_done && wqe.done;
-    ready = std::max(ready, wqe.ready_at_ns);
-  }
-  if (all_done) {
-    // Purely local op, complete at issue: the caller's ScopedOpAttr commits
-    // normally at API return; only the engine-op accounting closes here.
+  // A memop whose every piece completed at issue is done at entry. An
+  // issue-time error (gate NACK on a local piece) keeps it in flight so
+  // retirement folds the error in and can run the stale-home redo.
+  if (!op->is_rpc && all_local && op->issue_error.ok()) {
     op->state = AsyncOpState::kDone;
-    op->ready_at_ns = ready;
-    FinishEngineOp(true);
+  }
+
+  const MemopHandle h = reserved != 0 ? reserved : next_memop_handle_.fetch_add(1);
+  // The caller's record moves into the op: an in-flight op commits it when
+  // it retires, with its true completion time as the e2e.
+  lt::telemetry::AttrDetach(&op->attr);
+  if (op->state == AsyncOpState::kDone) {
+    op->ready_at_ns = NowNs();
+    CommitAsyncAttr(op.get());
+    FinishEngineOp(op->result.ok());
   } else {
     ++async_inflight_;
-    // Detach the caller's attribution record into the op; retirement commits
-    // it with the op's true completion time as the e2e.
-    lt::telemetry::AttrDetach(&op->attr);
   }
   async_ops_.emplace(h, std::move(op));
   return h;
-}
-
-StatusOr<MemopHandle> OpEngine::InsertAsyncRpc(uint32_t rpc_slot, void* out, uint32_t out_max,
-                                               uint32_t* out_len, Priority pri) {
-  // The ring post already went through OneSidedWriteImm; the handle itself
-  // is an engine op too, so the conservation invariant sees it retire.
-  BeginEngineOp();
-  async_ops_issued_->Inc();
-  auto op = std::make_unique<AsyncOp>();
-  op->is_rpc = true;
-  op->pri = pri;
-  op->rpc_slot = rpc_slot;
-  op->rpc_out = out;
-  op->rpc_out_max = out_max;
-  op->rpc_out_len = out_len;
-
-  std::unique_lock<std::mutex> lock(async_mu_);
-  const uint64_t bp_t0 = NowNs();
-  while (async_inflight_ >= kAsyncWindow) {
-    RetireOldestLocked(lock);
-  }
-  AttrAdd(LatStage::kLatEngineQueue, NowNs() - bp_t0);
-  const MemopHandle h = next_memop_handle_.fetch_add(1);
-  op->id = h;
-  ++async_inflight_;
-  lt::telemetry::AttrDetach(&op->attr);
-  async_ops_.emplace(h, std::move(op));
-  return h;
-}
-
-void OpEngine::InsertFailedHandle(MemopHandle h, const Status& result) {
-  // The handle was reserved and returned to the caller before its deferred
-  // op could register (the lh died between enqueue and drain); park a done
-  // op under it so Poll/Wait surface the failure instead of InvalidArgument.
-  BeginEngineOp();
-  async_ops_issued_->Inc();
-  auto op = std::make_unique<AsyncOp>();
-  op->id = h;
-  op->state = AsyncOpState::kDone;
-  op->result = result;
-  op->ready_at_ns = NowNs();
-  lt::telemetry::AttrDetach(&op->attr);
-  CommitAsyncAttr(op.get());
-  FinishEngineOp(false);
-  std::lock_guard<std::mutex> lock(async_mu_);
-  async_ops_.emplace(h, std::move(op));
-  async_cv_.notify_all();
 }
 
 bool OpEngine::HandleReady(MemopHandle h) const {
@@ -601,10 +579,35 @@ void OpEngine::CommitAsyncAttr(AsyncOp* op) {
   op->attr.active = false;
 }
 
-void OpEngine::RetireMemopLocked(std::unique_lock<std::mutex>& lock, AsyncOp* op) {
-  // Stamps made while retiring (retries, fences, the stale redo) belong to
-  // the op being retired, not to whatever op the retiring thread carries.
+void OpEngine::Retire(std::unique_lock<std::mutex>& lock, AsyncOp* op) {
+  op->state = AsyncOpState::kRetiring;
+  // Stamps made while retiring (the reply wait, retries, fences, the stale
+  // redo) belong to the op being retired, not to whatever op the retiring
+  // thread carries.
   lt::telemetry::AttrAdoptScope adopt(&op->attr);
+  if (op->is_rpc) {
+    // The reply is delivered by the poll thread, which never takes
+    // async_mu_. The request was posted at issue time, possibly on another
+    // thread, so no transport breakdown is at hand: the whole wait books as
+    // remote service.
+    lock.unlock();
+    Status s = inst_->AwaitReply(op->rpc_slot, EffectiveTimeoutNs(kDefaultTimeout),
+                                 /*settle=*/true, lt::telemetry::WqeLatBreakdown{}, op->rpc_out,
+                                 op->rpc_out_max, op->rpc_out_len);
+    lock.lock();
+    op->result = s;
+    op->ready_at_ns = NowNs();
+  } else {
+    SettleMemopLocked(lock, op);
+  }
+  op->state = AsyncOpState::kDone;
+  CommitAsyncAttr(op);
+  FinishEngineOp(op->result.ok());
+  --async_inflight_;
+  async_cv_.notify_all();
+}
+
+void OpEngine::SettleMemopLocked(std::unique_lock<std::mutex>& lock, AsyncOp* op) {
   lt::telemetry::WqeLatBreakdown tail_lat;
   uint64_t tail_ready = 0;
   Status result = op->issue_error;
@@ -702,7 +705,7 @@ void OpEngine::RetireMemopLocked(std::unique_lock<std::mutex>& lock, AsyncOp* op
     // op stays kRetiring across the unlock, so no other thread consumes it.
     lock.unlock();
     Status redo = inst_->RedoMemopAfterStale(op->origin_lh, op->origin_off, op->origin_buf,
-                                             op->origin_len, op->origin_is_read, op->pri);
+                                             op->origin_len, op->is_read, op->pri);
     lock.lock();
     result = redo;
     op_ready = std::max(op_ready, NowNs());
@@ -718,48 +721,12 @@ void OpEngine::RetireMemopLocked(std::unique_lock<std::mutex>& lock, AsyncOp* op
     AttrAdd(LatStage::kLatRnicRemote, tail_lat.rnic_remote_ns);
     AttrAdd(LatStage::kLatComplPoll, tail_lat.compl_ns);
   }
-  op->state = AsyncOpState::kDone;
-  CommitAsyncAttr(op);
-  FinishEngineOp(result.ok());
-  --async_inflight_;
-  async_cv_.notify_all();
 }
 
-void OpEngine::RetireRpcUnlocked(std::unique_lock<std::mutex>& lock, AsyncOp* op) {
-  // Direct the reply-wait stamps (the wait runs on this thread) at the op's
-  // own detached record rather than the retiring thread's current op.
-  lt::telemetry::AttrAdoptScope adopt(&op->attr);
-  lock.unlock();
-  // The request was posted at issue time, possibly on another thread, so no
-  // transport breakdown is at hand: the whole wait books as remote service.
-  Status s = inst_->AwaitReply(op->rpc_slot, EffectiveTimeoutNs(kDefaultTimeout), /*settle=*/true,
-                               lt::telemetry::WqeLatBreakdown{}, op->rpc_out, op->rpc_out_max,
-                               op->rpc_out_len);
-  lock.lock();
-  op->result = s;
-  op->ready_at_ns = NowNs();
-  op->state = AsyncOpState::kDone;
-  CommitAsyncAttr(op);
-  FinishEngineOp(s.ok());
-  --async_inflight_;
-  async_cv_.notify_all();
-}
-
-void OpEngine::RetireOldestLocked(std::unique_lock<std::mutex>& lock) {
-  for (auto& [id, op] : async_ops_) {
-    if (op->state == AsyncOpState::kInFlight) {
-      AsyncOp* o = op.get();
-      o->state = AsyncOpState::kRetiring;
-      if (o->is_rpc) {
-        RetireRpcUnlocked(lock, o);
-      } else {
-        RetireMemopLocked(lock, o);
-      }
-      return;
-    }
-  }
-  if (async_inflight_ > 0) {
-    // Every outstanding op is being retired by another thread; wait for one.
+void OpEngine::RetireOrWait(std::unique_lock<std::mutex>& lock, AsyncOp* op) {
+  if (op != nullptr && op->state == AsyncOpState::kInFlight) {
+    Retire(lock, op);
+  } else {
     async_cv_.wait(lock);
   }
 }
@@ -788,28 +755,14 @@ StatusOr<bool> OpEngine::Poll(MemopHandle h) {
     return false;
   }
   if (op->state == AsyncOpState::kInFlight) {
-    if (op->is_rpc) {
-      // Don't block: in flight until the poll thread delivers the reply.
-      if (inst_->reply_slots_[op->rpc_slot]->state.load(std::memory_order_acquire) !=
-          SlotState::kReady) {
-        return false;
-      }
-      op->state = AsyncOpState::kRetiring;
-      RetireRpcUnlocked(lock, op);
-      it = async_ops_.find(h);
-      if (it == async_ops_.end()) {
-        return Status::InvalidArgument("async handle consumed concurrently");
-      }
-      op = it->second.get();
-    } else {
-      op->state = AsyncOpState::kRetiring;
-      RetireMemopLocked(lock, op);
-      it = async_ops_.find(h);
-      if (it == async_ops_.end()) {
-        return Status::InvalidArgument("async handle consumed concurrently");
-      }
-      op = it->second.get();
+    // Don't block on an RPC: it stays in flight until the poll thread
+    // delivers the reply.
+    if (op->is_rpc && inst_->reply_slots_[op->rpc_slot]->state.load(std::memory_order_acquire) !=
+                          SlotState::kReady) {
+      return false;
     }
+    // Only a kDone op is ever consumed, so `it` outlives the retirement.
+    RetireOrWait(lock, op);
   }
   if (NowNs() < op->ready_at_ns) {
     return false;  // Retired, but the completion hasn't arrived on our clock.
@@ -828,22 +781,10 @@ Status OpEngine::Wait(MemopHandle h) {
     if (it == async_ops_.end()) {
       return Status::InvalidArgument("unknown or already-retired async handle");
     }
-    AsyncOp* op = it->second.get();
-    switch (op->state) {
-      case AsyncOpState::kDone:
-        return ConsumeAsyncLocked(it);
-      case AsyncOpState::kInFlight:
-        op->state = AsyncOpState::kRetiring;
-        if (op->is_rpc) {
-          RetireRpcUnlocked(lock, op);
-        } else {
-          RetireMemopLocked(lock, op);
-        }
-        break;  // Re-find: the map may have shifted while unlocked.
-      case AsyncOpState::kRetiring:
-        async_cv_.wait(lock);
-        break;
+    if (it->second->state == AsyncOpState::kDone) {
+      return ConsumeAsyncLocked(it);
     }
+    RetireOrWait(lock, it->second.get());  // Re-find: another waiter may consume it.
   }
 }
 
@@ -852,30 +793,17 @@ Status OpEngine::WaitAll(std::vector<std::pair<MemopHandle, Status>>* results) {
   std::unique_lock<std::mutex> lock(async_mu_);
   while (!async_ops_.empty()) {
     auto it = async_ops_.begin();
-    AsyncOp* op = it->second.get();
-    switch (op->state) {
-      case AsyncOpState::kDone: {
-        const MemopHandle h = it->first;
-        Status s = ConsumeAsyncLocked(it);
-        if (results != nullptr) {
-          results->emplace_back(h, s);
-        }
-        if (!s.ok() && first_error.ok()) {
-          first_error = s;
-        }
-        break;
-      }
-      case AsyncOpState::kInFlight:
-        op->state = AsyncOpState::kRetiring;
-        if (op->is_rpc) {
-          RetireRpcUnlocked(lock, op);
-        } else {
-          RetireMemopLocked(lock, op);
-        }
-        break;
-      case AsyncOpState::kRetiring:
-        async_cv_.wait(lock);
-        break;
+    if (it->second->state != AsyncOpState::kDone) {
+      RetireOrWait(lock, it->second.get());
+      continue;
+    }
+    const MemopHandle h = it->first;
+    Status s = ConsumeAsyncLocked(it);
+    if (results != nullptr) {
+      results->emplace_back(h, s);
+    }
+    if (!s.ok() && first_error.ok()) {
+      first_error = s;
     }
   }
   return first_error;

@@ -11,7 +11,8 @@
 //     op is a plain post; more pieces overlap their chunk transfers across
 //     nodes with doorbell batching and inline sends;
 //   * async memops — IssueAsyncPieces posts every piece immediately and
-//     returns a completion handle retired by Poll/Wait/WaitAll;
+//     returns a completion handle. Every handle (memop, RPC or failed ring
+//     op) registers in Register and retires in Retire;
 //   * RPC — ring posts and replies are OneSidedWriteImm calls and
 //     head-mirror publishes are OneSidedWrite calls (both fire-and-forget),
 //     so the send side shares the same QP/recovery spine (RPC-level
@@ -45,8 +46,8 @@ using lt::StatusOr;
 
 class LiteInstance;
 
-// Async memops in flight per instance; issuing past it retires the oldest
-// outstanding op first (window-full backpressure).
+// Async ops (memops and RPCs) in flight per instance; registering past it
+// retires the oldest in-flight op first (window-full backpressure).
 inline constexpr size_t kAsyncWindow = 64;
 
 class OpEngine {
@@ -91,17 +92,18 @@ class OpEngine {
   Status SubmitPieces(const std::vector<OpDesc>& pieces, bool is_read, Priority pri);
 
   // ---- Async completion-handle pipeline ----
-  // Issues one async memop's pieces (unsignaled + selective signaling, see
-  // memops_async.cc) and returns its handle. Caller did lh/permission checks.
-  // The origin fields describe the whole memop in lh space; when given, an op
-  // that retires with kStaleHome is transparently re-resolved and re-issued
-  // against the LMR's new home (LT_wait then returns the redo's status).
-  // `reserved_handle` (ring path) registers the op under a handle already
-  // handed to the caller by ReserveHandle(); 0 assigns a fresh one.
-  StatusOr<MemopHandle> IssueAsyncPieces(const std::vector<OpDesc>& pieces, bool is_read,
-                                         Priority pri, Lh origin_lh = 0, uint64_t origin_off = 0,
-                                         void* origin_buf = nullptr, uint64_t origin_len = 0,
-                                         MemopHandle reserved_handle = 0);
+  // Registers one async memop, whose pieces go out unsignaled with
+  // selective signaling, and returns its handle. Caller did lh/permission
+  // checks. The origin fields describe the whole memop in lh space; when
+  // given, an op that retires with kStaleHome is transparently re-resolved
+  // and re-issued against the LMR's new home (LT_wait then returns the
+  // redo's status). `reserved_handle` (ring path) registers the op under a
+  // handle already handed to the caller by ReserveHandle(); 0 assigns a
+  // fresh one.
+  MemopHandle IssueAsyncPieces(const std::vector<OpDesc>& pieces, bool is_read, Priority pri,
+                               Lh origin_lh = 0, uint64_t origin_off = 0,
+                               void* origin_buf = nullptr, uint64_t origin_len = 0,
+                               MemopHandle reserved_handle = 0);
   // Pre-assigns a completion handle for an op whose registration is
   // deferred (per-CPU submission rings): the client returns the handle to
   // the application immediately; the drain registers the op under it.
@@ -109,15 +111,14 @@ class OpEngine {
   // Registers a reserved handle whose deferred op failed before issue (lh
   // died between enqueue and drain): Poll/Wait surface `result` for it.
   void InsertFailedHandle(MemopHandle h, const Status& result);
+  // Registers an already-sent single-attempt RPC, retired by its reply.
+  MemopHandle InsertAsyncRpc(uint32_t rpc_slot, void* out, uint32_t out_max, uint32_t* out_len,
+                             Priority pri);
   // Crossing-free readiness checks against the shared completion state (the
   // user library reads the completion flag without entering the kernel). A
   // handle that no longer exists reads as ready: consuming it cannot block.
   bool HandleReady(MemopHandle h) const;
   bool AllHandlesReady() const;
-  // Registers an already-sent single-attempt RPC as an async op retired
-  // through the same handle machinery.
-  StatusOr<MemopHandle> InsertAsyncRpc(uint32_t rpc_slot, void* out, uint32_t out_max,
-                                       uint32_t* out_len, Priority pri);
   StatusOr<bool> Poll(MemopHandle h);
   Status Wait(MemopHandle h);
   // Retires every outstanding op and returns the first error. When
@@ -136,19 +137,6 @@ class OpEngine {
     if (engine_retries_ != nullptr) {
       engine_retries_->Inc();
     }
-  }
-
-  // Engine op accounting (HealthWatchdog conservation invariant:
-  // lite.engine.ops == ops_ok + ops_failed + in_flight). Every engine entry
-  // point Begins exactly once and Finishes exactly once — blocking ops at
-  // return, async ops when their state reaches kDone.
-  void BeginEngineOp() {
-    engine_ops_->Inc();
-    engine_inflight_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void FinishEngineOp(bool ok) {
-    (ok ? engine_ops_ok_ : engine_ops_failed_)->Inc();
-    engine_inflight_.fetch_sub(1, std::memory_order_relaxed);
   }
 
   // Registers the engine's lite.* instruments (constructor-time, via
@@ -172,9 +160,9 @@ class OpEngine {
   };
   enum class AsyncOpState { kInFlight, kRetiring, kDone };
   struct AsyncOp {
-    MemopHandle id = 0;
     AsyncOpState state = AsyncOpState::kInFlight;
     bool is_rpc = false;
+    bool is_read = false;             // Memop ops: direction of every piece.
     Priority pri = Priority::kHigh;
     std::vector<Wqe> wqes;            // Memop ops.
     uint32_t rpc_slot = 0;            // RPC ops: reply rendezvous + output.
@@ -189,7 +177,6 @@ class OpEngine {
     uint64_t origin_off = 0;
     void* origin_buf = nullptr;
     uint64_t origin_len = 0;
-    bool origin_is_read = false;
     // Error decided at issue time (e.g. a local piece NACKed by the
     // migration gate); folded into the result at retirement.
     Status issue_error = Status::Ok();
@@ -242,31 +229,49 @@ class OpEngine {
   // taken and dropped).
   Status PostRingWrite(NodeId dst, Priority pri, lt::WorkRequest wr);
 
-  // Bodies of the blocking entry points; the public wrappers add the
-  // Begin/Finish engine-op accounting around them.
-  Status OneSidedWriteImmImpl(NodeId dst, PhysAddr dst_addr, const void* src, uint64_t len,
-                              uint32_t imm, Priority pri);
-  StatusOr<uint64_t> RemoteAtomicImpl(NodeId dst, PhysAddr addr, bool is_cas,
-                                      uint64_t compare_add, uint64_t swap);
-  Status SubmitPiecesImpl(const std::vector<OpDesc>& pieces, bool is_read, Priority pri);
+  // Engine op accounting (HealthWatchdog conservation invariant:
+  // lite.engine.ops == ops_ok + ops_failed + in_flight). Every op Begins
+  // exactly once and Finishes exactly once: a blocking op around its body
+  // (Blocking), an async op at registration and when it reaches kDone.
+  void BeginEngineOp() {
+    engine_ops_->Inc();
+    engine_inflight_.fetch_add(1, std::memory_order_relaxed);
+  }
+  void FinishEngineOp(bool ok) {
+    (ok ? engine_ops_ok_ : engine_ops_failed_)->Inc();
+    engine_inflight_.fetch_sub(1, std::memory_order_relaxed);
+  }
+  // Runs a blocking entry point's `body` as one counted engine op.
+  template <typename Body>
+  auto Blocking(Body&& body);
 
-  // Commits a retired async op's attribution record (no-op when inactive).
+  // Commits a done async op's attribution record (no-op when inactive).
   void CommitAsyncAttr(AsyncOp* op);
 
-  // Retires an RPC-kind op; drops the lock around the reply wait (the reply
-  // is delivered by the poll thread, which never takes async_mu_).
-  void RetireRpcUnlocked(std::unique_lock<std::mutex>& lock, AsyncOp* op);
-  // Retires `op` (state must be kRetiring; async_mu_ held via `lock`):
-  // reads each WQE's own completion or infers it from a later signaled one
-  // on its stream (a flush fence when there is none). A failed post or an
-  // error completion settles through Complete, like a blocking piece. Then
-  // marks the op kDone. A kStaleHome result with a known origin drops the
-  // lock and re-issues the whole memop against the LMR's new home
+  // The one registration: counts the engine op and lite.async.ops, passes
+  // an op that may enter flight through the window (backpressure), posts
+  // its `pieces` and files it under `reserved` (0 takes a fresh id). The
+  // caller's attribution record moves into the op, which commits it at once
+  // when the op is done at entry (all pieces local, or a failed ring op).
+  MemopHandle Register(std::unique_ptr<AsyncOp> op, const std::vector<OpDesc>& pieces,
+                       MemopHandle reserved);
+  // The one retirement (async_mu_ held via `lock`; `op` in flight): settles
+  // an RPC by its reply (the lock is dropped around the wait) or a memop by
+  // SettleMemopLocked, then commits the record, finishes the engine op and
+  // wakes waiters.
+  void Retire(std::unique_lock<std::mutex>& lock, AsyncOp* op);
+  // A memop's result and ready time: reads each WQE's own completion or
+  // infers it from a later signaled one on its stream (a flush fence when
+  // there is none). A failed post or an error completion settles through
+  // Complete, like a blocking piece. A kStaleHome result with a known origin
+  // drops the lock and re-issues the whole memop against the LMR's new home
   // (exactly-once for the caller).
-  void RetireMemopLocked(std::unique_lock<std::mutex>& lock, AsyncOp* op);
-  // Retires the oldest in-flight op (backpressure path). Waits on the cv if
-  // every outstanding op is already being retired by another thread.
-  void RetireOldestLocked(std::unique_lock<std::mutex>& lock);
+  void SettleMemopLocked(std::unique_lock<std::mutex>& lock, AsyncOp* op);
+  // The step Poll, Wait, WaitAll and the window take toward an op's kDone:
+  // retires `op` when it is in flight, else waits for the retirement
+  // another thread is running (the window passes null when every
+  // outstanding op is being retired).
+  void RetireOrWait(std::unique_lock<std::mutex>& lock, AsyncOp* op);
   // Consumes a kDone op's result (erases the record).
   Status ConsumeAsyncLocked(std::map<MemopHandle, std::unique_ptr<AsyncOp>>::iterator it);
 

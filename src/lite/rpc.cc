@@ -131,7 +131,7 @@ StatusOr<RpcChannel*> LiteInstance::GetChannel(NodeId server, RpcFuncId ring_id)
   auto channel = std::make_unique<RpcChannel>();
   channel->server = server;
   channel->func = ring_id;
-  channel->ring = {chunk};
+  channel->ring = chunk;
   channel->ring_size = chunk.size;
   // The mirror the server ring publishes into. When another thread of this
   // node won the first-bind race, that is its word, not ours.
@@ -250,10 +250,9 @@ Status LiteInstance::PostRpcRequest(RpcChannel* channel, RpcFuncId func, const v
     std::memcpy(staging.data() + sizeof(hdr), in, in_len);
   }
 
-  const LmrChunk& ring = channel->ring[0];
-  Status st =
-      engine_.OneSidedWriteImm(channel->server, ring.addr + off, staging.data(), staging.size(),
-                               EncodeImm(func, static_cast<uint32_t>(off / kRingOffsetUnit)), pri);
+  Status st = engine_.OneSidedWriteImm(
+      channel->server, channel->ring.addr + off, staging.data(), staging.size(),
+      EncodeImm(func, static_cast<uint32_t>(off / kRingOffsetUnit)), pri);
   if (st.ok()) {
     channel->tail += entry_len;
   }

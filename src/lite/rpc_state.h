@@ -63,7 +63,7 @@ struct MsgIncoming {
 struct RpcChannel {
   NodeId server = kInvalidNode;
   RpcFuncId func = 0;
-  std::vector<LmrChunk> ring;  // Single chunk in practice.
+  LmrChunk ring;
   uint64_t ring_size = 0;
   uint64_t tail = 0;           // Absolute byte offset (monotonic).
   PhysAddr head_mirror = 0;    // Local 8-byte word; server writes head here.

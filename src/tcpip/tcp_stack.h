@@ -44,7 +44,6 @@ class TcpConn {
   // cost per delivered segment.
   Status RecvExact(void* buf, size_t len, uint64_t timeout_ns = 10'000'000'000);
 
-  NodeId local_node() const { return local_node_; }
   NodeId remote_node() const { return remote_node_; }
 
  private:

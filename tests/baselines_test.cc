@@ -2,7 +2,6 @@
 
 #include <cstring>
 
-#include "src/baselines/farm_msg.h"
 #include "src/baselines/fasst_rpc.h"
 #include "src/baselines/herd_rpc.h"
 #include "src/baselines/sendrecv_rpc.h"
@@ -129,37 +128,6 @@ TEST(FasstRpcTest, ManyCallsAcrossClients) {
     ASSERT_TRUE(c2->Call("bb", 2, out, sizeof(out), &out_len).ok());
   }
   server.Stop();
-}
-
-TEST(FarmMsgTest, OneWayDelivery) {
-  lt::Cluster cluster(2, TestParams());
-  FarmMsgChannel channel(&cluster, 0, 1, 64 << 10);
-  ASSERT_TRUE(channel.Send("farm message", 12).ok());
-  auto got = channel.Recv();
-  ASSERT_TRUE(got.ok());
-  ASSERT_EQ(got->size(), 12u);
-  EXPECT_EQ(std::memcmp(got->data(), "farm message", 12), 0);
-}
-
-TEST(FarmMsgTest, OrderPreserved) {
-  lt::Cluster cluster(2, TestParams());
-  FarmMsgChannel channel(&cluster, 0, 1, 64 << 10);
-  for (uint32_t i = 0; i < 50; ++i) {
-    ASSERT_TRUE(channel.Send(&i, sizeof(i)).ok());
-  }
-  for (uint32_t i = 0; i < 50; ++i) {
-    auto got = channel.Recv();
-    ASSERT_TRUE(got.ok());
-    uint32_t value = 0;
-    std::memcpy(&value, got->data(), 4);
-    EXPECT_EQ(value, i);
-  }
-}
-
-TEST(FarmMsgTest, RecvTimesOutEmpty) {
-  lt::Cluster cluster(2, TestParams());
-  FarmMsgChannel channel(&cluster, 0, 1, 4096);
-  EXPECT_EQ(channel.Recv(5'000'000).status().code(), lt::StatusCode::kTimeout);
 }
 
 TEST(SendRecvRpcTest, EchoAndAccounting) {

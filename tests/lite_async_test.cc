@@ -1,11 +1,13 @@
 // Unit tests for the asynchronous memop fast path: LT_read_async /
 // LT_write_async completion handles, Poll/Wait/WaitAll retirement, the
 // per-instance in-flight window, selective-signaling inference, retry
-// across injected drops, and the async RPC handle reuse.
+// across injected drops, ops that are done at registration, and the async
+// RPC handle reuse.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <deque>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -224,6 +226,64 @@ TEST(LiteAsyncWindowTest, WindowFullBackpressureRetiresOldest) {
   // Every handle was consumed by WaitAll.
   for (MemopHandle h : handles) {
     EXPECT_EQ(client->Wait(h).code(), StatusCode::kInvalidArgument);
+  }
+}
+
+// ---- Ops done at registration ---------------------------------------------
+
+// The `lite.lat.awrite.64B.hi.e2e` histogram of `inst`'s node.
+lt::telemetry::HistogramSnapshot AwriteE2e(LiteInstance* inst) {
+  const auto snap = inst->StatSnapshot();
+  auto it = snap.histograms.find("lite.lat.awrite.64B.hi.e2e");
+  return it == snap.histograms.end() ? lt::telemetry::HistogramSnapshot{} : it->second;
+}
+
+TEST(LiteAsyncDoneAtEntryTest, CommitsOneSampleAtRegistration) {
+  // An op that is done when it registers (every piece local, or a ring
+  // handle whose LMR was freed before its drain) commits its record there:
+  // one sample each, and the watchdog's invariants hold once WaitAll drains.
+  uint64_t v = 0xd0;
+  MallocOptions on0;
+  on0.nodes = {0};
+  MallocOptions on1;
+  on1.nodes = {1};
+  {
+    LiteCluster cluster(2, lt::SimParams{});
+    auto client = cluster.CreateClient(0);  // User level, rings off.
+    auto lh = *client->Malloc(4096, "entry_local", on0);
+    const auto before = AwriteE2e(cluster.instance(0));
+    const uint64_t t0 = lt::NowNs();
+    auto h = client->WriteAsync(lh, 0, &v, 8);
+    const uint64_t elapsed = lt::NowNs() - t0;
+    ASSERT_TRUE(h.ok());
+    const auto after = AwriteE2e(cluster.instance(0));
+    EXPECT_EQ(after.count, before.count + 1);
+    EXPECT_EQ(after.sum - before.sum, elapsed);
+    ASSERT_TRUE(client->WaitAll().ok());
+    EXPECT_EQ(cluster.RunHealthCheck(), std::vector<std::string>{});
+  }
+  {
+    lt::SimParams p;
+    p.lite_ring_enable = true;
+    p.lite_ring_doorbell_batch = 64;  // Nothing drains before the reap.
+    LiteCluster cluster(2, p);
+    auto client = cluster.CreateClient(0);  // User level: rides the rings.
+    auto lh = *client->Malloc(4096, "entry_ring_local", on0);
+    auto gone = *client->Malloc(4096, "entry_ring_gone", on1);
+    LiteInstance* inst = cluster.instance(0);
+
+    auto before = AwriteE2e(inst);
+    auto h = client->WriteAsync(lh, 0, &v, 8);
+    ASSERT_TRUE(h.ok());
+    ASSERT_TRUE(client->Wait(*h).ok());
+    EXPECT_EQ(AwriteE2e(inst).count, before.count + 1);
+
+    before = AwriteE2e(inst);
+    ASSERT_TRUE(client->WriteAsync(gone, 0, &v, 8).ok());
+    ASSERT_TRUE(client->Free(gone).ok());  // Control plane: does not flush rings.
+    EXPECT_EQ(client->WaitAll().code(), StatusCode::kNotFound);
+    EXPECT_EQ(AwriteE2e(inst).count, before.count + 1);
+    EXPECT_EQ(cluster.RunHealthCheck(), std::vector<std::string>{});
   }
 }
 
