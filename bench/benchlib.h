@@ -60,9 +60,7 @@ inline std::string HumanBytes(uint64_t bytes) {
   return std::to_string(bytes) + "B";
 }
 
-// Prints one "# <label>: ..." stats comment from a consistent histogram
-// snapshot (Histogram::Snapshot takes the lock once; interleaving count() and
-// Percentile() against concurrent Add()s can disagree).
+// Prints one "# <label>: ..." stats comment from a histogram snapshot.
 inline void PrintLatencyStats(const std::string& label, const lt::Histogram& hist) {
   lt::HistogramStats s = hist.Snapshot();
   std::printf("# %s: n=%zu mean=%.3f p50=%.3f p99=%.3f min=%.3f max=%.3f\n", label.c_str(),

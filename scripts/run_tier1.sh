@@ -3,7 +3,8 @@
 # the perf gate, the paper figures against their golden stdout and the
 # paper's claims, the examples, the trace gate, the repo benchmark's smoke
 # run, then the chaos soak, the
-# atomics/RPC-bind races, the live-migration suite, the simulated RNIC
+# atomics/RPC-bind races, LITE-DSM's multicast invalidations, the
+# live-migration suite, the simulated RNIC
 # with its Verbs and baseline users, and the shared virtual-time timelines
 # (RateWindow, the RNIC directory) under ThreadSanitizer (the
 # failure-recovery and migration-gate paths are the most thread-hostile code
@@ -117,7 +118,7 @@ python3 benchmark/run.py --smoke
 
 stage "chaos soak, migration, the RNIC and the timelines under ThreadSanitizer"
 cmake -B build-tsan -S . -DLT_SANITIZE=thread >/dev/null
-cmake --build build-tsan -j"${JOBS}" --target faults_chaos_test faults_test lite_async_test lite_ring_test transport_test lite_sync_test lite_rpc_test lite_memory_test rnic_test baselines_test verbs_test rate_window_test substrate_test
+cmake --build build-tsan -j"${JOBS}" --target faults_chaos_test faults_test lite_async_test lite_ring_test transport_test lite_sync_test lite_rpc_test apps_dsm_test lite_memory_test rnic_test baselines_test verbs_test rate_window_test substrate_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/faults_test
 # RateWindow's sorted slot array (insert in place, walk forward through a
 # spill, prefix-erase GC) and the lock-free RNIC directory, with the service
@@ -132,6 +133,9 @@ TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/verbs_test
 # Local vs remote atomics on one word, and two threads racing a first RPC bind.
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/lite_sync_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/lite_rpc_test
+# A DSM release multicasts its invalidations from the home's service thread
+# while clients read: every member's send half, then every reply half.
+TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/apps_dsm_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/lite_async_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/lite_ring_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/transport_test

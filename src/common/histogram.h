@@ -31,7 +31,6 @@ struct HistogramStats {
     double frac = rank - static_cast<double>(lo);
     return sorted_samples[lo] * (1.0 - frac) + sorted_samples[hi] * frac;
   }
-  double Median() const { return Percentile(50); }
 };
 
 // Reservoir-free exact histogram: records every sample. Fine for the sample
@@ -41,30 +40,10 @@ class Histogram {
   void Add(double v) {
     std::lock_guard<std::mutex> lock(mu_);
     samples_.push_back(v);
-    sorted_ = false;
   }
 
-  size_t count() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return samples_.size();
-  }
-
-  double Mean() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (samples_.empty()) {
-      return 0.0;
-    }
-    double sum = 0.0;
-    for (double v : samples_) {
-      sum += v;
-    }
-    return sum / static_cast<double>(samples_.size());
-  }
-
-  // Sorted copy + stats under one lock acquisition. Prefer this when other
-  // threads may still be Add()ing: interleaving count()/Percentile() calls
-  // takes and drops the lock between reads, so the pair can disagree (and
-  // Percentile() re-sorts live storage each time a concurrent Add lands).
+  // The one read path: a sorted copy and its stats, taken under one lock
+  // acquisition, so it stays consistent while other threads keep Add()ing.
   HistogramStats Snapshot() const {
     HistogramStats s;
     {
@@ -85,37 +64,9 @@ class Histogram {
     return s;
   }
 
-  // p in [0, 100].
-  double Percentile(double p) const {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (samples_.empty()) {
-      return 0.0;
-    }
-    if (!sorted_) {
-      std::sort(samples_.begin(), samples_.end());
-      sorted_ = true;
-    }
-    double rank = p / 100.0 * static_cast<double>(samples_.size() - 1);
-    size_t lo = static_cast<size_t>(rank);
-    size_t hi = std::min(lo + 1, samples_.size() - 1);
-    double frac = rank - static_cast<double>(lo);
-    return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
-  }
-
-  double Min() const { return Percentile(0); }
-  double Median() const { return Percentile(50); }
-  double Max() const { return Percentile(100); }
-
-  void Clear() {
-    std::lock_guard<std::mutex> lock(mu_);
-    samples_.clear();
-    sorted_ = false;
-  }
-
  private:
   mutable std::mutex mu_;
-  mutable std::vector<double> samples_;
-  mutable bool sorted_ = false;
+  std::vector<double> samples_;
 };
 
 }  // namespace lt

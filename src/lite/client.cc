@@ -180,6 +180,7 @@ Status LiteClient::Rpc(NodeId server, RpcFuncId func, const void* in, uint32_t i
 
 Status LiteClient::MulticastRpc(const std::vector<NodeId>& servers, RpcFuncId func, const void* in,
                                 uint32_t in_len, std::vector<std::vector<uint8_t>>* replies) {
+  ScopedOpAttr attr(AttrSink(), "mrpc", in_len, static_cast<int>(Priority::kHigh));
   DataPathBoundary boundary(this);
   return instance_->MulticastRpc(servers, func, in, in_len, replies);
 }

@@ -424,13 +424,6 @@ void LiteInstance::RegisterInternalHandlers() {
     return payload.bytes();
   };
 
-  // -------------------------------------------------------- echo (tests)
-  internal_handlers_[kFnEcho] = [](LiteInstance* self, const RpcIncoming& inc) -> Reply {
-    WireWriter payload;
-    payload.PutBytes(inc.data.data(), inc.data.size());
-    return payload.bytes();
-  };
-
   internal_handlers_[kFnRingSetup] = [](LiteInstance* self, const RpcIncoming& inc) -> Reply {
     WireReader r(inc.data.data(), inc.data.size());
     RpcFuncId ring_id = 0;

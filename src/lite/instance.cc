@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 
 #include "src/common/annotations.h"
@@ -21,6 +23,22 @@ namespace {
 
 constexpr uint64_t kMirrorSlabBytes = 64 << 10;  // 8K head mirrors.
 
+// A reply slot and a ring offset each travel in the IMM payload (types.h):
+// past these bounds a reply or a request silently lands on another slot or
+// offset, so no instance is built with them, in any build type.
+void CheckImmLayout(const lt::SimParams& p) {
+  const char* field = p.lite_reply_slots > kMaxReplySlots     ? "lite_reply_slots"
+                      : p.lite_rpc_ring_bytes > kMaxRingBytes ? "lite_rpc_ring_bytes"
+                                                              : nullptr;
+  if (field != nullptr) {
+    std::fprintf(stderr,
+                 "LiteInstance: %s exceeds what the RPC IMM layout addresses "
+                 "(%u reply slots, %llu ring bytes)\n",
+                 field, kMaxReplySlots, static_cast<unsigned long long>(kMaxRingBytes));
+    std::abort();
+  }
+}
+
 }  // namespace
 
 LiteInstance::LiteInstance(lt::Node* node, NodeId manager_node)
@@ -30,6 +48,7 @@ LiteInstance::LiteInstance(lt::Node* node, NodeId manager_node)
       transport_(Transport::Create(node, &qos_)),
       lmrs_(node->id()),
       engine_(this) {
+  CheckImmLayout(params());
   // The single physical-address MR covering all of this node's memory: one
   // MPT entry on the RNIC, no MTT/PTE pressure at all (paper Sec. 4.1).
   auto mr = rnic().RegisterMrPhysical(0, node_->mem().size_bytes(), lt::kMrAll);

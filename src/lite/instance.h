@@ -236,12 +236,9 @@ class LiteInstance {
   // LT_RPC: calls (server_node, func); blocks for the reply.
   Status Rpc(NodeId server_node, RpcFuncId func, const void* in, uint32_t in_len, void* out,
              uint32_t out_max, uint32_t* out_len, Priority pri = Priority::kHigh);
-  // Async LT_RPC: single-attempt send returning a completion handle retired
-  // through Poll/Wait/WaitAll; `out`/`out_len` stay valid until retirement.
-  StatusOr<MemopHandle> RpcAsync(NodeId server_node, RpcFuncId func, const void* in,
-                                 uint32_t in_len, void* out, uint32_t out_max, uint32_t* out_len,
-                                 Priority pri = Priority::kHigh);
   // LT_multicastRPC (extension, paper Sec. 8.4): same call to many servers.
+  // Every member's request goes out before any reply is awaited, and each
+  // member retries, dedups and fails fast on a dead peer as Rpc does.
   Status MulticastRpc(const std::vector<NodeId>& servers, RpcFuncId func, const void* in,
                       uint32_t in_len, std::vector<std::vector<uint8_t>>* replies);
   // LT_recvRPC: receives the next call for `func` (blocking).
@@ -407,10 +404,34 @@ class LiteInstance {
                         PhysAddr reply_phys, uint32_t reply_max, uint32_t reply_slot,
                         Priority pri, uint32_t* seq_inout, bool fail_fast_dead = true);
 
-  // The full client call (dead check, send, reply wait, retry loop);
-  // Rpc()/InternalRpc()/keepalives all funnel through here.
-  Status RpcCall(NodeId server_node, RpcFuncId func, const void* in, uint32_t in_len, void* out,
-                 uint32_t out_max, uint32_t* out_len, Priority pri, const RpcCallOpts& opts);
+  // One client call between its two halves: the request every attempt
+  // re-presents, what the send half took (channel, reply slot) and the
+  // latest attempt's outcome. It lives on the caller's stack.
+  struct ClientCall {
+    NodeId server = kInvalidNode;
+    RpcFuncId func = 0;
+    const void* in = nullptr;
+    uint32_t in_len = 0;
+    Priority pri = Priority::kHigh;
+    RpcCallOpts opts = {};
+    RpcChannel* channel = nullptr;
+    uint32_t slot = 0;
+    uint32_t packed_slot = 0;  // {generation, slot}: the same on every attempt.
+    uint32_t seq = 0;          // Assigned by the first post that reserves ring space.
+    lt::telemetry::WqeLatBreakdown post_lat = {};  // The latest post's transport split.
+    Status last = Status::Ok();  // The latest post's outcome, then its wait's.
+  };
+  // Every client call (Rpc, InternalRpc and so the keepalives, and each
+  // MulticastRpc member) runs these two halves. The send half fails fast on
+  // a dead-marked peer, takes the channel and a reply slot, and posts the
+  // first attempt; an error means the call took nothing. The reply half
+  // waits for the reply, re-posting after each timeout (or transient post
+  // failure) behind the engine's backoff, at most max_retries times, and
+  // then settles the slot: freed, or left a zombie for a late reply.
+  Status SendCall(ClientCall* call, uint32_t out_max);
+  Status AwaitCall(ClientCall* call, void* out, uint32_t out_max, uint32_t* out_len);
+  // Posts one attempt of `call` and keeps its transport breakdown.
+  void PostCall(ClientCall* call);
 
   // Server-side idempotence (poll thread): records `seq` as executed;
   // false means duplicate (caller drops it and replays the cached reply).
@@ -418,18 +439,15 @@ class LiteInstance {
   void RecordReplay(const ReplyToken& token, const void* data, uint32_t len);
   void ReplayReply(ServerRing* ring, const RpcReqHeader& hdr);
 
-  // The one reply wait, for every RpcCall attempt and for async RPC
-  // retirement: waits up to `timeout_ns` (real time) for the reply in
-  // `slot`. A reply is synced to (its wait split against the request's
-  // transport `post_lat`), copied out, and its slot freed; it returns Ok, or
-  // OutOfRange when truncated. No reply returns Timeout and, with `settle`,
-  // leaves the slot a zombie for a late reply or the quarantine sweep.
+  // The one reply wait, for every attempt of a client call: waits up to
+  // `timeout_ns` (real time) for the reply in `slot`. A reply is synced to
+  // (its wait split against the request's transport `post_lat`), copied
+  // out, and its slot freed; it returns Ok, or OutOfRange when truncated.
+  // No reply returns Timeout and, with `settle`, leaves the slot a zombie
+  // for a late reply or the quarantine sweep.
   Status AwaitReply(uint32_t slot, uint64_t timeout_ns, bool settle,
                     const lt::telemetry::WqeLatBreakdown& post_lat, void* out, uint32_t out_max,
                     uint32_t* out_len);
-  // Single-attempt send of an async RPC (retired through AwaitReply).
-  StatusOr<uint32_t> RpcSend(NodeId server_node, RpcFuncId func, const void* in, uint32_t in_len,
-                             uint32_t out_max, Priority pri = Priority::kHigh);
   // Fire-and-forget call (no reply slot, no wait): LT_send and LITE's own
   // notifications.
   Status RpcSendNoReply(NodeId server_node, RpcFuncId func, const void* in, uint32_t in_len,
@@ -463,8 +481,8 @@ class LiteInstance {
 
   // Internal control-function implementations.
   void RegisterInternalHandlers();
-  // A blocking control call: RpcCall, then decodes the [u32 code | payload]
-  // reply into a Status and, on success, `out`.
+  // A blocking control call: SendCall and AwaitCall, then decodes the
+  // [u32 code | payload] reply into a Status and, on success, `out`.
   Status InternalRpc(NodeId server, RpcFuncId func, const WireWriterBytes& in,
                      std::vector<uint8_t>* out, const RpcCallOpts& opts = {},
                      Priority pri = Priority::kHigh);

@@ -1,8 +1,8 @@
-// Asynchronous memop facade: LT_read_async / LT_write_async / LT_RPC-async
-// entry points. The prologue (op record claim, then ResolveLhs) happens
-// here; the registration, posting, selective signaling, window backpressure
-// and retirement all live in the op engine (op_engine.cc), shared with the
-// blocking multi-piece path.
+// Asynchronous memop facade: the LT_read_async / LT_write_async entry points
+// and the ring drain's deferred memops. The prologue (op record claim, then
+// ResolveLhs) happens here; the registration, posting, selective signaling,
+// window backpressure and retirement all live in the op engine
+// (op_engine.cc), shared with the blocking multi-piece path.
 #include <cstdint>
 
 #include "src/common/logging.h"
@@ -65,19 +65,6 @@ void LiteInstance::ExecuteDeferredAsync(RingDeferredOp& op, RingDrainCache* cach
   lt::telemetry::AttrAdd(lt::telemetry::LatStage::kLatSubmit, lt::NowNs() - submit_t0);
   engine_.IssueAsyncPieces(SliceDescs(cache->entry.chunks, op.offset, op.len, op.buf), op.is_read,
                            op.pri, op.lh, op.offset, op.buf, op.len, op.handle);
-}
-
-StatusOr<MemopHandle> LiteInstance::RpcAsync(NodeId server_node, RpcFuncId func, const void* in,
-                                             uint32_t in_len, void* out, uint32_t out_max,
-                                             uint32_t* out_len, Priority pri) {
-  LT_RETURN_IF_ERROR(CheckAppFunc(func));
-  lt::telemetry::ScopedOpAttr attr(&node_->telemetry().latency(), "arpc", in_len,
-                                   static_cast<int>(pri));
-  auto slot = RpcSend(server_node, func, in, in_len, out_max, pri);
-  if (!slot.ok()) {
-    return slot.status();
-  }
-  return engine_.InsertAsyncRpc(*slot, out, out_max, out_len, pri);
 }
 
 }  // namespace lite

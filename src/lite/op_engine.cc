@@ -219,24 +219,33 @@ StatusOr<Completion> OpEngine::Complete(const Wqe& w, Priority pri, bool pinned)
   return Retransmit(w, pri, c.status(), pinned);
 }
 
+Status OpEngine::Backoff(Resend kind, NodeId dst, uint32_t attempt, uint64_t* backoff_ns,
+                         bool fail_fast_dead) {
+  const bool rpc = kind == Resend::kRpcAttempt;
+  (rpc ? inst_->rpc_retries_ : oneside_retries_)->Inc();
+  engine_retries_->Inc();
+  lt::IdleFor(*backoff_ns);
+  AttrAdd(LatStage::kLatDetour, *backoff_ns);
+  if (journal_ != nullptr) {
+    journal_->Record(rpc ? lt::telemetry::JournalEvent::kRpcRetry
+                         : lt::telemetry::JournalEvent::kOnesideRetry,
+                     dst, rpc ? *backoff_ns : attempt);
+  }
+  *backoff_ns *= 2;
+  if (fail_fast_dead && inst_->PeerDead(dst)) {
+    inst_->rpc_dead_fast_fail_->Inc();
+    return DeadPeerUnavailable();
+  }
+  return Status::Ok();
+}
+
 StatusOr<Completion> OpEngine::Retransmit(const Wqe& w, Priority pri, Status last,
                                           bool pinned) {
   Transport& tr = *inst_->transport_;
   const NodeId dst = w.h.dst;
   uint64_t backoff_ns = kRetryBackoffNs;
   for (uint32_t attempt = 1; attempt <= inst_->params().lite_rpc_max_retries; ++attempt) {
-    oneside_retries_->Inc();
-    engine_retries_->Inc();
-    lt::IdleFor(backoff_ns);
-    AttrAdd(LatStage::kLatDetour, backoff_ns);
-    if (journal_ != nullptr) {
-      journal_->Record(lt::telemetry::JournalEvent::kOnesideRetry, dst, attempt);
-    }
-    backoff_ns *= 2;
-    if (inst_->PeerDead(dst)) {
-      inst_->rpc_dead_fast_fail_->Inc();
-      return DeadPeerUnavailable();
-    }
+    LT_RETURN_IF_ERROR(Backoff(Resend::kWqe, dst, attempt, &backoff_ns, /*fail_fast_dead=*/true));
     Wqe retry;
     retry.h = pinned ? w.h : tr.Lease(dst, pri);
     retry.wr = w.wr;
@@ -448,20 +457,6 @@ MemopHandle OpEngine::IssueAsyncPieces(const std::vector<OpDesc>& pieces, bool i
   return Register(std::move(op), pieces, reserved_handle);
 }
 
-MemopHandle OpEngine::InsertAsyncRpc(uint32_t rpc_slot, void* out, uint32_t out_max,
-                                     uint32_t* out_len, Priority pri) {
-  // The ring post already went through OneSidedWriteImm; the handle itself
-  // is an engine op too, so the conservation invariant sees it retire.
-  auto op = std::make_unique<AsyncOp>();
-  op->is_rpc = true;
-  op->pri = pri;
-  op->rpc_slot = rpc_slot;
-  op->rpc_out = out;
-  op->rpc_out_max = out_max;
-  op->rpc_out_len = out_len;
-  return Register(std::move(op), {}, 0);
-}
-
 void OpEngine::InsertFailedHandle(MemopHandle h, const Status& result) {
   // The handle was reserved and returned to the caller before its deferred
   // op could register (the lh died between enqueue and drain); a done op
@@ -529,7 +524,7 @@ MemopHandle OpEngine::Register(std::unique_ptr<AsyncOp> op, const std::vector<Op
   // A memop whose every piece completed at issue is done at entry. An
   // issue-time error (gate NACK on a local piece) keeps it in flight so
   // retirement folds the error in and can run the stale-home redo.
-  if (!op->is_rpc && all_local && op->issue_error.ok()) {
+  if (all_local && op->issue_error.ok()) {
     op->state = AsyncOpState::kDone;
   }
 
@@ -581,25 +576,10 @@ void OpEngine::CommitAsyncAttr(AsyncOp* op) {
 
 void OpEngine::Retire(std::unique_lock<std::mutex>& lock, AsyncOp* op) {
   op->state = AsyncOpState::kRetiring;
-  // Stamps made while retiring (the reply wait, retries, fences, the stale
-  // redo) belong to the op being retired, not to whatever op the retiring
-  // thread carries.
+  // Stamps made while retiring (retries, fences, the stale redo) belong to
+  // the op being retired, not to whatever op the retiring thread carries.
   lt::telemetry::AttrAdoptScope adopt(&op->attr);
-  if (op->is_rpc) {
-    // The reply is delivered by the poll thread, which never takes
-    // async_mu_. The request was posted at issue time, possibly on another
-    // thread, so no transport breakdown is at hand: the whole wait books as
-    // remote service.
-    lock.unlock();
-    Status s = inst_->AwaitReply(op->rpc_slot, EffectiveTimeoutNs(kDefaultTimeout),
-                                 /*settle=*/true, lt::telemetry::WqeLatBreakdown{}, op->rpc_out,
-                                 op->rpc_out_max, op->rpc_out_len);
-    lock.lock();
-    op->result = s;
-    op->ready_at_ns = NowNs();
-  } else {
-    SettleMemopLocked(lock, op);
-  }
+  SettleMemopLocked(lock, op);
   op->state = AsyncOpState::kDone;
   CommitAsyncAttr(op);
   FinishEngineOp(op->result.ok());
@@ -755,12 +735,6 @@ StatusOr<bool> OpEngine::Poll(MemopHandle h) {
     return false;
   }
   if (op->state == AsyncOpState::kInFlight) {
-    // Don't block on an RPC: it stays in flight until the poll thread
-    // delivers the reply.
-    if (op->is_rpc && inst_->reply_slots_[op->rpc_slot]->state.load(std::memory_order_acquire) !=
-                          SlotState::kReady) {
-      return false;
-    }
     // Only a kDone op is ever consumed, so `it` outlives the retirement.
     RetireOrWait(lock, op);
   }

@@ -11,12 +11,13 @@
 //     op is a plain post; more pieces overlap their chunk transfers across
 //     nodes with doorbell batching and inline sends;
 //   * async memops — IssueAsyncPieces posts every piece immediately and
-//     returns a completion handle. Every handle (memop, RPC or failed ring
-//     op) registers in Register and retires in Retire;
+//     returns a completion handle. Every handle (an async memop, or a ring
+//     memop that failed before issue) registers in Register and retires in
+//     Retire;
 //   * RPC — ring posts and replies are OneSidedWriteImm calls and
 //     head-mirror publishes are OneSidedWrite calls (both fire-and-forget),
-//     so the send side shares the same QP/recovery spine (RPC-level
-//     retransmits count into lite.engine.retries through CountRetry()).
+//     so the send side shares the same QP/recovery spine, and a client
+//     call's re-sends take the engine's one backoff step (Backoff).
 // Blocking and async pieces share one local-piece copy, one gated post and
 // one retransmit routine; QoS admits each remote WR once, at issue. One
 // completion rule holds for every WQE the engine posts: the call that posts
@@ -46,8 +47,8 @@ using lt::StatusOr;
 
 class LiteInstance;
 
-// Async ops (memops and RPCs) in flight per instance; registering past it
-// retires the oldest in-flight op first (window-full backpressure).
+// Async memops in flight per instance; registering past it retires the
+// oldest in-flight op first (window-full backpressure).
 inline constexpr size_t kAsyncWindow = 64;
 
 class OpEngine {
@@ -111,9 +112,6 @@ class OpEngine {
   // Registers a reserved handle whose deferred op failed before issue (lh
   // died between enqueue and drain): Poll/Wait surface `result` for it.
   void InsertFailedHandle(MemopHandle h, const Status& result);
-  // Registers an already-sent single-attempt RPC, retired by its reply.
-  MemopHandle InsertAsyncRpc(uint32_t rpc_slot, void* out, uint32_t out_max, uint32_t* out_len,
-                             Priority pri);
   // Crossing-free readiness checks against the shared completion state (the
   // user library reads the completion flag without entering the kernel). A
   // handle that no longer exists reads as ready: consuming it cannot block.
@@ -131,13 +129,18 @@ class OpEngine {
   // backstop cap — the single home of the old duplicated clamp logic.
   uint64_t EffectiveTimeoutNs(uint64_t requested_ns) const;
 
-  // RPC-level retransmits ride the engine spine too; RpcCall reports them
-  // here so lite.engine.retries covers every transparent re-send.
-  void CountRetry() {
-    if (engine_retries_ != nullptr) {
-      engine_retries_->Inc();
-    }
-  }
+  // What a transparent re-send re-sends: a client call's request
+  // (lite.rpc.retries; journal rpc_retry with the backoff) or a WQE
+  // (lite.oneside.retries; journal oneside_retry with the attempt number).
+  enum class Resend { kRpcAttempt, kWqe };
+  // The one backoff step before every transparent re-send: counts re-send
+  // `attempt` (1-based) as `kind` and in lite.engine.retries, idles
+  // `*backoff_ns` (booked as a detour, then doubled for the next one) and
+  // journals it. Then, when `fail_fast_dead` and `dst` is marked dead, it
+  // counts lite.rpc.dead_fast_fail and returns Unavailable: nothing is
+  // re-sent.
+  Status Backoff(Resend kind, NodeId dst, uint32_t attempt, uint64_t* backoff_ns,
+                 bool fail_fast_dead);
 
   // Registers the engine's lite.* instruments (constructor-time, via
   // LiteInstance::RegisterTelemetry; pointers cached for the hot path).
@@ -161,14 +164,9 @@ class OpEngine {
   enum class AsyncOpState { kInFlight, kRetiring, kDone };
   struct AsyncOp {
     AsyncOpState state = AsyncOpState::kInFlight;
-    bool is_rpc = false;
-    bool is_read = false;             // Memop ops: direction of every piece.
+    bool is_read = false;             // Direction of every piece.
     Priority pri = Priority::kHigh;
-    std::vector<Wqe> wqes;            // Memop ops.
-    uint32_t rpc_slot = 0;            // RPC ops: reply rendezvous + output.
-    void* rpc_out = nullptr;
-    uint32_t rpc_out_max = 0;
-    uint32_t* rpc_out_len = nullptr;
+    std::vector<Wqe> wqes;
     Status result = Status::Ok();     // Valid once state == kDone.
     uint64_t ready_at_ns = 0;
     // Origin of the memop in lh space (see IssueAsyncPieces): enables the
@@ -220,9 +218,9 @@ class OpEngine {
   // Awaits a posted WQE and hands a transient failure to Retransmit.
   // `pinned` keeps every re-post on w.h (async flush fences).
   StatusOr<lt::Completion> Complete(const Wqe& w, Priority pri, bool pinned = false);
-  // The one retransmit routine: re-posts `w` signaled, backing off
-  // kRetryBackoffNs (doubling) before every attempt, at most
-  // lite_rpc_max_retries times; fails fast once the peer is marked dead.
+  // The one retransmit routine: re-posts `w` signaled, taking Backoff
+  // before every attempt, at most lite_rpc_max_retries times; fails fast
+  // once the peer is marked dead.
   // Returns the successful completion, or the last error.
   StatusOr<lt::Completion> Retransmit(const Wqe& w, Priority pri, Status last, bool pinned);
   // Fire-and-forget post of ring traffic (no gate; a drop's error CQE is
@@ -256,9 +254,8 @@ class OpEngine {
   MemopHandle Register(std::unique_ptr<AsyncOp> op, const std::vector<OpDesc>& pieces,
                        MemopHandle reserved);
   // The one retirement (async_mu_ held via `lock`; `op` in flight): settles
-  // an RPC by its reply (the lock is dropped around the wait) or a memop by
-  // SettleMemopLocked, then commits the record, finishes the engine op and
-  // wakes waiters.
+  // the memop (SettleMemopLocked), then commits the record, finishes the
+  // engine op and wakes waiters.
   void Retire(std::unique_lock<std::mutex>& lock, AsyncOp* op);
   // A memop's result and ready time: reads each WQE's own completion or
   // infers it from a later signaled one on its stream (a flush fence when

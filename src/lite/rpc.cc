@@ -259,30 +259,6 @@ Status LiteInstance::PostRpcRequest(RpcChannel* channel, RpcFuncId func, const v
   return st;
 }
 
-StatusOr<uint32_t> LiteInstance::RpcSend(NodeId server_node, RpcFuncId func, const void* in,
-                                         uint32_t in_len, uint32_t out_max, Priority pri) {
-  auto channel = GetChannel(server_node, RingIdFor(func));
-  if (!channel.ok()) {
-    return channel.status();
-  }
-  auto slot = AcquireReplySlot(out_max);
-  if (!slot.ok()) {
-    return slot.status();
-  }
-  // The reply may use the whole slot; if it exceeds the caller's buffer the
-  // copy-out truncates and reports OutOfRange (the data still arrived).
-  ReplySlot& s = *reply_slots_[*slot];
-  uint32_t seq = 0;
-  Status st = PostRpcRequest(*channel, func, in, in_len, s.buf_phys, s.buf_max,
-                             PackReplySlot(*slot, s.gen.load(std::memory_order_relaxed)), pri,
-                             &seq);
-  if (!st.ok()) {
-    ReleaseReplySlot(*slot);
-    return st;
-  }
-  return *slot;
-}
-
 Status LiteInstance::RpcSendNoReply(NodeId server_node, RpcFuncId func, const void* in,
                                     uint32_t in_len, Priority pri) {
   auto channel = GetChannel(server_node, RingIdFor(func));
@@ -344,17 +320,17 @@ Status LiteInstance::Rpc(NodeId server_node, RpcFuncId func, const void* in, uin
   LT_RETURN_IF_ERROR(CheckAppFunc(func));
   lt::telemetry::ScopedOpAttr attr(&node_->telemetry().latency(), "rpc", in_len,
                                    static_cast<int>(pri));
-  return RpcCall(server_node, func, in, in_len, out, out_max, out_len, pri, RpcCallOpts{});
+  ClientCall call{.server = server_node, .func = func, .in = in, .in_len = in_len, .pri = pri};
+  LT_RETURN_IF_ERROR(SendCall(&call, out_max));
+  return AwaitCall(&call, out, out_max, out_len);
 }
 
-Status LiteInstance::RpcCall(NodeId server_node, RpcFuncId func, const void* in, uint32_t in_len,
-                             void* out, uint32_t out_max, uint32_t* out_len, Priority pri,
-                             const RpcCallOpts& opts) {
-  if (opts.fail_fast_dead && PeerDead(server_node)) {
+Status LiteInstance::SendCall(ClientCall* call, uint32_t out_max) {
+  if (call->opts.fail_fast_dead && PeerDead(call->server)) {
     rpc_dead_fast_fail_->Inc();
     return DeadPeerUnavailable();
   }
-  auto channel = GetChannel(server_node, RingIdFor(func));
+  auto channel = GetChannel(call->server, RingIdFor(call->func));
   if (!channel.ok()) {
     return channel.status();
   }
@@ -362,109 +338,108 @@ Status LiteInstance::RpcCall(NodeId server_node, RpcFuncId func, const void* in,
   if (!slot.ok()) {
     return slot.status();
   }
-  ReplySlot& s = *reply_slots_[*slot];
+  call->channel = *channel;
+  call->slot = *slot;
   // The packed slot+generation rides every attempt; all attempts of one call
   // share the slot, so whichever attempt's reply lands first completes it.
-  const uint32_t packed = PackReplySlot(*slot, s.gen.load(std::memory_order_relaxed));
-  const uint64_t per_try_ns = engine_.EffectiveTimeoutNs(opts.timeout_ns);
-  const uint32_t max_retries = opts.max_retries == kUseParamRetries
+  call->packed_slot =
+      PackReplySlot(*slot, reply_slots_[*slot]->gen.load(std::memory_order_relaxed));
+  PostCall(call);
+  return Status::Ok();
+}
+
+void LiteInstance::PostCall(ClientCall* call) {
+  const ReplySlot& s = *reply_slots_[call->slot];
+  call->last = PostRpcRequest(call->channel, call->func, call->in, call->in_len, s.buf_phys,
+                              s.buf_max, call->packed_slot, call->pri, &call->seq,
+                              call->opts.fail_fast_dead);
+  // The request's transport breakdown (RNIC, port queue, wire) from the
+  // write-imm just posted; the reply wait is split against it.
+  call->post_lat = lt::Rnic::LastPostBreakdown();
+}
+
+Status LiteInstance::AwaitCall(ClientCall* call, void* out, uint32_t out_max, uint32_t* out_len) {
+  const uint64_t per_try_ns = engine_.EffectiveTimeoutNs(call->opts.timeout_ns);
+  const uint32_t max_retries = call->opts.max_retries == kUseParamRetries
                                    ? params().lite_rpc_max_retries
-                                   : opts.max_retries;
+                                   : call->opts.max_retries;
   uint64_t backoff_ns = kRetryBackoffNs;
-  uint32_t seq = 0;  // Assigned by the first successful post; reused after.
-  lt::telemetry::WqeLatBreakdown post_lat;
-  Status last = Status::Timeout("no RPC reply before timeout");
-  for (uint32_t attempt = 0; attempt <= max_retries; ++attempt) {
-    if (attempt > 0) {
-      rpc_retries_->Inc();
-      engine_.CountRetry();
-      lt::IdleFor(backoff_ns);
-      AttrAdd(LatStage::kLatDetour, backoff_ns);
-      if (journal_ != nullptr) {
-        journal_->Record(lt::telemetry::JournalEvent::kRpcRetry, server_node, backoff_ns);
+  for (uint32_t resend = 1;; ++resend) {
+    const lt::StatusCode c = call->last.code();
+    if (c == lt::StatusCode::kOk) {
+      call->last = AwaitReply(call->slot, per_try_ns, /*settle=*/false, call->post_lat, out,
+                              out_max, out_len);
+      if (call->last.code() != lt::StatusCode::kTimeout) {
+        return call->last;  // Replied: Ok, or OutOfRange when truncated.
       }
-      backoff_ns *= 2;
-      if (opts.fail_fast_dead && PeerDead(server_node)) {
-        rpc_dead_fast_fail_->Inc();
-        last = DeadPeerUnavailable();
-        break;
-      }
+    } else if (c != lt::StatusCode::kUnavailable && c != lt::StatusCode::kTimeout &&
+               c != lt::StatusCode::kResourceExhausted) {
+      break;  // Only a transient post failure (QP reconnect exhausted, ring full) is re-sent.
     }
-    Status posted = PostRpcRequest(*channel, func, in, in_len, s.buf_phys, s.buf_max, packed,
-                                   pri, &seq, opts.fail_fast_dead);
-    // The request's transport breakdown (RNIC, port queue, wire) from the
-    // write-imm just posted; the reply wait is split against it.
-    post_lat = lt::Rnic::LastPostBreakdown();
-    if (!posted.ok()) {
-      last = posted;
-      const lt::StatusCode c = posted.code();
-      if (c == lt::StatusCode::kUnavailable || c == lt::StatusCode::kTimeout ||
-          c == lt::StatusCode::kResourceExhausted) {
-        continue;  // Transient (QP reconnect exhausted / ring full): retry.
-      }
+    if (resend > max_retries) {
       break;
     }
-    last = AwaitReply(*slot, per_try_ns, /*settle=*/false, post_lat, out, out_max, out_len);
-    if (last.code() != lt::StatusCode::kTimeout) {
-      return last;  // Replied: Ok, or OutOfRange when truncated.
+    call->last = engine_.Backoff(OpEngine::Resend::kRpcAttempt, call->server, resend,
+                                 &backoff_ns, call->opts.fail_fast_dead);
+    if (!call->last.ok()) {
+      break;  // The peer is marked dead: nothing is re-sent.
     }
+    PostCall(call);
   }
-  if (seq == 0) {
-    ReleaseReplySlot(*slot);  // Nothing was ever posted: the slot is clean.
+  if (call->seq == 0) {
+    ReleaseReplySlot(call->slot);  // Nothing was ever posted: the slot is clean.
   } else {
     // A late reply may still land: take one that already has, else leave the
     // slot quarantined.
-    Status late = AwaitReply(*slot, 0, /*settle=*/true, post_lat, out, out_max, out_len);
+    Status late =
+        AwaitReply(call->slot, 0, /*settle=*/true, call->post_lat, out, out_max, out_len);
     if (late.code() != lt::StatusCode::kTimeout) {
       return late;
     }
   }
-  if (opts.fail_fast_dead && last.code() == lt::StatusCode::kTimeout && PeerDead(server_node)) {
+  if (call->opts.fail_fast_dead && call->last.code() == lt::StatusCode::kTimeout &&
+      PeerDead(call->server)) {
     // Distinguish "peer is dead" from "peer is slow": the liveness service
     // condemned the target while we were waiting.
-    last = DeadPeerUnavailable();
+    call->last = DeadPeerUnavailable();
   }
-  return last;
+  return call->last;
 }
 
 Status LiteInstance::MulticastRpc(const std::vector<NodeId>& servers, RpcFuncId func,
                                   const void* in, uint32_t in_len,
                                   std::vector<std::vector<uint8_t>>* replies) {
-  // Pipelined multicast (paper Sec. 8.4): issue all calls as async handles,
-  // then retire each through the shared completion-handle machinery; total
-  // latency ~= one RPC round trip.
-  struct Pending {
-    MemopHandle handle = kInvalidMemopHandle;
-    std::vector<uint8_t> buf;
-    uint32_t len = 0;
-  };
+  LT_RETURN_IF_ERROR(CheckAppFunc(func));
+  lt::telemetry::ScopedOpAttr attr(&node_->telemetry().latency(), "mrpc", in_len,
+                                   static_cast<int>(Priority::kHigh));
+  // Pipelined multicast (paper Sec. 8.4): every member's send half goes out
+  // before any member's reply half waits, so the whole call costs about one
+  // round trip.
   const uint32_t out_max = static_cast<uint32_t>(params().lite_reply_slot_bytes);
-  std::vector<Pending> pending(servers.size());
+  std::vector<ClientCall> calls;
+  calls.reserve(servers.size());
   Status first_error = Status::Ok();
-  for (size_t i = 0; i < servers.size(); ++i) {
-    pending[i].buf.resize(out_max);
-    auto h = RpcAsync(servers[i], func, in, in_len, pending[i].buf.data(), out_max,
-                      &pending[i].len);
-    if (!h.ok()) {
-      first_error = h.status();
+  for (NodeId server : servers) {
+    calls.push_back({.server = server, .func = func, .in = in, .in_len = in_len});
+    first_error = SendCall(&calls.back(), out_max);
+    if (!first_error.ok()) {
+      calls.pop_back();  // It took nothing; the members already sent still settle.
       break;
     }
-    pending[i].handle = *h;
   }
   if (replies != nullptr) {
     replies->clear();
   }
-  for (Pending& p : pending) {
-    if (p.handle == kInvalidMemopHandle) {
-      continue;
-    }
-    Status st = Wait(p.handle);
+  for (ClientCall& call : calls) {
+    std::vector<uint8_t> reply(out_max);
+    uint32_t len = 0;
+    Status st = AwaitCall(&call, reply.data(), out_max, &len);
     if (!st.ok() && first_error.ok()) {
       first_error = st;
     }
-    p.buf.resize(p.len);
     if (replies != nullptr) {
-      replies->push_back(std::move(p.buf));
+      reply.resize(len);
+      replies->push_back(std::move(reply));
     }
   }
   return first_error;
@@ -474,9 +449,12 @@ Status LiteInstance::InternalRpc(NodeId server, RpcFuncId func, const WireWriter
                                  std::vector<uint8_t>* out, const RpcCallOpts& opts,
                                  Priority pri) {
   std::vector<uint8_t> raw(params().lite_reply_slot_bytes);
+  const auto raw_max = static_cast<uint32_t>(raw.size());
   uint32_t raw_len = 0;
-  LT_RETURN_IF_ERROR(RpcCall(server, func, in.data(), static_cast<uint32_t>(in.size()),
-                             raw.data(), static_cast<uint32_t>(raw.size()), &raw_len, pri, opts));
+  ClientCall call{.server = server, .func = func, .in = in.data(),
+                  .in_len = static_cast<uint32_t>(in.size()), .pri = pri, .opts = opts};
+  LT_RETURN_IF_ERROR(SendCall(&call, raw_max));
+  LT_RETURN_IF_ERROR(AwaitCall(&call, raw.data(), raw_max, &raw_len));
   if (raw_len < sizeof(uint32_t)) {
     return Status::Internal("malformed internal RPC reply");
   }

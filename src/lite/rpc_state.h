@@ -101,7 +101,7 @@ struct ServerRing {
 // Replay cache entries kept per server ring.
 inline constexpr size_t kReplayCacheEntries = 32;
 
-// Options of one blocking client call (LiteInstance::RpcCall).
+// Options of one client call (LiteInstance::ClientCall).
 inline constexpr uint32_t kUseParamRetries = ~0u;  // lite_rpc_max_retries.
 struct RpcCallOpts {
   uint64_t timeout_ns = kDefaultTimeout;  // Per attempt.

@@ -90,7 +90,6 @@ constexpr RpcFuncId kFnRingSetup = 1014;
 constexpr RpcFuncId kFnMasterFree = 1015;
 constexpr RpcFuncId kFnMasterGrant = 1017;
 constexpr RpcFuncId kFnListNames = 1018;  // Manager recovery (Sec. 3.3) and drain.
-constexpr RpcFuncId kFnEcho = 1019;  // Internal liveness check / tests.
 constexpr RpcFuncId kFnKeepalive = 1022;  // Lease renewal to the cluster manager.
 
 // Live LMR migration control plane (DESIGN.md "Epoch-fenced ownership").
@@ -127,8 +126,10 @@ inline uint32_t EncodeImm(RpcFuncId func, uint32_t payload) {
 inline RpcFuncId ImmFunc(uint32_t imm) { return imm >> kImmPayloadBits; }
 inline uint32_t ImmPayload(uint32_t imm) { return imm & kImmPayloadMask; }
 
-// Ring entries are offset-addressed in 64-byte units inside the IMM payload.
+// Ring entries are offset-addressed in 64-byte units inside the IMM payload,
+// so a server ring may span at most 2^21 units (128 MiB).
 constexpr uint32_t kRingOffsetUnit = 64;
+constexpr uint64_t kMaxRingBytes = uint64_t{kRingOffsetUnit} << kImmPayloadBits;
 
 // ---- Timeout sentinel convention (applies to every timeout_ns parameter in
 // the LITE API: RecvRpc / RecvMsg and the internal control calls) ----
@@ -142,13 +143,15 @@ constexpr uint64_t kInfiniteTimeout = ~0ull;
 
 // ---- Reply-slot addressing (21-bit IMM payload of kReplyFuncId) ----
 // The payload packs {generation, slot}: the slot index in the low 10 bits
-// (so lite_reply_slots must be <= 1000 — distinguishable from kNoReplySlot's
-// all-ones low bits) and an 11-bit reuse generation above it. The generation
-// lets a client that timed out and reused the slot discard late or duplicate
-// replies from an earlier call (aliasing only after 2048 reuses of one slot
-// inside a single call's lifetime, which the retry bound makes impossible).
+// (so lite_reply_slots must be <= kMaxReplySlots — distinguishable from
+// kNoReplySlot's all-ones low bits) and an 11-bit reuse generation above it.
+// The generation lets a client that timed out and reused the slot discard
+// late or duplicate replies from an earlier call (aliasing only after 2048
+// reuses of one slot inside a single call's lifetime, which the retry bound
+// makes impossible).
 constexpr uint32_t kReplySlotBits = 10;
 constexpr uint32_t kReplySlotMask = (1u << kReplySlotBits) - 1;
+constexpr uint32_t kMaxReplySlots = 1000;
 constexpr uint32_t kReplyGenBits = kImmPayloadBits - kReplySlotBits;
 constexpr uint32_t kReplyGenMask = (1u << kReplyGenBits) - 1;
 

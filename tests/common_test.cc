@@ -194,26 +194,20 @@ TEST(HistogramTest, PercentilesOfKnownData) {
   for (int i = 1; i <= 100; ++i) {
     h.Add(i);
   }
-  EXPECT_EQ(h.count(), 100u);
-  EXPECT_DOUBLE_EQ(h.Min(), 1.0);
-  EXPECT_DOUBLE_EQ(h.Max(), 100.0);
-  EXPECT_NEAR(h.Median(), 50.5, 0.01);
-  EXPECT_NEAR(h.Percentile(99), 99.01, 0.1);
-  EXPECT_NEAR(h.Mean(), 50.5, 0.001);
+  const HistogramStats s = h.Snapshot();
+  EXPECT_EQ(s.count, 100u);
+  EXPECT_DOUBLE_EQ(s.min, 1.0);
+  EXPECT_DOUBLE_EQ(s.max, 100.0);
+  EXPECT_NEAR(s.Percentile(50), 50.5, 0.01);
+  EXPECT_NEAR(s.Percentile(99), 99.01, 0.1);
+  EXPECT_NEAR(s.mean, 50.5, 0.001);
 }
 
 TEST(HistogramTest, EmptyIsZero) {
-  Histogram h;
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.Mean(), 0.0);
-  EXPECT_EQ(h.Percentile(50), 0.0);
-}
-
-TEST(HistogramTest, ClearResets) {
-  Histogram h;
-  h.Add(5);
-  h.Clear();
-  EXPECT_EQ(h.count(), 0u);
+  const HistogramStats s = Histogram().Snapshot();
+  EXPECT_EQ(s.count, 0u);
+  EXPECT_EQ(s.mean, 0.0);
+  EXPECT_EQ(s.Percentile(50), 0.0);
 }
 
 // ------------------------------------------------------------ SyncUtil

@@ -1,14 +1,12 @@
 // Unit tests for the asynchronous memop fast path: LT_read_async /
 // LT_write_async completion handles, Poll/Wait/WaitAll retirement, the
 // per-instance in-flight window, selective-signaling inference, retry
-// across injected drops, ops that are done at registration, and the async
-// RPC handle reuse.
+// across injected drops, and ops that are done at registration.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <deque>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/common/timing.h"
@@ -285,95 +283,6 @@ TEST(LiteAsyncDoneAtEntryTest, CommitsOneSampleAtRegistration) {
     EXPECT_EQ(AwriteE2e(inst).count, before.count + 1);
     EXPECT_EQ(cluster.RunHealthCheck(), std::vector<std::string>{});
   }
-}
-
-// ---- Async RPC through the same completion-handle engine -------------------
-
-constexpr RpcFuncId kEchoFunc = 21;
-
-class EchoServer {
- public:
-  EchoServer(LiteCluster* cluster, lt::NodeId node)
-      : client_(cluster->CreateClient(node, /*kernel_level=*/true)) {
-    EXPECT_TRUE(client_->RegisterRpc(kEchoFunc).ok());
-    thread_ = std::thread([this] {
-      while (!stopping_.load()) {
-        auto inc = client_->RecvRpc(kEchoFunc, 20'000'000);
-        if (inc.ok()) {
-          (void)client_->ReplyRpc(inc->token, inc->data.data(),
-                                  static_cast<uint32_t>(inc->data.size()));
-        }
-      }
-    });
-  }
-  ~EchoServer() {
-    stopping_.store(true);
-    thread_.join();
-  }
-
- private:
-  std::unique_ptr<LiteClient> client_;
-  std::atomic<bool> stopping_{false};
-  std::thread thread_;
-};
-
-TEST(LiteAsyncRpcTest, RpcAsyncDeliversReplyThroughHandle) {
-  lt::SimParams p;
-  LiteCluster cluster(2, p);
-  EchoServer server(&cluster, 1);
-  auto* inst = cluster.instance(0);
-  const char msg[] = "async rpc payload";
-  char out[64] = {0};
-  uint32_t out_len = 0;
-  auto h = inst->RpcAsync(1, kEchoFunc, msg, sizeof(msg), out, sizeof(out), &out_len);
-  ASSERT_TRUE(h.ok());
-  ASSERT_TRUE(inst->Wait(*h).ok());
-  ASSERT_EQ(out_len, sizeof(msg));
-  EXPECT_STREQ(out, msg);
-}
-
-TEST(LiteAsyncRpcTest, RpcAsyncPollDoesNotBlock) {
-  lt::SimParams p;
-  LiteCluster cluster(2, p);
-  EchoServer server(&cluster, 1);
-  auto* inst = cluster.instance(0);
-  uint64_t in = 42, out = 0;
-  uint32_t out_len = 0;
-  auto h = inst->RpcAsync(1, kEchoFunc, &in, 8, &out, 8, &out_len);
-  ASSERT_TRUE(h.ok());
-  bool done = false;
-  const uint64_t deadline = lt::RealNowNs() + 20'000'000'000ull;
-  while (!done && lt::RealNowNs() < deadline) {
-    auto r = inst->Poll(*h);
-    ASSERT_TRUE(r.ok());
-    done = *r;
-    if (!done) {
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-    }
-  }
-  ASSERT_TRUE(done);
-  EXPECT_EQ(out, 42u);
-  EXPECT_EQ(out_len, 8u);
-}
-
-// Mixed memop + RPC handles drain together through WaitAll.
-TEST(LiteAsyncRpcTest, WaitAllDrainsMixedMemopsAndRpcs) {
-  lt::SimParams p;
-  LiteCluster cluster(2, p);
-  EchoServer server(&cluster, 1);
-  auto client = cluster.CreateClient(0, /*kernel_level=*/true);
-  auto* inst = cluster.instance(0);
-  MallocOptions on1;
-  on1.nodes = {1};
-  auto lh = *client->Malloc(4096, "mixed", on1);
-  uint64_t v = 9, rpc_out = 0;
-  uint32_t rpc_out_len = 0;
-  ASSERT_TRUE(client->WriteAsync(lh, 0, &v, 8).ok());
-  ASSERT_TRUE(inst->RpcAsync(1, kEchoFunc, &v, 8, &rpc_out, 8, &rpc_out_len).ok());
-  ASSERT_TRUE(client->WriteAsync(lh, 8, &v, 8).ok());
-  ASSERT_TRUE(client->WaitAll().ok());
-  EXPECT_EQ(inst->AsyncInFlight(), 0u);
-  EXPECT_EQ(rpc_out, 9u);
 }
 
 }  // namespace

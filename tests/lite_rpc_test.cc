@@ -197,11 +197,6 @@ TEST_F(LiteRpcTest, AppFuncIdRangeEnforced) {
   uint32_t out_len = 0;
   EXPECT_EQ(c0_->Rpc(0, kFnUnregisterName, in.data(), in_len, out, sizeof(out), &out_len).code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(cluster_->instance(0)
-                ->RpcAsync(0, kFnUnregisterName, in.data(), in_len, out, sizeof(out), &out_len)
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
   EXPECT_EQ(c0_->MulticastRpc({0}, kFnUnregisterName, in.data(), in_len, nullptr).code(),
             StatusCode::kInvalidArgument);
   // Nor can an application receive on a reserved id (kMsgFuncId is LT_send's).
@@ -435,6 +430,35 @@ TEST_F(LiteRpcRecoveryTest, DroppedRequestLeavesNoSendCompletion) {
   }
 }
 
+// A multicast member runs the same reply half as a blocking call, so a
+// dropped request to one member is re-sent after a timeout instead of
+// failing the whole multicast.
+TEST(LiteMulticastRecoveryTest, DroppedMemberRequestIsRetried) {
+  lt::SimParams p;
+  p.lite_rpc_timeout_ns = 100'000'000;  // 100 ms per try
+  p.lite_rpc_max_retries = 3;
+  LiteCluster cluster(3, p);
+  auto c0 = cluster.CreateClient(0);
+  EchoServer s1(&cluster, 1, 33);
+  EchoServer s2(&cluster, 2, 33);
+  std::vector<std::vector<uint8_t>> replies;
+  // Bind both rings so the next 0->1 transfer is the request itself.
+  ASSERT_TRUE(c0->MulticastRpc({1, 2}, 33, "warm", 4, &replies).ok());
+
+  cluster.faults().DropNextTransfers(0, 1, 1);
+  ASSERT_TRUE(c0->MulticastRpc({1, 2}, 33, "inval", 5, &replies).ok());
+  EXPECT_EQ(cluster.faults().drops(), 1u);
+  ASSERT_EQ(replies.size(), 2u);
+  for (const auto& r : replies) {
+    ASSERT_EQ(r.size(), 6u);
+    EXPECT_EQ(r[0], 0xee);
+    EXPECT_EQ(std::memcmp(r.data() + 1, "inval", 5), 0);
+  }
+  EXPECT_EQ(cluster.instance(0)->Stat("lite.rpc.retries"), 1);
+  EXPECT_EQ(s1.served(), 2);  // The re-sent request executed once.
+  EXPECT_EQ(s2.served(), 2);
+}
+
 TEST_F(LiteRpcRecoveryTest, RetryAfterLostReplyDoesNotReexecute) {
   EchoServer server(cluster_.get(), 1, 31);
   char out[64];
@@ -562,40 +586,48 @@ TEST(LiteRpcRingTest, FirstBindRaceKeepsRingsDraining) {
 TEST(LiteRpcZombieTest, TimedOutSlotsAreReclaimed) {
   // Exhaust a tiny reply-slot pool with calls that time out (unserved
   // function, no retries), then verify the quarantine sweep recycles the
-  // zombie slots so later calls still find capacity. Blocking calls and
-  // async calls retired by Wait share one reply wait; both are checked.
-  for (const bool async : {false, true}) {
-    SCOPED_TRACE(async ? "RpcAsync + Wait" : "Rpc");
-    lt::SimParams p;
-    p.lite_rpc_timeout_ns = 10'000'000;  // 10 ms
-    p.lite_rpc_max_retries = 0;
-    p.lite_reply_slots = 4;
-    LiteCluster cluster(2, p);
-    auto c0 = cluster.CreateClient(0);
-    EchoServer server(&cluster, 1, 40);
+  // zombie slots so later calls still find capacity.
+  lt::SimParams p;
+  p.lite_rpc_timeout_ns = 10'000'000;  // 10 ms
+  p.lite_rpc_max_retries = 0;
+  p.lite_reply_slots = 4;
+  LiteCluster cluster(2, p);
+  auto c0 = cluster.CreateClient(0);
+  EchoServer server(&cluster, 1, 40);
 
-    char out[64];
-    uint32_t out_len = 0;
-    auto call = [&](RpcFuncId func, const char* in) -> Status {
-      const auto in_len = static_cast<uint32_t>(std::strlen(in));
-      if (!async) {
-        return c0->Rpc(1, func, in, in_len, out, sizeof(out), &out_len);
-      }
-      LiteInstance* inst = cluster.instance(0);
-      auto h = inst->RpcAsync(1, func, in, in_len, out, sizeof(out), &out_len);
-      return h.ok() ? inst->Wait(*h) : h.status();
-    };
-    for (int i = 0; i < 4; ++i) {
-      EXPECT_EQ(call(999, "void").code(), StatusCode::kTimeout);
-    }
-    // All four slots are zombies now; they become reclaimable once they are
-    // older than the RPC timeout (real time).
-    std::this_thread::sleep_for(std::chrono::milliseconds(25));
-    for (int i = 0; i < 4; ++i) {
-      ASSERT_TRUE(call(40, "recycled").ok()) << i;
-    }
-    EXPECT_GT(cluster.instance(0)->Stat("lite.rpc.zombie_reclaimed"), 0);
+  char out[64];
+  uint32_t out_len = 0;
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(c0->Rpc(1, 999, "void", 4, out, sizeof(out), &out_len).code(),
+              StatusCode::kTimeout);
   }
+  // All four slots are zombies now; they become reclaimable once they are
+  // older than the RPC timeout (real time).
+  std::this_thread::sleep_for(std::chrono::milliseconds(25));
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(c0->Rpc(1, 40, "recycled", 8, out, sizeof(out), &out_len).ok()) << i;
+  }
+  EXPECT_GT(cluster.instance(0)->Stat("lite.rpc.zombie_reclaimed"), 0);
+}
+
+// The IMM payload carries a reply slot in 10 bits and a ring offset in 21
+// bits of 64 B units: past either bound a reply or request would land on
+// another slot or offset, so the instance is refused when it is built.
+TEST(LiteInstanceDeathTest, ImmLayoutBoundsAreCheckedAtBuild) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  lt::SimParams slots;
+  slots.lite_reply_slots = kMaxReplySlots + 1;
+  EXPECT_DEATH(LiteCluster(2, slots), "lite_reply_slots");
+  lt::SimParams ring;
+  ring.lite_rpc_ring_bytes = kMaxRingBytes + 1;
+  EXPECT_DEATH(LiteCluster(2, ring), "lite_rpc_ring_bytes");
+  // The largest pool the IMM addresses still builds and serves calls.
+  slots.lite_reply_slots = kMaxReplySlots;
+  LiteCluster cluster(2, slots);
+  EchoServer server(&cluster, 1, 41);
+  char out[16];
+  uint32_t out_len = 0;
+  EXPECT_TRUE(cluster.instance(0)->Rpc(1, 41, "max", 3, out, sizeof(out), &out_len).ok());
 }
 
 TEST(LiteRpcRingTest, FailedRingSetupLeaksNothing) {

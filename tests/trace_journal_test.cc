@@ -1,4 +1,4 @@
-// Telemetry v2 coverage: cross-node trace stitching (RPC, async RPC, memop),
+// Telemetry v2 coverage: cross-node trace stitching (RPC, multicast, memop),
 // ring-drained async ops keeping their own records, the always-on
 // flight-recorder journal (wraparound, fault/retry events, op breadcrumbs),
 // trace ring capacity / drop counters, and Chrome trace-event
@@ -110,29 +110,29 @@ TEST(TraceStitchTest, RpcClientSpanLinksToServerSpan) {
   EXPECT_EQ(srv->events[0].t_ns + srv->events[0].ns, srv->end_ns);
 }
 
-// Regression: async RPCs (and MulticastRpc, built on them) claimed a latency
-// record but no trace, so they always put trace id 0 on the wire.
-TEST(TraceStitchTest, RpcAsyncLinksToServerSpan) {
+// A multicast claims one record, and every member's request carries its
+// trace id, so each server span links back to it.
+TEST(TraceStitchTest, MulticastLinksToEveryServerSpan) {
   lt::SimParams p;
-  LiteCluster cluster(2, p);
+  LiteCluster cluster(3, p);
   cluster.EnableTracing(1);
-  EchoServer server(&cluster, 1, 15);
-  char out[32];
-  uint32_t out_len = 0;
-  auto h = cluster.instance(0)->RpcAsync(1, 15, "pong", 4, out, sizeof(out), &out_len);
-  ASSERT_TRUE(h.ok());
-  ASSERT_TRUE(cluster.instance(0)->Wait(*h).ok());
-  EXPECT_EQ(out_len, 4u);
+  EchoServer s1(&cluster, 1, 15);
+  EchoServer s2(&cluster, 2, 15);
+  std::vector<std::vector<uint8_t>> replies;
+  ASSERT_TRUE(cluster.instance(0)->MulticastRpc({1, 2}, 15, "pong", 4, &replies).ok());
+  ASSERT_EQ(replies.size(), 2u);
 
   auto client_traces = TracesOf(&cluster, 0);
-  const tel::OpTrace* arpc = FindTrace(client_traces, "arpc");
-  ASSERT_NE(arpc, nullptr) << "async RPC committed no record at retirement";
-  EXPECT_NE(arpc->trace_id, 0u);
-  auto server_traces = TracesOf(&cluster, 1);
-  const tel::OpTrace* srv = FindTrace(server_traces, "LT_RPC_srv", arpc->trace_id);
-  ASSERT_NE(srv, nullptr) << "async RPC carried no trace id to the server";
-  EXPECT_NE(srv->parent_trace_id, 0u);
-  EXPECT_EQ(CountStage(*srv, tel::kLatRemoteSvc), 1);
+  const tel::OpTrace* mrpc = FindTrace(client_traces, "mrpc");
+  ASSERT_NE(mrpc, nullptr) << "multicast committed no record";
+  EXPECT_NE(mrpc->trace_id, 0u);
+  for (lt::NodeId member : {1, 2}) {
+    auto server_traces = TracesOf(&cluster, member);
+    const tel::OpTrace* srv = FindTrace(server_traces, "LT_RPC_srv", mrpc->trace_id);
+    ASSERT_NE(srv, nullptr) << "member " << member << " got no trace id";
+    EXPECT_EQ(srv->node, member);
+    EXPECT_EQ(CountStage(*srv, tel::kLatRemoteSvc), 1);
+  }
 }
 
 TEST(TraceStitchTest, MemopCarriesTraceIdToRemoteNode) {
