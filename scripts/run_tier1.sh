@@ -5,11 +5,13 @@
 # run, then the chaos soak, the
 # atomics/RPC-bind races, LITE-DSM's multicast invalidations, the
 # live-migration suite, the simulated RNIC
-# with its Verbs and baseline users, and the shared virtual-time timelines
-# (RateWindow, the RNIC directory) under ThreadSanitizer (the
-# failure-recovery and migration-gate paths are the most thread-hostile code
-# in the tree, so they get the extra scrutiny), and the memory, async,
-# submission-ring, RPC, RNIC, baseline and timeline suites under ASan+UBSan.
+# with its Verbs and baseline users, the shared virtual-time timelines
+# (RateWindow, the RNIC directory), and the telemetry and common suites
+# (the lock-free latency key index, histograms, Status) under
+# ThreadSanitizer (the failure-recovery and migration-gate paths are the
+# most thread-hostile code in the tree, so they get the extra scrutiny), and
+# the memory, async, submission-ring, RPC, RNIC, baseline, timeline,
+# telemetry and common suites under ASan+UBSan.
 # Each stage's wall time and the total are printed as they finish.
 #
 # Usage: scripts/run_tier1.sh [jobs]
@@ -116,15 +118,21 @@ stage "repo benchmark smoke"
 # fetch-add, the health watchdog); exits 1 on any mismatch or failed op.
 python3 benchmark/run.py --smoke
 
-stage "chaos soak, migration, the RNIC and the timelines under ThreadSanitizer"
+stage "chaos soak, migration, the RNIC, the timelines and telemetry under ThreadSanitizer"
 cmake -B build-tsan -S . -DLT_SANITIZE=thread >/dev/null
-cmake --build build-tsan -j"${JOBS}" --target faults_chaos_test faults_test lite_async_test lite_ring_test transport_test lite_sync_test lite_rpc_test apps_dsm_test lite_memory_test rnic_test baselines_test verbs_test rate_window_test substrate_test
+cmake --build build-tsan -j"${JOBS}" --target faults_chaos_test faults_test lite_async_test lite_ring_test transport_test lite_sync_test lite_rpc_test apps_dsm_test lite_memory_test rnic_test baselines_test verbs_test rate_window_test substrate_test latency_attr_test telemetry_test common_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/faults_test
 # RateWindow's sorted slot array (insert in place, walk forward through a
 # spill, prefix-erase GC) and the lock-free RNIC directory, with the service
 # timelines and the cluster that build on them.
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/rate_window_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/substrate_test
+# The latency key index: commits read its rows without a lock while a first
+# commit publishes a key; histogram records race snapshots; Status copies
+# share one message across threads.
+TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/latency_attr_test
+TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/telemetry_test
+TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/common_test
 # The WQE pipeline: SEND/RNR waits, shared CQs, and the baselines' server
 # threads polling the same RNIC the clients post to.
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/rnic_test
@@ -145,9 +153,9 @@ TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/lite_memory_test \
     --gtest_filter='MigrationTest.*:Ops/MigrationStaleTest.*:LiteMemoryTest.MoveLmrPreservesContentAndRemapsHandles'
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/faults_chaos_test
 
-stage "memory, async, ring, RPC, RNIC, baseline and timeline suites under ASan+UBSan"
+stage "memory, async, ring, RPC, RNIC, baseline, timeline, telemetry and common suites under ASan+UBSan"
 cmake -B build-asan -S . -DLT_SANITIZE=address >/dev/null
-cmake --build build-asan -j"${JOBS}" --target lite_memory_test lite_async_test lite_ring_test lite_rpc_test rnic_test baselines_test rate_window_test substrate_test
+cmake --build build-asan -j"${JOBS}" --target lite_memory_test lite_async_test lite_ring_test lite_rpc_test rnic_test baselines_test rate_window_test substrate_test latency_attr_test telemetry_test common_test
 ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" ./build-asan/tests/lite_memory_test
 ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" ./build-asan/tests/lite_async_test
 # The deferred drain: a handle reserved at submit and registered (or failed)
@@ -161,6 +169,11 @@ ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" ./build-asan/test
 # A stale iterator across RateWindow's in-place insert would read freed memory.
 ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" ./build-asan/tests/rate_window_test
 ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" ./build-asan/tests/substrate_test
+# InlineVector's placement-new storage under the chunk pieces, WQEs and
+# resolved ranges, and Status's shared out-of-line message.
+ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" ./build-asan/tests/latency_attr_test
+ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" ./build-asan/tests/telemetry_test
+ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" ./build-asan/tests/common_test
 
 stage "PASS"
 echo "   total: $(fmt_s $(( STAGE_T0 - TIER1_T0 )))"

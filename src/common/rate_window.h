@@ -16,10 +16,13 @@
 //
 // Storage: one vector of 8-byte slots, one per booked window, sorted by
 // window index. A window gets a slot the first time a reservation consumes
-// from it. Once more than kGcThreshold slots are stored, every window more
-// than kGcKeepWindows behind the newest booked one is dropped (one prefix
-// erase), so a resource holds at most kGcThreshold + 1 = 65537 slots
-// (512 KB; its capacity may round up to 1 MB).
+// from it; a booking at or past the newest window finds its slot at the
+// back, without a search. Once more than kGcThreshold slots are stored, every
+// window more than kGcKeepWindows behind the newest booked one is dropped
+// (one prefix erase), so a resource holds at most kGcThreshold + 1 = 65537
+// slots (512 KB; its capacity may round up to 1 MB). The array starts at
+// kInitialSlots and doubles from there, so a timeline reallocates at most
+// seven times in its life.
 #ifndef SRC_COMMON_RATE_WINDOW_H_
 #define SRC_COMMON_RATE_WINDOW_H_
 
@@ -42,10 +45,13 @@ class RateWindow {
       return earliest_ns;
     }
     std::lock_guard<std::mutex> lock(mu_);
+    if (used_.empty()) {
+      used_.reserve(kInitialSlots);
+    }
     uint64_t w = earliest_ns / kWindowNs;
     uint64_t remaining = cost_ns;
     uint64_t last_consume_point = earliest_ns;
-    auto it = SlotAt(w);
+    auto it = FrontierOrSlotAt(w);
     while (remaining > 0) {
       assert(w < kMaxWindows);
       if (it == used_.end() || it->window != w) {
@@ -75,6 +81,9 @@ class RateWindow {
   static constexpr uint64_t kWindowNs = 8192;
   static constexpr size_t kGcThreshold = 1 << 16;
   static constexpr uint64_t kGcKeepWindows = 1 << 15;
+  // Reserved at the first booking (8 KB): the array reallocates only past
+  // 8 ms of booked windows, so a short run's bookings never touch the heap.
+  static constexpr size_t kInitialSlots = 1 << 10;
   static constexpr int kUsedBits = 14;  // Holds 0..kWindowNs.
   static constexpr int kWindowBits = 64 - kUsedBits;
   static constexpr uint64_t kMaxWindows = uint64_t{1} << kWindowBits;
@@ -91,6 +100,15 @@ class RateWindow {
   std::vector<Slot>::iterator SlotAt(uint64_t window) {
     return std::lower_bound(used_.begin(), used_.end(), window,
                             [](const Slot& s, uint64_t w) { return s.window < w; });
+  }
+
+  // SlotAt, in O(1) for a booking at or past the newest window (the common
+  // case: one thread's clock only moves forward), else by binary search.
+  std::vector<Slot>::iterator FrontierOrSlotAt(uint64_t window) {
+    if (used_.empty() || used_.back().window < window) {
+      return used_.end();
+    }
+    return used_.back().window == window ? used_.end() - 1 : SlotAt(window);
   }
 
   void Gc() {

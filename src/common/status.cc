@@ -32,4 +32,9 @@ const char* StatusCodeName(StatusCode code) {
   return "UNKNOWN";
 }
 
+const std::string& Status::EmptyMessage() {
+  static const std::string* const empty = new std::string();
+  return *empty;
+}
+
 }  // namespace lt

@@ -3,10 +3,17 @@
 // Modeled on absl::Status but dependency-free. Functions that can fail return
 // Status (or StatusOr<T>); Status::Ok() is success. Error codes mirror the
 // failure classes LITE reports to applications (permission, timeout, ...).
+//
+// The code is stored inline and the message out of line, shared and
+// immutable: an OK Status (and an error without a message) holds a null
+// message, so copying one into every Completion, WQE and StatusOr on the data
+// path constructs nothing and allocates nothing. Copying an error shares its
+// message.
 #ifndef SRC_COMMON_STATUS_H_
 #define SRC_COMMON_STATUS_H_
 
 #include <cassert>
+#include <memory>
 #include <optional>
 #include <ostream>
 #include <string>
@@ -35,8 +42,11 @@ const char* StatusCodeName(StatusCode code);
 
 class Status {
  public:
-  Status() : code_(StatusCode::kOk) {}
-  Status(StatusCode code, std::string message) : code_(code), message_(std::move(message)) {}
+  Status() = default;
+  Status(StatusCode code, std::string message)
+      : code_(code),
+        message_(message.empty() ? nullptr
+                                 : std::make_shared<const std::string>(std::move(message))) {}
 
   static Status Ok() { return Status(); }
   static Status InvalidArgument(std::string m) {
@@ -65,20 +75,22 @@ class Status {
 
   bool ok() const { return code_ == StatusCode::kOk; }
   StatusCode code() const { return code_; }
-  const std::string& message() const { return message_; }
+  const std::string& message() const { return message_ != nullptr ? *message_ : EmptyMessage(); }
 
   std::string ToString() const {
     if (ok()) {
       return "OK";
     }
-    return std::string(StatusCodeName(code_)) + ": " + message_;
+    return std::string(StatusCodeName(code_)) + ": " + message();
   }
 
   friend bool operator==(const Status& a, const Status& b) { return a.code_ == b.code_; }
 
  private:
-  StatusCode code_;
-  std::string message_;
+  static const std::string& EmptyMessage();
+
+  StatusCode code_ = StatusCode::kOk;
+  std::shared_ptr<const std::string> message_;  // Null when OK or empty.
 };
 
 inline std::ostream& operator<<(std::ostream& os, const Status& s) { return os << s.ToString(); }

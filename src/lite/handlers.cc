@@ -273,9 +273,9 @@ void LiteInstance::RegisterInternalHandlers() {
           self->migration().CloseAccess(&dst_gate, /*success=*/true);
         } else {
           // The remote destination is gated by the op engine at post time.
-          Status st = self->engine_.SubmitPieces(
-              {{dst_node, dst_addr, self->node()->mem().Data(src_addr, len), len}},
-              /*is_read=*/false, pri);
+          const OpEngine::OpDesc piece{dst_node, dst_addr,
+                                       self->node()->mem().Data(src_addr, len), len};
+          Status st = self->engine_.SubmitPieces({&piece, 1}, /*is_read=*/false, pri);
           if (!st.ok()) {
             self->migration().CloseAccess(&src_gate, /*success=*/false);
             return st.code();

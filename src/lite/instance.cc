@@ -4,10 +4,10 @@
 #include "src/lite/instance.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string>
 
 #include "src/common/annotations.h"
 #include "src/common/logging.h"
@@ -39,6 +39,14 @@ void CheckImmLayout(const lt::SimParams& p) {
   }
 }
 
+// The constructor's set-up steps abort the same way, in every build type,
+// naming what could not be set up: an instance without its global MR or
+// slabs would only fail later, on its first call.
+[[noreturn]] void SetupFailed(const std::string& what, const Status& st) {
+  std::fprintf(stderr, "LiteInstance: %s: %s\n", what.c_str(), st.ToString().c_str());
+  std::abort();
+}
+
 }  // namespace
 
 LiteInstance::LiteInstance(lt::Node* node, NodeId manager_node)
@@ -52,7 +60,9 @@ LiteInstance::LiteInstance(lt::Node* node, NodeId manager_node)
   // The single physical-address MR covering all of this node's memory: one
   // MPT entry on the RNIC, no MTT/PTE pressure at all (paper Sec. 4.1).
   auto mr = rnic().RegisterMrPhysical(0, node_->mem().size_bytes(), lt::kMrAll);
-  assert(mr.ok());
+  if (!mr.ok()) {
+    SetupFailed("cannot register the global physical MR", mr.status());
+  }
   global_lkey_ = mr->lkey;
   global_rkey_ = mr->lkey;
 
@@ -61,8 +71,14 @@ LiteInstance::LiteInstance(lt::Node* node, NodeId manager_node)
 
   // Reply-slot slab.
   const auto& p = params();
-  auto slab = node_->mem().AllocContiguous(p.lite_reply_slots * p.lite_reply_slot_bytes);
-  assert(slab.ok());
+  const uint64_t slab_bytes = p.lite_reply_slots * p.lite_reply_slot_bytes;
+  auto slab = node_->mem().AllocContiguous(slab_bytes);
+  if (!slab.ok()) {
+    SetupFailed("the reply-slot slab (lite_reply_slots x lite_reply_slot_bytes = " +
+                    std::to_string(slab_bytes) + " bytes) does not fit in the " +
+                    std::to_string(node_->mem().size_bytes()) + "-byte node pool",
+                slab.status());
+  }
   reply_slab_ = *slab;
   reply_slots_.reserve(p.lite_reply_slots);
   for (size_t i = 0; i < p.lite_reply_slots; ++i) {
@@ -75,7 +91,11 @@ LiteInstance::LiteInstance(lt::Node* node, NodeId manager_node)
 
   // Head-mirror slab.
   auto mirrors = node_->mem().AllocContiguous(kMirrorSlabBytes);
-  assert(mirrors.ok());
+  if (!mirrors.ok()) {
+    SetupFailed("the " + std::to_string(kMirrorSlabBytes) +
+                    "-byte head-mirror slab does not fit in the node pool",
+                mirrors.status());
+  }
   mirror_slab_ = *mirrors;
   mirror_cap_ = kMirrorSlabBytes / 8;
 
@@ -254,9 +274,9 @@ void LiteInstance::LocalCopyOut(void* dst, PhysAddr src, uint64_t len) {
 
 // ------------------------------------------------------------- chunk math
 
-std::vector<LiteInstance::ChunkPiece> LiteInstance::SliceChunks(
-    const std::vector<LmrChunk>& chunks, uint64_t offset, uint64_t len) {
-  std::vector<ChunkPiece> pieces;
+LiteInstance::ChunkPieces LiteInstance::SliceChunks(const std::vector<LmrChunk>& chunks,
+                                                    uint64_t offset, uint64_t len) {
+  ChunkPieces pieces;
   uint64_t chunk_start = 0;
   uint64_t user_off = 0;
   for (const LmrChunk& c : chunks) {
@@ -275,9 +295,9 @@ std::vector<LiteInstance::ChunkPiece> LiteInstance::SliceChunks(
   return pieces;
 }
 
-std::vector<OpEngine::OpDesc> LiteInstance::SliceDescs(const std::vector<LmrChunk>& chunks,
-                                                       uint64_t offset, uint64_t len, void* buf) {
-  std::vector<OpEngine::OpDesc> descs;
+OpEngine::OpDescs LiteInstance::SliceDescs(const std::vector<LmrChunk>& chunks, uint64_t offset,
+                                           uint64_t len, void* buf) {
+  OpEngine::OpDescs descs;
   for (const ChunkPiece& p : SliceChunks(chunks, offset, len)) {
     descs.push_back(
         OpEngine::OpDesc{p.node, p.addr, static_cast<uint8_t*>(buf) + p.user_off, p.len});

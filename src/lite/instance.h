@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "src/common/cpu_meter.h"
+#include "src/common/inline_vector.h"
 #include "src/common/service_timeline.h"
 #include "src/common/status.h"
 #include "src/common/sync_util.h"
@@ -270,18 +271,21 @@ class LiteInstance {
   QosManager& qos() { return qos_; }
 
   // Chunk math: maps [offset, offset+len) of an LMR onto per-chunk pieces.
+  // An access within one chunk or across one boundary keeps its pieces in
+  // place (no heap).
   struct ChunkPiece {
     NodeId node;
     PhysAddr addr;
     uint64_t user_off;  // Offset within the user buffer.
     uint64_t len;
   };
-  static std::vector<ChunkPiece> SliceChunks(const std::vector<LmrChunk>& chunks, uint64_t offset,
-                                             uint64_t len);
+  using ChunkPieces = lt::InlineVector<ChunkPiece, 2>;
+  static ChunkPieces SliceChunks(const std::vector<LmrChunk>& chunks, uint64_t offset,
+                                 uint64_t len);
   // The same slicing as engine pieces, each paired with its cursor into
   // `buf` (the user buffer that covers [offset, offset+len)).
-  static std::vector<OpEngine::OpDesc> SliceDescs(const std::vector<LmrChunk>& chunks,
-                                                  uint64_t offset, uint64_t len, void* buf);
+  static OpEngine::OpDescs SliceDescs(const std::vector<LmrChunk>& chunks, uint64_t offset,
+                                      uint64_t len, void* buf);
 
   // ---- Introspection (tests / benches) ----
   size_t qp_pool_size() const { return transport_->TotalQps(); }
@@ -339,7 +343,7 @@ class LiteInstance {
     uint64_t offset;
     uint64_t len;
     uint32_t perm;
-    LhEntry* entry;
+    LhRef* entry;
   };
   // The lh prologue of every data-path memop: one map check, each handle's
   // lookup, then each permission check, booked as `submit` only when all
@@ -351,7 +355,7 @@ class LiteInstance {
                        bool is_read);
   // Submits [offset, offset+len) of `*entry` as one SubmitPieces call,
   // redirected through RedirectStale.
-  Status SubmitLh(Lh lh, LhEntry* entry, uint64_t offset, void* buf, uint64_t len, bool is_read,
+  Status SubmitLh(Lh lh, LhRef* entry, uint64_t offset, void* buf, uint64_t len, bool is_read,
                   Priority pri);
   // The FetchAdd/TestSet body: one 8-byte atomic on an lh word.
   StatusOr<uint64_t> LhAtomic(Lh lh, uint64_t offset, bool is_cas, uint64_t compare_add,
@@ -364,7 +368,7 @@ class LiteInstance {
   // and memsets are idempotent re-copies, and a NACKed access (atomics
   // included) was never applied. Defined in memops.cc, its only user.
   template <typename Submit>
-  Status RedirectStale(std::initializer_list<std::pair<Lh, LhEntry*>> lhs, Submit&& submit);
+  Status RedirectStale(std::initializer_list<std::pair<Lh, LhRef*>> lhs, Submit&& submit);
 
   // Local fast path for chunks that live on this node.
   void LocalCopyIn(PhysAddr dst, const void* src, uint64_t len);
@@ -372,7 +376,7 @@ class LiteInstance {
 
   // lh bookkeeping: thin forwarders into the LmrTable component.
   Lh InsertLh(LhEntry entry) { return lmrs_.Insert(std::move(entry)); }
-  StatusOr<LhEntry> GetLh(Lh lh) const { return lmrs_.Get(lh); }
+  StatusOr<LhRef> GetLh(Lh lh) const { return lmrs_.Get(lh); }
   static Status CheckAccess(const LhEntry& e, uint64_t offset, uint64_t len, uint32_t need) {
     return LmrTable::CheckAccess(e, offset, len, need);
   }
@@ -527,7 +531,7 @@ class LiteInstance {
   // kStaleHome recovery: re-resolves `entry`'s home (ResolveHome, hinted at
   // the old home), refreshes every local lh mapped to the name and reloads
   // *entry. True if the mapping moved to a newer epoch.
-  StatusOr<bool> RefreshStaleLh(Lh lh, LhEntry* entry);
+  StatusOr<bool> RefreshStaleLh(Lh lh, LhRef* entry);
   // Registers the kFnMigrate* / kFnStaleHome control handlers.
   void RegisterMigrationHandlers();
   // Blocking re-issue of an async memop that retired with kStaleHome

@@ -8,12 +8,13 @@ namespace lite {
 
 Lh LmrTable::Insert(LhEntry entry) {
   Lh lh = next_lh_.fetch_add(1);
+  LhRef ref = std::make_shared<const LhEntry>(std::move(entry));
   std::lock_guard<std::mutex> lock(lh_mu_);
-  lh_table_[lh] = std::move(entry);
+  lh_table_[lh] = std::move(ref);
   return lh;
 }
 
-StatusOr<LhEntry> LmrTable::Get(Lh lh) const {
+StatusOr<LhRef> LmrTable::Get(Lh lh) const {
   std::lock_guard<std::mutex> lock(lh_mu_);
   auto it = lh_table_.find(lh);
   if (it == lh_table_.end()) {
@@ -30,7 +31,7 @@ void LmrTable::Erase(Lh lh) {
 void LmrTable::EraseByName(const std::string& name) {
   std::lock_guard<std::mutex> lock(lh_mu_);
   for (auto it = lh_table_.begin(); it != lh_table_.end();) {
-    if (it->second.name == name) {
+    if (it->second->name == name) {
       it = lh_table_.erase(it);
     } else {
       ++it;
@@ -42,10 +43,12 @@ void LmrTable::UpdateHomeByName(const std::string& name, NodeId new_home,
                                 const std::vector<LmrChunk>& chunks, uint64_t epoch) {
   std::lock_guard<std::mutex> lock(lh_mu_);
   for (auto& [lh, entry] : lh_table_) {
-    if (entry.name == name && entry.epoch < epoch) {
-      entry.master_node = new_home;
-      entry.chunks = chunks;
-      entry.epoch = epoch;
+    if (entry->name == name && entry->epoch < epoch) {
+      LhEntry moved = *entry;
+      moved.master_node = new_home;
+      moved.chunks = chunks;
+      moved.epoch = epoch;
+      entry = std::make_shared<const LhEntry>(std::move(moved));
     }
   }
 }

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <set>
 #include <string>
@@ -48,6 +49,11 @@ struct LhEntry {
   uint64_t epoch = 1;  // Home epoch this mapping was resolved against.
 };
 
+// A published lh mapping. The table never changes one in place: a re-home
+// publishes a new entry, so a reader keeps its snapshot (chunk list
+// included) for a whole op without copying it.
+using LhRef = std::shared_ptr<const LhEntry>;
+
 // (name, epoch) pairs of the LMRs one node hosts.
 using NameList = std::vector<std::pair<std::string, uint64_t>>;
 
@@ -60,13 +66,14 @@ class LmrTable {
 
   // ---- lh handle table ----
   Lh Insert(LhEntry entry);
-  StatusOr<LhEntry> Get(Lh lh) const;
+  StatusOr<LhRef> Get(Lh lh) const;
   void Erase(Lh lh);
   // Invalidates every lh pointing at `name` (LT_free / master invalidation).
   void EraseByName(const std::string& name);
   // Re-homes every lh pointing at `name` (migration rehome fan-out): new
-  // master node, new chunk placement, new epoch. Entries already at a newer
-  // epoch are left alone (a late rehome must not roll a mapping back).
+  // master node, new chunk placement, new epoch, each published as a new
+  // entry. Entries already at a newer epoch are left alone (a late rehome
+  // must not roll a mapping back).
   void UpdateHomeByName(const std::string& name, NodeId new_home,
                         const std::vector<LmrChunk>& chunks, uint64_t epoch);
   size_t lh_count() const;
@@ -103,7 +110,7 @@ class LmrTable {
  private:
   // Local handle table.
   mutable std::mutex lh_mu_;
-  std::unordered_map<Lh, LhEntry> lh_table_;
+  std::unordered_map<Lh, LhRef> lh_table_;
   std::atomic<uint64_t> next_lh_;
 
   // LMR registry for LMRs whose metadata lives here (creator node).

@@ -23,7 +23,7 @@ std::string LockName(const std::string& name) { return "__lock_" + name; }
 }  // namespace
 
 template <typename Submit>
-Status LiteInstance::RedirectStale(std::initializer_list<std::pair<Lh, LhEntry*>> lhs,
+Status LiteInstance::RedirectStale(std::initializer_list<std::pair<Lh, LhRef*>> lhs,
                                    Submit&& submit) {
   Status st = submit();
   for (int redirect = 0; redirect < kMaxStaleRedirects && st.code() == lt::StatusCode::kStaleHome;
@@ -120,16 +120,17 @@ Status LiteInstance::Free(Lh lh) {
   if (!entry.ok()) {
     return entry.status();
   }
-  if ((entry->perm & kPermMaster) == 0) {
+  const LhEntry& e = **entry;
+  if ((e.perm & kPermMaster) == 0) {
     return Status::PermissionDenied("LT_free requires the master role");
   }
   WireWriter w;
-  w.PutString(entry->name);
+  w.PutString(e.name);
   w.Put<NodeId>(node_id());
-  LT_RETURN_IF_ERROR(InternalRpc(entry->master_node, kFnMasterFree, w.bytes(), nullptr));
+  LT_RETURN_IF_ERROR(InternalRpc(e.master_node, kFnMasterFree, w.bytes(), nullptr));
   // Drop our own handles for the name (the invalidate notification is
   // asynchronous and idempotent).
-  lmrs_.EraseByName(entry->name);
+  lmrs_.EraseByName(e.name);
   return Status::Ok();
 }
 
@@ -256,7 +257,7 @@ StatusOr<uint64_t> LiteInstance::LmrSize(Lh lh) const {
   if (!entry.ok()) {
     return entry.status();
   }
-  return entry->size;
+  return (*entry)->size;
 }
 
 StatusOr<std::vector<LmrChunk>> LiteInstance::LmrChunks(Lh lh) const {
@@ -264,7 +265,7 @@ StatusOr<std::vector<LmrChunk>> LiteInstance::LmrChunks(Lh lh) const {
   if (!entry.ok()) {
     return entry.status();
   }
-  return entry->chunks;
+  return (*entry)->chunks;
 }
 
 Status LiteInstance::Unmap(Lh lh) {
@@ -274,9 +275,9 @@ Status LiteInstance::Unmap(Lh lh) {
   }
   lmrs_.Erase(lh);
   WireWriter w;
-  w.PutString(entry->name);
+  w.PutString((*entry)->name);
   w.Put<NodeId>(node_id());
-  return RpcSendNoReply(entry->master_node, kFnUnmapLmr, w.bytes().data(),
+  return RpcSendNoReply((*entry)->master_node, kFnUnmapLmr, w.bytes().data(),
                         static_cast<uint32_t>(w.bytes().size()));
 }
 
@@ -293,7 +294,7 @@ Status LiteInstance::ResolveLhs(std::initializer_list<LhAccess> uses) {
     *use.entry = std::move(*entry);
   }
   for (const LhAccess& use : uses) {
-    LT_RETURN_IF_ERROR(CheckAccess(*use.entry, use.offset, use.len, use.perm));
+    LT_RETURN_IF_ERROR(CheckAccess(**use.entry, use.offset, use.len, use.perm));
   }
   AttrAdd(LatStage::kLatSubmit, lt::NowNs() - submit_t0);
   return Status::Ok();
@@ -316,17 +317,17 @@ Status LiteInstance::BlockingMemop(Lh lh, uint64_t offset, void* buf, uint64_t l
   // inert and the stamps below flow into the client-level op.
   ScopedOpAttr attr(&node_->telemetry().latency(), is_read ? "read" : "write", len,
                     static_cast<int>(pri));
-  LhEntry entry;
+  LhRef entry;
   LT_RETURN_IF_ERROR(ResolveLhs({{lh, offset, len, is_read ? kPermRead : kPermWrite, &entry}}));
   return SubmitLh(lh, &entry, offset, buf, len, is_read, pri);
 }
 
-Status LiteInstance::SubmitLh(Lh lh, LhEntry* entry, uint64_t offset, void* buf, uint64_t len,
+Status LiteInstance::SubmitLh(Lh lh, LhRef* entry, uint64_t offset, void* buf, uint64_t len,
                               bool is_read, Priority pri) {
   // One SubmitPieces call per attempt; after a stale-home redirect the op is
   // re-sliced against the refreshed mapping and re-issued in full.
   return RedirectStale({{lh, entry}}, [&] {
-    return engine_.SubmitPieces(SliceDescs(entry->chunks, offset, len, buf), is_read, pri);
+    return engine_.SubmitPieces(SliceDescs((*entry)->chunks, offset, len, buf), is_read, pri);
   });
 }
 
@@ -337,7 +338,7 @@ Status LiteInstance::Memset(Lh lh, uint64_t offset, uint8_t value, uint64_t len,
     return Status::Ok();
   }
   ScopedOpAttr attr(&node_->telemetry().latency(), "memset", len, static_cast<int>(pri));
-  LhEntry entry;
+  LhRef entry;
   LT_RETURN_IF_ERROR(ResolveLhs({{lh, offset, len, kPermWrite, &entry}}));
 
   // Send one command per involved node; each node memsets its own pieces
@@ -346,7 +347,7 @@ Status LiteInstance::Memset(Lh lh, uint64_t offset, uint8_t value, uint64_t len,
   // write repeats on nodes that already applied it.
   return RedirectStale({{lh, &entry}}, [&]() -> Status {
     std::map<NodeId, std::vector<ChunkPiece>> by_node;
-    for (const ChunkPiece& p : SliceChunks(entry.chunks, offset, len)) {
+    for (const ChunkPiece& p : SliceChunks(entry->chunks, offset, len)) {
       by_node[p.node].push_back(p);
     }
     for (const auto& [target, group] : by_node) {
@@ -377,8 +378,8 @@ struct CopySegment {
   uint64_t len;
 };
 
-std::vector<CopySegment> PairPieces(const std::vector<LiteInstance::ChunkPiece>& src,
-                                    const std::vector<LiteInstance::ChunkPiece>& dst) {
+std::vector<CopySegment> PairPieces(const LiteInstance::ChunkPieces& src,
+                                    const LiteInstance::ChunkPieces& dst) {
   std::vector<CopySegment> out;
   size_t si = 0;
   size_t di = 0;
@@ -410,8 +411,8 @@ Status LiteInstance::Memcpy(Lh dst, uint64_t dst_off, Lh src, uint64_t src_off, 
     return Status::Ok();
   }
   ScopedOpAttr attr(&node_->telemetry().latency(), "memcpy", len, static_cast<int>(pri));
-  LhEntry src_entry;
-  LhEntry dst_entry;
+  LhRef src_entry;
+  LhRef dst_entry;
   LT_RETURN_IF_ERROR(ResolveLhs(
       {{src, src_off, len, kPermRead, &src_entry}, {dst, dst_off, len, kPermWrite, &dst_entry}}));
 
@@ -421,8 +422,8 @@ Status LiteInstance::Memcpy(Lh dst, uint64_t dst_off, Lh src, uint64_t src_off, 
   // re-pairs the pieces.
   return RedirectStale({{src, &src_entry}, {dst, &dst_entry}}, [&]() -> Status {
     std::map<NodeId, std::vector<CopySegment>> by_src;
-    for (const CopySegment& seg : PairPieces(SliceChunks(src_entry.chunks, src_off, len),
-                                             SliceChunks(dst_entry.chunks, dst_off, len))) {
+    for (const CopySegment& seg : PairPieces(SliceChunks(src_entry->chunks, src_off, len),
+                                             SliceChunks(dst_entry->chunks, dst_off, len))) {
       by_src[seg.src_node].push_back(seg);
     }
     for (const auto& [target, group] : by_src) {
@@ -490,11 +491,11 @@ StatusOr<uint64_t> LiteInstance::LhAtomic(Lh lh, uint64_t offset, bool is_cas,
                                           uint64_t compare_add, uint64_t swap) {
   ScopedOpAttr attr(&node_->telemetry().latency(), "atomic", 8,
                     static_cast<int>(Priority::kHigh));
-  LhEntry entry;
+  LhRef entry;
   LT_RETURN_IF_ERROR(ResolveLhs({{lh, offset, 8, kPermWrite, &entry}}));
   uint64_t old_value = 0;
   LT_RETURN_IF_ERROR(RedirectStale({{lh, &entry}}, [&]() -> Status {
-    auto pieces = SliceChunks(entry.chunks, offset, 8);
+    auto pieces = SliceChunks(entry->chunks, offset, 8);
     if (pieces.size() != 1) {
       return Status::InvalidArgument("atomic target straddles LMR chunks");
     }
@@ -521,7 +522,7 @@ StatusOr<LockId> LiteInstance::CreateLock(const std::string& name) {
   if (!entry.ok()) {
     return entry.status();
   }
-  return LockId{entry->chunks[0].node, entry->chunks[0].addr};
+  return LockId{(*entry)->chunks[0].node, (*entry)->chunks[0].addr};
 }
 
 StatusOr<LockId> LiteInstance::OpenLock(const std::string& name) {
@@ -533,7 +534,7 @@ StatusOr<LockId> LiteInstance::OpenLock(const std::string& name) {
   if (!entry.ok()) {
     return entry.status();
   }
-  return LockId{entry->chunks[0].node, entry->chunks[0].addr};
+  return LockId{(*entry)->chunks[0].node, (*entry)->chunks[0].addr};
 }
 
 Status LiteInstance::Lock(const LockId& lock) {

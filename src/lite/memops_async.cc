@@ -28,11 +28,11 @@ StatusOr<MemopHandle> LiteInstance::IssueAsyncMemop(Lh lh, uint64_t offset, void
                                                     uint64_t len, Priority pri, bool is_read) {
   lt::telemetry::ScopedOpAttr attr(&node_->telemetry().latency(), is_read ? "aread" : "awrite",
                                    len, static_cast<int>(pri));
-  LhEntry entry;
+  LhRef entry;
   LT_RETURN_IF_ERROR(ResolveLhs({{lh, offset, len, is_read ? kPermRead : kPermWrite, &entry}}));
   // The origin tuple lets the engine transparently re-resolve and re-issue
   // the whole memop if it retires with kStaleHome (LMR migrated mid-flight).
-  return engine_.IssueAsyncPieces(SliceDescs(entry.chunks, offset, len, buf), is_read, pri, lh,
+  return engine_.IssueAsyncPieces(SliceDescs(entry->chunks, offset, len, buf), is_read, pri, lh,
                                   offset, buf, len);
 }
 
@@ -57,13 +57,13 @@ void LiteInstance::ExecuteDeferredAsync(RingDeferredOp& op, RingDrainCache* cach
     cache->entry = *entry;
   }
   Status perm =
-      CheckAccess(cache->entry, op.offset, op.len, op.is_read ? kPermRead : kPermWrite);
+      CheckAccess(*cache->entry, op.offset, op.len, op.is_read ? kPermRead : kPermWrite);
   if (!perm.ok()) {
     engine_.InsertFailedHandle(op.handle, perm);
     return;
   }
   lt::telemetry::AttrAdd(lt::telemetry::LatStage::kLatSubmit, lt::NowNs() - submit_t0);
-  engine_.IssueAsyncPieces(SliceDescs(cache->entry.chunks, op.offset, op.len, op.buf), op.is_read,
+  engine_.IssueAsyncPieces(SliceDescs(cache->entry->chunks, op.offset, op.len, op.buf), op.is_read,
                            op.pri, op.lh, op.offset, op.buf, op.len, op.handle);
 }
 

@@ -786,21 +786,21 @@ StatusOr<StaleRedirect> LiteInstance::ResolveHome(const std::string& name, NodeI
   return ask(*home);
 }
 
-StatusOr<bool> LiteInstance::RefreshStaleLh(Lh lh, LhEntry* entry) {
+StatusOr<bool> LiteInstance::RefreshStaleLh(Lh lh, LhRef* entry) {
   migration_.redirects_->Inc();
-  auto redir = ResolveHome(entry->name, entry->master_node);
+  auto redir = ResolveHome((*entry)->name, (*entry)->master_node);
   if (!redir.ok()) {
     return redir.status();
   }
-  lmrs_.UpdateHomeByName(entry->name, redir->new_home, redir->chunks, redir->epoch);
+  lmrs_.UpdateHomeByName((*entry)->name, redir->new_home, redir->chunks, redir->epoch);
   // Reload: this resolution, a racing refresh or the rehome fan-out may have
   // advanced the mapping since the NACK.
   auto fresh = lmrs_.Get(lh);
   if (!fresh.ok()) {
     return fresh.status();
   }
-  const bool advanced = fresh->epoch > entry->epoch;
-  *entry = *fresh;
+  const bool advanced = (*fresh)->epoch > (*entry)->epoch;
+  *entry = std::move(*fresh);
   return advanced;
 }
 

@@ -396,7 +396,7 @@ StatusOr<uint64_t> OpEngine::RemoteAtomic(NodeId dst, PhysAddr addr, bool is_cas
 
 // -------------------------------------------------------- blocking memops
 
-Status OpEngine::SubmitPieces(const std::vector<OpDesc>& pieces, bool is_read, Priority pri) {
+Status OpEngine::SubmitPieces(std::span<const OpDesc> pieces, bool is_read, Priority pri) {
   return Blocking([&] {
     const uint64_t start = NowNs();
     // The piece count is the one input that selects the post: a lone piece
@@ -407,8 +407,7 @@ Status OpEngine::SubmitPieces(const std::vector<OpDesc>& pieces, bool is_read, P
     // Issue phase: post every remote piece before waiting on any; local
     // pieces complete inline.
     Status result = Status::Ok();
-    std::vector<Wqe> remote;
-    remote.reserve(pieces.size());
+    lt::InlineVector<Wqe, 2> remote;
     for (const OpDesc& piece : pieces) {
       if (piece.node == inst_->node_id()) {
         Status s = CopyLocalPiece(piece, is_read);
@@ -443,7 +442,7 @@ Status OpEngine::SubmitPieces(const std::vector<OpDesc>& pieces, bool is_read, P
 
 // ----------------------------------------------------------- registration
 
-MemopHandle OpEngine::IssueAsyncPieces(const std::vector<OpDesc>& pieces, bool is_read,
+MemopHandle OpEngine::IssueAsyncPieces(std::span<const OpDesc> pieces, bool is_read,
                                        Priority pri, Lh origin_lh, uint64_t origin_off,
                                        void* origin_buf, uint64_t origin_len,
                                        MemopHandle reserved_handle) {
@@ -467,7 +466,7 @@ void OpEngine::InsertFailedHandle(MemopHandle h, const Status& result) {
   Register(std::move(op), {}, h);
 }
 
-MemopHandle OpEngine::Register(std::unique_ptr<AsyncOp> op, const std::vector<OpDesc>& pieces,
+MemopHandle OpEngine::Register(std::unique_ptr<AsyncOp> op, std::span<const OpDesc> pieces,
                                MemopHandle reserved) {
   BeginEngineOp();
   async_ops_issued_->Inc();
@@ -497,10 +496,9 @@ MemopHandle OpEngine::Register(std::unique_ptr<AsyncOp> op, const std::vector<Op
       if (!s.ok() && op->issue_error.ok()) {
         op->issue_error = s;
       }
-      Wqe local;
+      Wqe& local = op->wqes.emplace_back();
       local.done = true;
       local.ready_at_ns = NowNs();
-      op->wqes.push_back(local);
       continue;
     }
     all_local = false;

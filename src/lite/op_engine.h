@@ -32,8 +32,10 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <vector>
 
+#include "src/common/inline_vector.h"
 #include "src/common/status.h"
 #include "src/lite/transport.h"
 #include "src/lite/types.h"
@@ -66,6 +68,8 @@ class OpEngine {
     void* local = nullptr;
     uint64_t len = 0;
   };
+  // The pieces of one memop: in place for one or two (LiteInstance::SliceDescs).
+  using OpDescs = lt::InlineVector<OpDesc, 2>;
 
   // ---- Fire-and-forget ring writes and atomics ----
   // Unsignaled ring traffic (RPC head-mirror publishes; requests and replies
@@ -90,7 +94,7 @@ class OpEngine {
   // after a backoff, at most lite_rpc_max_retries times (recovering the QP
   // from its error state first). Returns the first error, after draining
   // every piece.
-  Status SubmitPieces(const std::vector<OpDesc>& pieces, bool is_read, Priority pri);
+  Status SubmitPieces(std::span<const OpDesc> pieces, bool is_read, Priority pri);
 
   // ---- Async completion-handle pipeline ----
   // Registers one async memop, whose pieces go out unsignaled with
@@ -101,7 +105,7 @@ class OpEngine {
   // redo's status). `reserved_handle` (ring path) registers the op under a
   // handle already handed to the caller by ReserveHandle(); 0 assigns a
   // fresh one.
-  MemopHandle IssueAsyncPieces(const std::vector<OpDesc>& pieces, bool is_read, Priority pri,
+  MemopHandle IssueAsyncPieces(std::span<const OpDesc> pieces, bool is_read, Priority pri,
                                Lh origin_lh = 0, uint64_t origin_off = 0,
                                void* origin_buf = nullptr, uint64_t origin_len = 0,
                                MemopHandle reserved_handle = 0);
@@ -251,7 +255,7 @@ class OpEngine {
   // its `pieces` and files it under `reserved` (0 takes a fresh id). The
   // caller's attribution record moves into the op, which commits it at once
   // when the op is done at entry (all pieces local, or a failed ring op).
-  MemopHandle Register(std::unique_ptr<AsyncOp> op, const std::vector<OpDesc>& pieces,
+  MemopHandle Register(std::unique_ptr<AsyncOp> op, std::span<const OpDesc> pieces,
                        MemopHandle reserved);
   // The one retirement (async_mu_ held via `lock`; `op` in flight): settles
   // the memop (SettleMemopLocked), then commits the record, finishes the

@@ -96,7 +96,7 @@ StatusOr<MemopHandle> SubmissionRings::SubmitAsync(Lh lh, uint64_t offset, void*
   if (!entry.ok()) {
     return entry.status();
   }
-  Status perm = LiteInstance::CheckAccess(*entry, offset, len, is_read ? kPermRead : kPermWrite);
+  Status perm = LiteInstance::CheckAccess(**entry, offset, len, is_read ? kPermRead : kPermWrite);
   if (!perm.ok()) {
     return perm;
   }

@@ -83,7 +83,7 @@ struct RingDeferredOp {
 struct RingDrainCache {
   bool valid = false;
   Lh lh = 0;
-  LhEntry entry;
+  LhRef entry;
 };
 
 class SubmissionRings {

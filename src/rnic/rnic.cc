@@ -282,7 +282,9 @@ StatusOr<Rnic::Resolved> Rnic::ResolveOnNic(uint32_t key, uint64_t addr, uint64_
   if (!ranges.ok()) {
     return ranges.status();
   }
-  out.ranges = std::move(*ranges);
+  for (const PhysRange& range : *ranges) {
+    out.ranges.push_back(range);
+  }
   return out;
 }
 

@@ -48,6 +48,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/common/inline_vector.h"
 #include "src/common/rate_window.h"
 #include "src/common/status.h"
 #include "src/common/sync_util.h"
@@ -357,7 +358,9 @@ class Rnic {
   friend class Qp;
 
   struct Resolved {
-    std::vector<PhysRange> ranges;
+    // One range for a physical MR (LITE's global MR) or an atomic word, in
+    // place; a virtual MR's page walk may spill to the heap.
+    InlineVector<PhysRange, 1> ranges;
     uint8_t* host = nullptr;  // Set instead of `ranges` for host-memory buffers.
     uint64_t cache_penalty_ns = 0;
   };

@@ -27,6 +27,25 @@ const char* const kStageNames[kLatStageCount] = {
 
 constexpr char kLatPrefix[] = "lite.lat.";
 
+const char* const kSizeClassNames[] = {"0B", "64B", "512B", "4K", "32K", "256K", "1M", "big"};
+
+int SizeClassIndex(uint64_t bytes) {
+  if (bytes == 0) return 0;
+  if (bytes <= 64) return 1;
+  if (bytes <= 512) return 2;
+  if (bytes <= 4096) return 3;
+  if (bytes <= 32768) return 4;
+  if (bytes <= 262144) return 5;
+  if (bytes <= 1048576) return 6;
+  return 7;
+}
+
+// First probe of `op` in an index row (Fibonacci hash of its address).
+size_t IndexHome(const char* op, size_t ways) {
+  return static_cast<size_t>((reinterpret_cast<uintptr_t>(op) * 0x9E3779B97F4A7C15ull) >> 32) %
+         ways;
+}
+
 uint64_t ScaleToward(uint64_t v, uint64_t num, uint64_t den) {
   // v * num / den without overflow (stage sums can exceed 2^32 ns).
   return den == 0 ? 0
@@ -84,14 +103,7 @@ std::string OpTrace::ToJson() const {
 }
 
 const char* LatencyAttr::SizeClass(uint64_t bytes) {
-  if (bytes == 0) return "0B";
-  if (bytes <= 64) return "64B";
-  if (bytes <= 512) return "512B";
-  if (bytes <= 4096) return "4K";
-  if (bytes <= 32768) return "32K";
-  if (bytes <= 262144) return "256K";
-  if (bytes <= 1048576) return "1M";
-  return "big";
+  return kSizeClassNames[SizeClassIndex(bytes)];
 }
 
 ScopedOpAttr::ScopedOpAttr(LatencyAttr* sink, const char* op, uint64_t bytes, int pri) {
@@ -245,23 +257,55 @@ std::vector<OpTrace> LatencyAttr::Traces() const {
 }
 
 LatencyAttr::KeySlot* LatencyAttr::Slot(const OpAttrRecord& rec) {
+  const int size_class = SizeClassIndex(rec.bytes);
+  IndexRow& row = index_[size_class][rec.pri == 0 ? 0 : 1];
+  const size_t home = IndexHome(rec.op, kIndexWays);
+  for (size_t i = 0; i < kIndexWays; ++i) {
+    const IndexEntry& e = row[(home + i) % kIndexWays];
+    const char* op = e.op.load(std::memory_order_acquire);
+    if (op == rec.op) {
+      return e.slot.load(std::memory_order_relaxed);
+    }
+    if (op == nullptr) {
+      break;
+    }
+  }
+  return KeySlotSlow(rec, size_class, row);
+}
+
+LatencyAttr::KeySlot* LatencyAttr::KeySlotSlow(const OpAttrRecord& rec, int size_class,
+                                               IndexRow& row) {
   std::string key = kLatPrefix;
   key += rec.op;
   key += '.';
-  key += SizeClass(rec.bytes);
+  key += kSizeClassNames[size_class];
   key += rec.pri == 0 ? ".hi" : ".lo";
 
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = slots_.find(key);
-  if (it != slots_.end()) {
-    return &it->second;
+  auto [it, inserted] = slots_.try_emplace(key);
+  KeySlot* slot = &it->second;
+  if (inserted) {
+    slot->e2e = registry_->GetHistogram(key + ".e2e");
+    for (int s = 0; s < kLatStageCount; ++s) {
+      slot->stages[s] = registry_->GetHistogram(key + '.' + kStageNames[s]);
+    }
   }
-  KeySlot& slot = slots_[key];
-  slot.e2e = registry_->GetHistogram(key + ".e2e");
-  for (int s = 0; s < kLatStageCount; ++s) {
-    slot.stages[s] = registry_->GetHistogram(key + '.' + kStageNames[s]);
+  // Publish the op's address; a racing first commit may have done it while
+  // this one waited for the lock.
+  const size_t home = IndexHome(rec.op, kIndexWays);
+  for (size_t i = 0; i < kIndexWays; ++i) {
+    IndexEntry& e = row[(home + i) % kIndexWays];
+    const char* op = e.op.load(std::memory_order_relaxed);
+    if (op == rec.op) {
+      break;
+    }
+    if (op == nullptr) {
+      e.slot.store(slot, std::memory_order_relaxed);
+      e.op.store(rec.op, std::memory_order_release);
+      break;
+    }
   }
-  return &slot;
+  return slot;
 }
 
 void LatencyAttr::Commit(OpAttrRecord& rec, uint64_t e2e_ns) {

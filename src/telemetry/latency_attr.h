@@ -23,8 +23,10 @@
 // Cost rules (this must stay always-on without moving fig06 by a byte):
 //   * no SpinFor/IdleFor/SyncTo* anywhere in this module — only NowNs()
 //     reads, arithmetic, and relaxed atomics inside FixedHistogram::Record;
-//   * stamping is thread-local pointer writes; commit is a dozen histogram
-//     records plus one mutex-guarded name lookup per *new* key;
+//   * stamping is thread-local pointer writes; commit finds its key's
+//     histograms with a few acquire loads (no lock, no name built), then
+//     records the e2e and each nonzero stage. Only the first commit of a
+//     key takes the sink's mutex, builds the name and registers it;
 //   * unsampled ops write no events and allocate nothing.
 //
 // Conservation: stages are measured as deltas of the issuing thread's own
@@ -134,7 +136,9 @@ struct OpTrace {
 struct OpAttrRecord {
   bool active = false;    // A claimed, committable record.
   bool detached = false;  // Ownership moved to an async op; scope won't commit.
-  const char* op = "";    // "write", "read", "rpc", "atomic", "awrite", ...
+  // "write", "read", "rpc", "atomic", "awrite", ...: a string with static
+  // storage (a literal), since the sink keys its histograms on the address.
+  const char* op = "";
   uint64_t bytes = 0;
   int pri = 0;  // 0 = high, else low.
   uint64_t op_id = 0;
@@ -268,7 +272,26 @@ class LatencyAttr {
     std::array<FixedHistogram*, kLatStageCount> stages = {};
   };
 
+  // One published (op address -> slot) pair of the lock-free key index. The
+  // slot is stored before the op with release order, and neither changes
+  // once the op is set, so a reader that acquires the op may use the slot.
+  struct IndexEntry {
+    std::atomic<const char*> op{nullptr};
+    std::atomic<KeySlot*> slot{nullptr};
+  };
+  static constexpr int kSizeClasses = 8;  // SizeClass's buckets.
+  static constexpr size_t kIndexWays = 16;
+  // Open-addressed by the op's address; one per (size class, priority).
+  using IndexRow = std::array<IndexEntry, kIndexWays>;
+
+  // The record's key: its row, then the op's entry in it. A key not yet
+  // published takes the slow path (KeySlotSlow).
   KeySlot* Slot(const OpAttrRecord& rec);
+  // Under mu_: builds the key's name, finds or registers its histograms in
+  // slots_ (two op literals with equal text share one slot), and publishes
+  // the op's address in `row`. A full row is left as is; its extra ops keep
+  // taking this path.
+  KeySlot* KeySlotSlow(const OpAttrRecord& rec, int size_class, IndexRow& row);
 
   // Outermost-claim bookkeeping for `rec` (op, op_id and start_ns set):
   // kOpStart breadcrumb, one sampler roll, and the trace of a sampled op.
@@ -276,7 +299,8 @@ class LatencyAttr {
 
   Registry* const registry_;
   std::mutex mu_;
-  std::map<std::string, KeySlot> slots_;
+  std::map<std::string, KeySlot> slots_;  // Node-stable; guarded by mu_.
+  std::array<std::array<IndexRow, 2>, kSizeClasses> index_;  // [size class][hi, lo]
 
   uint32_t node_ = 0;
   Journal* journal_ = nullptr;

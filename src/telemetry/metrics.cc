@@ -37,12 +37,19 @@ uint64_t HistogramSnapshot::Percentile(double p) const {
   return est;
 }
 
+uint64_t FixedHistogram::count() const {
+  uint64_t n = 0;
+  for (const auto& b : buckets_) {
+    n += b.load(std::memory_order_relaxed);
+  }
+  return n;
+}
+
 HistogramSnapshot FixedHistogram::Snapshot() const {
   HistogramSnapshot s;
   s.buckets.resize(kBuckets);
-  // Sum the buckets rather than trusting count_: a Record() racing this
-  // snapshot may have bumped one but not the other, and the snapshot must be
-  // internally consistent (count == sum of buckets).
+  // The count is the sum of the buckets, so the snapshot is internally
+  // consistent (count == sum of buckets) even against a racing Record().
   for (int b = 0; b < kBuckets; ++b) {
     s.buckets[b] = buckets_[b].load(std::memory_order_relaxed);
     s.count += s.buckets[b];

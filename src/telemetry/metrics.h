@@ -4,8 +4,9 @@
 // a first-class, queryable artifact).
 //
 // Design rules:
-//   * Hot-path instruments (Counter::Inc, Gauge::Add, FixedHistogram::Record)
-//     are single relaxed atomic RMWs — no mutex per increment, ever.
+//   * Hot-path instruments are relaxed atomic RMWs with no mutex, ever:
+//     Counter::Inc and Gauge::Add are one each, FixedHistogram::Record two
+//     (bucket, sum) plus a compare-exchange only on a new min or max.
 //   * Registration/lookup by name takes a mutex but happens once per metric
 //     (components cache the returned pointer); pointers stay valid for the
 //     registry's lifetime (node-stable storage).
@@ -74,9 +75,11 @@ struct HistogramSnapshot {
   uint64_t Percentile(double p) const;
 };
 
-// Fixed-bucket (power-of-two) latency/size histogram. Record() is three
-// relaxed atomic adds; bucket boundaries never move, so concurrent Record and
-// Snapshot are both safe and cheap.
+// Fixed-bucket (power-of-two) latency/size histogram. Record() is two
+// relaxed atomic adds (the bucket and the sum) plus a min/max check that
+// writes only on a new extremum; the count is the sum of the buckets, so no
+// separate counter is bumped. Bucket boundaries never move, so concurrent
+// Record and Snapshot are both safe and cheap.
 class FixedHistogram {
  public:
   static constexpr int kBuckets = 64;
@@ -84,7 +87,6 @@ class FixedHistogram {
   void Record(uint64_t v) {
     const int b = std::min(static_cast<int>(std::bit_width(v)), kBuckets - 1);
     buckets_[b].fetch_add(1, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
     sum_.fetch_add(v, std::memory_order_relaxed);
     uint64_t cur = min_.load(std::memory_order_relaxed);
     while (v < cur && !min_.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
@@ -94,13 +96,13 @@ class FixedHistogram {
     }
   }
 
-  uint64_t count() const { return count_.load(std::memory_order_relaxed); }
+  // Sums the buckets (read paths only; Record keeps no count of its own).
+  uint64_t count() const;
   uint64_t sum() const { return sum_.load(std::memory_order_relaxed); }
   HistogramSnapshot Snapshot() const;
 
  private:
   std::atomic<uint64_t> buckets_[kBuckets] = {};
-  std::atomic<uint64_t> count_{0};
   std::atomic<uint64_t> sum_{0};
   std::atomic<uint64_t> min_{~0ull};
   std::atomic<uint64_t> max_{0};

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "src/common/cpu_meter.h"
 #include "src/common/histogram.h"
+#include "src/common/inline_vector.h"
 #include "src/common/rng.h"
 #include "src/common/status.h"
 #include "src/common/sync_util.h"
@@ -40,6 +43,40 @@ TEST(StatusTest, EveryFactoryProducesMatchingCode) {
   EXPECT_EQ(Status::Internal("x").code(), StatusCode::kInternal);
 }
 
+TEST(StatusTest, CopiedOrMovedErrorKeepsCodeAndMessage) {
+  const Status err = Status::Unavailable("peer is gone");
+  Status copy = err;
+  EXPECT_EQ(copy.code(), StatusCode::kUnavailable);
+  EXPECT_EQ(copy.message(), "peer is gone");
+  Status moved = std::move(copy);
+  EXPECT_EQ(moved.code(), StatusCode::kUnavailable);
+  EXPECT_EQ(moved.message(), "peer is gone");
+  Status assigned = Status::Ok();
+  assigned = err;
+  EXPECT_EQ(assigned.code(), StatusCode::kUnavailable);
+  EXPECT_EQ(assigned.message(), "peer is gone");
+  Status move_assigned = Status::Timeout("replaced");
+  move_assigned = std::move(moved);
+  EXPECT_EQ(move_assigned.ToString(), "UNAVAILABLE: peer is gone");
+  // The source of every copy is untouched.
+  EXPECT_EQ(err.code(), StatusCode::kUnavailable);
+  EXPECT_EQ(err.message(), "peer is gone");
+  // Through StatusOr, as the data path carries it.
+  StatusOr<int> held = err;
+  StatusOr<int> held_copy = held;
+  EXPECT_EQ(held_copy.status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(held_copy.status().message(), "peer is gone");
+}
+
+TEST(StatusTest, OkAndMessagelessErrorsHaveEmptyMessages) {
+  EXPECT_TRUE(Status::Ok().message().empty());
+  EXPECT_EQ(Status::Ok().ToString(), "OK");
+  const Status bare(StatusCode::kInternal, "");
+  EXPECT_FALSE(bare.ok());
+  EXPECT_TRUE(bare.message().empty());
+  EXPECT_EQ(bare.ToString(), "INTERNAL: ");
+}
+
 TEST(StatusOrTest, HoldsValue) {
   StatusOr<int> v = 42;
   ASSERT_TRUE(v.ok());
@@ -58,6 +95,38 @@ TEST(StatusOrTest, MoveOnlyValue) {
   StatusOr<std::unique_ptr<int>> v = std::make_unique<int>(5);
   ASSERT_TRUE(v.ok());
   EXPECT_EQ(**v, 5);
+}
+
+// ---------------------------------------------------------- InlineVector
+
+TEST(InlineVectorTest, SpillsPastInlineCapacityAndMovesBothWays) {
+  // Strings own heap memory, so ASan sees any element moved, destroyed or
+  // freed twice or never.
+  const std::string long_text(40, 'x');
+  InlineVector<std::string, 2> v;
+  v.push_back("a");
+  v.emplace_back(long_text);
+  ASSERT_EQ(v.size(), 2u);
+  InlineVector<std::string, 2> moved_inline = std::move(v);
+  EXPECT_TRUE(v.empty());
+  ASSERT_EQ(moved_inline.size(), 2u);
+  EXPECT_EQ(moved_inline[1], long_text);
+
+  for (int i = 0; i < 5; ++i) {
+    moved_inline.push_back(std::to_string(i) + long_text);  // Spills to the heap.
+  }
+  ASSERT_EQ(moved_inline.size(), 7u);
+  InlineVector<std::string, 2> moved_heap;
+  moved_heap.push_back("replaced");
+  moved_heap = std::move(moved_inline);
+  EXPECT_TRUE(moved_inline.empty());
+  std::vector<std::string> seen(moved_heap.begin(), moved_heap.end());
+  ASSERT_EQ(seen.size(), 7u);
+  EXPECT_EQ(seen[0], "a");
+  EXPECT_EQ(seen[1], long_text);
+  EXPECT_EQ(seen[6], "4" + long_text);
+  moved_inline.push_back("reused");  // A moved-from vector is empty and usable.
+  EXPECT_EQ(moved_inline[0], "reused");
 }
 
 // --------------------------------------------------------------- Timing

@@ -3,6 +3,7 @@
 // tracking, and the human-readable waterfall.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -50,6 +51,125 @@ TEST(SizeClassTest, BucketsAreStable) {
   EXPECT_STREQ(LatencyAttr::SizeClass(4096), "4K");
   EXPECT_STREQ(LatencyAttr::SizeClass(1 << 20), "1M");
   EXPECT_STREQ(LatencyAttr::SizeClass(2 << 20), "big");
+}
+
+// ------------------------------------------------------- key index
+
+// Op names with static storage, as the sink requires: two with equal text at
+// different addresses, and the names the other index tests commit under.
+const char kTwinA[] = "twin";
+const char kTwinB[] = "twin";
+const char kKeyed[] = "keyed";
+const char kRace[] = "race";
+
+// Commits one record of `op` whose whole e2e is post time.
+void CommitOne(LatencyAttr* sink, const char* op, uint64_t bytes, int pri, uint64_t e2e_ns) {
+  OpAttrRecord rec;
+  rec.active = true;
+  rec.op = op;
+  rec.bytes = bytes;
+  rec.pri = pri;
+  rec.stage_ns[kLatPost] = e2e_ns;
+  sink->Commit(rec, e2e_ns);
+}
+
+uint64_t E2eCount(const MetricsSnapshot& snap, const std::string& key) {
+  auto it = snap.histograms.find("lite.lat." + key + ".e2e");
+  return it == snap.histograms.end() ? 0 : it->second.count;
+}
+
+size_t HistogramsUnder(const MetricsSnapshot& snap, const std::string& prefix) {
+  size_t n = 0;
+  for (const auto& [name, h] : snap.histograms) {
+    n += name.rfind(prefix, 0) == 0 ? 1 : 0;
+  }
+  return n;
+}
+
+TEST(LatencyKeyIndexTest, EqualTextAtTwoAddressesSharesOneKey) {
+  ASSERT_NE(static_cast<const void*>(kTwinA), static_cast<const void*>(kTwinB));
+  Registry reg;
+  LatencyAttr sink(&reg);
+  for (int i = 0; i < 3; ++i) {
+    CommitOne(&sink, kTwinA, 64, 0, 100);
+    CommitOne(&sink, kTwinB, 64, 0, 200);
+  }
+  const MetricsSnapshot snap = reg.Snapshot();
+  EXPECT_EQ(E2eCount(snap, "twin.64B.hi"), 6u);
+  EXPECT_EQ(snap.histograms.at("lite.lat.twin.64B.hi.e2e").sum, 900u);
+  EXPECT_EQ(snap.histograms.at("lite.lat.twin.64B.hi.post").count, 6u);
+  // One set of histograms: the e2e and one per stage.
+  EXPECT_EQ(HistogramsUnder(snap, "lite.lat.twin."), kLatStageCount + 1u);
+}
+
+TEST(LatencyKeyIndexTest, SizeClassAndPriorityKeepKeysApart) {
+  Registry reg;
+  LatencyAttr sink(&reg);
+  CommitOne(&sink, kKeyed, 64, 0, 10);
+  CommitOne(&sink, kKeyed, 65, 0, 10);
+  CommitOne(&sink, kKeyed, 4096, 0, 10);
+  CommitOne(&sink, kKeyed, 4096, 0, 10);
+  for (int i = 0; i < 3; ++i) {
+    CommitOne(&sink, kKeyed, 64, 1, 10);
+  }
+  CommitOne(&sink, kKeyed, 4096, 1, 10);
+  const MetricsSnapshot snap = reg.Snapshot();
+  EXPECT_EQ(E2eCount(snap, "keyed.64B.hi"), 1u);
+  EXPECT_EQ(E2eCount(snap, "keyed.512B.hi"), 1u);
+  EXPECT_EQ(E2eCount(snap, "keyed.4K.hi"), 2u);
+  EXPECT_EQ(E2eCount(snap, "keyed.64B.lo"), 3u);
+  EXPECT_EQ(E2eCount(snap, "keyed.4K.lo"), 1u);
+  EXPECT_EQ(HistogramsUnder(snap, "lite.lat.keyed."), 5 * (kLatStageCount + 1u));
+}
+
+TEST(LatencyKeyIndexTest, OpsPastAFullIndexRowStillRecord) {
+  // Far more distinct op addresses of one size class and priority than an
+  // index row holds: the ones that find no free entry resolve by name.
+  static const std::vector<std::string>* const names = [] {
+    auto* v = new std::vector<std::string>();
+    for (int i = 0; i < 64; ++i) {
+      v->push_back("many" + std::to_string(i));
+    }
+    return v;
+  }();
+  Registry reg;
+  LatencyAttr sink(&reg);
+  for (int round = 0; round < 2; ++round) {
+    for (const std::string& name : *names) {
+      CommitOne(&sink, name.c_str(), 64, 0, 10);
+    }
+  }
+  const MetricsSnapshot snap = reg.Snapshot();
+  for (const std::string& name : *names) {
+    EXPECT_EQ(E2eCount(snap, name + ".64B.hi"), 2u) << name;
+  }
+}
+
+TEST(LatencyKeyIndexTest, ConcurrentFirstCommitsRegisterOnceAndLoseNothing) {
+  constexpr int kThreads = 8;
+  constexpr uint64_t kCommits = 2000;
+  Registry reg;
+  LatencyAttr sink(&reg);
+  std::atomic<int> arrived{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      // Every thread's first commit of the new key starts together.
+      arrived.fetch_add(1);
+      while (arrived.load() < kThreads) {
+      }
+      for (uint64_t i = 0; i < kCommits; ++i) {
+        CommitOne(&sink, kRace, 64, 0, 1 + i % 7);
+      }
+    });
+  }
+  for (auto& t : threads) {
+    t.join();
+  }
+  const MetricsSnapshot snap = reg.Snapshot();
+  EXPECT_EQ(E2eCount(snap, "race.64B.hi"), kThreads * kCommits);
+  EXPECT_EQ(snap.histograms.at("lite.lat.race.64B.hi.post").count, kThreads * kCommits);
+  EXPECT_EQ(HistogramsUnder(snap, "lite.lat.race."), kLatStageCount + 1u);
 }
 
 // --------------------------------------------------- conservation helpers

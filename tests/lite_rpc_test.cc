@@ -630,6 +630,19 @@ TEST(LiteInstanceDeathTest, ImmLayoutBoundsAreCheckedAtBuild) {
   EXPECT_TRUE(cluster.instance(0)->Rpc(1, 41, "max", 3, out, sizeof(out), &out_len).ok());
 }
 
+// The reply-slot slab is carved from the node pool when the instance is
+// built. 256 slots of 1 MB cannot fit in a 32 MB pool: the build aborts,
+// naming the field, in every build type, instead of leaving an instance
+// whose first call times out.
+TEST(LiteInstanceDeathTest, ReplySlabThatDoesNotFitIsRefusedAtBuild) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  lt::SimParams p;
+  p.node_phys_mem_bytes = 32ull << 20;
+  p.lite_reply_slot_bytes = 1 << 20;
+  ASSERT_GT(p.lite_reply_slots * p.lite_reply_slot_bytes, p.node_phys_mem_bytes);
+  EXPECT_DEATH(LiteCluster(2, p), "lite_reply_slot_bytes");
+}
+
 TEST(LiteRpcRingTest, FailedRingSetupLeaksNothing) {
   // A server ring is one physically-consecutive chunk. On a node whose free
   // memory is only holes smaller than a ring, a first bind and a first
